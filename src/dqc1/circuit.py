@@ -44,8 +44,8 @@ class ControlQubit:
     """Control-qubit state, stored as a Bloch vector.
 
     Build with :meth:`from_alpha` (z polarization in (0, 1]) or
-    :meth:`from_bloch` (any vector with norm <= 1).  ``mode`` records which
-    constructor was used; it never affects numerics.
+    :meth:`from_bloch` (any finite vector with norm <= 1).  ``mode`` records
+    which constructor was used; it never affects numerics.
     """
 
     bloch: tuple[float, float, float]
@@ -62,6 +62,8 @@ class ControlQubit:
         p = tuple(float(x) for x in p)
         if len(p) != 3:
             raise ValueError("bloch vector must have three components")
+        if not all(math.isfinite(x) for x in p):
+            raise ValueError(f"bloch vector components must be finite, got {p}")
         if _bloch_norm(p) > 1.0 + TOL_CONSTRUCT:
             raise ValueError(f"bloch vector norm {_bloch_norm(p)} exceeds 1")
         return cls(bloch=p, mode="bloch")
@@ -258,6 +260,8 @@ def unitary_from_spec(spec: str, n: int, rng: SeededRng | None = None) -> np.nda
     ``diag-phase`` needs 2**n angles; ``file`` loads the JSON matrix format
     and checks unitarity.
     """
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"n must lie in [1, {MAX_QUBITS}], got {n}")
     dim = 2**n
     if spec == "haar":
         from .linalg import haar_unitary

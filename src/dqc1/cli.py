@@ -11,8 +11,8 @@ Exit codes: 0 success, 2 invalid input (bad flags, bad config, bad files),
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -20,8 +20,8 @@ from .circuit import ControlQubit, Dqc1Instance, unitary_from_spec
 from .entpower import entpower_alpha
 from .experiments import (
     ConfigError,
-    ExperimentConfig,
     config_from_dict,
+    config_payload,
     run_experiment,
     write_results,
 )
@@ -71,17 +71,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    from pathlib import Path
-
     path = Path(args.config)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config is not valid JSON: {err}") from None
-    if not isinstance(payload, dict):
-        raise ConfigError("config root must be a JSON object")
+    payload = config_payload(path.read_text())
     if args.seed is not None:
         payload["seed"] = args.seed
     if args.out is not None:
@@ -137,14 +130,16 @@ def _cmd_verify(args) -> int:
         "theorem2": "verify-theorem2",
         "theorem3": "verify-theorem3",
     }[args.target]
-    cfg = ExperimentConfig(
-        experiment=experiment,
-        n=args.n,
-        alpha=args.alpha,
-        unitary=args.unitary,
-        rho="random" if experiment == "verify-theorem3" else "maximally-mixed",
-        samples=args.samples,
-        seed=args.seed,
+    cfg = config_from_dict(
+        {
+            "experiment": experiment,
+            "n": args.n,
+            "alpha": args.alpha,
+            "unitary": args.unitary,
+            "rho": "random" if experiment == "verify-theorem3" else "maximally-mixed",
+            "samples": args.samples,
+            "seed": args.seed,
+        }
     )
     rows = run_experiment(cfg)
     failures = 0

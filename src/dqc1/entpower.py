@@ -28,12 +28,12 @@ from .circuit import ControlQubit, Dqc1Instance, branch_pure_state
 from .linalg import (
     SIGMA_Z,
     SeededRng,
-    Spectrum,
     TOL_SPECTRAL,
     eig_hermitian,
     eig_unitary,
+    haar_unitary,
     is_right_unitary,
-    partial_trace,
+    random_right_unitary,
     trace_sqrt_product,
 )
 
@@ -183,10 +183,12 @@ def branch_coefficients(control: ControlQubit, t_mat: np.ndarray) -> BranchCoeff
         x_j = (T_1j (Phi_11 + Phi_21) sqrt(M_1)
                + T_2j (Phi_12 + Phi_22) sqrt(M_2)) / sqrt(2)
 
-    and y_j the same with minus signs inside the parentheses.
+    and y_j the same with minus signs inside the parentheses.  ``t_mat`` may
+    be a stack of shape (..., 2, cols); the coefficients then carry the same
+    leading axes.
     """
     t_mat = np.asarray(t_mat, dtype=np.complex128)
-    if t_mat.ndim != 2 or t_mat.shape[0] != 2:
+    if t_mat.ndim < 2 or t_mat.shape[-2] != 2:
         raise ValueError(f"T must have exactly 2 rows, got shape {t_mat.shape}")
     if not is_right_unitary(t_mat, 1e-10):
         raise ValueError("T rows are not orthonormal (T T^+ != I)")
@@ -196,15 +198,18 @@ def branch_coefficients(control: ControlQubit, t_mat: np.ndarray) -> BranchCoeff
     plus1 = (vecs[0, 1] + vecs[1, 1]) * s1
     minus0 = (vecs[0, 0] - vecs[1, 0]) * s0
     minus1 = (vecs[0, 1] - vecs[1, 1]) * s1
-    xs = (t_mat[0] * plus0 + t_mat[1] * plus1) / _SQRT2
-    ys = (t_mat[0] * minus0 + t_mat[1] * minus1) / _SQRT2
+    row0, row1 = t_mat[..., 0, :], t_mat[..., 1, :]
+    xs = (row0 * plus0 + row1 * plus1) / _SQRT2
+    ys = (row0 * minus0 + row1 * minus1) / _SQRT2
     return BranchCoefficients(xs=xs, ys=ys)
 
 
-def mixing_factor(coeffs: BranchCoefficients) -> float:
+def mixing_factor(coeffs: BranchCoefficients) -> float | np.ndarray:
     """sum_j 2 |x_j| |y_j|: the entanglement cost of a decomposition, per
-    unit of branch entanglement.  Lies in [lambda gap, 1]."""
-    return float(np.sum(2.0 * np.abs(coeffs.xs) * np.abs(coeffs.ys)))
+    unit of branch entanglement.  Lies in [lambda gap, 1].  Sums over the
+    last axis: a float for one decomposition, an array for a stack."""
+    total = np.sum(2.0 * np.abs(coeffs.xs) * np.abs(coeffs.ys), axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def lambda_factor(control: ControlQubit) -> float:
@@ -274,22 +279,25 @@ def analytic_min_T(control: ControlQubit) -> np.ndarray:
     return w.conj() @ mixer
 
 
-def ensemble_average(
-    inst: Dqc1Instance,
-    ens: PureEnsemble,
-    *,
-    mixing_samples: int = 0,
-    mixing_cols: int = 4,
-    rng: SeededRng | None = None,
-) -> float:
+def _analytic_mixing(control: ControlQubit) -> float:
+    return mixing_factor(branch_coefficients(control, analytic_min_T(control)))
+
+
+def _branch_average(mix: float, weights: np.ndarray, overlaps: np.ndarray) -> float:
+    """mix * sum_j w_j sqrt(1 - |<phi_j|U|phi_j>|^2), the overlaps given per
+    normalized member."""
+    branch = np.sqrt(np.clip(1.0 - np.abs(overlaps) ** 2, 0.0, None))
+    return float(np.dot(weights, mix * branch))
+
+
+def ensemble_average(inst: Dqc1Instance, ens: PureEnsemble) -> float:
     """Weighted branch entanglement of the circuit over a register ensemble.
 
     The ensemble must realize the instance's register state.  With a fully
     z-polarized control each branch is pure and its entanglement is computed
     from the branch state's marginal purity.  Otherwise each branch is a
     rank-2 mixed state whose entanglement is its minimal decomposition
-    mixing (the analytic minimizer, optionally cross-checked against
-    ``mixing_samples`` random decompositions) times the pure-branch value
+    mixing (the analytic minimizer) times the pure-branch value
     sqrt(1 - |<phi|U|phi>|^2).
     """
     if np.max(np.abs(ens.density() - inst.system_state)) > TOL_SPECTRAL:
@@ -303,15 +311,8 @@ def ensemble_average(
         ]
         return float(np.dot(ens.weights, values))
 
-    mix = mixing_factor(branch_coefficients(inst.control, analytic_min_T(inst.control)))
-    if mixing_samples > 0:
-        if rng is None:
-            raise ValueError("mixing_samples > 0 requires a random stream")
-        sampled = _sampled_mixing(inst.control, mixing_samples, mixing_cols, rng)
-        mix = min(mix, float(sampled.min()))
     overlaps = np.einsum("ij,ij->j", ens.states.conj(), u @ ens.states)
-    branch = np.sqrt(np.clip(1.0 - np.abs(overlaps) ** 2, 0.0, None))
-    return float(np.dot(ens.weights, mix * branch))
+    return _branch_average(_analytic_mixing(inst.control), ens.weights, overlaps)
 
 
 def entpower_bounds(u: np.ndarray, rho_n: np.ndarray) -> tuple[float, float]:
@@ -338,34 +339,6 @@ def entpower_general_scaled(
     return factor * lower, factor * upper
 
 
-def _haar_batch(count: int, dim: int, rng: SeededRng) -> np.ndarray:
-    # Batched Ginibre + QR with the phase fix applied column-wise.
-    g = rng.gen.standard_normal((count, dim, dim)) + 1j * rng.gen.standard_normal(
-        (count, dim, dim)
-    )
-    q, r = np.linalg.qr(g)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[:, None, :]
-
-
-def _sampled_mixing(
-    control: ControlQubit, samples: int, cols: int, rng: SeededRng
-) -> np.ndarray:
-    """Mixing factors of ``samples`` random right-unitary decompositions."""
-    if cols < 2:
-        raise ValueError(f"cols must be >= 2, got {cols}")
-    t_batch = _haar_batch(samples, cols, rng)[:, :2, :]
-    vecs, vals = control.eigensystem()
-    s0, s1 = np.sqrt(vals[0]), np.sqrt(vals[1])
-    plus0 = (vecs[0, 0] + vecs[1, 0]) * s0
-    plus1 = (vecs[0, 1] + vecs[1, 1]) * s1
-    minus0 = (vecs[0, 0] - vecs[1, 0]) * s0
-    minus1 = (vecs[0, 1] - vecs[1, 1]) * s1
-    xs = (t_batch[:, 0, :] * plus0 + t_batch[:, 1, :] * plus1) / _SQRT2
-    ys = (t_batch[:, 0, :] * minus0 + t_batch[:, 1, :] * minus1) / _SQRT2
-    return np.sum(2.0 * np.abs(xs) * np.abs(ys), axis=1)
-
-
 def brute_force_min_mixing(
     control: ControlQubit,
     samples: int,
@@ -382,45 +355,47 @@ def brute_force_min_mixing(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    best = float(_sampled_mixing(control, samples, cols, rng).min())
+    if cols < 2:
+        raise ValueError(f"cols must be >= 2, got {cols}")
+    t_batch = haar_unitary(cols, rng, (samples,))[:, :2, :]
+    best = float(mixing_factor(branch_coefficients(control, t_batch)).min())
     if include_analytic:
-        analytic = mixing_factor(branch_coefficients(control, analytic_min_T(control)))
-        best = min(best, analytic)
+        best = min(best, _analytic_mixing(control))
     return best
 
 
 def brute_force_entpower(
-    inst: Dqc1Instance,
-    samples: int,
-    cols: int | None = None,
-    rng: SeededRng | None = None,
+    inst: Dqc1Instance, samples: int, rng: SeededRng | None = None
 ) -> float:
     """Best entangling power found over random register ensembles.
 
     Draws ``samples`` right-unitary decompositions of the register state
-    (rows = its support dimension, ``cols`` defaulting to twice the register
-    dimension) and takes the largest ensemble average.  When the register is
-    maximally mixed the Fourier ensemble joins the candidate list, which is
-    what lets the search actually attain the closed form.
+    (rows = its support dimension, columns = twice the register dimension)
+    and takes the largest ensemble average.  When the register is maximally
+    mixed the Fourier ensemble joins the candidate list, which is what lets
+    the search actually attain the closed form.  Samples are scored like
+    :func:`ensemble_average`'s mixed-control path, with the register
+    spectrum, the analytic mixing factor and U Phi sqrt(M) computed once.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if rng is None:
         raise ValueError("brute_force_entpower requires a random stream")
     dim = inst.dim
-    if cols is None:
-        cols = 2 * dim
     spec = eig_hermitian(inst.system_state)
     rank = int(np.sum(spec.eigenvalues > TOL_SPECTRAL))
-    if cols < rank:
-        raise ValueError(f"cols ({cols}) must cover the register support ({rank})")
+    root = spec.eigenvectors[:, :rank] * np.sqrt(spec.eigenvalues[:rank])
+    u_root = inst.unitary @ root
+    mix = _analytic_mixing(inst.control)
 
     best = -np.inf
     mixed = np.eye(dim, dtype=np.complex128) / dim
     if np.max(np.abs(inst.system_state - mixed)) <= TOL_SPECTRAL:
         best = ensemble_average(inst, fourier_ensemble(inst.unitary))
     for _ in range(samples):
-        t_mat = _haar_batch(1, cols, rng)[0, :rank, :]
-        ens = decompose_from_T(inst.system_state, t_mat)
-        best = max(best, ensemble_average(inst, ens))
+        t_mat = random_right_unitary(rank, 2 * dim, rng)
+        members = root @ t_mat
+        weights = np.sum(np.abs(members) ** 2, axis=0)
+        overlaps = np.sum(members.conj() * (u_root @ t_mat), axis=0) / weights
+        best = max(best, _branch_average(mix, weights, overlaps))
     return float(best)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import ControlQubit, Dqc1Instance, unitary_from_spec
+from .circuit import MAX_QUBITS, ControlQubit, Dqc1Instance, unitary_from_spec
 from .entpower import (
     brute_force_entpower,
     brute_force_min_mixing,
@@ -130,8 +130,8 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
     n = payload["n"]
     if not _is_int(n):
         raise ConfigError(f"field 'n': expected an integer, got {n!r}")
-    if not 1 <= n <= 10:
-        raise ConfigError(f"field 'n': {n} outside the supported range [1, 10]")
+    if not 1 <= n <= MAX_QUBITS:
+        raise ConfigError(f"field 'n': {n} outside the supported range [1, {MAX_QUBITS}]")
 
     if "alpha" in payload and "bloch" in payload:
         raise ConfigError("fields 'alpha' and 'bloch' are mutually exclusive")
@@ -147,9 +147,10 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
             _is_real(x) for x in bloch
         ):
             raise ConfigError(f"field 'bloch': expected three numbers, got {bloch!r}")
-        if math.sqrt(sum(float(x) ** 2 for x in bloch)) > 1.0 + 1e-12:
-            raise ConfigError("field 'bloch': vector norm exceeds 1")
-        bloch = tuple(float(x) for x in bloch)
+        try:
+            bloch = ControlQubit.from_bloch(bloch).bloch
+        except ValueError as err:
+            raise ConfigError(f"field 'bloch': {err}") from None
 
     unitary = payload.get("unitary", "haar")
     if not isinstance(unitary, str) or not unitary:
@@ -215,13 +216,21 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
     )
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse JSON config text; decode errors keep their line/column info."""
+def config_payload(text: str) -> dict:
+    """Decode JSON config text to the dict :func:`config_from_dict` takes;
+    decode errors keep their line/column info."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from None
-    return config_from_dict(payload)
+    if not isinstance(payload, dict):
+        raise ConfigError("config root must be a JSON object")
+    return payload
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse and validate JSON config text."""
+    return config_from_dict(config_payload(text))
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

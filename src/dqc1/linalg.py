@@ -141,12 +141,17 @@ def is_density(a: np.ndarray, tol: float = TOL_SPECTRAL) -> bool:
 
 
 def is_right_unitary(t: np.ndarray, tol: float = TOL_CONSTRUCT) -> bool:
-    """Rows orthonormal: t @ t^dagger equals the identity on the row space."""
+    """Rows orthonormal: t @ t^dagger equals the identity on the row space.
+
+    ``t`` may be a stack of matrices (leading axes); the result is True only
+    if every member passes.
+    """
     t = np.asarray(t, dtype=np.complex128)
-    if t.ndim != 2 or t.shape[0] > t.shape[1]:
+    if t.ndim < 2 or t.shape[-2] > t.shape[-1]:
         return False
-    rows = t.shape[0]
-    return bool(np.max(np.abs(t @ t.conj().T - np.eye(rows))) <= tol * t.shape[1])
+    gram = t @ np.swapaxes(t.conj(), -1, -2)
+    err = np.max(np.abs(gram - np.eye(t.shape[-2])), initial=0.0)
+    return bool(err <= tol * t.shape[-1])
 
 
 def eig_hermitian(a: np.ndarray, tol: float = TOL_SPECTRAL) -> Spectrum:
@@ -224,19 +229,21 @@ def trace_sqrt_product(u: np.ndarray, rho: np.ndarray) -> float:
     return float(np.sum(np.sqrt(np.clip(re, 0.0, None))))
 
 
-def haar_unitary(dim: int, rng: SeededRng) -> np.ndarray:
+def haar_unitary(dim: int, rng: SeededRng, batch: tuple[int, ...] = ()) -> np.ndarray:
     """Haar-distributed unitary via the QR of a complex Ginibre matrix.
 
     The R diagonal is divided out by its phases so the distribution is
-    exactly Haar rather than QR-convention biased.
+    exactly Haar rather than QR-convention biased.  A nonempty ``batch``
+    shape draws that many independent unitaries in one go, stacked along
+    the leading axes.
     """
     if dim < 1:
         raise ValueError("dim must be positive")
-    g = rng.gen.standard_normal((dim, dim)) + 1j * rng.gen.standard_normal((dim, dim))
+    shape = (*batch, dim, dim)
+    g = rng.gen.standard_normal(shape) + 1j * rng.gen.standard_normal(shape)
     q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return q
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def random_density(dim: int, rank: int, rng: SeededRng) -> np.ndarray:

@@ -1,9 +1,14 @@
 """Tests for the one-clean-qubit circuit construction and evolution."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqc1.circuit import (
+    MAX_QUBITS,
     ControlQubit,
     Dqc1Instance,
     branch_pure_state,
@@ -55,6 +60,36 @@ def test_control_from_bloch_norm_guard():
         ControlQubit.from_bloch((0.8, 0.0, 0.8))
     with pytest.raises(ValueError):
         ControlQubit.from_bloch((1.0, 0.0))
+
+
+_UNIT = st.floats(-1.0, 1.0)
+_BALL = st.tuples(_UNIT, _UNIT, _UNIT).filter(
+    lambda p: math.sqrt(sum(x * x for x in p)) <= 1.0
+)
+_SPHERE = st.tuples(_UNIT, _UNIT, _UNIT).filter(
+    lambda p: math.sqrt(sum(x * x for x in p)) > 1e-3
+).map(lambda p: tuple(np.asarray(p) / np.linalg.norm(p)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_BALL, _SPHERE))
+def test_control_from_bloch_accepts_finite_unit_ball(p):
+    ctl = ControlQubit.from_bloch(p)
+    assert ctl.bloch == tuple(float(x) for x in p)
+    assert ctl.polarization <= 1.0 + 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _BALL,
+    st.integers(0, 2),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_control_from_bloch_rejects_non_finite(p, idx, bad):
+    p = list(p)
+    p[idx] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ControlQubit.from_bloch(p)
 
 
 def test_control_alpha_property():
@@ -341,3 +376,11 @@ def test_unitary_from_spec_file_round_trip(tmp_path):
 def test_unitary_from_spec_rejects(spec, n):
     with pytest.raises(ValueError):
         unitary_from_spec(spec, n)
+
+
+@pytest.mark.parametrize("n", [-1, 0, MAX_QUBITS + 1])
+@pytest.mark.parametrize("spec", ["identity", "haar", "pauli:X"])
+def test_unitary_from_spec_rejects_register_size_first(spec, n):
+    # checked before anything of size 2**n is built
+    with pytest.raises(ValueError, match=f"n must lie in \\[1, {MAX_QUBITS}\\], got {n}"):
+        unitary_from_spec(spec, n, SeededRng(0, 0))

@@ -50,10 +50,6 @@ def random_bloch(rng):
     return tuple(v * rng.gen.uniform(0.0, 1.0))
 
 
-def mixed_instance(n, u, bloch):
-    return Dqc1Instance(n=n, unitary=u, control=ControlQubit.from_bloch(bloch))
-
-
 # --- pure-state entanglement -------------------------------------------------
 
 
@@ -247,6 +243,25 @@ def test_branch_coefficients_weights_sum_to_one():
         assert abs(branch_coefficients(ctl, t_mat).rs.sum() - 1.0) < 1e-12
 
 
+def test_branch_coefficients_and_mixing_factor_accept_a_stack():
+    rng = SeededRng(223, 0)
+    ctl = ControlQubit.from_bloch((0.2, -0.5, 0.6))
+    stack = haar_unitary(4, rng, (6,))[:, :2, :]
+    coeffs = branch_coefficients(ctl, stack)
+    mixes = mixing_factor(coeffs)
+    assert coeffs.xs.shape == (6, 4) and mixes.shape == (6,)
+    for k, t_mat in enumerate(stack):
+        one = branch_coefficients(ctl, t_mat)
+        np.testing.assert_array_equal(coeffs.xs[k], one.xs)
+        np.testing.assert_array_equal(coeffs.ys[k], one.ys)
+        assert mixes[k] == mixing_factor(one)
+    assert isinstance(mixing_factor(branch_coefficients(ctl, stack[0])), float)
+    bad = stack.copy()
+    bad[3, 0, 0] += 0.1  # one member with rows that are not orthonormal
+    with pytest.raises(ValueError, match="orthonormal"):
+        branch_coefficients(ctl, bad)
+
+
 def test_branch_coefficients_rejects_bad_T():
     ctl = ControlQubit.from_alpha(0.5)
     with pytest.raises(ValueError, match="2 rows"):
@@ -438,24 +453,6 @@ def test_ensemble_average_rejects_wrong_realization():
         ensemble_average(inst, fourier_ensemble(u))
 
 
-def test_ensemble_average_sampled_mixing_needs_rng():
-    u = haar_unitary(2, SeededRng(157, 0))
-    inst = mixed_instance(1, u, (0.3, 0.0, 0.4))
-    with pytest.raises(ValueError, match="random stream"):
-        ensemble_average(inst, fourier_ensemble(u), mixing_samples=10)
-
-
-def test_ensemble_average_sampled_mixing_matches_analytic():
-    u = haar_unitary(2, SeededRng(163, 0))
-    inst = mixed_instance(1, u, (0.3, 0.0, 0.4))
-    ens = fourier_ensemble(u)
-    plain = ensemble_average(inst, ens)
-    probed = ensemble_average(inst, ens, mixing_samples=500, rng=SeededRng(1, 0))
-    # sampling can only confirm the analytic minimum, never beat it
-    assert probed <= plain + 1e-15
-    assert plain - probed < 1e-12
-
-
 def test_entpower_bounds_frozen_qubit_case():
     rho = np.diag([0.9, 0.1]).astype(np.complex128)
     lower, upper = entpower_bounds(SIGMA_X, rho)
@@ -548,8 +545,26 @@ def test_brute_force_entpower_validation():
         brute_force_entpower(inst, samples=0, rng=SeededRng(0, 0))
     with pytest.raises(ValueError, match="random stream"):
         brute_force_entpower(inst, samples=5)
-    with pytest.raises(ValueError, match="cols"):
-        brute_force_entpower(inst, samples=5, cols=1, rng=SeededRng(0, 0))
+
+
+@pytest.mark.parametrize(
+    "n,rho,control",
+    [
+        (1, np.diag([0.9, 0.1]), ControlQubit.from_alpha(1.0)),
+        (1, np.diag([0.9, 0.1]), ControlQubit.from_bloch((0.3, 0.0, 0.4))),
+        (2, random_density(4, 2, SeededRng(199, 0)), ControlQubit.from_alpha(0.6)),
+    ],
+)
+def test_brute_force_entpower_sample_matches_ensemble_average(n, rho, control):
+    # one sample of the search scores the same decomposition that
+    # decompose_from_T + ensemble_average build from the same draw
+    u = haar_unitary(2**n, SeededRng(211, 0))
+    inst = Dqc1Instance(n=n, unitary=u, control=control, system_state=rho)
+    got = brute_force_entpower(inst, samples=1, rng=SeededRng(5, 0))
+    rank = int(np.linalg.matrix_rank(rho))
+    t_mat = random_right_unitary(rank, 2 * 2**n, SeededRng(5, 0))
+    want = ensemble_average(inst, decompose_from_T(rho, t_mat))
+    assert abs(got - want) < 1e-12
 
 
 def test_branch_coefficients_container():

@@ -2,11 +2,14 @@
 result I/O, and the command-line front end."""
 
 import json
+import math
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from dqc1.circuit import MAX_QUBITS
 from dqc1.cli import main
 from dqc1.experiments import (
     DEFAULT_ALPHAS,
@@ -57,6 +60,8 @@ def test_config_minimal_defaults():
         ({"format": "parquet"}, "format"),
         ({"workers": 0}, "workers"),
         ({"out": 7}, "out"),
+        ({"bloch": [math.nan, 0.0, 0.0]}, "bloch"),
+        ({"bloch": [0.0, math.inf, 0.0]}, "bloch"),
     ],
 )
 def test_config_rejects_and_names_field(patch, needle):
@@ -373,6 +378,26 @@ def test_cli_run_rejects_bad_config(tmp_path, capsys):
     assert "foo" in capsys.readouterr().err
 
 
+def test_cli_run_rejects_non_finite_bloch(tmp_path, capsys):
+    # Python's JSON reader accepts the NaN literal, so the config must not
+    path = tmp_path / "nan.json"
+    path.write_text(
+        '{"experiment": "verify-theorem3", "n": 1, "bloch": [NaN, 0, 0], '
+        '"samples": 2, "workers": 1}'
+    )
+    out = tmp_path / "rows.csv"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert "'bloch'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_run_rejects_non_object_root(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main(["run", str(path), "--seed", "3"]) == 2
+    assert "object" in capsys.readouterr().err
+
+
 def test_cli_run_missing_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.json")]) == 2
     assert "not found" in capsys.readouterr().err
@@ -419,6 +444,21 @@ def test_cli_entpower(capsys):
     assert main(["entpower", "--n", "2", "--unitary", "pauli:XY"]) == 0
     out = capsys.readouterr().out
     assert "entangling_power 1" in out
+
+
+@pytest.mark.parametrize("n", [-1, 0, MAX_QUBITS + 1])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entpower"],
+        ["estimate-trace", "--shots", "10"],
+        ["verify", "theorem1", "--samples", "1"],
+    ],
+)
+def test_cli_rejects_register_size_out_of_range(argv, n, capsys):
+    assert main([*argv, "--n", str(n)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(rf"\bn\b.*{n}", err), err
 
 
 def test_cli_entpower_rejects_bad_spec(capsys):

@@ -133,6 +133,15 @@ def test_predicates():
     assert not is_right_unitary(np.ones((3, 2)))  # more rows than columns
 
 
+def test_is_right_unitary_on_a_stack():
+    stack = haar_unitary(4, SeededRng(17, 0), (5,))[:, :2, :]
+    assert is_right_unitary(stack) and all(is_right_unitary(t) for t in stack)
+    stack[2, 1, 3] += 1e-3  # one bad member fails the whole stack
+    assert not is_right_unitary(stack[2])
+    assert not is_right_unitary(stack)
+    assert not is_right_unitary(np.ones((4, 3, 2)))
+
+
 def test_eig_hermitian_diagonal():
     spec = eig_hermitian(SIGMA_Z)
     np.testing.assert_allclose(spec.eigenvalues, [1.0, -1.0], atol=1e-15)
@@ -236,6 +245,22 @@ def test_haar_unitary_deterministic():
     a = haar_unitary(4, SeededRng(1234, 0))
     b = haar_unitary(4, SeededRng(1234, 0))
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 8])
+@pytest.mark.parametrize("seed", [0, 5, 1234])
+def test_haar_unitary_batch_of_one_matches_single_draw(dim, seed):
+    single = haar_unitary(dim, SeededRng(seed, 0))
+    batched = haar_unitary(dim, SeededRng(seed, 0), (1,))
+    assert batched.shape == (1, dim, dim)
+    np.testing.assert_array_equal(single, batched[0])
+
+
+def test_haar_unitary_batch_members_are_unitary():
+    stack = haar_unitary(4, SeededRng(21, 0), (2, 3))
+    assert stack.shape == (2, 3, 4, 4)
+    for u in stack.reshape(-1, 4, 4):
+        assert is_unitary(u, 1e-12)
 
 
 def test_haar_trace_moment_against_scipy():
