@@ -26,6 +26,8 @@ from .linalg import (
     is_unitary,
     kron,
     load_matrix,
+    partial_trace,
+    trace_overlap,
 )
 
 #: Largest register size an instance will accept (joint dimension 2**11).
@@ -169,11 +171,19 @@ def controlled_u(u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _evolve_dense(
+    control: ControlQubit, rho_n: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    # V = CU (H (x) I) applied to the dense 2d x 2d joint state: the
+    # step-by-step oracle the closed forms are tested against.
+    dim = rho_n.shape[0]
+    v = controlled_u(u) @ kron(HADAMARD, np.eye(dim, dtype=np.complex128))
+    return v @ kron(control.density(), rho_n) @ v.conj().T
+
+
 def evolve(inst: Dqc1Instance) -> np.ndarray:
     """Full joint state after Hadamard-then-controlled-U, by matrix products."""
-    dim = inst.dim
-    v = controlled_u(inst.unitary) @ kron(HADAMARD, np.eye(dim, dtype=np.complex128))
-    return v @ initial_state(inst) @ v.conj().T
+    return _evolve_dense(inst.control, inst.system_state, inst.unitary)
 
 
 def final_state_closed(alpha: float, u: np.ndarray) -> np.ndarray:
@@ -215,14 +225,30 @@ def general_final_control(
     control: ControlQubit, rho_n: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
     """Control-qubit marginal after the circuit, for any control Bloch vector
-    and any register state, computed by full density-matrix evolution."""
-    from .linalg import partial_trace
+    and any register state, computed by full density-matrix evolution.
 
+    This is the dense oracle for :func:`final_control_closed`; it costs
+    O(d^3) time and O(d^2) memory in the joint dimension 2d."""
     rho_n = np.asarray(rho_n, dtype=np.complex128)
-    dim = rho_n.shape[0]
-    v = controlled_u(u) @ kron(HADAMARD, np.eye(dim, dtype=np.complex128))
-    joint = v @ kron(control.density(), rho_n) @ v.conj().T
-    return partial_trace(joint, keep="control", control_dim=2, system_dim=dim)
+    joint = _evolve_dense(control, rho_n, u)
+    return partial_trace(joint, keep="control", system_dim=rho_n.shape[0])
+
+
+def final_control_closed(
+    control: ControlQubit, rho_n: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Control-qubit marginal after the circuit, in closed form.
+
+    Knill-Laflamme one-clean-qubit identity: the marginal is H rho_c H with
+    entry [0, 1] scaled by conj(t) and entry [1, 0] by t, where
+    t = Tr(U rho_n).  Valid for any control Bloch vector and register
+    state; O(d^2) in the register dimension d.
+    """
+    t = trace_overlap(u, rho_n)
+    out = HADAMARD @ control.density() @ HADAMARD
+    out[0, 1] *= t.conjugate()
+    out[1, 0] *= t
+    return out
 
 
 def linear_entropy_closed(p, t: complex) -> float:
@@ -247,6 +273,10 @@ def diag_phase_unitary(phases) -> np.ndarray:
     phases = np.asarray(phases, dtype=np.float64)
     if phases.ndim != 1 or phases.size == 0:
         raise ValueError("phases must be a nonempty 1-D sequence")
+    bad = np.flatnonzero(~np.isfinite(phases))
+    if bad.size:
+        listed = ", ".join(f"angle {k} is {phases[k]}" for k in bad)
+        raise ValueError(f"diag-phase angles must be finite: {listed}")
     return np.diag(np.exp(1j * phases))
 
 

@@ -14,8 +14,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .circuit import ControlQubit, Dqc1Instance, unitary_from_spec
 from .entpower import entpower_alpha
 from .experiments import (
@@ -25,7 +23,7 @@ from .experiments import (
     run_experiment,
     write_results,
 )
-from .linalg import SeededRng
+from .linalg import SeededRng, normalized_trace
 from .measurement import estimate_trace
 
 _F = "{:.17g}".format
@@ -105,7 +103,7 @@ def _cmd_estimate_trace(args) -> int:
         n=args.n, unitary=u, control=ControlQubit.from_alpha(args.alpha)
     )
     est = estimate_trace(inst, args.shots, SeededRng(args.seed, 1))
-    exact = complex(np.trace(u)) / (2**args.n)
+    exact = normalized_trace(u)
     err = abs(est.trace_estimate - exact)
     print(f"n={args.n} alpha={_F(args.alpha)} shots={args.shots} seed={args.seed}")
     print(f"estimate  re={_F(est.trace_estimate.real)} im={_F(est.trace_estimate.imag)}")
@@ -116,7 +114,7 @@ def _cmd_estimate_trace(args) -> int:
 
 def _cmd_entpower(args) -> int:
     u = unitary_from_spec(args.unitary, args.n, SeededRng(args.seed, 0))
-    t = complex(np.trace(u)) / (2**args.n)
+    t = normalized_trace(u)
     value = entpower_alpha(u, args.alpha)
     print(f"n={args.n} alpha={_F(args.alpha)} unitary={args.unitary}")
     print(f"normalized_trace re={_F(t.real)} im={_F(t.imag)} abs={_F(abs(t))}")

@@ -20,6 +20,7 @@ can be checked against each other.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,9 @@ from .linalg import (
     eig_unitary,
     haar_unitary,
     is_right_unitary,
+    normalized_trace,
     random_right_unitary,
+    trace_overlap,
     trace_sqrt_product,
 )
 
@@ -107,9 +110,10 @@ def pure_entanglement(psi: np.ndarray) -> float:
 
 def entpower_standard(u: np.ndarray) -> float:
     """Closed form sqrt(1 - |Tr U / d|^2) for a fully polarized control and
-    maximally mixed register."""
-    u = np.asarray(u, dtype=np.complex128)
-    t = np.trace(u) / u.shape[0]
+    maximally mixed register.  A non-finite trace is an error, not a zero."""
+    t = normalized_trace(u)
+    if not cmath.isfinite(t):
+        raise ValueError(f"unitary has a non-finite trace {t}")
     return float(np.sqrt(max(0.0, 1.0 - abs(t) ** 2)))
 
 
@@ -324,7 +328,7 @@ def entpower_bounds(u: np.ndarray, rho_n: np.ndarray) -> tuple[float, float]:
     if u.shape != rho_n.shape:
         raise ValueError(f"shape mismatch: {u.shape} vs {rho_n.shape}")
     lower = 1.0 - trace_sqrt_product(u, rho_n)
-    overlap = np.trace(u @ rho_n)
+    overlap = trace_overlap(u, rho_n)
     upper = float(np.sqrt(max(0.0, 1.0 - abs(overlap) ** 2)))
     return float(lower), upper
 

@@ -34,7 +34,14 @@ from .entpower import (
     fourier_ensemble,
     lambda_factor,
 )
-from .linalg import SeededRng, is_density, load_matrix, random_density, random_right_unitary
+from .linalg import (
+    SeededRng,
+    is_density,
+    load_matrix,
+    normalized_trace,
+    random_density,
+    random_right_unitary,
+)
 from .measurement import (
     entpower_from_rounds,
     error_budget,
@@ -298,15 +305,17 @@ def _setup(cfg: ExperimentConfig) -> dict:
     if cfg.experiment in ("verify-theorem2", "verify-theorem3"):
         return {}
     u = unitary_from_spec(cfg.unitary, cfg.n, SeededRng(cfg.seed, 0))
+    if cfg.experiment == "trace-vs-shots":
+        # Validated once per sweep; every point reads the same instance.
+        return {"inst": Dqc1Instance(n=cfg.n, unitary=u, control=_control_from(cfg))}
     return {"u": u}
 
 
 def _point_trace_vs_shots(cfg, payload, idx):
-    u = payload["u"]
+    inst = payload["inst"]
     shots = cfg.shots[idx]
-    inst = Dqc1Instance(n=cfg.n, unitary=u, control=_control_from(cfg))
     est = estimate_trace(inst, shots, SeededRng(cfg.seed, idx + 1))
-    t_ref = complex(np.trace(u @ inst.system_state))
+    t_ref = normalized_trace(inst.unitary)
     return [
         ("shots_re", shots, est.trace_estimate.real, t_ref.real),
         ("shots_im", shots, est.trace_estimate.imag, t_ref.imag),
@@ -327,7 +336,7 @@ def _point_complexity_curve(cfg, payload, idx):
     u = payload["u"]
     rounds_target = cfg.shots[idx]
     alpha = cfg.alpha
-    t = complex(np.trace(u)) / (2**cfg.n)
+    t = normalized_trace(u)
     if t.real == 0.0 or t.imag == 0.0:
         raise ValueError(
             "complexity-curve needs both trace quadratures nonzero; "

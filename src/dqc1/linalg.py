@@ -119,6 +119,23 @@ def partial_trace(
     raise ValueError(f"keep must be 'control' or 'system', got {keep!r}")
 
 
+def trace_overlap(u: np.ndarray, rho: np.ndarray) -> complex:
+    """Tr(U rho) as the elementwise sum of U_ij rho_ji: O(d^2), never forms
+    the product U rho."""
+    u = _as_square(u, "u")
+    rho = _as_square(rho, "rho")
+    if u.shape != rho.shape:
+        raise ValueError(f"shape mismatch: {u.shape} vs {rho.shape}")
+    return complex(np.sum(u * rho.T))
+
+
+def normalized_trace(u: np.ndarray) -> complex:
+    """Tr U / d, the quantity the one-clean-qubit readout estimates.  The
+    register dimension d is a power of two, so the division is exact."""
+    u = _as_square(u, "u")
+    return complex(np.trace(u)) / u.shape[0]
+
+
 def is_unitary(a: np.ndarray, tol: float = TOL_SPECTRAL) -> bool:
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

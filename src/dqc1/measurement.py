@@ -2,12 +2,18 @@
 estimation from the two quadratures, and the rounds-vs-accuracy bookkeeping
 that links measurement cost to extractable entanglement.
 
-Convention established by the step-by-step simulator: for a control with z
-polarization ``alpha`` and register state ``rho_n``,
+The readout is closed form (:func:`dqc1.circuit.final_control_closed`, the
+Knill-Laflamme one-clean-qubit identity): after the Hadamard and the
+controlled-U the control marginal is H rho_c H with its off-diagonals scaled
+by t = Tr(U rho_n) and its conjugate, so for a control with z polarization
+``alpha``
 
     <sigma_x> = alpha * Re Tr(U rho_n),    <sigma_y> = alpha * Im Tr(U rho_n),
 
-so the estimator inverts as (mean_x + i * mean_y) / alpha.
+and the estimator inverts as (mean_x + i * mean_y) / alpha.  Reading t costs
+O(d^2); the dense joint state is never built.  The dense evolution
+(:func:`dqc1.circuit.general_final_control`) is kept only as the oracle the
+tests compare this readout against.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Dqc1Instance, general_final_control
+from .circuit import Dqc1Instance, final_control_closed
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, SeededRng, TOL_CONSTRUCT
 
 _PAULI_AXIS = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
@@ -96,7 +102,7 @@ def estimate_trace(inst: Dqc1Instance, shots: int, rng: SeededRng) -> TraceEstim
     maximally mixed register this estimates the normalized trace of U.
     """
     alpha = _effective_alpha(inst)
-    rho_f = general_final_control(inst.control, inst.system_state, inst.unitary)
+    rho_f = final_control_closed(inst.control, inst.system_state, inst.unitary)
 
     means, errs = [], []
     for axis in ("x", "y"):

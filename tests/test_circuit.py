@@ -15,6 +15,7 @@ from dqc1.circuit import (
     controlled_u,
     diag_phase_unitary,
     evolve,
+    final_control_closed,
     final_state_closed,
     general_final_control,
     initial_state,
@@ -301,6 +302,34 @@ def test_general_final_control_traceless_flip():
     )
 
 
+_TRANSVERSE = st.tuples(_UNIT, _UNIT).filter(
+    lambda q: math.sqrt(q[0] * q[0] + q[1] * q[1]) <= 1.0
+).map(lambda q: (q[0], q[1], 0.0))
+
+
+@st.composite
+def _register(draw):
+    # (U, rho_n) with n in 1..4 and rho_n of any rank 1..d.
+    n = draw(st.integers(1, 4))
+    dim = 2**n
+    rank = draw(st.integers(1, dim))
+    rng = SeededRng(draw(st.integers(0, 2**32 - 1)), 0)
+    return haar_unitary(dim, rng), random_density(dim, rank, rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_BALL, _SPHERE, _TRANSVERSE), _register())
+def test_final_control_closed_matches_dense_oracle(p, register):
+    u, rho_n = register
+    ctl = ControlQubit.from_bloch(p)
+    np.testing.assert_allclose(
+        final_control_closed(ctl, rho_n, u),
+        general_final_control(ctl, rho_n, u),
+        rtol=0.0,
+        atol=1e-13,
+    )
+
+
 def test_linear_entropy_plug_ins():
     assert linear_entropy_closed((1.0, 0.0, 0.0), 0.83 + 0.2j) == 0.0
     assert linear_entropy_closed((0.0, 0.0, 1.0), 0.0) == 0.5
@@ -337,6 +366,10 @@ def test_diag_phase_unitary():
     np.testing.assert_allclose(u, np.diag([1.0, 1.0j]), atol=1e-15)
     with pytest.raises(ValueError):
         diag_phase_unitary([])
+    with pytest.raises(ValueError, match="angle 3 is nan"):
+        diag_phase_unitary([0.0, 0.0, 0.0, np.nan])
+    with pytest.raises(ValueError, match="angle 0 is inf, angle 1 is -inf"):
+        diag_phase_unitary([np.inf, -np.inf])
 
 
 def test_unitary_from_spec_named_forms():
@@ -370,6 +403,8 @@ def test_unitary_from_spec_file_round_trip(tmp_path):
         ("pauli:XYZ", 2),  # wrong letter count
         ("diag-phase:0,0,0", 2),  # wrong angle count
         ("diag-phase:0,abc", 1),  # non-numeric
+        ("diag-phase:0,0,0,nan", 2),  # non-finite
+        ("diag-phase:inf,0", 1),
         ("rotation:0.4", 1),  # unknown form
     ],
 )

@@ -97,6 +97,12 @@ def test_entpower_standard_values():
     assert abs(entpower_standard(np.diag([1.0, 1.0j])) - np.sqrt(0.5)) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_entpower_standard_rejects_non_finite_trace(bad):
+    with pytest.raises(ValueError, match="non-finite trace"):
+        entpower_standard(np.diag([1.0, bad]))
+
+
 def test_entpower_alpha_scaling():
     u = np.diag([1.0, 1.0j])
     assert abs(entpower_alpha(u, 0.5) - 0.5 * np.sqrt(0.5)) < 1e-12

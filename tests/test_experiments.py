@@ -138,6 +138,22 @@ def test_run_identity_unitary_estimates_one():
     assert re_row.deviation < 0.25  # 5 sigma at 400 shots
 
 
+def test_run_trace_vs_shots_validates_the_unitary_once(monkeypatch):
+    import dqc1.circuit
+
+    calls = []
+    real = dqc1.circuit.is_unitary
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dqc1.circuit, "is_unitary", counting)
+    rows = run_experiment(trace_config(shots=[10, 100, 1000, 10000], workers=1))
+    assert len(rows) == 8
+    assert len(calls) == 1
+
+
 def test_run_workers_do_not_change_results():
     cfg = trace_config()
     serial = run_experiment(replace(cfg, workers=1))
@@ -459,6 +475,20 @@ def test_cli_rejects_register_size_out_of_range(argv, n, capsys):
     assert main([*argv, "--n", str(n)]) == 2
     err = capsys.readouterr().err
     assert re.search(rf"\bn\b.*{n}", err), err
+
+
+@pytest.mark.parametrize(
+    "n,spec,angle",
+    [
+        ("2", "diag-phase:0,0,0,nan", "angle 3 is nan"),
+        ("1", "diag-phase:inf,0", "angle 0 is inf"),
+    ],
+)
+def test_cli_entpower_rejects_non_finite_angle(n, spec, angle, capsys):
+    assert main(["entpower", "--n", n, "--unitary", spec]) == 2
+    captured = capsys.readouterr()
+    assert angle in captured.err
+    assert "entangling_power" not in captured.out
 
 
 def test_cli_entpower_rejects_bad_spec(capsys):

@@ -22,10 +22,12 @@ from dqc1.linalg import (
     load_matrix,
     matrix_from_json,
     matrix_to_json,
+    normalized_trace,
     partial_trace,
     random_density,
     random_right_unitary,
     save_matrix,
+    trace_overlap,
     trace_sqrt_product,
 )
 
@@ -231,6 +233,28 @@ def test_trace_sqrt_product_flip_on_biased_state():
     # eigenvalues of (X rho X) rho are {0.09, 0.09}; the sum of roots is 0.6
     rho = np.diag([0.9, 0.1]).astype(np.complex128)
     assert abs(trace_sqrt_product(SIGMA_X, rho) - 0.6) < 1e-12
+
+
+def test_trace_overlap_matches_dense_product():
+    rng = SeededRng(12, 0)
+    for n in range(1, 6):
+        dim = 2**n
+        for rank in sorted({1, dim // 2 or 1, dim}):
+            u = haar_unitary(dim, rng)
+            rho = random_density(dim, rank, rng)
+            assert abs(trace_overlap(u, rho) - np.trace(u @ rho)) < 1e-13
+    with pytest.raises(ValueError, match="shape mismatch"):
+        trace_overlap(np.eye(2), np.eye(4) / 4)
+
+
+def test_normalized_trace_is_exact():
+    rng = SeededRng(13, 0)
+    for n in range(1, 8):
+        u = haar_unitary(2**n, rng)
+        t = normalized_trace(u)
+        assert type(t) is complex
+        assert t == complex(np.trace(u)) / 2**n
+        assert t == complex(np.trace(u @ (np.eye(2**n) / 2**n)))
 
 
 def test_haar_unitary_is_unitary():

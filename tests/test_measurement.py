@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dqc1.circuit import ControlQubit, Dqc1Instance, diag_phase_unitary, pauli_string
-from dqc1.linalg import SIGMA_X, SeededRng, haar_unitary
+from dqc1.linalg import SIGMA_X, SeededRng, haar_unitary, random_density
 from dqc1.measurement import (
     entpower_from_rounds,
     error_budget,
@@ -115,6 +115,27 @@ def test_estimate_trace_alpha_rescales_noise():
             sq.append(abs(est.trace_estimate - t) ** 2)
         errs[alpha] = math.sqrt(float(np.mean(sq)))
     assert errs[0.2] > 2.0 * errs[1.0]
+
+
+def test_estimate_trace_never_evolves_the_joint_state(monkeypatch):
+    import dqc1.circuit
+    import dqc1.measurement
+
+    def dense_oracle(*args):
+        raise AssertionError("estimate_trace called the dense oracle")
+
+    monkeypatch.setattr(dqc1.circuit, "general_final_control", dense_oracle)
+    monkeypatch.setattr(
+        dqc1.measurement, "general_final_control", dense_oracle, raising=False
+    )
+    rng = SeededRng(4, 0)
+    u = haar_unitary(8, rng)
+    rho = random_density(8, 3, rng)
+    inst = Dqc1Instance(
+        n=3, unitary=u, control=ControlQubit.from_alpha(0.7), system_state=rho
+    )
+    est = estimate_trace(inst, 10**5, SeededRng(4, 1))
+    assert abs(est.trace_estimate - np.trace(u @ rho)) < 0.05
 
 
 def test_estimate_trace_stderr_single_shot():
