@@ -2,7 +2,8 @@
 
 Subcommands: ``run`` (config-driven sweep), ``estimate-trace`` (one
 finite-shot estimation), ``entpower`` (closed-form entangling power), and
-``verify`` (self-checks of the three closed-form results against sampling).
+``verify`` (self-checks of the three closed-form results against sampling;
+a failed check names up to ten of its failing sweep points).
 
 Exit codes: 0 success, 2 invalid input (bad flags, bad config, bad files),
 1 runtime failure (including a failed verification).
@@ -18,6 +19,7 @@ from .circuit import ControlQubit, Dqc1Instance, unitary_from_spec
 from .entpower import entpower_alpha
 from .experiments import (
     ConfigError,
+    _point_label,
     config_from_dict,
     config_payload,
     run_experiment,
@@ -140,47 +142,58 @@ def _cmd_verify(args) -> int:
         }
     )
     rows = run_experiment(cfg)
-    failures = 0
 
-    def report(label: str, ok: bool):
-        nonlocal failures
-        print(f"{args.target}: {label}: {'PASS' if ok else 'FAIL'}")
-        if not ok:
-            failures += 1
+    def failing(ok) -> list[int]:
+        # every verify experiment writes one row per sweep point, in order
+        return [idx for idx, r in enumerate(rows) if not ok(r)]
 
+    def below(r) -> bool:  # rows other than sampled ones pass
+        return r.param_name != "sample" or r.measured <= r.reference + 1e-9
+
+    sampled = sum(1 for r in rows if r.param_name == "sample")
     if experiment == "verify-theorem1":
         fourier = next(r for r in rows if r.param_name == "fourier")
-        sampled = [r for r in rows if r.param_name == "sample"]
-        report(
-            f"Fourier ensemble deviation {fourier.deviation:.3e} (tol 1e-9)",
-            fourier.deviation <= 1e-9,
-        )
-        below = sum(1 for r in sampled if r.measured <= r.reference + 1e-9)
-        report(
-            f"{below}/{len(sampled)} sampled ensembles at or below the closed form",
-            below == len(sampled),
-        )
+        above = failing(below)
+        checks = [
+            (
+                f"Fourier ensemble deviation {fourier.deviation:.3e} (tol 1e-9)",
+                failing(lambda r: r.param_name != "fourier" or r.deviation <= 1e-9),
+            ),
+            (
+                f"{sampled - len(above)}/{sampled} sampled ensembles at or below the closed form",
+                above,
+            ),
+        ]
     elif experiment == "verify-theorem2":
         worst = max(r.deviation for r in rows)
-        report(
-            f"minimal mixing matches alpha at {len(rows)} polarizations "
-            f"(worst deviation {worst:.3e}, tol 1e-9)",
-            worst <= 1e-9,
-        )
+        checks = [
+            (
+                f"minimal mixing matches alpha at {len(rows)} polarizations "
+                f"(worst deviation {worst:.3e}, tol 1e-9)",
+                failing(lambda r: r.deviation <= 1e-9),
+            )
+        ]
     else:
-        sampled = [r for r in rows if r.param_name == "sample"]
-        ordered = sum(1 for r in sampled if r.measured <= r.reference + 1e-9)
-        report(
-            f"{ordered}/{len(sampled)} sampled pairs keep lower <= upper",
-            ordered == len(sampled),
-        )
-        anchors = [r for r in rows if r.param_name.startswith("lambda_")]
-        worst = max(r.deviation for r in anchors)
-        report(
-            f"lambda anchors (pure/alpha/mixed) worst deviation {worst:.3e} (tol 1e-12)",
-            worst <= 1e-12,
-        )
-    return 0 if failures == 0 else 1
+        disordered = failing(below)
+        worst = max(r.deviation for r in rows if r.param_name.startswith("lambda_"))
+        checks = [
+            (
+                f"{sampled - len(disordered)}/{sampled} sampled pairs keep lower <= upper",
+                disordered,
+            ),
+            (
+                f"lambda anchors (pure/alpha/mixed) worst deviation {worst:.3e} (tol 1e-12)",
+                failing(lambda r: not r.param_name.startswith("lambda_") or r.deviation <= 1e-12),
+            ),
+        ]
+
+    for label, bad in checks:
+        print(f"{args.target}: {label}: {'FAIL' if bad else 'PASS'}")
+        if bad:
+            names = ", ".join(_point_label(cfg, idx) for idx in bad[:10])
+            more = f" and {len(bad) - 10} more" if len(bad) > 10 else ""
+            print(f"{args.target}:   failing points: {names}{more}")
+    return 1 if any(bad for _, bad in checks) else 0
 
 
 def main(argv: list[str] | None = None) -> int:

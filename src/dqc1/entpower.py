@@ -89,23 +89,27 @@ class BranchCoefficients:
         return np.abs(self.xs) ** 2 + np.abs(self.ys) ** 2
 
 
-def pure_entanglement(psi: np.ndarray) -> float:
+def pure_entanglement(psi: np.ndarray) -> float | np.ndarray:
     """sqrt(2 (1 - purity)) of the register marginal of a pure joint state.
 
     The state lives on control (x) register with the control factor first;
     for that cut the value lies in [0, 1] and vanishes exactly on product
-    states.
+    states.  ``psi`` may be a stack of shape (..., 2d): every state must be
+    normalized, and the result is an array over the leading axes whose
+    entries equal the single-state values bit for bit (a float for one
+    state).
     """
-    psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
-    if psi.size % 2 != 0:
+    psi = np.asarray(psi, dtype=np.complex128)
+    if psi.ndim == 0 or psi.shape[-1] % 2 != 0:
         raise ValueError("joint state dimension must be even (control x register)")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > TOL_SPECTRAL:
-        raise ValueError(f"state is not normalized (norm {norm})")
-    amp = psi.reshape(2, -1)
-    rho_r = amp.T @ amp.conj()  # register marginal, control traced out
-    purity = float(np.sum(np.abs(rho_r) ** 2))
-    return float(np.sqrt(max(0.0, 2.0 * (1.0 - purity))))
+    off = np.abs(np.linalg.norm(psi, axis=-1) - 1.0)
+    if np.max(off, initial=0.0) > TOL_SPECTRAL:
+        raise ValueError(f"state is not normalized (norm off by {np.max(off):.3e})")
+    amp = psi.reshape(*psi.shape[:-1], 2, -1)
+    rho_r = np.swapaxes(amp, -1, -2) @ amp.conj()  # register marginal, control traced out
+    purity = np.sum(np.abs(rho_r) ** 2, axis=(-2, -1))
+    value = np.sqrt(np.maximum(0.0, 2.0 * (1.0 - purity)))
+    return float(value) if value.ndim == 0 else value
 
 
 def entpower_standard(u: np.ndarray) -> float:
@@ -299,20 +303,17 @@ def ensemble_average(inst: Dqc1Instance, ens: PureEnsemble) -> float:
 
     The ensemble must realize the instance's register state.  With a fully
     z-polarized control each branch is pure and its entanglement is computed
-    from the branch state's marginal purity.  Otherwise each branch is a
-    rank-2 mixed state whose entanglement is its minimal decomposition
-    mixing (the analytic minimizer) times the pure-branch value
-    sqrt(1 - |<phi|U|phi>|^2).
+    from the branch state's marginal purity, for all members in one stacked
+    pass.  Otherwise each branch is a rank-2 mixed state whose entanglement
+    is its minimal decomposition mixing (the analytic minimizer) times the
+    pure-branch value sqrt(1 - |<phi|U|phi>|^2).
     """
     if np.max(np.abs(ens.density() - inst.system_state)) > TOL_SPECTRAL:
         raise ValueError("ensemble does not realize the instance's register state")
 
     u = inst.unitary
     if inst.control.bloch == (0.0, 0.0, 1.0):
-        values = [
-            pure_entanglement(branch_pure_state(ens.states[:, j], u))
-            for j in range(ens.size)
-        ]
+        values = pure_entanglement(branch_pure_state(ens.states.T, u))
         return float(np.dot(ens.weights, values))
 
     overlaps = np.einsum("ij,ij->j", ens.states.conj(), u @ ens.states)

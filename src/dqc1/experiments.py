@@ -1,10 +1,12 @@
 """Config-driven parameter sweeps with deterministic per-point randomness.
 
-A run is described by a JSON config (strictly validated: unknown keys are
-rejected).  Every parameter point draws from its own random stream keyed by
-(seed, point index), so results are byte-identical for a given config and
-seed no matter how many workers execute the sweep or in which order points
-finish.
+A run is described by a JSON config (strictly validated: unknown keys, and
+fields the chosen experiment does not read, are rejected).  Every parameter
+point draws from its own random stream keyed by (seed, point index), so
+results are byte-identical for a given config and seed no matter how many
+workers execute the sweep or in which order points finish.  A pooled sweep
+sends its points to the workers in chunks; the output never depends on the
+chunking.
 
 The reference column of every row comes from a closed form, never from
 sampling, so the deviation column isolates statistical error.
@@ -46,6 +48,7 @@ from .measurement import (
     entpower_from_rounds,
     error_budget,
     estimate_trace,
+    readout_alpha,
     rounds_for_budget,
 )
 
@@ -150,14 +153,20 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
 
     bloch = payload.get("bloch")
     if bloch is not None:
+        if experiment != "trace-vs-shots":
+            raise ConfigError(
+                f"field 'bloch': only trace-vs-shots reads a Bloch vector, not {experiment}"
+            )
         if not isinstance(bloch, list) or len(bloch) != 3 or not all(
             _is_real(x) for x in bloch
         ):
             raise ConfigError(f"field 'bloch': expected three numbers, got {bloch!r}")
         try:
-            bloch = ControlQubit.from_bloch(bloch).bloch
+            control = ControlQubit.from_bloch(bloch)
+            readout_alpha(control)
         except ValueError as err:
             raise ConfigError(f"field 'bloch': {err}") from None
+        bloch = control.bloch
 
     unitary = payload.get("unitary", "haar")
     if not isinstance(unitary, str) or not unitary:
@@ -168,6 +177,11 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
         raise ConfigError(
             f"field 'rho': expected 'maximally-mixed', 'random', 'random:<rank>' "
             f"or 'file:<path>', got {rho!r}"
+        )
+    if rho != "maximally-mixed" and experiment != "verify-theorem3":
+        raise ConfigError(
+            f"field 'rho': only verify-theorem3 reads a register state, "
+            f"{experiment} runs on the maximally mixed one; got {rho!r}"
         )
 
     shots = payload.get("shots", [])
@@ -305,9 +319,14 @@ def _setup(cfg: ExperimentConfig) -> dict:
     if cfg.experiment in ("verify-theorem2", "verify-theorem3"):
         return {}
     u = unitary_from_spec(cfg.unitary, cfg.n, SeededRng(cfg.seed, 0))
+    # Validated once per sweep; every point reads the same instance.
     if cfg.experiment == "trace-vs-shots":
-        # Validated once per sweep; every point reads the same instance.
         return {"inst": Dqc1Instance(n=cfg.n, unitary=u, control=_control_from(cfg))}
+    if cfg.experiment == "verify-theorem1":
+        return {
+            "inst": Dqc1Instance(n=cfg.n, unitary=u, control=ControlQubit.from_alpha(1.0)),
+            "reference": entpower_standard(u),
+        }
     return {"u": u}
 
 
@@ -354,15 +373,12 @@ def _point_complexity_curve(cfg, payload, idx):
 
 
 def _point_verify_theorem1(cfg, payload, idx):
-    u = payload["u"]
-    dim = 2**cfg.n
-    inst = Dqc1Instance(n=cfg.n, unitary=u, control=ControlQubit.from_alpha(1.0))
-    reference = entpower_standard(u)
+    inst, reference = payload["inst"], payload["reference"]
     if idx == 0:
-        measured = ensemble_average(inst, fourier_ensemble(u))
+        measured = ensemble_average(inst, fourier_ensemble(inst.unitary))
         return [("fourier", 0, measured, reference)]
     rng = SeededRng(cfg.seed, idx)
-    t_mat = random_right_unitary(dim, 2 * dim, rng)
+    t_mat = random_right_unitary(inst.dim, 2 * inst.dim, rng)
     ens = decompose_from_T(inst.system_state, t_mat)
     return [("sample", idx, ensemble_average(inst, ens), reference)]
 
@@ -418,8 +434,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     tasks = [(cfg, payload, idx) for idx in range(count)]
     workers = cfg.workers if cfg.workers is not None else (os.cpu_count() or 1)
     if workers > 1 and count > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, count)) as pool:
-            outputs = list(pool.map(_eval_point, tasks))
+        pool_size = min(workers, count)
+        # About four chunks per worker: one round trip per chunk, and pickle
+        # memoizes the shared cfg and payload within it.
+        chunksize = max(1, count // (4 * pool_size))
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            outputs = list(pool.map(_eval_point, tasks, chunksize=chunksize))
     else:
         outputs = [_eval_point(task) for task in tasks]
     rows = []

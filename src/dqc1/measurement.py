@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Dqc1Instance, final_control_closed
+from .circuit import ControlQubit, Dqc1Instance, final_control_closed
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, SeededRng, TOL_CONSTRUCT
 
 _PAULI_AXIS = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
@@ -84,10 +84,11 @@ def sample_shots(p: float, shots: int, rng: SeededRng) -> int:
     return int(rng.gen.binomial(shots, p))
 
 
-def _effective_alpha(inst: Dqc1Instance) -> float:
-    # Trace readout divides by the z polarization; a transverse component
-    # would mix the quadratures, so it is rejected rather than approximated.
-    p1, p2, p3 = inst.control.bloch
+def readout_alpha(control: ControlQubit) -> float:
+    """The z polarization trace readout divides by.  A transverse component
+    would mix the quadratures, so it is rejected rather than approximated,
+    and so is a polarization that leaves no signal."""
+    p1, p2, p3 = control.bloch
     if p1 != 0.0 or p2 != 0.0:
         raise ValueError("trace estimation requires a z-polarized control")
     if p3 <= 0.0:
@@ -101,7 +102,7 @@ def estimate_trace(inst: Dqc1Instance, shots: int, rng: SeededRng) -> TraceEstim
     Each axis gets its own ``shots`` independent rounds.  For the default
     maximally mixed register this estimates the normalized trace of U.
     """
-    alpha = _effective_alpha(inst)
+    alpha = readout_alpha(inst.control)
     rho_f = final_control_closed(inst.control, inst.system_state, inst.unitary)
 
     means, errs = [], []

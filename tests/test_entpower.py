@@ -3,6 +3,8 @@ decomposition machinery they are checked against."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqc1.circuit import (
     ControlQubit,
@@ -69,6 +71,35 @@ def test_pure_entanglement_validation():
         pure_entanglement(np.array([1.0, 0.0, 0.0, 1.0]))
     with pytest.raises(ValueError, match="even"):
         pure_entanglement(np.ones(3) / np.sqrt(3.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_stacked_branch_and_entanglement_match_single_calls(n, count, seed):
+    # a stack gives every state the bits of a call of its own
+    rng = SeededRng(seed, 0)
+    dim = 2**n
+    u = haar_unitary(dim, rng)
+    phis = rng.gen.standard_normal((count, dim)) + 1j * rng.gen.standard_normal((count, dim))
+    phis /= np.linalg.norm(phis, axis=1, keepdims=True)
+    np.testing.assert_array_equal(
+        branch_pure_state(phis, u), [branch_pure_state(phi, u) for phi in phis]
+    )
+    joint = rng.gen.standard_normal((count, 2 * dim)) + 1j * rng.gen.standard_normal(
+        (count, 2 * dim)
+    )
+    joint /= np.linalg.norm(joint, axis=1, keepdims=True)
+    got = pure_entanglement(joint)
+    assert got.shape == (count,)
+    singles = [pure_entanglement(psi) for psi in joint]
+    assert all(isinstance(value, float) for value in singles)
+    np.testing.assert_array_equal(got, singles)
+    joint[count // 2] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="normalized"):
+        pure_entanglement(joint)
+    phis[count - 1] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="normalized"):
+        branch_pure_state(phis, u)
 
 
 def test_branch_entanglement_overlap_identity():
@@ -446,6 +477,28 @@ def test_ensemble_average_mode_equivalence_is_bit_exact():
         ens,
     )
     assert a == b
+
+
+def _member_loop_average(inst, ens):
+    """The fully polarized path one member at a time: the oracle for the
+    stacked pass."""
+    values = [
+        pure_entanglement(branch_pure_state(ens.states[:, j], inst.unitary))
+        for j in range(ens.size)
+    ]
+    return float(np.dot(ens.weights, values))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_ensemble_average_polarized_matches_member_loop_bit_for_bit(n):
+    rng = SeededRng(223, n)
+    dim = 2**n
+    for _ in range(4):
+        u = haar_unitary(dim, rng)
+        inst = Dqc1Instance(n=n, unitary=u, control=ControlQubit.from_alpha(1.0))
+        sampled = decompose_from_T(inst.system_state, random_right_unitary(dim, 2 * dim, rng))
+        for ens in (fourier_ensemble(u), sampled):
+            assert ensemble_average(inst, ens) == _member_loop_average(inst, ens)
 
 
 def test_ensemble_average_rejects_wrong_realization():

@@ -13,6 +13,7 @@ from dqc1.circuit import MAX_QUBITS
 from dqc1.cli import main
 from dqc1.experiments import (
     DEFAULT_ALPHAS,
+    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     ResultRow,
@@ -62,6 +63,8 @@ def test_config_minimal_defaults():
         ({"out": 7}, "out"),
         ({"bloch": [math.nan, 0.0, 0.0]}, "bloch"),
         ({"bloch": [0.0, math.inf, 0.0]}, "bloch"),
+        ({"bloch": [0.0, 0.0, 0.5]}, "bloch"),
+        ({"rho": "random"}, "rho"),
     ],
 )
 def test_config_rejects_and_names_field(patch, needle):
@@ -69,6 +72,17 @@ def test_config_rejects_and_names_field(patch, needle):
     payload.update(patch)
     with pytest.raises(ConfigError, match=needle):
         config_from_dict(payload)
+
+
+def test_config_accepts_the_fields_each_experiment_reads():
+    for experiment in EXPERIMENTS:
+        config_from_dict(
+            {"experiment": experiment, "n": 1, "shots": [10], "rho": "maximally-mixed"}
+        )
+    cfg = config_from_dict(
+        {"experiment": "trace-vs-shots", "n": 1, "shots": [10], "bloch": [0, 0, 0.5]}
+    )
+    assert cfg.bloch == (0.0, 0.0, 0.5)
 
 
 def test_config_missing_required_fields():
@@ -159,6 +173,30 @@ def test_run_workers_do_not_change_results():
     serial = run_experiment(replace(cfg, workers=1))
     pooled = run_experiment(replace(cfg, workers=2))
     assert serial == pooled
+
+
+def test_run_verify_theorem1_validates_the_unitary_once(monkeypatch):
+    import dqc1.circuit
+
+    calls = []
+    real = dqc1.circuit.is_unitary
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dqc1.circuit, "is_unitary", counting)
+    cfg = config_from_dict(
+        {"experiment": "verify-theorem1", "n": 2, "samples": 10, "seed": 7, "workers": 1}
+    )
+    assert len(run_experiment(cfg)) == 11
+    assert len(calls) == 1
+
+
+def test_run_chunked_pool_does_not_change_results():
+    # 61 points on 2 workers go out in chunks of 7
+    cfg = config_from_dict({"experiment": "verify-theorem1", "n": 2, "samples": 60, "seed": 3})
+    assert run_experiment(replace(cfg, workers=1)) == run_experiment(replace(cfg, workers=2))
 
 
 def test_run_entpower_vs_alpha_traceless_reference():
@@ -407,6 +445,35 @@ def test_cli_run_rejects_non_finite_bloch(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "experiment,patch,needle",
+    [
+        ("trace-vs-shots", {"rho": "file:/nonexistent.json"}, "rho"),
+        ("trace-vs-shots", {"rho": "random:1"}, "rho"),
+        ("complexity-curve", {"rho": "random"}, "rho"),
+        ("entpower-vs-alpha", {"rho": "random"}, "rho"),
+        ("verify-theorem1", {"rho": "random"}, "rho"),
+        ("entpower-vs-alpha", {"bloch": [0.0, 0.0, 0.5]}, "bloch"),
+        ("verify-theorem1", {"bloch": [0.0, 0.0, 1.0]}, "bloch"),
+        ("verify-theorem3", {"bloch": [0.0, 0.0, 0.5]}, "bloch"),
+        ("trace-vs-shots", {"bloch": [0.5, 0.0, 0.5]}, "bloch"),
+        ("trace-vs-shots", {"bloch": [0.0, -0.1, 0.5]}, "bloch"),
+        ("trace-vs-shots", {"bloch": [0.0, 0.0, 0.0]}, "bloch"),
+        ("trace-vs-shots", {"bloch": [0.0, 0.0, -0.5]}, "bloch"),
+    ],
+)
+def test_cli_run_rejects_fields_the_experiment_does_not_read(
+    tmp_path, capsys, experiment, patch, needle
+):
+    payload = {"experiment": experiment, "n": 1, "samples": 2, "workers": 1, **patch}
+    if experiment in ("trace-vs-shots", "complexity-curve"):
+        payload["shots"] = [10]
+    out = tmp_path / "rows.csv"
+    assert main(["run", str(write_config(tmp_path, payload)), "--out", str(out)]) == 2
+    assert f"'{needle}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_run_rejects_non_object_root(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")
@@ -500,3 +567,30 @@ def test_cli_verify_passes(capsys):
     assert main(["verify", "theorem2", "--samples", "30", "--seed", "2"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "broken,names",
+    [
+        ([17], "sample=17"),
+        (range(1, 13), ", ".join(f"sample={i}" for i in range(1, 11)) + " and 2 more"),
+    ],
+    ids=["one", "more-than-ten"],
+)
+def test_cli_verify_names_the_failing_points(monkeypatch, capsys, broken, names):
+    import dqc1.cli
+
+    real = dqc1.cli.run_experiment
+
+    def with_failures(cfg):
+        rows = real(cfg)
+        for idx in broken:
+            rows[idx] = replace(rows[idx], measured=rows[idx].reference + 1.0)
+        return rows
+
+    monkeypatch.setattr(dqc1.cli, "run_experiment", with_failures)
+    argv = ["verify", "theorem1", "--samples", "30", "--seed", "2"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert f"{30 - len(broken)}/30 sampled ensembles at or below the closed form: FAIL" in out
+    assert f"failing points: {names}\n" in out
