@@ -3,14 +3,14 @@ controlled unitary acting on a maximally mixed (or user-supplied) register.
 
 The control qubit is described either by a polarization ``alpha`` along z or
 by a full Bloch vector; both are stored canonically as a Bloch vector so that
-``alpha`` mode and ``bloch (0, 0, alpha)`` are the same object and produce
-bit-identical results everywhere downstream.
+``from_alpha(alpha)`` and ``from_bloch((0, 0, alpha))`` are the same object and
+produce bit-identical results everywhere downstream.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,30 +45,32 @@ _PAULI_1Q = {
 class ControlQubit:
     """Control-qubit state, stored as a Bloch vector.
 
-    Build with :meth:`from_alpha` (z polarization in (0, 1]) or
-    :meth:`from_bloch` (any finite vector with norm <= 1).  ``mode`` records
-    which constructor was used; it never affects numerics.
+    Every construction path validates: the vector must have three finite
+    components and norm <= 1.  :meth:`from_alpha` (z polarization in
+    (0, 1]) and :meth:`from_bloch` build equal objects for equal vectors.
     """
 
     bloch: tuple[float, float, float]
-    mode: str = field(default="bloch")
 
-    @classmethod
-    def from_alpha(cls, alpha: float) -> "ControlQubit":
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-        return cls(bloch=(0.0, 0.0, float(alpha)), mode="alpha")
-
-    @classmethod
-    def from_bloch(cls, p) -> "ControlQubit":
-        p = tuple(float(x) for x in p)
+    def __post_init__(self):
+        p = tuple(float(x) for x in self.bloch)
         if len(p) != 3:
             raise ValueError("bloch vector must have three components")
         if not all(math.isfinite(x) for x in p):
             raise ValueError(f"bloch vector components must be finite, got {p}")
         if _bloch_norm(p) > 1.0 + TOL_CONSTRUCT:
             raise ValueError(f"bloch vector norm {_bloch_norm(p)} exceeds 1")
-        return cls(bloch=p, mode="bloch")
+        object.__setattr__(self, "bloch", p)
+
+    @classmethod
+    def from_alpha(cls, alpha: float) -> "ControlQubit":
+        if not 0.0 < alpha <= 1.0:
+            raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+        return cls(bloch=(0.0, 0.0, alpha))
+
+    @classmethod
+    def from_bloch(cls, p) -> "ControlQubit":
+        return cls(bloch=p)
 
     @property
     def alpha(self) -> float:
@@ -93,8 +95,7 @@ class ControlQubit:
 
         The eigenvalues are (1 +- polarization)/2.  The eigenvector phase is
         fixed so the matrix is exactly the identity for a z-polarized control
-        (and for the fully mixed case), which keeps alpha-mode and bloch-mode
-        computations bit-identical.
+        (and for the fully mixed case).
         """
         p1, p2, p3 = self.bloch
         gamma = self.polarization

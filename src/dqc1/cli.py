@@ -25,7 +25,7 @@ from .experiments import (
     run_experiment,
     write_results,
 )
-from .linalg import SeededRng, normalized_trace
+from .linalg import TOL_CONSTRUCT, TOL_VERIFY, SeededRng, normalized_trace
 from .measurement import estimate_trace
 
 _F = "{:.17g}".format
@@ -148,7 +148,7 @@ def _cmd_verify(args) -> int:
         return [idx for idx, r in enumerate(rows) if not ok(r)]
 
     def below(r) -> bool:  # rows other than sampled ones pass
-        return r.param_name != "sample" or r.measured <= r.reference + 1e-9
+        return r.param_name != "sample" or r.measured <= r.reference + TOL_VERIFY
 
     sampled = sum(1 for r in rows if r.param_name == "sample")
     if experiment == "verify-theorem1":
@@ -157,7 +157,7 @@ def _cmd_verify(args) -> int:
         checks = [
             (
                 f"Fourier ensemble deviation {fourier.deviation:.3e} (tol 1e-9)",
-                failing(lambda r: r.param_name != "fourier" or r.deviation <= 1e-9),
+                failing(lambda r: r.param_name != "fourier" or r.deviation <= TOL_VERIFY),
             ),
             (
                 f"{sampled - len(above)}/{sampled} sampled ensembles at or below the closed form",
@@ -170,7 +170,7 @@ def _cmd_verify(args) -> int:
             (
                 f"minimal mixing matches alpha at {len(rows)} polarizations "
                 f"(worst deviation {worst:.3e}, tol 1e-9)",
-                failing(lambda r: r.deviation <= 1e-9),
+                failing(lambda r: r.deviation <= TOL_VERIFY),
             )
         ]
     else:
@@ -183,7 +183,10 @@ def _cmd_verify(args) -> int:
             ),
             (
                 f"lambda anchors (pure/alpha/mixed) worst deviation {worst:.3e} (tol 1e-12)",
-                failing(lambda r: not r.param_name.startswith("lambda_") or r.deviation <= 1e-12),
+                failing(
+                    lambda r: not r.param_name.startswith("lambda_")
+                    or r.deviation <= TOL_CONSTRUCT
+                ),
             ),
         ]
 

@@ -21,6 +21,7 @@ can be checked against each other.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,12 +93,14 @@ class BranchCoefficients:
 def pure_entanglement(psi: np.ndarray) -> float | np.ndarray:
     """sqrt(2 (1 - purity)) of the register marginal of a pure joint state.
 
-    The state lives on control (x) register with the control factor first;
-    for that cut the value lies in [0, 1] and vanishes exactly on product
-    states.  ``psi`` may be a stack of shape (..., 2d): every state must be
-    normalized, and the result is an array over the leading axes whose
-    entries equal the single-state values bit for bit (a float for one
-    state).
+    The state lives on control (x) register with the control factor first.
+    Its Schmidt coefficients s1, s2 are the singular values of the 2 x d
+    amplitude matrix, the marginal's spectrum is {s1^2, s2^2}, and with
+    s1^2 + s2^2 = 1 the definition equals 2 s1 s2: a value in [0, 1] that
+    vanishes on product states without cancellation.  ``psi`` may be a
+    stack of shape (..., 2d): every state must be normalized, and the result
+    is an array over the leading axes whose entries equal the single-state
+    values bit for bit (a float for one state).
     """
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.ndim == 0 or psi.shape[-1] % 2 != 0:
@@ -105,10 +108,10 @@ def pure_entanglement(psi: np.ndarray) -> float | np.ndarray:
     off = np.abs(np.linalg.norm(psi, axis=-1) - 1.0)
     if np.max(off, initial=0.0) > TOL_SPECTRAL:
         raise ValueError(f"state is not normalized (norm off by {np.max(off):.3e})")
-    amp = psi.reshape(*psi.shape[:-1], 2, -1)
-    rho_r = np.swapaxes(amp, -1, -2) @ amp.conj()  # register marginal, control traced out
-    purity = np.sum(np.abs(rho_r) ** 2, axis=(-2, -1))
-    value = np.sqrt(np.maximum(0.0, 2.0 * (1.0 - purity)))
+    schmidt = np.linalg.svd(psi.reshape(*psi.shape[:-1], 2, -1), compute_uv=False)
+    # a one-dimensional register leaves a single Schmidt coefficient
+    second = schmidt[..., 1] if schmidt.shape[-1] > 1 else 0.0
+    value = 2.0 * schmidt[..., 0] * second
     return float(value) if value.ndim == 0 else value
 
 
@@ -142,9 +145,7 @@ def fourier_ensemble(u: np.ndarray) -> PureEnsemble:
     return PureEnsemble(weights=np.full(d, 1.0 / d), states=spec.eigenvectors @ fourier)
 
 
-def decompose_from_T(
-    target: np.ndarray, t_mat: np.ndarray, tol: float = TOL_SPECTRAL
-) -> PureEnsemble:
+def decompose_from_T(target: np.ndarray, t_mat: np.ndarray) -> PureEnsemble:
     """Pure-state ensemble of ``target`` selected by a right-unitary matrix.
 
     With eigendecomposition target = Phi M Phi^+ restricted to its support,
@@ -156,21 +157,21 @@ def decompose_from_T(
     t_mat = np.asarray(t_mat, dtype=np.complex128)
     if t_mat.ndim != 2:
         raise ValueError("T must be a 2-D matrix")
-    if not is_right_unitary(t_mat, 1e-10):
+    if not is_right_unitary(t_mat, TOL_SPECTRAL):
         raise ValueError("T rows are not orthonormal (T T^+ != I)")
-    spec = eig_hermitian(np.asarray(target, dtype=np.complex128), tol)
+    spec = eig_hermitian(np.asarray(target, dtype=np.complex128))
     rows = t_mat.shape[0]
     if rows > spec.eigenvalues.size:
         raise ValueError(
             f"T has {rows} rows but the target dimension is {spec.eigenvalues.size}"
         )
     discarded = spec.eigenvalues[rows:]
-    if discarded.size and discarded.max() > tol:
+    if discarded.size and discarded.max() > TOL_SPECTRAL:
         raise ValueError(
             f"T has {rows} rows but the target carries weight "
             f"{discarded.max():.3e} outside their span"
         )
-    if spec.eigenvalues.min() < -tol:
+    if spec.eigenvalues.min() < -TOL_SPECTRAL:
         raise ValueError("target has a negative eigenvalue; not a density matrix")
     kept = np.clip(spec.eigenvalues[:rows], 0.0, None)
     members = (spec.eigenvectors[:, :rows] * np.sqrt(kept)) @ t_mat
@@ -198,7 +199,7 @@ def branch_coefficients(control: ControlQubit, t_mat: np.ndarray) -> BranchCoeff
     t_mat = np.asarray(t_mat, dtype=np.complex128)
     if t_mat.ndim < 2 or t_mat.shape[-2] != 2:
         raise ValueError(f"T must have exactly 2 rows, got shape {t_mat.shape}")
-    if not is_right_unitary(t_mat, 1e-10):
+    if not is_right_unitary(t_mat, TOL_SPECTRAL):
         raise ValueError("T rows are not orthonormal (T T^+ != I)")
     vecs, vals = control.eigensystem()
     s0, s1 = np.sqrt(vals[0]), np.sqrt(vals[1])
@@ -223,14 +224,15 @@ def mixing_factor(coeffs: BranchCoefficients) -> float | np.ndarray:
 def lambda_factor(control: ControlQubit) -> float:
     """Gap lambda_1 - lambda_2 of the square-rooted spectrum of
     rho_c sigma_z rho_c^* sigma_z: the minimal mixing factor over all
-    decompositions of the control state."""
-    rho = control.density()
-    evals = np.linalg.eigvals(rho @ SIGMA_Z @ rho.conj() @ SIGMA_Z)
-    if np.max(np.abs(evals.imag)) > 1e-9:
-        raise ValueError("mixing spectrum has a non-real eigenvalue")
-    lam = np.sqrt(np.clip(evals.real, 0.0, None))
-    lam.sort()
-    return float(lam[-1] - lam[-2])
+    decompositions of the control state.
+
+    For Bloch vector p, sigma_z rho_c^* sigma_z has Bloch vector
+    q = (-p1, p2, p3), so the product is (I + p.sigma)(I + q.sigma)/4 with
+    eigenvalues ((sqrt(1 - p1^2) +- sqrt(p2^2 + p3^2)) / 2)^2.  The gap of
+    their square roots is hypot(p2, p3).
+    """
+    _, p2, p3 = control.bloch
+    return math.hypot(p2, p3)
 
 
 def _takagi_symmetric(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -303,10 +305,10 @@ def ensemble_average(inst: Dqc1Instance, ens: PureEnsemble) -> float:
 
     The ensemble must realize the instance's register state.  With a fully
     z-polarized control each branch is pure and its entanglement is computed
-    from the branch state's marginal purity, for all members in one stacked
-    pass.  Otherwise each branch is a rank-2 mixed state whose entanglement
-    is its minimal decomposition mixing (the analytic minimizer) times the
-    pure-branch value sqrt(1 - |<phi|U|phi>|^2).
+    from the branch state's Schmidt coefficients, for all members in one
+    stacked pass.  Otherwise each branch is a rank-2 mixed state whose
+    entanglement is its minimal decomposition mixing (the analytic minimizer)
+    times the pure-branch value sqrt(1 - |<phi|U|phi>|^2).
     """
     if np.max(np.abs(ens.density() - inst.system_state)) > TOL_SPECTRAL:
         raise ValueError("ensemble does not realize the instance's register state")

@@ -74,14 +74,14 @@ def _as_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def kron(a: np.ndarray, b: np.ndarray, *, max_dim: int = MAX_KRON_DIM) -> np.ndarray:
-    """Kronecker product with a guard against runaway dimensions."""
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product, refused above :data:`MAX_KRON_DIM`."""
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     out_dim = a.shape[0] * b.shape[0]
-    if out_dim > max_dim:
+    if out_dim > MAX_KRON_DIM:
         raise ValueError(
-            f"kron result dimension {out_dim} exceeds the configured maximum {max_dim}"
+            f"kron result dimension {out_dim} exceeds the configured maximum {MAX_KRON_DIM}"
         )
     return np.kron(a, b)
 
@@ -185,65 +185,49 @@ def eig_hermitian(a: np.ndarray, tol: float = TOL_SPECTRAL) -> Spectrum:
     return Spectrum(evals[order].copy(), evecs[:, order].copy())
 
 
-def _phase_clusters(angles: np.ndarray, gap: float) -> list[np.ndarray]:
-    # Group sorted phase angles into runs closer than `gap`, merging across
-    # the -pi/+pi seam.
-    order = np.argsort(angles)
-    clusters: list[list[int]] = [[order[0]]]
-    for idx in order[1:]:
-        if angles[idx] - angles[clusters[-1][-1]] <= gap:
-            clusters[-1].append(idx)
-        else:
-            clusters.append([idx])
-    if len(clusters) > 1:
-        wrap = angles[clusters[0][0]] + 2.0 * np.pi - angles[clusters[-1][-1]]
-        if wrap <= gap:
-            clusters[-1].extend(clusters.pop(0))
-    return [np.array(c) for c in clusters]
-
-
-def eig_unitary(u: np.ndarray, tol: float = TOL_SPECTRAL) -> Spectrum:
+def eig_unitary(u: np.ndarray) -> Spectrum:
     """Eigendecomposition of a unitary with an orthonormal eigenbasis.
 
     LAPACK's general eigensolver does not promise orthogonal eigenvectors
-    inside a degenerate eigenspace, so vectors whose eigenvalues sit within
-    1e-8 of each other are re-orthonormalized by a QR pass.  Eigenvalues come
-    back sorted by phase angle.
+    for (near-)degenerate eigenvalues, so the basis is replaced by the polar
+    factor W Vh of its eigenvector matrix V = W S Vh: the closest unitary to
+    V, orthonormal by construction.  Non-orthogonality of V only couples
+    vectors of nearby eigenvalues, so the polar factor stays an eigenbasis;
+    the result is checked by max|U V - V Lambda| <= TOL_SPECTRAL * d.
+    Eigenvalues come back sorted by phase angle.
     """
     u = _as_square(u, "u")
-    if not is_unitary(u, tol):
+    if not is_unitary(u):
         raise ValueError("matrix is not unitary within tolerance")
     evals, evecs = np.linalg.eig(u)
-    if np.max(np.abs(np.abs(evals) - 1.0)) > max(tol, 1e-10):
-        raise ValueError("eigenvalues of a unitary must have unit modulus")
-
-    angles = np.angle(evals)
-    for cluster in _phase_clusters(angles, gap=1e-8):
-        if len(cluster) > 1:
-            q, _ = np.linalg.qr(evecs[:, cluster])
-            evecs[:, cluster] = q
-    order = np.argsort(np.mod(angles, 2.0 * np.pi), kind="stable")
-    return Spectrum(evals[order].copy(), evecs[:, order].copy())
+    w, _, vh = np.linalg.svd(evecs)
+    evecs = w @ vh
+    if np.max(np.abs(u @ evecs - evecs * evals)) > TOL_SPECTRAL * u.shape[0]:
+        raise ValueError("orthonormalized eigenbasis does not diagonalize the unitary")
+    order = np.argsort(np.mod(np.angle(evals), 2.0 * np.pi), kind="stable")
+    return Spectrum(evals[order], evecs[:, order])
 
 
 def trace_sqrt_product(u: np.ndarray, rho: np.ndarray) -> float:
-    """Sum of square roots of the eigenvalues of (U rho U^dagger) rho.
+    """Root fidelity Tr sqrt(sqrt(rho) U rho U^dagger sqrt(rho)) of rho and
+    U rho U^dagger.
 
-    The product is similar to a positive semidefinite matrix, so its spectrum
-    is real and non-negative up to roundoff; small negative dust is clamped
-    and anything beyond -1e-9 is rejected as an invalid input.
+    By Uhlmann's theorem it is the trace norm of sqrt(rho) U sqrt(rho), i.e.
+    the sum of that matrix's singular values, which are non-negative by
+    construction.  sqrt(rho) comes from the Hermitian eigensolve of rho: an
+    eigenvalue below -TOL_VERIFY rejects the input, smaller negative roundoff
+    is clipped to 0 before the square root.
     """
     u = _as_square(u, "u")
     rho = _as_square(rho, "rho")
     if u.shape != rho.shape:
         raise ValueError(f"shape mismatch: {u.shape} vs {rho.shape}")
-    evals = np.linalg.eigvals((u @ rho @ u.conj().T) @ rho)
-    if np.max(np.abs(evals.imag)) > TOL_VERIFY:
-        raise ValueError("product spectrum has a non-real eigenvalue")
-    re = evals.real
-    if re.min() < -TOL_VERIFY:
-        raise ValueError("product spectrum has a negative eigenvalue")
-    return float(np.sum(np.sqrt(np.clip(re, 0.0, None))))
+    spec = eig_hermitian(rho)
+    if spec.eigenvalues.min() < -TOL_VERIFY:
+        raise ValueError("rho has a negative eigenvalue; not a density matrix")
+    vecs = spec.eigenvectors
+    root = (vecs * np.sqrt(np.clip(spec.eigenvalues, 0.0, None))) @ vecs.conj().T
+    return float(np.sum(np.linalg.svd(root @ u @ root, compute_uv=False)))
 
 
 def haar_unitary(dim: int, rng: SeededRng, batch: tuple[int, ...] = ()) -> np.ndarray:

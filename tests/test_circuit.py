@@ -93,6 +93,34 @@ def test_control_from_bloch_rejects_non_finite(p, idx, bad):
         ControlQubit.from_bloch(p)
 
 
+def test_control_constructors_build_equal_objects():
+    for alpha in (0.5, 1.0):
+        a = ControlQubit.from_alpha(alpha)
+        b = ControlQubit.from_bloch((0.0, 0.0, alpha))
+        c = ControlQubit(bloch=(0, 0, alpha))
+        assert a == b == c
+        assert hash(a) == hash(b) == hash(c)
+        assert a.bloch == (0.0, 0.0, float(alpha))
+    assert len({ControlQubit.from_alpha(0.5), ControlQubit.from_bloch((0, 0, 0.5))}) == 1
+
+
+@pytest.mark.parametrize(
+    "bloch, needle",
+    [
+        ((2.0, 0.0, 0.0), "norm"),
+        ((0.8, 0.0, 0.8), "norm"),
+        ((math.nan, 0.0, 0.0), "finite"),
+        ((0.0, math.inf, 0.0), "finite"),
+        ((0.0, 0.0, -math.inf), "finite"),
+        ((1.0, 0.0), "three components"),
+        ((0.1, 0.2, 0.3, 0.4), "three components"),
+    ],
+)
+def test_control_direct_constructor_validates(bloch, needle):
+    with pytest.raises(ValueError, match=needle):
+        ControlQubit(bloch=bloch)
+
+
 def test_control_alpha_property():
     assert ControlQubit.from_alpha(0.3).alpha == 0.3
     assert ControlQubit.from_bloch((0.0, 0.0, 0.5)).alpha == 0.5

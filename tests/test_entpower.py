@@ -3,7 +3,7 @@ decomposition machinery they are checked against."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dqc1.circuit import (
@@ -37,6 +37,7 @@ from dqc1.linalg import (
     SIGMA_X,
     SIGMA_Z,
     SeededRng,
+    eig_unitary,
     haar_unitary,
     is_right_unitary,
     random_density,
@@ -59,6 +60,19 @@ def test_pure_entanglement_product_state():
     psi = np.zeros(4, dtype=np.complex128)
     psi[0] = 1.0
     assert pure_entanglement(psi) == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 2**32 - 1))
+def test_pure_entanglement_of_product_states_vanishes(n, seed):
+    # n = 0 is a one-dimensional register: a single Schmidt coefficient
+    # zero to roundoff, with no 1 - purity cancellation (which leaves ~1e-8)
+    rng = SeededRng(seed, 0)
+    a = rng.gen.standard_normal(2) + 1j * rng.gen.standard_normal(2)
+    b = rng.gen.standard_normal(2**n) + 1j * rng.gen.standard_normal(2**n)
+    psi = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
+    assert pure_entanglement(psi) <= 1e-15
+    assert np.all(pure_entanglement(np.stack([psi, psi])) <= 1e-15)
 
 
 def test_pure_entanglement_bell_state():
@@ -199,6 +213,33 @@ def test_fourier_ensemble_degenerate_spectra(u):
     t = np.trace(u) / 4
     overlaps = np.einsum("ij,ij->j", ens.states.conj(), u @ ens.states)
     np.testing.assert_allclose(overlaps, np.full(4, t), atol=1e-10)
+
+
+def _clustered_unitary(dim, gap, seed):
+    # Haar eigenbasis, random phases, and two eigenvalue pairs `gap` apart
+    rng = SeededRng(seed, 0)
+    q = haar_unitary(dim, rng)
+    phases = rng.gen.uniform(-np.pi, np.pi, dim)
+    phases[1] = phases[0] + gap
+    phases[3] = phases[2] + gap
+    return (q * np.exp(1j * phases)) @ q.conj().T
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 4]), st.floats(-12.0, -3.0), st.integers(0, 2**32 - 1))
+@example(4, -7.0, 0)
+@example(4, -6.0, 0)
+@example(3, -8.0, 1)
+def test_near_degenerate_spectra_keep_an_orthonormal_eigenbasis(n, log_gap, seed):
+    dim = 2**n
+    u = _clustered_unitary(dim, 10.0**log_gap, seed)
+    spec = eig_unitary(u)
+    vecs = spec.eigenvectors
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(dim))) <= 1e-10
+    assert np.max(np.abs(u @ vecs - vecs * spec.eigenvalues)) <= 1e-10
+    inst = Dqc1Instance(n=n, unitary=u, control=ControlQubit.from_alpha(1.0))
+    got = ensemble_average(inst, fourier_ensemble(u))
+    assert abs(got - entpower_standard(u)) <= 1e-9
 
 
 def test_fourier_ensemble_sigma_z():
@@ -349,6 +390,32 @@ def test_lambda_factor_anchors():
     assert abs(lambda_factor(ControlQubit.from_bloch((0.0, 0.0, 0.0)))) < 1e-12
 
 
+_BLOCH_BALL = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda p: 1e-3 < np.linalg.norm(p) <= 1.0
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_BLOCH_BALL, st.booleans())
+@example((0.0, 0.6, 0.8), False)
+@example((0.8, 0.6, 0.0), False)
+def test_lambda_factor_matches_the_eigen_definition(p, on_sphere):
+    if on_sphere:
+        p = tuple(np.asarray(p) / np.linalg.norm(p))
+    ctl = ControlQubit.from_bloch(p)
+    # Oracle: lambda = sqrt(mu1) - sqrt(mu2) over the spectrum of
+    # M = rho sigma_z rho^* sigma_z, so lambda^2 = mu1 + mu2 - 2 sqrt(mu1 mu2)
+    # = Tr M - 2 |det rho|, since det M = |det rho|^2.  Squaring keeps the
+    # root of a vanishing eigenvalue out of the oracle.
+    rho = ctl.density()
+    m = rho @ SIGMA_Z @ rho.conj() @ SIGMA_Z
+    det_rho = rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]
+    want_sq = np.trace(m).real - 2.0 * abs(det_rho)
+    lam = lambda_factor(ctl)
+    assert lam >= 0.0
+    assert abs(lam**2 - want_sq) <= 1e-12
+
+
 def test_takagi_reconstructs_random_symmetric():
     rng = SeededRng(107, 0)
     for dim in (2, 3, 5):
@@ -424,16 +491,14 @@ def test_brute_force_min_mixing_validation():
 def test_ensemble_average_identity_unitary_is_zero():
     inst = Dqc1Instance(n=1, unitary=I2, control=ControlQubit.from_alpha(1.0))
     ens = fourier_ensemble(I2)
-    # sqrt(2(1 - purity)) turns 1e-16 purity dust into ~1e-8 near zero
-    assert ensemble_average(inst, ens) < 1e-7
+    # every branch is a product state, and 2 s1 s2 leaves no purity dust
+    assert ensemble_average(inst, ens) <= 1e-15
 
 
 def test_ensemble_average_eigenbasis_is_zero():
     # eigenvectors of U pass through the circuit without entangling anything
     rng = SeededRng(131, 0)
     u = haar_unitary(4, rng)
-    from dqc1.linalg import eig_unitary
-
     spec = eig_unitary(u)
     ens = PureEnsemble(weights=np.full(4, 0.25), states=spec.eigenvectors)
     inst = Dqc1Instance(n=2, unitary=u, control=ControlQubit.from_alpha(1.0))

@@ -563,6 +563,14 @@ def test_cli_entpower_rejects_bad_spec(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_verify_theorem1_passes_on_the_trivial_circuit(capsys):
+    # U = I: zero entangling power, which the Fourier ensemble must reach
+    # and no sampled ensemble may exceed
+    assert main(["verify", "theorem1", "--unitary", "identity", "--samples", "20"]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+
+
 def test_cli_verify_passes(capsys):
     assert main(["verify", "theorem2", "--samples", "30", "--seed", "2"]) == 0
     out = capsys.readouterr().out

@@ -235,6 +235,20 @@ def test_trace_sqrt_product_flip_on_biased_state():
     assert abs(trace_sqrt_product(SIGMA_X, rho) - 0.6) < 1e-12
 
 
+def test_trace_sqrt_product_on_pure_states_is_the_overlap_modulus():
+    # for rho = |psi><psi| the root fidelity is |<psi|U|psi>| exactly: the
+    # zero eigenvalues of a rank-1 register must contribute no root dust
+    rng = SeededRng(14, 0)
+    for n in range(1, 5):
+        dim = 2**n
+        for _ in range(10):
+            u = haar_unitary(dim, rng)
+            psi = rng.gen.standard_normal(dim) + 1j * rng.gen.standard_normal(dim)
+            psi /= np.linalg.norm(psi)
+            want = abs(psi.conj() @ u @ psi)
+            assert abs(trace_sqrt_product(u, np.outer(psi, psi.conj())) - want) <= 1e-12
+
+
 def test_trace_overlap_matches_dense_product():
     rng = SeededRng(12, 0)
     for n in range(1, 6):
