@@ -37,6 +37,7 @@ from .linalg import (
     is_right_unitary,
     normalized_trace,
     random_right_unitary,
+    require,
     trace_overlap,
     trace_sqrt_product,
 )
@@ -46,7 +47,12 @@ _SQRT2 = np.sqrt(2.0)
 
 @dataclass
 class PureEnsemble:
-    """Weighted pure states; columns of ``states`` are the state vectors."""
+    """Weighted pure states; columns of ``states`` are the state vectors.
+
+    A stack of ensembles of equal size has weights of shape (k, m) and
+    states of shape (k, d, m); every check then runs once over the whole
+    stack, and a failure names its member (:class:`~dqc1.linalg.StackError`).
+    """
 
     weights: np.ndarray
     states: np.ndarray
@@ -54,26 +60,32 @@ class PureEnsemble:
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
         self.states = np.asarray(self.states, dtype=np.complex128)
-        if self.weights.ndim != 1 or self.states.ndim != 2:
-            raise ValueError("weights must be 1-D and states 2-D (columns)")
-        if self.states.shape[1] != self.weights.size:
+        if self.weights.ndim not in (1, 2) or self.states.ndim != self.weights.ndim + 1:
             raise ValueError(
-                f"{self.states.shape[1]} states but {self.weights.size} weights"
+                "weights must be 1-D and states 2-D (columns), or stacks of them"
             )
-        if self.weights.min() <= 0.0:
-            raise ValueError("ensemble weights must be positive")
-        if abs(self.weights.sum() - 1.0) > TOL_SPECTRAL:
-            raise ValueError(f"weights sum to {self.weights.sum()}, expected 1")
-        norms = np.linalg.norm(self.states, axis=0)
-        if np.max(np.abs(norms - 1.0)) > TOL_SPECTRAL:
-            raise ValueError("ensemble states must be normalized")
+        if self.states.shape[:-2] + self.states.shape[-1:] != self.weights.shape:
+            raise ValueError(
+                f"{self.states.shape[-1]} states but {self.weights.shape[-1]} weights"
+            )
+        require(self.weights.min(axis=-1) > 0.0, "ensemble weights must be positive")
+        total = self.weights.sum(axis=-1)
+        require(np.abs(total - 1.0) <= TOL_SPECTRAL, "weights sum to {}, expected 1", total)
+        norms = np.linalg.norm(self.states, axis=-2)
+        require(
+            np.max(np.abs(norms - 1.0), axis=-1) <= TOL_SPECTRAL,
+            "ensemble states must be normalized",
+        )
 
     @property
     def size(self) -> int:
+        """Member count, summed over a stack."""
         return self.weights.size
 
     def density(self) -> np.ndarray:
-        return (self.states * self.weights) @ self.states.conj().T
+        return (self.states * self.weights[..., None, :]) @ np.swapaxes(
+            self.states.conj(), -1, -2
+        )
 
 
 @dataclass
@@ -152,15 +164,22 @@ def decompose_from_T(target: np.ndarray, t_mat: np.ndarray) -> PureEnsemble:
     the (unnormalized) members are the columns of Phi sqrt(M) T; every
     ensemble of the target arises this way for some right-unitary T.  T must
     have one row per support dimension (eigenvalues the rows do not cover
-    must vanish) and satisfy T T^+ = I.
+    must vanish) and satisfy T T^+ = I.  A column T zeroes out carries no
+    member and is dropped.
+
+    ``t_mat`` may be a stack of shape (k, rows, cols): the target is then
+    eigensolved once, the result is a stack of k ensembles, and a zero
+    column is rejected, since every member of a stack keeps ``cols`` states.
     """
     t_mat = np.asarray(t_mat, dtype=np.complex128)
-    if t_mat.ndim != 2:
-        raise ValueError("T must be a 2-D matrix")
-    if not is_right_unitary(t_mat, TOL_SPECTRAL):
-        raise ValueError("T rows are not orthonormal (T T^+ != I)")
+    if t_mat.ndim not in (2, 3):
+        raise ValueError("T must be a 2-D matrix or a stack of them")
+    ok = is_right_unitary(t_mat, TOL_SPECTRAL)
+    if not ok and t_mat.ndim == 3:  # find the member at fault
+        ok = [is_right_unitary(t, TOL_SPECTRAL) for t in t_mat]
+    require(ok, "T rows are not orthonormal (T T^+ != I)")
     spec = eig_hermitian(np.asarray(target, dtype=np.complex128))
-    rows = t_mat.shape[0]
+    rows = t_mat.shape[-2]
     if rows > spec.eigenvalues.size:
         raise ValueError(
             f"T has {rows} rows but the target dimension is {spec.eigenvalues.size}"
@@ -175,11 +194,13 @@ def decompose_from_T(target: np.ndarray, t_mat: np.ndarray) -> PureEnsemble:
         raise ValueError("target has a negative eigenvalue; not a density matrix")
     kept = np.clip(spec.eigenvalues[:rows], 0.0, None)
     members = (spec.eigenvectors[:, :rows] * np.sqrt(kept)) @ t_mat
-    weights = np.linalg.norm(members, axis=0) ** 2
-    keep = weights > 1e-15  # columns T zeroed out carry no member
-    return PureEnsemble(
-        weights=weights[keep], states=members[:, keep] / np.sqrt(weights[keep])
-    )
+    weights = np.linalg.norm(members, axis=-2) ** 2
+    keep = weights > 1e-15
+    if t_mat.ndim == 2:
+        members, weights = members[:, keep], weights[keep]
+    else:
+        require(keep.all(axis=-1), "T has a zero column; stacked ensembles keep every column")
+    return PureEnsemble(weights=weights, states=members / np.sqrt(weights)[..., None, :])
 
 
 def branch_coefficients(control: ControlQubit, t_mat: np.ndarray) -> BranchCoefficients:
@@ -293,14 +314,19 @@ def _analytic_mixing(control: ControlQubit) -> float:
     return mixing_factor(branch_coefficients(control, analytic_min_T(control)))
 
 
-def _branch_average(mix: float, weights: np.ndarray, overlaps: np.ndarray) -> float:
-    """mix * sum_j w_j sqrt(1 - |<phi_j|U|phi_j>|^2), the overlaps given per
-    normalized member."""
-    branch = np.sqrt(np.clip(1.0 - np.abs(overlaps) ** 2, 0.0, None))
-    return float(np.dot(weights, mix * branch))
+def _branch_entanglement(vecs: np.ndarray, u_vecs: np.ndarray, sq=1.0) -> np.ndarray:
+    """Pure-branch entanglement sqrt(1 - |<phi|U|phi>|^2) of every column
+    phi = vec / sqrt(sq) of ``vecs`` (axis -2), given U vec in ``u_vecs``.
+
+    It is computed as ||U phi - <phi|U phi> phi||, the norm of U phi's
+    component orthogonal to phi: the same quantity, but it does not cancel
+    near |<phi|U|phi>| = 1 and vanishes to roundoff on the trivial circuit.
+    """
+    overlaps = np.sum(vecs.conj() * u_vecs, axis=-2) / sq
+    return np.linalg.norm(u_vecs - overlaps[..., None, :] * vecs, axis=-2) / np.sqrt(sq)
 
 
-def ensemble_average(inst: Dqc1Instance, ens: PureEnsemble) -> float:
+def ensemble_average(inst: Dqc1Instance, ens: PureEnsemble) -> float | np.ndarray:
     """Weighted branch entanglement of the circuit over a register ensemble.
 
     The ensemble must realize the instance's register state.  With a fully
@@ -308,18 +334,22 @@ def ensemble_average(inst: Dqc1Instance, ens: PureEnsemble) -> float:
     from the branch state's Schmidt coefficients, for all members in one
     stacked pass.  Otherwise each branch is a rank-2 mixed state whose
     entanglement is its minimal decomposition mixing (the analytic minimizer)
-    times the pure-branch value sqrt(1 - |<phi|U|phi>|^2).
+    times the pure-branch value sqrt(1 - |<phi|U|phi>|^2).  A stack of
+    ensembles gives an array with one average per ensemble, each equal bit
+    for bit to the average of that ensemble alone.
     """
-    if np.max(np.abs(ens.density() - inst.system_state)) > TOL_SPECTRAL:
-        raise ValueError("ensemble does not realize the instance's register state")
+    off = np.max(np.abs(ens.density() - inst.system_state), axis=(-2, -1))
+    require(off <= TOL_SPECTRAL, "ensemble does not realize the instance's register state")
 
     u = inst.unitary
     if inst.control.bloch == (0.0, 0.0, 1.0):
-        values = pure_entanglement(branch_pure_state(ens.states.T, u))
-        return float(np.dot(ens.weights, values))
-
-    overlaps = np.einsum("ij,ij->j", ens.states.conj(), u @ ens.states)
-    return _branch_average(_analytic_mixing(inst.control), ens.weights, overlaps)
+        values = pure_entanglement(branch_pure_state(np.swapaxes(ens.states, -1, -2), u))
+    else:
+        mix = _analytic_mixing(inst.control)
+        values = mix * _branch_entanglement(ens.states, u @ ens.states)
+    # a 1 x 1 matmul is the dot product np.dot takes, one per stack member
+    total = (ens.weights[..., None, :] @ values[..., :, None])[..., 0, 0]
+    return float(total) if total.ndim == 0 else total
 
 
 def entpower_bounds(u: np.ndarray, rho_n: np.ndarray) -> tuple[float, float]:
@@ -403,6 +433,6 @@ def brute_force_entpower(
         t_mat = random_right_unitary(rank, 2 * dim, rng)
         members = root @ t_mat
         weights = np.sum(np.abs(members) ** 2, axis=0)
-        overlaps = np.sum(members.conj() * (u_root @ t_mat), axis=0) / weights
-        best = max(best, _branch_average(mix, weights, overlaps))
+        branch = _branch_entanglement(members, u_root @ t_mat, weights)
+        best = max(best, float(np.dot(weights, mix * branch)))
     return float(best)

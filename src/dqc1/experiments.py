@@ -4,9 +4,11 @@ A run is described by a JSON config (strictly validated: unknown keys, and
 fields the chosen experiment does not read, are rejected).  Every parameter
 point draws from its own random stream keyed by (seed, point index), so
 results are byte-identical for a given config and seed no matter how many
-workers execute the sweep or in which order points finish.  A pooled sweep
-sends its points to the workers in chunks; the output never depends on the
-chunking.
+workers execute the sweep or in which order points finish.  A sweep
+evaluates its points in contiguous index ranges, serially or one range per
+pool task; the output never depends on the ranges.  A ``verify-theorem1``
+range draws each point from its own stream, then decomposes and scores the
+whole range in one stacked pass.
 
 The reference column of every row comes from a closed form, never from
 sampling, so the deviation column isolates statistical error.
@@ -38,6 +40,7 @@ from .entpower import (
 )
 from .linalg import (
     SeededRng,
+    StackError,
     is_density,
     load_matrix,
     normalized_trace,
@@ -62,6 +65,19 @@ EXPERIMENTS = (
 )
 
 DEFAULT_ALPHAS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+
+#: Experiments whose points are closed forms, cheaper than starting a worker:
+#: they run serially unless the config sets ``workers``.
+SERIAL_BY_DEFAULT = ("trace-vs-shots", "complexity-curve")
+
+#: Most points one index range holds.
+MAX_RANGE = 256
+
+#: Most matrix entries one range stacks.  A ``verify-theorem1`` point
+#: stacks a (2d)x(2d) draw, d = 2**n, so this bounds each stacked array of
+#: a range, and a worker's peak memory, at 256 KiB: 256 points at n=2,
+#: 16 at n=4, and one point from n=6 on.
+MAX_STACK_ENTRIES = 2**14
 
 _HEADER = ("experiment", "param_name", "param_value", "measured", "reference", "deviation", "seed")
 
@@ -147,7 +163,8 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
         raise ConfigError("fields 'alpha' and 'bloch' are mutually exclusive")
 
     alpha = payload.get("alpha", 1.0)
-    if not _is_real(alpha) or not 0.0 < float(alpha) <= 1.0:
+    # compared before any float() conversion, which overflows on huge ints
+    if not _is_real(alpha) or not 0.0 < alpha <= 1.0:
         raise ConfigError(f"field 'alpha': expected a number in (0, 1], got {alpha!r}")
     alpha = float(alpha)
 
@@ -164,7 +181,7 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
         try:
             control = ControlQubit.from_bloch(bloch)
             readout_alpha(control)
-        except ValueError as err:
+        except (ValueError, OverflowError) as err:
             raise ConfigError(f"field 'bloch': {err}") from None
         bloch = control.bloch
 
@@ -183,6 +200,8 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
             f"field 'rho': only verify-theorem3 reads a register state, "
             f"{experiment} runs on the maximally mixed one; got {rho!r}"
         )
+    if rho.startswith("random:") and not 1 <= int(rho[len("random:") :]) <= 2**n:
+        raise ConfigError(f"field 'rho': rank in {rho!r} outside [1, {2**n}] for n={n}")
 
     shots = payload.get("shots", [])
     if not isinstance(shots, list) or not all(_is_int(x) and x >= 1 for x in shots):
@@ -194,7 +213,7 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
     if (
         not isinstance(alphas, list)
         or not alphas
-        or not all(_is_real(x) and 0.0 < float(x) <= 1.0 for x in alphas)
+        or not all(_is_real(x) and 0.0 < x <= 1.0 for x in alphas)
     ):
         raise ConfigError(
             f"field 'alphas': expected a nonempty list of numbers in (0, 1], got {alphas!r}"
@@ -262,7 +281,7 @@ def _valid_rho_spec(spec: str) -> bool:
     if spec in ("maximally-mixed", "random"):
         return True
     if spec.startswith("random:"):
-        return spec[len("random:") :].isdigit()
+        return spec[len("random:") :].isdecimal()
     return spec.startswith("file:")
 
 
@@ -272,7 +291,9 @@ def _control_from(cfg: ExperimentConfig) -> ControlQubit:
     return ControlQubit.from_alpha(cfg.alpha)
 
 
-def _rho_from_spec(spec: str, n: int, rng: SeededRng) -> np.ndarray:
+def _rho_from_spec(spec: str, n: int, rng: SeededRng, loaded: np.ndarray | None) -> np.ndarray:
+    """The register state of one point; ``loaded`` is the matrix of a
+    ``file:`` spec, read once per sweep by :func:`_setup`."""
     dim = 2**n
     if spec == "maximally-mixed":
         return np.eye(dim, dtype=np.complex128) / dim
@@ -281,7 +302,7 @@ def _rho_from_spec(spec: str, n: int, rng: SeededRng) -> np.ndarray:
     if spec.startswith("random:"):
         rank = int(spec[len("random:") :])
         return random_density(dim, rank, rng)
-    rho = load_matrix(spec[len("file:") :])
+    rho = loaded
     if rho.shape != (dim, dim) or not is_density(rho):
         raise ValueError(f"register file {spec!r} is not a {dim}x{dim} density matrix")
     return rho
@@ -316,9 +337,17 @@ def _point_label(cfg: ExperimentConfig, idx: int) -> str:
 
 
 def _setup(cfg: ExperimentConfig) -> dict:
+    if cfg.experiment == "verify-theorem3" and cfg.rho.startswith("file:"):
+        try:
+            return {"rho": load_matrix(cfg.rho[len("file:") :])}
+        except (ValueError, OSError) as err:
+            raise ValueError(f"field 'rho': {err}") from None
     if cfg.experiment in ("verify-theorem2", "verify-theorem3"):
         return {}
-    u = unitary_from_spec(cfg.unitary, cfg.n, SeededRng(cfg.seed, 0))
+    try:
+        u = unitary_from_spec(cfg.unitary, cfg.n, SeededRng(cfg.seed, 0))
+    except (ValueError, OSError) as err:
+        raise ValueError(f"field 'unitary': {err}") from None
     # Validated once per sweep; every point reads the same instance.
     if cfg.experiment == "trace-vs-shots":
         return {"inst": Dqc1Instance(n=cfg.n, unitary=u, control=_control_from(cfg))}
@@ -372,15 +401,29 @@ def _point_complexity_curve(cfg, payload, idx):
     return [("rounds", rounds_target, measured, entpower_alpha(u, alpha))]
 
 
-def _point_verify_theorem1(cfg, payload, idx):
+def _range_verify_theorem1(cfg, payload, lo, hi):
     inst, reference = payload["inst"], payload["reference"]
-    if idx == 0:
-        measured = ensemble_average(inst, fourier_ensemble(inst.unitary))
-        return [("fourier", 0, measured, reference)]
-    rng = SeededRng(cfg.seed, idx)
-    t_mat = random_right_unitary(inst.dim, 2 * inst.dim, rng)
-    ens = decompose_from_T(inst.system_state, t_mat)
-    return [("sample", idx, ensemble_average(inst, ens), reference)]
+    rows = []
+    if lo == 0:
+        try:
+            measured = ensemble_average(inst, fourier_ensemble(inst.unitary))
+        except Exception as err:
+            raise _failure(cfg, 0, 1, err) from err
+        rows.append(("fourier", 0, measured, reference))
+    first = max(lo, 1)
+    if first == hi:
+        return rows
+    # Each point draws from its own stream exactly as it would alone; the
+    # range is then decomposed and scored as one stack, with the same bits.
+    streams = [SeededRng(cfg.seed, idx) for idx in range(first, hi)]
+    try:
+        t_stack = random_right_unitary(inst.dim, 2 * inst.dim, streams)
+        measured = ensemble_average(inst, decompose_from_T(inst.system_state, t_stack))
+    except StackError as err:
+        raise _failure(cfg, first + err.index, first + err.index + 1, err) from err
+    except Exception as err:
+        raise _failure(cfg, first, hi, err) from err
+    return rows + [("sample", idx, m, reference) for idx, m in zip(range(first, hi), measured)]
 
 
 def _point_verify_theorem2(cfg, payload, idx):
@@ -402,44 +445,71 @@ def _point_verify_theorem3(cfg, payload, idx):
         return [(name, reference, lambda_factor(control), reference)]
     rng = SeededRng(cfg.seed, idx + 1)
     u = unitary_from_spec(cfg.unitary, cfg.n, rng)
-    rho = _rho_from_spec(cfg.rho, cfg.n, rng)
+    rho = _rho_from_spec(cfg.rho, cfg.n, rng, payload.get("rho"))
     lower, upper = entpower_bounds(u, rho)
     return [("sample", idx, lower, upper)]
 
 
+def _failure(cfg: ExperimentConfig, lo: int, hi: int, err: Exception) -> RuntimeError:
+    """The error of a sweep whose points [lo, hi) failed with ``err``."""
+    where = f"point {lo} ({_point_label(cfg, lo)})" if hi - lo == 1 else f"points {lo}..{hi - 1}"
+    return RuntimeError(f"{cfg.experiment} failed at {where}: {err}")
+
+
+def _pointwise(point):
+    """Range task that evaluates its points one at a time."""
+
+    def evaluate(cfg, payload, lo, hi):
+        rows = []
+        for idx in range(lo, hi):
+            try:
+                rows += point(cfg, payload, idx)
+            except Exception as err:
+                raise _failure(cfg, idx, idx + 1, err) from err
+        return rows
+
+    return evaluate
+
+
 _POINT_FUNCS = {
-    "trace-vs-shots": _point_trace_vs_shots,
-    "entpower-vs-alpha": _point_entpower_vs_alpha,
-    "complexity-curve": _point_complexity_curve,
-    "verify-theorem1": _point_verify_theorem1,
-    "verify-theorem2": _point_verify_theorem2,
-    "verify-theorem3": _point_verify_theorem3,
+    "trace-vs-shots": _pointwise(_point_trace_vs_shots),
+    "entpower-vs-alpha": _pointwise(_point_entpower_vs_alpha),
+    "complexity-curve": _pointwise(_point_complexity_curve),
+    "verify-theorem1": _range_verify_theorem1,
+    "verify-theorem2": _pointwise(_point_verify_theorem2),
+    "verify-theorem3": _pointwise(_point_verify_theorem3),
 }
 
 
 def _eval_point(args: tuple) -> list[tuple]:
-    cfg, payload, idx = args
-    try:
-        return _POINT_FUNCS[cfg.experiment](cfg, payload, idx)
-    except Exception as err:
-        raise RuntimeError(
-            f"{cfg.experiment} failed at point {idx} ({_point_label(cfg, idx)}): {err}"
-        ) from err
+    """Rows of the points in the index range [lo, hi), in point order: the
+    unit of work of a sweep, and one pool task."""
+    cfg, payload, lo, hi = args
+    return _POINT_FUNCS[cfg.experiment](cfg, payload, lo, hi)
+
+
+def _ranges(count: int, pool_size: int, n: int) -> list[tuple[int, int]]:
+    """Contiguous index ranges covering ``count`` points of an n-qubit
+    sweep: about four per worker, so each costs one round trip and pickles
+    the shared cfg and payload once, at most :data:`MAX_RANGE` points each,
+    and at most :data:`MAX_STACK_ENTRIES` stacked entries each."""
+    per_point = (2 ** (n + 1)) ** 2
+    step = max(1, min(count // (4 * pool_size), MAX_RANGE, MAX_STACK_ENTRIES // per_point))
+    return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Evaluate every parameter point and return rows in point order."""
     payload = _setup(cfg)
     count = _point_count(cfg)
-    tasks = [(cfg, payload, idx) for idx in range(count)]
-    workers = cfg.workers if cfg.workers is not None else (os.cpu_count() or 1)
-    if workers > 1 and count > 1:
-        pool_size = min(workers, count)
-        # About four chunks per worker: one round trip per chunk, and pickle
-        # memoizes the shared cfg and payload within it.
-        chunksize = max(1, count // (4 * pool_size))
+    workers = cfg.workers
+    if workers is None:
+        workers = 1 if cfg.experiment in SERIAL_BY_DEFAULT else (os.cpu_count() or 1)
+    pool_size = max(1, min(workers, count))
+    tasks = [(cfg, payload, lo, hi) for lo, hi in _ranges(count, pool_size, cfg.n)]
+    if pool_size > 1:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            outputs = list(pool.map(_eval_point, tasks, chunksize=chunksize))
+            outputs = list(pool.map(_eval_point, tasks))
     else:
         outputs = [_eval_point(task) for task in tasks]
     rows = []

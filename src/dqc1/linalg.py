@@ -12,6 +12,7 @@ constructions, ``TOL_SPECTRAL`` for results of an eigensolve, and
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,6 +58,37 @@ class SeededRng:
 
     def __repr__(self) -> str:
         return f"SeededRng(seed={self.seed}, stream={self.stream})"
+
+
+class StackError(ValueError):
+    """A check failed for one member of a stack of inputs; ``index`` is that
+    member's position along the stack's leading axis."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message, index)
+        self.index = index
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+def require(ok, message: str, value=None) -> None:
+    """Raise ``ValueError`` unless ``ok`` holds; a ``{}`` in ``message`` is
+    filled with ``value``.
+
+    For a stack, ``ok`` and ``value`` hold one entry per member along the
+    leading axis, and the error is a :class:`StackError` naming the first
+    member that fails.
+    """
+    ok = np.asarray(ok)
+    if ok.ndim == 0:
+        if not ok:
+            raise ValueError(message.format(value))
+        return
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        idx = int(bad[0])
+        raise StackError(message.format(None if value is None else value[idx]), idx)
 
 
 @dataclass
@@ -138,16 +170,16 @@ def normalized_trace(u: np.ndarray) -> complex:
 
 def is_unitary(a: np.ndarray, tol: float = TOL_SPECTRAL) -> bool:
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.isfinite(a).all():
         return False
     dim = a.shape[0]
     return bool(np.max(np.abs(a.conj().T @ a - np.eye(dim))) <= tol * dim)
 
 
 def is_density(a: np.ndarray, tol: float = TOL_SPECTRAL) -> bool:
-    """Hermitian, unit trace, eigenvalues >= -tol."""
+    """Finite, Hermitian, unit trace, eigenvalues >= -tol."""
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.isfinite(a).all():
         return False
     if np.max(np.abs(a - a.conj().T)) > tol:
         return False
@@ -230,18 +262,30 @@ def trace_sqrt_product(u: np.ndarray, rho: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(root @ u @ root, compute_uv=False)))
 
 
-def haar_unitary(dim: int, rng: SeededRng, batch: tuple[int, ...] = ()) -> np.ndarray:
+def haar_unitary(
+    dim: int, rng: SeededRng | Sequence[SeededRng], batch: tuple[int, ...] = ()
+) -> np.ndarray:
     """Haar-distributed unitary via the QR of a complex Ginibre matrix.
 
     The R diagonal is divided out by its phases so the distribution is
     exactly Haar rather than QR-convention biased.  A nonempty ``batch``
-    shape draws that many independent unitaries in one go, stacked along
-    the leading axes.
+    shape draws that many independent unitaries from the one stream,
+    stacked along the leading axes.  ``rng`` may instead be a sequence of
+    streams: each then draws one unitary exactly as a call of its own would,
+    and one stacked QR serves them all, with the same bits per member.
     """
     if dim < 1:
         raise ValueError("dim must be positive")
-    shape = (*batch, dim, dim)
-    g = rng.gen.standard_normal(shape) + 1j * rng.gen.standard_normal(shape)
+    if isinstance(rng, SeededRng):
+        shape = (*batch, dim, dim)
+        g = rng.gen.standard_normal(shape) + 1j * rng.gen.standard_normal(shape)
+    elif batch:
+        raise ValueError("batch applies to a single stream, not a sequence of them")
+    else:
+        square = (dim, dim)
+        g = np.array(
+            [r.gen.standard_normal(square) + 1j * r.gen.standard_normal(square) for r in rng]
+        ).reshape(-1, dim, dim)
     q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
@@ -256,11 +300,15 @@ def random_density(dim: int, rank: int, rng: SeededRng) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def random_right_unitary(rows: int, cols: int, rng: SeededRng) -> np.ndarray:
-    """First ``rows`` rows of a Haar unitary of size ``cols``."""
+def random_right_unitary(
+    rows: int, cols: int, rng: SeededRng | Sequence[SeededRng]
+) -> np.ndarray:
+    """First ``rows`` rows of a Haar unitary of size ``cols``; a sequence of
+    streams gives one such matrix per stream, stacked (see
+    :func:`haar_unitary`)."""
     if rows > cols:
         raise ValueError(f"rows ({rows}) must not exceed cols ({cols})")
-    return haar_unitary(cols, rng)[:rows, :]
+    return haar_unitary(cols, rng)[..., :rows, :]
 
 
 def matrix_to_json(a: np.ndarray) -> dict:
@@ -284,6 +332,8 @@ def matrix_from_json(payload: dict) -> np.ndarray:
         raise ValueError(
             f"matrix payload shapes {re.shape}/{im.shape} do not match dim {dim}"
         )
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError("matrix payload has a non-finite entry")
     return re + 1j * im
 
 

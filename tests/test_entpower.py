@@ -37,6 +37,7 @@ from dqc1.linalg import (
     SIGMA_X,
     SIGMA_Z,
     SeededRng,
+    StackError,
     eig_unitary,
     haar_unitary,
     is_right_unitary,
@@ -282,6 +283,62 @@ def test_decompose_from_T_drops_empty_members():
     t_mat = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], dtype=np.complex128)
     ens = decompose_from_T(I2 / 2, t_mat)
     assert ens.size == 2  # the all-zero third column carries no member
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("rank", ["full", "deficient"])
+def test_decompose_from_T_stack_matches_single_calls_bit_for_bit(n, rank):
+    dim = 2**n
+    rows = dim if rank == "full" else max(1, dim // 2)
+    target = random_density(dim, rows, SeededRng(227, n))
+    streams = [SeededRng(229, idx) for idx in range(9)]
+    t_stack = random_right_unitary(rows, 2 * dim, streams)
+    stacked = decompose_from_T(target, t_stack)
+    assert stacked.weights.shape == (9, 2 * dim)
+    assert stacked.states.shape == (9, dim, 2 * dim)
+    assert stacked.size == 9 * 2 * dim  # total member count
+    for k, t_mat in enumerate(t_stack):
+        single = decompose_from_T(target, t_mat)
+        np.testing.assert_array_equal(stacked.weights[k], single.weights)
+        np.testing.assert_array_equal(stacked.states[k], single.states)
+        np.testing.assert_array_equal(stacked.density()[k], single.density())
+
+
+def test_decompose_from_T_stack_names_its_bad_member():
+    t_stack = random_right_unitary(2, 4, [SeededRng(233, idx) for idx in range(5)])
+    t_stack[3, 0] *= 1.5
+    with pytest.raises(StackError, match="orthonormal") as info:
+        decompose_from_T(I2 / 2, t_stack)
+    assert info.value.index == 3
+    # a zero column is dropped from one ensemble, but rejected in a stack,
+    # where every member keeps all its columns
+    t_stack = random_right_unitary(2, 3, [SeededRng(233, idx) for idx in range(4)])
+    t_stack[2] = np.eye(2, 3)
+    assert decompose_from_T(I2 / 2, t_stack[2]).size == 2
+    with pytest.raises(StackError, match="zero column") as info:
+        decompose_from_T(I2 / 2, t_stack)
+    assert info.value.index == 2
+
+
+def test_pure_ensemble_stack_validation_names_the_member():
+    states = np.stack([np.eye(2, dtype=np.complex128)] * 4)
+    weights = np.full((4, 2), 0.5)
+    assert PureEnsemble(weights=weights, states=states).size == 8
+
+    unnormalized = states.copy()
+    unnormalized[2] *= 2.0
+    with pytest.raises(StackError, match="normalized") as info:
+        PureEnsemble(weights=weights, states=unnormalized)
+    assert info.value.index == 2
+
+    for member, bad, needle in ((1, [1.0, 0.0], "positive"), (3, [0.6, 0.6], "sum to 1.2")):
+        broken = weights.copy()
+        broken[member] = bad
+        with pytest.raises(StackError, match=needle) as info:
+            PureEnsemble(weights=broken, states=states)
+        assert info.value.index == member
+    with pytest.raises(ValueError, match="states but"):
+        PureEnsemble(weights=np.full((4, 3), 1 / 3), states=states)
 
 
 def test_decompose_from_T_rejects_bad_T():
@@ -566,6 +623,31 @@ def test_ensemble_average_polarized_matches_member_loop_bit_for_bit(n):
             assert ensemble_average(inst, ens) == _member_loop_average(inst, ens)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("bloch", [(0.0, 0.0, 1.0), (0.0, 0.0, 0.6), (0.3, -0.2, 0.5)])
+def test_ensemble_average_stack_matches_single_calls_bit_for_bit(n, bloch):
+    dim = 2**n
+    u = haar_unitary(dim, SeededRng(239, n))
+    inst = Dqc1Instance(n=n, unitary=u, control=ControlQubit.from_bloch(bloch))
+    t_stack = random_right_unitary(dim, 2 * dim, [SeededRng(241, idx) for idx in range(6)])
+    stacked = ensemble_average(inst, decompose_from_T(inst.system_state, t_stack))
+    assert stacked.shape == (6,)
+    for value, t_mat in zip(stacked, t_stack):
+        assert value == ensemble_average(inst, decompose_from_T(inst.system_state, t_mat))
+
+
+def test_ensemble_average_stack_names_the_member_it_rejects():
+    u = haar_unitary(4, SeededRng(251, 0))
+    inst = Dqc1Instance(n=2, unitary=u, control=ControlQubit.from_alpha(1.0))
+    ens = decompose_from_T(inst.system_state, np.stack([np.eye(4)] * 3))
+    states = ens.states.copy()
+    states[1] = states[1][:, [1, 0, 2, 3]] * np.exp(0.3j)  # same density
+    states[2] = np.eye(4)[:, [0, 0, 2, 3]]  # no longer I/4
+    with pytest.raises(StackError, match="realize") as info:
+        ensemble_average(inst, PureEnsemble(weights=ens.weights, states=states))
+    assert info.value.index == 2
+
+
 def test_ensemble_average_rejects_wrong_realization():
     rng = SeededRng(151, 0)
     u = haar_unitary(2, rng)
@@ -660,6 +742,18 @@ def test_brute_force_entpower_biased_register():
     got = brute_force_entpower(inst, samples=200, rng=SeededRng(3, 0))
     _, upper = entpower_bounds(u, rho)
     assert got <= upper + 1e-9
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_brute_force_entpower_trivial_circuit_is_zero(alpha):
+    # sqrt(1 - |overlap|^2) left about 1e-8 here; the norm of U phi's
+    # component orthogonal to phi vanishes to roundoff
+    inst = Dqc1Instance(
+        n=2, unitary=np.eye(4, dtype=np.complex128), control=ControlQubit.from_alpha(alpha)
+    )
+    assert brute_force_entpower(inst, samples=20, rng=SeededRng(1, 0)) <= 1e-15
+    ens = decompose_from_T(inst.system_state, random_right_unitary(4, 8, SeededRng(1, 1)))
+    assert ensemble_average(inst, ens) <= 1e-15
 
 
 def test_brute_force_entpower_validation():

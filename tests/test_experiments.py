@@ -9,11 +9,21 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from dqc1.circuit import MAX_QUBITS
+import dqc1.experiments
+from dqc1.circuit import MAX_QUBITS, ControlQubit, Dqc1Instance, unitary_from_spec
 from dqc1.cli import main
+from dqc1.entpower import (
+    PureEnsemble,
+    decompose_from_T,
+    ensemble_average,
+    entpower_standard,
+    fourier_ensemble,
+)
 from dqc1.experiments import (
     DEFAULT_ALPHAS,
     EXPERIMENTS,
+    MAX_RANGE,
+    MAX_STACK_ENTRIES,
     ConfigError,
     ExperimentConfig,
     ResultRow,
@@ -24,7 +34,7 @@ from dqc1.experiments import (
     run_experiment,
     write_results,
 )
-from dqc1.linalg import save_matrix
+from dqc1.linalg import SeededRng, random_right_unitary, save_matrix
 
 MINIMAL = {"experiment": "verify-theorem2", "n": 1}
 
@@ -194,9 +204,150 @@ def test_run_verify_theorem1_validates_the_unitary_once(monkeypatch):
 
 
 def test_run_chunked_pool_does_not_change_results():
-    # 61 points on 2 workers go out in chunks of 7
+    # 61 points on 2 workers go out in ranges of 7
     cfg = config_from_dict({"experiment": "verify-theorem1", "n": 2, "samples": 60, "seed": 3})
     assert run_experiment(replace(cfg, workers=1)) == run_experiment(replace(cfg, workers=2))
+
+
+def theorem1_config(**overrides):
+    payload = {"experiment": "verify-theorem1", "n": 2, "samples": 30, "seed": 3}
+    payload.update(overrides)
+    return config_from_dict(payload)
+
+
+def per_point_theorem1_rows(cfg):
+    """verify-theorem1 one point at a time, each with its own draw,
+    decomposition and score: the oracle for the stacked ranges."""
+    u = unitary_from_spec(cfg.unitary, cfg.n, SeededRng(cfg.seed, 0))
+    inst = Dqc1Instance(n=cfg.n, unitary=u, control=ControlQubit.from_alpha(1.0))
+    reference = entpower_standard(u)
+    fourier = ensemble_average(inst, fourier_ensemble(u))
+    rows = [ResultRow.build(cfg.experiment, "fourier", 0, fourier, reference, cfg.seed)]
+    for idx in range(1, cfg.samples + 1):
+        t_mat = random_right_unitary(inst.dim, 2 * inst.dim, SeededRng(cfg.seed, idx))
+        measured = ensemble_average(inst, decompose_from_T(inst.system_state, t_mat))
+        rows.append(ResultRow.build(cfg.experiment, "sample", idx, measured, reference, cfg.seed))
+    return rows
+
+
+@pytest.mark.parametrize("seed", [1, 5, 13])
+@pytest.mark.parametrize("unitary", ["haar", "identity"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_run_verify_theorem1_stacked_ranges_match_per_point_oracle(n, unitary, seed):
+    # 71 or 41 points go out in ranges of 17 or 10, and of 4 at n=5
+    cfg = theorem1_config(n=n, unitary=unitary, seed=seed, samples=70 if n <= 3 else 40, workers=1)
+    assert run_experiment(cfg) == per_point_theorem1_rows(cfg)
+
+
+def test_run_verify_theorem1_full_ranges_match_per_point_oracle():
+    cfg = theorem1_config(samples=2000, seed=42, workers=1)  # ranges of MAX_RANGE points
+    assert run_experiment(cfg) == per_point_theorem1_rows(cfg)
+
+
+@pytest.mark.parametrize("samples", [1, 2, 7, 61, 2000])
+def test_run_verify_theorem1_uneven_ranges_do_not_change_results(samples):
+    serial = run_experiment(theorem1_config(samples=samples, workers=1))
+    assert len(serial) == samples + 1
+    for workers in (2, 3):
+        assert run_experiment(theorem1_config(samples=samples, workers=workers)) == serial
+
+
+@pytest.mark.parametrize(
+    "n,step", [(1, MAX_RANGE), (2, MAX_RANGE), (3, 64), (4, 16), (5, 4), (6, 1), (MAX_QUBITS, 1)]
+)
+def test_ranges_bound_the_entries_a_range_stacks(n, step):
+    # a point stacks a (2d)x(2d) draw; past n=2 the entry bound, not the
+    # point cap, sets the range length
+    ranges = dqc1.experiments._ranges(2001, 1, n)
+    assert {hi - lo for lo, hi in ranges[:-1]} == {step}
+    assert [lo for lo, _ in ranges] == list(range(0, 2001, step)) and ranges[-1][1] == 2001
+    assert step == 1 or step * (2 ** (n + 1)) ** 2 <= MAX_STACK_ENTRIES
+
+
+def test_run_verify_theorem1_stacks_one_point_per_range_at_n6(monkeypatch):
+    # 13 serial points would make ranges of 3; one n=6 draw fills the bound
+    stacked = []
+    real = dqc1.experiments.random_right_unitary
+
+    def recording(rows, cols, streams):
+        stacked.append(len(streams))
+        return real(rows, cols, streams)
+
+    monkeypatch.setattr(dqc1.experiments, "random_right_unitary", recording)
+    cfg = theorem1_config(n=6, samples=12, workers=1)
+    assert run_experiment(cfg) == per_point_theorem1_rows(cfg)
+    assert stacked == [1] * 12
+
+
+@pytest.mark.parametrize("samples,ranges", [(60, 5), (2000, -(-2001 // MAX_RANGE))])
+def test_run_verify_theorem1_decomposes_once_per_range(monkeypatch, samples, ranges):
+    # 61 points serially make ranges of 15 (five of them), 2001 points
+    # ranges of MAX_RANGE; the register is eigensolved once per range
+    import dqc1.entpower
+
+    calls = {"eig_hermitian": 0, "decompose_from_T": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(dqc1.entpower, "eig_hermitian")
+    counting(dqc1.experiments, "decompose_from_T")
+    assert len(run_experiment(theorem1_config(samples=samples, workers=1))) == samples + 1
+    assert calls == {"eig_hermitian": ranges, "decompose_from_T": ranges}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_verify_theorem1_names_the_point_a_stack_rejects(monkeypatch, workers):
+    cfg = theorem1_config(workers=workers)
+    poisoned = random_right_unitary(4, 8, SeededRng(cfg.seed, 17))
+    real = dqc1.experiments.decompose_from_T
+
+    def unnormalize_point_17(target, t_stack):
+        ens = real(target, t_stack)
+        states = ens.states.copy()
+        for k, t_mat in enumerate(t_stack):
+            if np.array_equal(t_mat, poisoned):
+                states[k, :, 0] *= 2.0
+        return PureEnsemble(weights=ens.weights, states=states)
+
+    monkeypatch.setattr(dqc1.experiments, "decompose_from_T", unnormalize_point_17)
+    with pytest.raises(RuntimeError, match=r"at point 17 \(sample=17\): .*normalized"):
+        run_experiment(cfg)
+
+
+def test_run_verify_theorem1_names_the_range_of_an_unattributed_failure(monkeypatch):
+    def broken(target, t_stack):
+        raise ValueError("no decomposition")
+
+    monkeypatch.setattr(dqc1.experiments, "decompose_from_T", broken)
+    # 31 points serially: the first range is 0..6, its stack points 1..6
+    with pytest.raises(RuntimeError, match=r"failed at points 1\.\.6: no decomposition"):
+        run_experiment(theorem1_config(workers=1))
+
+
+def test_closed_form_sweeps_run_serially_unless_workers_is_set(monkeypatch):
+    pools = []
+
+    class RecordingPool(dqc1.experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(dqc1.experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(dqc1.experiments.os, "cpu_count", lambda: 2)
+    shots = [10, 100, 1000, 10000]
+    run_experiment(trace_config(shots=shots))
+    run_experiment(config_from_dict({"experiment": "complexity-curve", "n": 2, "shots": shots}))
+    assert pools == []
+    run_experiment(trace_config(shots=shots, workers=2))  # an explicit count is honored
+    run_experiment(config_from_dict(dict(MINIMAL, alphas=[0.2, 0.4], samples=5)))
+    assert pools == [2, 2]  # other experiments default to the cpu count
 
 
 def test_run_entpower_vs_alpha_traceless_reference():
@@ -471,6 +622,54 @@ def test_cli_run_rejects_fields_the_experiment_does_not_read(
     out = tmp_path / "rows.csv"
     assert main(["run", str(write_config(tmp_path, payload)), "--out", str(out)]) == 2
     assert f"'{needle}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload,needle",
+    [
+        ({"experiment": "verify-theorem3", "rho": "random:0"}, "rho"),
+        ({"experiment": "verify-theorem3", "rho": "random:9"}, "rho"),
+        ({"experiment": "verify-theorem3", "rho": "random:\u00b2"}, "rho"),
+        ({"experiment": "verify-theorem3", "alpha": 10**400}, "alpha"),
+        ({"experiment": "verify-theorem2", "alphas": [0.5, 10**400]}, "alphas"),
+        ({"experiment": "trace-vs-shots", "bloch": [0, 0, 10**400], "shots": [10]}, "bloch"),
+    ],
+    ids=["rank-0", "rank-9", "rank-superscript", "huge-alpha", "huge-in-alphas", "huge-bloch"],
+)
+def test_cli_run_rejects_out_of_range_values(tmp_path, capsys, payload, needle):
+    # each used to fail inside point 0 or overflow in float(), exiting 1
+    payload = {"n": 1, "samples": 2, "workers": 1, **payload}
+    out = tmp_path / "rows.csv"
+    assert main(["run", str(write_config(tmp_path, payload)), "--out", str(out)]) == 2
+    assert f"field '{needle}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "experiment,field", [("verify-theorem3", "rho"), ("verify-theorem1", "unitary")]
+)
+def test_cli_run_rejects_a_non_finite_matrix_file(tmp_path, capsys, experiment, field):
+    matrix = tmp_path / "m.json"
+    save_matrix(matrix, np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    payload = {"experiment": experiment, "n": 1, field: f"file:{matrix}", "samples": 2}
+    out = tmp_path / "rows.csv"
+    assert main(["run", str(write_config(tmp_path, payload)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"field '{field}'" in err and "non-finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "experiment,field", [("verify-theorem3", "rho"), ("verify-theorem1", "unitary")]
+)
+def test_cli_run_rejects_a_missing_matrix_file(tmp_path, capsys, experiment, field):
+    missing = tmp_path / "absent.json"
+    payload = {"experiment": experiment, "n": 1, field: f"file:{missing}", "samples": 2}
+    out = tmp_path / "rows.csv"
+    assert main(["run", str(write_config(tmp_path, payload)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"field '{field}'" in err and "absent.json" in err
     assert not out.exists()
 
 

@@ -12,6 +12,7 @@ from dqc1.linalg import (
     SIGMA_Y,
     SIGMA_Z,
     SeededRng,
+    StackError,
     eig_hermitian,
     eig_unitary,
     haar_unitary,
@@ -26,6 +27,7 @@ from dqc1.linalg import (
     partial_trace,
     random_density,
     random_right_unitary,
+    require,
     save_matrix,
     trace_overlap,
     trace_sqrt_product,
@@ -133,6 +135,27 @@ def test_predicates():
     assert is_right_unitary(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
     assert not is_right_unitary(np.ones((2, 3)))
     assert not is_right_unitary(np.ones((3, 2)))  # more rows than columns
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predicates_reject_non_finite_entries(bad):
+    # NaN fails every comparison, so a check written as "reject if > tol"
+    # used to let it through: is_density([[nan, 0], [0, 1]]) was True
+    assert not is_density(np.array([[bad, 0.0], [0.0, 1.0]]))
+    assert not is_density(np.array([[0.5, bad], [bad, 0.5]]))
+    assert not is_unitary(np.array([[bad, 0.0], [0.0, 1.0]]))
+    assert not is_unitary(np.array([[1.0, 0.0], [0.0, 1j * bad]]))
+
+
+def test_require_names_the_first_failing_member():
+    require(True, "unused")
+    with pytest.raises(ValueError, match="^sum is 2$") as info:
+        require(False, "sum is {}", 2)
+    assert not isinstance(info.value, StackError)
+    with pytest.raises(StackError, match="^sum is 3.0$") as info:
+        require(np.array([True, False, False]), "sum is {}", np.array([1.0, 3.0, 4.0]))
+    assert info.value.index == 1
+    require(np.ones(4, dtype=bool), "unused")
 
 
 def test_is_right_unitary_on_a_stack():
@@ -294,6 +317,19 @@ def test_haar_unitary_batch_of_one_matches_single_draw(dim, seed):
     np.testing.assert_array_equal(single, batched[0])
 
 
+@pytest.mark.parametrize("dim", [1, 2, 8, 32])
+def test_haar_unitary_over_streams_matches_one_call_per_stream(dim):
+    streams = [SeededRng(11, idx) for idx in range(1, 8)]
+    stack = haar_unitary(dim, streams)
+    assert stack.shape == (7, dim, dim)
+    for idx, u in enumerate(stack, start=1):
+        np.testing.assert_array_equal(u, haar_unitary(dim, SeededRng(11, idx)))
+    rows = random_right_unitary(dim // 2 or 1, dim, [SeededRng(11, idx) for idx in range(1, 8)])
+    np.testing.assert_array_equal(rows, stack[:, : dim // 2 or 1, :])
+    with pytest.raises(ValueError, match="batch"):
+        haar_unitary(dim, [SeededRng(11, 1)], (2,))
+
+
 def test_haar_unitary_batch_members_are_unitary():
     stack = haar_unitary(4, SeededRng(21, 0), (2, 3))
     assert stack.shape == (2, 3, 4, 4)
@@ -355,3 +391,14 @@ def test_matrix_json_round_trip(tmp_path):
 def test_matrix_from_json_rejects_malformed():
     with pytest.raises(ValueError):
         matrix_from_json({"dim": 2, "re": [[1.0, 0.0]], "im": [[0.0, 0.0]]})
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_load_matrix_rejects_non_finite_entries(tmp_path, part, bad):
+    payload = matrix_to_json(np.eye(2, dtype=np.complex128) / 2)
+    payload[part][1][0] = bad
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(payload))  # NaN and Infinity are JSON tokens to Python
+    with pytest.raises(ValueError, match="non-finite"):
+        load_matrix(path)
