@@ -28,12 +28,12 @@ import numpy as np
 
 from .circuit import ControlQubit, Dqc1Instance, branch_pure_state
 from .linalg import (
+    MAX_STACK_ENTRIES,
     SIGMA_Z,
     SeededRng,
     TOL_SPECTRAL,
     eig_hermitian,
     eig_unitary,
-    haar_unitary,
     is_right_unitary,
     normalized_trace,
     random_right_unitary,
@@ -376,6 +376,17 @@ def entpower_general_scaled(
     return factor * lower, factor * upper
 
 
+def _right_unitary_stacks(rows: int, cols: int, samples: int, rng: SeededRng, per_sample: int):
+    """``samples`` right-unitary draws from ``rng``, yielded in stacks of at
+    most ``MAX_STACK_ENTRIES // per_sample`` (never fewer than one), where
+    ``per_sample`` is the largest array entry count one sample adds.  The
+    draws equal ``samples`` single calls of :func:`random_right_unitary`
+    on ``rng``, bit for bit and in order."""
+    step = max(1, MAX_STACK_ENTRIES // per_sample)
+    for lo in range(0, samples, step):
+        yield random_right_unitary(rows, cols, [rng] * min(step, samples - lo))
+
+
 def brute_force_min_mixing(
     control: ControlQubit,
     samples: int,
@@ -394,8 +405,10 @@ def brute_force_min_mixing(
         raise ValueError(f"samples must be >= 1, got {samples}")
     if cols < 2:
         raise ValueError(f"cols must be >= 2, got {cols}")
-    t_batch = haar_unitary(cols, rng, (samples,))[:, :2, :]
-    best = float(mixing_factor(branch_coefficients(control, t_batch)).min())
+    best = min(
+        float(mixing_factor(branch_coefficients(control, t_stack)).min())
+        for t_stack in _right_unitary_stacks(2, cols, samples, rng, 2 * cols)
+    )
     if include_analytic:
         best = min(best, _analytic_mixing(control))
     return best
@@ -412,7 +425,9 @@ def brute_force_entpower(
     mixed the Fourier ensemble joins the candidate list, which is what lets
     the search actually attain the closed form.  Samples are scored like
     :func:`ensemble_average`'s mixed-control path, with the register
-    spectrum, the analytic mixing factor and U Phi sqrt(M) computed once.
+    spectrum, the analytic mixing factor and U Phi sqrt(M) computed once,
+    in bounded stacks of samples whose result equals a one-sample-at-a-time
+    loop bit for bit.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -429,10 +444,11 @@ def brute_force_entpower(
     mixed = np.eye(dim, dtype=np.complex128) / dim
     if np.max(np.abs(inst.system_state - mixed)) <= TOL_SPECTRAL:
         best = ensemble_average(inst, fourier_ensemble(inst.unitary))
-    for _ in range(samples):
-        t_mat = random_right_unitary(rank, 2 * dim, rng)
-        members = root @ t_mat
-        weights = np.sum(np.abs(members) ** 2, axis=0)
-        branch = _branch_entanglement(members, u_root @ t_mat, weights)
-        best = max(best, float(np.dot(weights, mix * branch)))
+    # each sample stacks two dim x 2 dim arrays: its members and U times them
+    for t_stack in _right_unitary_stacks(rank, 2 * dim, samples, rng, dim * 2 * dim):
+        members = root @ t_stack
+        weights = np.sum(np.abs(members) ** 2, axis=-2)
+        branch = _branch_entanglement(members, u_root @ t_stack, weights)
+        scores = (weights[:, None, :] @ (mix * branch)[:, :, None])[:, 0, 0]
+        best = max(best, float(scores.max()))
     return float(best)

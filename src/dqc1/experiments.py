@@ -39,6 +39,7 @@ from .entpower import (
     lambda_factor,
 )
 from .linalg import (
+    MAX_STACK_ENTRIES,
     SeededRng,
     StackError,
     is_density,
@@ -48,6 +49,7 @@ from .linalg import (
     random_right_unitary,
 )
 from .measurement import (
+    MAX_SHOTS,
     entpower_from_rounds,
     error_budget,
     estimate_trace,
@@ -73,11 +75,9 @@ SERIAL_BY_DEFAULT = ("trace-vs-shots", "complexity-curve")
 #: Most points one index range holds.
 MAX_RANGE = 256
 
-#: Most matrix entries one range stacks.  A ``verify-theorem1`` point
-#: stacks a (2d)x(2d) draw, d = 2**n, so this bounds each stacked array of
-#: a range, and a worker's peak memory, at 256 KiB: 256 points at n=2,
-#: 16 at n=4, and one point from n=6 on.
-MAX_STACK_ENTRIES = 2**14
+#: Most sampled decompositions one point draws (``samples``): 2000 at most in
+#: every bundled config, and a bound on a sweep's time and memory.
+MAX_SAMPLES = 10**6
 
 _HEADER = ("experiment", "param_name", "param_value", "measured", "reference", "deviation", "seed")
 
@@ -204,8 +204,10 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
         raise ConfigError(f"field 'rho': rank in {rho!r} outside [1, {2**n}] for n={n}")
 
     shots = payload.get("shots", [])
-    if not isinstance(shots, list) or not all(_is_int(x) and x >= 1 for x in shots):
-        raise ConfigError(f"field 'shots': expected a list of positive integers, got {shots!r}")
+    if not isinstance(shots, list) or not all(_is_int(x) and 1 <= x <= MAX_SHOTS for x in shots):
+        raise ConfigError(
+            f"field 'shots': expected a list of integers in [1, {MAX_SHOTS}], got {shots!r}"
+        )
     if experiment in ("trace-vs-shots", "complexity-curve") and not shots:
         raise ConfigError(f"field 'shots': required and nonempty for {experiment}")
 
@@ -220,8 +222,10 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
         )
 
     samples = payload.get("samples", 100)
-    if not _is_int(samples) or samples < 1:
-        raise ConfigError(f"field 'samples': expected a positive integer, got {samples!r}")
+    if not _is_int(samples) or not 1 <= samples <= MAX_SAMPLES:
+        raise ConfigError(
+            f"field 'samples': expected an integer in [1, {MAX_SAMPLES}], got {samples!r}"
+        )
 
     seed = payload.get("seed", 0)
     if not _is_int(seed) or seed < 0:
@@ -337,13 +341,17 @@ def _point_label(cfg: ExperimentConfig, idx: int) -> str:
 
 
 def _setup(cfg: ExperimentConfig) -> dict:
-    if cfg.experiment == "verify-theorem3" and cfg.rho.startswith("file:"):
-        try:
-            return {"rho": load_matrix(cfg.rho[len("file:") :])}
-        except (ValueError, OSError) as err:
-            raise ValueError(f"field 'rho': {err}") from None
-    if cfg.experiment in ("verify-theorem2", "verify-theorem3"):
+    if cfg.experiment == "verify-theorem2":
         return {}
+    payload = {}
+    if cfg.experiment == "verify-theorem3":
+        if cfg.rho.startswith("file:"):
+            try:
+                payload["rho"] = load_matrix(cfg.rho[len("file:") :])
+            except (ValueError, OSError) as err:
+                raise ValueError(f"field 'rho': {err}") from None
+        if cfg.unitary == "haar":
+            return payload  # every point draws its own from its stream
     try:
         u = unitary_from_spec(cfg.unitary, cfg.n, SeededRng(cfg.seed, 0))
     except (ValueError, OSError) as err:
@@ -356,7 +364,7 @@ def _setup(cfg: ExperimentConfig) -> dict:
             "inst": Dqc1Instance(n=cfg.n, unitary=u, control=ControlQubit.from_alpha(1.0)),
             "reference": entpower_standard(u),
         }
-    return {"u": u}
+    return {**payload, "u": u}
 
 
 def _point_trace_vs_shots(cfg, payload, idx):
@@ -444,7 +452,8 @@ def _point_verify_theorem3(cfg, payload, idx):
         name, reference, control = anchors[idx - cfg.samples]
         return [(name, reference, lambda_factor(control), reference)]
     rng = SeededRng(cfg.seed, idx + 1)
-    u = unitary_from_spec(cfg.unitary, cfg.n, rng)
+    # a non-haar unitary draws nothing, so building it once leaves the stream as is
+    u = payload["u"] if "u" in payload else unitary_from_spec(cfg.unitary, cfg.n, rng)
     rho = _rho_from_spec(cfg.rho, cfg.n, rng, payload.get("rho"))
     lower, upper = entpower_bounds(u, rho)
     return [("sample", idx, lower, upper)]
@@ -492,7 +501,9 @@ def _ranges(count: int, pool_size: int, n: int) -> list[tuple[int, int]]:
     """Contiguous index ranges covering ``count`` points of an n-qubit
     sweep: about four per worker, so each costs one round trip and pickles
     the shared cfg and payload once, at most :data:`MAX_RANGE` points each,
-    and at most :data:`MAX_STACK_ENTRIES` stacked entries each."""
+    and at most :data:`~dqc1.linalg.MAX_STACK_ENTRIES` stacked entries each:
+    a ``verify-theorem1`` point stacks (2d)x(2d) branch states, d = 2**n, so
+    a range holds 256 points at n=2, 16 at n=4 and one from n=6 on."""
     per_point = (2 ** (n + 1)) ** 2
     step = max(1, min(count // (4 * pool_size), MAX_RANGE, MAX_STACK_ENTRIES // per_point))
     return [(lo, min(lo + step, count)) for lo in range(0, count, step)]

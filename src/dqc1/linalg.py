@@ -25,6 +25,11 @@ TOL_VERIFY = 1e-9
 #: Largest matrix dimension :func:`kron` will produce (2**12, i.e. 12 qubits).
 MAX_KRON_DIM = 4096
 
+#: Most matrix entries one stacked pass holds in any of its arrays: every
+#: stack a sweep or a sampled search builds is split to stay under this, so
+#: a stack costs at most 256 KiB per complex array however large n gets.
+MAX_STACK_ENTRIES = 2**14
+
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
@@ -262,33 +267,35 @@ def trace_sqrt_product(u: np.ndarray, rho: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(root @ u @ root, compute_uv=False)))
 
 
-def haar_unitary(
-    dim: int, rng: SeededRng | Sequence[SeededRng], batch: tuple[int, ...] = ()
-) -> np.ndarray:
-    """Haar-distributed unitary via the QR of a complex Ginibre matrix.
+def _phase_fixed_qr(rows: int, cols: int, rng: SeededRng | Sequence[SeededRng]) -> np.ndarray:
+    """Q factor of the QR of a ``rows x cols`` complex Ginibre matrix, with
+    the phases of R's diagonal moved into Q so that Q's distribution is
+    Haar rather than QR-convention biased.
 
-    The R diagonal is divided out by its phases so the distribution is
-    exactly Haar rather than QR-convention biased.  A nonempty ``batch``
-    shape draws that many independent unitaries from the one stream,
-    stacked along the leading axes.  ``rng`` may instead be a sequence of
-    streams: each then draws one unitary exactly as a call of its own would,
-    and one stacked QR serves them all, with the same bits per member.
+    A sequence of streams draws one matrix per stream, in order, exactly as
+    one call per stream would (a stream listed k times draws k matrices in
+    turn), and one stacked QR serves them all with the same bits per member.
     """
-    if dim < 1:
-        raise ValueError("dim must be positive")
+    shape = (rows, cols)
     if isinstance(rng, SeededRng):
-        shape = (*batch, dim, dim)
         g = rng.gen.standard_normal(shape) + 1j * rng.gen.standard_normal(shape)
-    elif batch:
-        raise ValueError("batch applies to a single stream, not a sequence of them")
     else:
-        square = (dim, dim)
         g = np.array(
-            [r.gen.standard_normal(square) + 1j * r.gen.standard_normal(square) for r in rng]
-        ).reshape(-1, dim, dim)
+            [r.gen.standard_normal(shape) + 1j * r.gen.standard_normal(shape) for r in rng]
+        ).reshape(-1, rows, cols)
     q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
+
+
+def haar_unitary(dim: int, rng: SeededRng | Sequence[SeededRng]) -> np.ndarray:
+    """Haar-distributed unitary via the phase-fixed QR of a complex Ginibre
+    matrix.  ``rng`` may be a sequence of streams: each then draws one
+    unitary exactly as a call of its own would, stacked along a leading
+    axis."""
+    if dim < 1:
+        raise ValueError("dim must be positive")
+    return _phase_fixed_qr(dim, dim, rng)
 
 
 def random_density(dim: int, rank: int, rng: SeededRng) -> np.ndarray:
@@ -303,12 +310,21 @@ def random_density(dim: int, rank: int, rng: SeededRng) -> np.ndarray:
 def random_right_unitary(
     rows: int, cols: int, rng: SeededRng | Sequence[SeededRng]
 ) -> np.ndarray:
-    """First ``rows`` rows of a Haar unitary of size ``cols``; a sequence of
-    streams gives one such matrix per stream, stacked (see
-    :func:`haar_unitary`)."""
+    """Haar-random ``rows x cols`` matrix with orthonormal rows (a point of
+    the complex Stiefel manifold): the transpose of the phase-fixed thin QR
+    of a ``cols x rows`` Ginibre block.
+
+    The first k columns of a phase-fixed QR depend only on the first k
+    Ginibre columns, so the thin factor is distributed as the first ``rows``
+    columns of a Haar unitary of size ``cols`` (Mezzadri, "How to generate
+    random matrices from the classical compact groups", math-ph/0609050),
+    at O(cols rows^2) cost and with ``rows * cols`` complex normals per draw.
+    A sequence of streams gives one matrix per stream, stacked, with the
+    same bits as one call per stream (see :func:`_phase_fixed_qr`).
+    """
     if rows > cols:
         raise ValueError(f"rows ({rows}) must not exceed cols ({cols})")
-    return haar_unitary(cols, rng)[..., :rows, :]
+    return np.swapaxes(_phase_fixed_qr(cols, rows, rng), -1, -2)
 
 
 def matrix_to_json(a: np.ndarray) -> dict:

@@ -29,6 +29,11 @@ from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, SeededRng, TOL_CONSTRUCT
 
 _PAULI_AXIS = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
+#: Most shots one readout axis takes.  Below 2**53, so the hit count and the
+#: estimator's ``2 * hits - shots`` are exact in float64, and far inside the
+#: C long range numpy's binomial sampler reads the count in.
+MAX_SHOTS = 10**15
+
 
 @dataclass(frozen=True)
 class TraceEstimate:
@@ -75,9 +80,10 @@ def expect_pauli(rho_f: np.ndarray, axis: str) -> float:
 
 
 def sample_shots(p: float, shots: int, rng: SeededRng) -> int:
-    """Number of +1 outcomes in ``shots`` Bernoulli trials with P(+1) = p."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    """Number of +1 outcomes in ``shots`` Bernoulli trials with P(+1) = p,
+    for 1 <= shots <= :data:`MAX_SHOTS`."""
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
     if p < -TOL_CONSTRUCT or p > 1.0 + TOL_CONSTRUCT:
         raise ValueError(f"probability {p} outside [0, 1]")
     p = min(1.0, max(0.0, p))

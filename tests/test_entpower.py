@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dqc1.entpower
 from dqc1.circuit import (
     ControlQubit,
     Dqc1Instance,
@@ -16,6 +17,7 @@ from dqc1.circuit import (
 from dqc1.entpower import (
     BranchCoefficients,
     PureEnsemble,
+    _branch_entanglement,
     _takagi_symmetric,
     analytic_min_T,
     branch_coefficients,
@@ -38,6 +40,8 @@ from dqc1.linalg import (
     SIGMA_Z,
     SeededRng,
     StackError,
+    TOL_SPECTRAL,
+    eig_hermitian,
     eig_unitary,
     haar_unitary,
     is_right_unitary,
@@ -381,7 +385,7 @@ def test_branch_coefficients_weights_sum_to_one():
 def test_branch_coefficients_and_mixing_factor_accept_a_stack():
     rng = SeededRng(223, 0)
     ctl = ControlQubit.from_bloch((0.2, -0.5, 0.6))
-    stack = haar_unitary(4, rng, (6,))[:, :2, :]
+    stack = random_right_unitary(2, 4, [rng] * 6)
     coeffs = branch_coefficients(ctl, stack)
     mixes = mixing_factor(coeffs)
     assert coeffs.xs.shape == (6, 4) and mixes.shape == (6,)
@@ -754,6 +758,65 @@ def test_brute_force_entpower_trivial_circuit_is_zero(alpha):
     assert brute_force_entpower(inst, samples=20, rng=SeededRng(1, 0)) <= 1e-15
     ens = decompose_from_T(inst.system_state, random_right_unitary(4, 8, SeededRng(1, 1)))
     assert ensemble_average(inst, ens) <= 1e-15
+
+
+def _brute_force_entpower_one_sample_at_a_time(inst, samples, rng):
+    """Oracle: the search as a loop that draws and scores one sample at a
+    time (no Fourier candidate; the register must not be maximally mixed)."""
+    spec = eig_hermitian(inst.system_state)
+    rank = int(np.sum(spec.eigenvalues > TOL_SPECTRAL))
+    root = spec.eigenvectors[:, :rank] * np.sqrt(spec.eigenvalues[:rank])
+    u_root = inst.unitary @ root
+    mix = mixing_factor(branch_coefficients(inst.control, analytic_min_T(inst.control)))
+    best = -np.inf
+    for _ in range(samples):
+        t_mat = random_right_unitary(rank, 2 * inst.dim, rng)
+        members = root @ t_mat
+        weights = np.sum(np.abs(members) ** 2, axis=0)
+        branch = _branch_entanglement(members, u_root @ t_mat, weights)
+        best = max(best, float(np.dot(weights, mix * branch)))
+    return best
+
+
+@pytest.mark.parametrize("n,rank", [(1, 2), (2, 2), (2, 4), (3, 3)])
+@pytest.mark.parametrize("entries", [1, 100, 2**10, 2**14])
+def test_brute_force_entpower_stacks_match_a_per_sample_loop(monkeypatch, n, rank, entries):
+    # a random register of the given rank: no Fourier candidate, so the
+    # samples alone decide the result, which must not depend on stack size
+    monkeypatch.setattr(dqc1.entpower, "MAX_STACK_ENTRIES", entries)
+    dim = 2**n
+    rho = random_density(dim, rank, SeededRng(263, n))
+    u = haar_unitary(dim, SeededRng(269, n))
+    for control in (ControlQubit.from_alpha(1.0), ControlQubit.from_bloch((0.3, -0.2, 0.5))):
+        inst = Dqc1Instance(n=n, unitary=u, control=control, system_state=rho)
+        got = brute_force_entpower(inst, samples=41, rng=SeededRng(271, n))
+        want = _brute_force_entpower_one_sample_at_a_time(inst, 41, SeededRng(271, n))
+        assert got == want
+        assert got <= entpower_general_scaled(control, u, rho)[1] + 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_brute_force_entpower_trivial_circuit_stays_at_roundoff_across_stacks(n):
+    # at n=5 the 20 samples span three stacks
+    dim = 2**n
+    for alpha in (1.0, 0.5):
+        inst = Dqc1Instance(
+            n=n, unitary=np.eye(dim, dtype=np.complex128), control=ControlQubit.from_alpha(alpha)
+        )
+        assert brute_force_entpower(inst, samples=20, rng=SeededRng(277, n)) <= 1e-15
+
+
+def test_brute_force_min_mixing_stacks_match_a_per_sample_loop(monkeypatch):
+    ctl = ControlQubit.from_bloch((0.2, -0.5, 0.6))
+    rng = SeededRng(281, 0)
+    want = min(
+        mixing_factor(branch_coefficients(ctl, random_right_unitary(2, 4, rng)))
+        for _ in range(30)
+    )
+    for entries in (1, 64, 2**14):
+        monkeypatch.setattr(dqc1.entpower, "MAX_STACK_ENTRIES", entries)
+        got = brute_force_min_mixing(ctl, 30, 4, SeededRng(281, 0), include_analytic=False)
+        assert got == want
 
 
 def test_brute_force_entpower_validation():

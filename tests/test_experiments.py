@@ -16,6 +16,7 @@ from dqc1.entpower import (
     PureEnsemble,
     decompose_from_T,
     ensemble_average,
+    entpower_bounds,
     entpower_standard,
     fourier_ensemble,
 )
@@ -23,6 +24,7 @@ from dqc1.experiments import (
     DEFAULT_ALPHAS,
     EXPERIMENTS,
     MAX_RANGE,
+    MAX_SAMPLES,
     MAX_STACK_ENTRIES,
     ConfigError,
     ExperimentConfig,
@@ -34,7 +36,8 @@ from dqc1.experiments import (
     run_experiment,
     write_results,
 )
-from dqc1.linalg import SeededRng, random_right_unitary, save_matrix
+from dqc1.linalg import SIGMA_X, SeededRng, random_density, random_right_unitary, save_matrix
+from dqc1.measurement import MAX_SHOTS
 
 MINIMAL = {"experiment": "verify-theorem2", "n": 1}
 
@@ -634,8 +637,23 @@ def test_cli_run_rejects_fields_the_experiment_does_not_read(
         ({"experiment": "verify-theorem3", "alpha": 10**400}, "alpha"),
         ({"experiment": "verify-theorem2", "alphas": [0.5, 10**400]}, "alphas"),
         ({"experiment": "trace-vs-shots", "bloch": [0, 0, 10**400], "shots": [10]}, "bloch"),
+        ({"experiment": "trace-vs-shots", "shots": [10, 10**30]}, "shots"),
+        ({"experiment": "complexity-curve", "shots": [MAX_SHOTS + 1]}, "shots"),
+        ({"experiment": "verify-theorem1", "samples": 10**12}, "samples"),
+        ({"experiment": "entpower-vs-alpha", "samples": MAX_SAMPLES + 1}, "samples"),
     ],
-    ids=["rank-0", "rank-9", "rank-superscript", "huge-alpha", "huge-in-alphas", "huge-bloch"],
+    ids=[
+        "rank-0",
+        "rank-9",
+        "rank-superscript",
+        "huge-alpha",
+        "huge-in-alphas",
+        "huge-bloch",
+        "huge-shots",
+        "shots-over-max",
+        "huge-samples",
+        "samples-over-max",
+    ],
 )
 def test_cli_run_rejects_out_of_range_values(tmp_path, capsys, payload, needle):
     # each used to fail inside point 0 or overflow in float(), exiting 1
@@ -671,6 +689,61 @@ def test_cli_run_rejects_a_missing_matrix_file(tmp_path, capsys, experiment, fie
     err = capsys.readouterr().err
     assert f"field '{field}'" in err and "absent.json" in err
     assert not out.exists()
+
+
+def test_cli_run_rejects_a_non_unitary_file_for_verify_theorem3(tmp_path, capsys):
+    # built once before the sweep, so it is rejected as a config field and
+    # not inside point 0
+    matrix = tmp_path / "u.json"
+    save_matrix(matrix, np.array([[1.0, 1.0], [1.0, 1.0]]))
+    payload = {"experiment": "verify-theorem3", "n": 1, "unitary": f"file:{matrix}", "samples": 2}
+    out = tmp_path / "rows.csv"
+    assert main(["run", str(write_config(tmp_path, payload)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "field 'unitary'" in err and "not unitary" in err
+    assert not out.exists()
+
+
+def test_run_verify_theorem3_builds_a_fixed_unitary_once(monkeypatch, tmp_path):
+    calls = []
+    real = dqc1.experiments.unitary_from_spec
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dqc1.experiments, "unitary_from_spec", counting)
+    matrix = tmp_path / "u.json"
+    save_matrix(matrix, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    for spec in ("pauli:X", f"file:{matrix}"):
+        calls.clear()
+        cfg = config_from_dict(
+            {
+                "experiment": "verify-theorem3",
+                "n": 1,
+                "unitary": spec,
+                "rho": "random",
+                "samples": 6,
+                "seed": 3,
+                "workers": 1,
+            }
+        )
+        rows = run_experiment(cfg)
+        assert calls == [spec]
+        # the register draws are those of a sweep that rebuilt U per point
+        for row in rows[:6]:
+            rho = random_density(2, 2, SeededRng(3, int(row.param_value) + 1))
+            assert (row.measured, row.reference) == entpower_bounds(SIGMA_X, rho)
+    calls.clear()
+    haar = {"experiment": "verify-theorem3", "n": 1, "samples": 4, "workers": 1}
+    run_experiment(config_from_dict(haar))
+    assert calls == ["haar"] * 4  # a Haar unitary is drawn per point, from its stream
+
+
+def test_cli_estimate_trace_rejects_shots_over_the_bound(capsys):
+    argv = ["estimate-trace", "--n", "1", "--unitary", "identity", "--shots", str(MAX_SHOTS + 1)]
+    assert main(argv) == 2
+    assert "shots" in capsys.readouterr().err
 
 
 def test_cli_run_rejects_non_object_root(tmp_path, capsys):

@@ -159,7 +159,7 @@ def test_require_names_the_first_failing_member():
 
 
 def test_is_right_unitary_on_a_stack():
-    stack = haar_unitary(4, SeededRng(17, 0), (5,))[:, :2, :]
+    stack = random_right_unitary(2, 4, [SeededRng(17, 0)] * 5)
     assert is_right_unitary(stack) and all(is_right_unitary(t) for t in stack)
     stack[2, 1, 3] += 1e-3  # one bad member fails the whole stack
     assert not is_right_unitary(stack[2])
@@ -312,7 +312,7 @@ def test_haar_unitary_deterministic():
 @pytest.mark.parametrize("seed", [0, 5, 1234])
 def test_haar_unitary_batch_of_one_matches_single_draw(dim, seed):
     single = haar_unitary(dim, SeededRng(seed, 0))
-    batched = haar_unitary(dim, SeededRng(seed, 0), (1,))
+    batched = haar_unitary(dim, [SeededRng(seed, 0)])
     assert batched.shape == (1, dim, dim)
     np.testing.assert_array_equal(single, batched[0])
 
@@ -324,16 +324,31 @@ def test_haar_unitary_over_streams_matches_one_call_per_stream(dim):
     assert stack.shape == (7, dim, dim)
     for idx, u in enumerate(stack, start=1):
         np.testing.assert_array_equal(u, haar_unitary(dim, SeededRng(11, idx)))
-    rows = random_right_unitary(dim // 2 or 1, dim, [SeededRng(11, idx) for idx in range(1, 8)])
-    np.testing.assert_array_equal(rows, stack[:, : dim // 2 or 1, :])
-    with pytest.raises(ValueError, match="batch"):
-        haar_unitary(dim, [SeededRng(11, 1)], (2,))
+
+
+def _phase_fixed_ginibre_q(gen, shape):
+    """The construction the samplers must keep: a real then an imaginary
+    Ginibre block from the stream, LAPACK's QR, and R's diagonal phases
+    moved into Q."""
+    g = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+    q, r = np.linalg.qr(g)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 16])
+@pytest.mark.parametrize("seed", [0, 1234])
+def test_haar_unitary_bits_are_the_phase_fixed_qr_of_one_ginibre_draw(dim, seed):
+    gen = SeededRng(seed, 3).gen
+    rng = SeededRng(seed, 3)
+    np.testing.assert_array_equal(haar_unitary(dim, rng), _phase_fixed_ginibre_q(gen, (dim, dim)))
+    assert rng.gen.standard_normal() == gen.standard_normal()  # nothing else drawn
 
 
 def test_haar_unitary_batch_members_are_unitary():
-    stack = haar_unitary(4, SeededRng(21, 0), (2, 3))
-    assert stack.shape == (2, 3, 4, 4)
-    for u in stack.reshape(-1, 4, 4):
+    stack = haar_unitary(4, [SeededRng(21, idx) for idx in range(6)])
+    assert stack.shape == (6, 4, 4)
+    for u in stack:
         assert is_unitary(u, 1e-12)
 
 
@@ -371,6 +386,46 @@ def test_random_right_unitary():
     assert is_unitary(full, 1e-12)
     with pytest.raises(ValueError):
         random_right_unitary(5, 3, rng)
+
+
+@pytest.mark.parametrize("rows,cols,k", [(1, 1, 3), (2, 4, 50), (4, 8, 256), (32, 64, 8)])
+def test_random_right_unitary_stacks_match_per_call_draws(rows, cols, k):
+    # one stream per member, and one stream listed k times, both give the
+    # bits of k separate calls in order
+    streams = [SeededRng(31, idx) for idx in range(k)]
+    stack = random_right_unitary(rows, cols, streams)
+    assert stack.shape == (k, rows, cols)
+    for idx, t_mat in enumerate(stack):
+        np.testing.assert_array_equal(t_mat, random_right_unitary(rows, cols, SeededRng(31, idx)))
+    repeated = random_right_unitary(rows, cols, [SeededRng(37, 0)] * k)
+    rng = SeededRng(37, 0)
+    for t_mat in repeated:
+        np.testing.assert_array_equal(t_mat, random_right_unitary(rows, cols, rng))
+    assert is_right_unitary(repeated)
+
+
+def test_random_right_unitary_draws_rows_times_cols_normals():
+    # the thin draw reads a cols x rows Ginibre block, half a square one
+    # when rows = cols / 2
+    gen = SeededRng(41, 0).gen
+    rng = SeededRng(41, 0)
+    thin = _phase_fixed_ginibre_q(gen, (8, 4))
+    np.testing.assert_array_equal(random_right_unitary(4, 8, rng), thin.T)
+    assert rng.gen.standard_normal() == gen.standard_normal()
+
+
+def test_random_right_unitary_haar_moments():
+    # Haar on the Stiefel manifold: every entry of a rows x cols draw has
+    # E|T_ij|^2 = 1/cols and E|T_ij|^4 = 2/(cols (cols + 1))
+    rows, cols, draws = 4, 16, 20000
+    stack = random_right_unitary(rows, cols, [SeededRng(43, 0)] * draws)
+    assert is_right_unitary(stack)
+    power = np.abs(stack) ** 2
+    assert abs(power.mean() - 1.0 / cols) < 1e-12  # exact: rows are unit vectors
+    fourth = (power**2).mean()
+    assert abs(fourth - 2.0 / (cols * (cols + 1))) < 0.02 * 2.0 / (cols * (cols + 1))
+    # and no entry is biased: per-entry second moments all near 1/cols
+    assert np.max(np.abs(power.mean(axis=0) * cols - 1.0)) < 0.05
 
 
 def test_matrix_json_round_trip(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from dqc1.circuit import ControlQubit, Dqc1Instance, diag_phase_unitary, pauli_string
 from dqc1.linalg import SIGMA_X, SeededRng, haar_unitary, random_density
 from dqc1.measurement import (
+    MAX_SHOTS,
     entpower_from_rounds,
     error_budget,
     estimate_trace,
@@ -58,6 +59,17 @@ def test_sample_shots_binomial_spread():
     # 4 sigma band around p = 0.5 at a million shots
     count = sample_shots(0.5, 10**6, SeededRng(21, 0))
     assert abs(count / 10**6 - 0.5) < 0.002
+
+
+def test_sample_shots_takes_counts_up_to_max_shots():
+    # the bound is a count the binomial sampler takes, and the estimator's
+    # 2 * hits - shots stays exact in float64 there
+    hits = sample_shots(0.5, MAX_SHOTS, SeededRng(23, 0))
+    assert abs(hits / MAX_SHOTS - 0.5) < 1e-6
+    assert float(2 * hits - MAX_SHOTS) == 2.0 * hits - MAX_SHOTS
+    for shots in (MAX_SHOTS + 1, 10**30):  # 10**30 overflowed numpy's C long
+        with pytest.raises(ValueError, match="shots"):
+            sample_shots(0.5, shots, SeededRng(23, 0))
 
 
 def test_sample_shots_deterministic():
