@@ -102,28 +102,47 @@ class BranchCoefficients:
         return np.abs(self.xs) ** 2 + np.abs(self.ys) ** 2
 
 
+def _orthogonal_residual(a: np.ndarray, b: np.ndarray, sq, axis: int) -> np.ndarray:
+    """||b - (a^+ b / sq) a|| over vectors along ``axis``, with sq = ||a||^2 > 0:
+    the norm of b's component orthogonal to a, one Gram-Schmidt step that,
+    unlike sqrt(||b||^2 - |a^+ b|^2 / sq), does not cancel as b nears a
+    multiple of a."""
+    overlap = np.expand_dims(np.sum(a.conj() * b, axis=axis) / sq, axis)
+    return np.linalg.norm(b - overlap * a, axis=axis)
+
+
 def pure_entanglement(psi: np.ndarray) -> float | np.ndarray:
     """sqrt(2 (1 - purity)) of the register marginal of a pure joint state.
 
     The state lives on control (x) register with the control factor first.
     Its Schmidt coefficients s1, s2 are the singular values of the 2 x d
     amplitude matrix, the marginal's spectrum is {s1^2, s2^2}, and with
-    s1^2 + s2^2 = 1 the definition equals 2 s1 s2: a value in [0, 1] that
-    vanishes on product states without cancellation.  ``psi`` may be a
-    stack of shape (..., 2d): every state must be normalized, and the result
-    is an array over the leading axes whose entries equal the single-state
-    values bit for bit (a float for one state).
+    s1^2 + s2^2 = 1 the definition equals 2 s1 s2, which is |det R| of the
+    matrix's two-row QR: s1 s2 = ||a|| ||b - (a^+ b / ||a||^2) a|| with a the
+    longer row and b the other.  No SVD and no cancellation, so the value
+    vanishes to roundoff on product states (exactly when a row vanishes or
+    the register is one-dimensional).  ``psi`` may be a stack of shape
+    (..., 2d): every state must be normalized, and the result is an array
+    over the leading axes whose entries equal the single-state values bit
+    for bit (a float for one state).
     """
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.ndim == 0 or psi.shape[-1] % 2 != 0:
         raise ValueError("joint state dimension must be even (control x register)")
-    off = np.abs(np.linalg.norm(psi, axis=-1) - 1.0)
+    rows = psi.reshape(*psi.shape[:-1], 2, -1)
+    sq = np.sum(rows.conj() * rows, axis=-1).real
+    off = np.abs(np.sqrt(sq[..., 0] + sq[..., 1]) - 1.0)
     if np.max(off, initial=0.0) > TOL_SPECTRAL:
         raise ValueError(f"state is not normalized (norm off by {np.max(off):.3e})")
-    schmidt = np.linalg.svd(psi.reshape(*psi.shape[:-1], 2, -1), compute_uv=False)
-    # a one-dimensional register leaves a single Schmidt coefficient
-    second = schmidt[..., 1] if schmidt.shape[-1] > 1 else 0.0
-    value = 2.0 * schmidt[..., 0] * second
+    if rows.shape[-1] == 1:  # a one-dimensional register has one Schmidt coefficient
+        value = np.zeros(psi.shape[:-1])
+    else:
+        # pivot on the longer row, so the projection never divides by a small norm
+        swap = (sq[..., 1] > sq[..., 0])[..., None]
+        a = np.where(swap, rows[..., 1, :], rows[..., 0, :])
+        b = np.where(swap, rows[..., 0, :], rows[..., 1, :])
+        pivot = np.max(sq, axis=-1)
+        value = 2.0 * np.sqrt(pivot) * _orthogonal_residual(a, b, pivot, axis=-1)
     return float(value) if value.ndim == 0 else value
 
 
@@ -322,8 +341,7 @@ def _branch_entanglement(vecs: np.ndarray, u_vecs: np.ndarray, sq=1.0) -> np.nda
     component orthogonal to phi: the same quantity, but it does not cancel
     near |<phi|U|phi>| = 1 and vanishes to roundoff on the trivial circuit.
     """
-    overlaps = np.sum(vecs.conj() * u_vecs, axis=-2) / sq
-    return np.linalg.norm(u_vecs - overlaps[..., None, :] * vecs, axis=-2) / np.sqrt(sq)
+    return _orthogonal_residual(vecs, u_vecs, sq, axis=-2) / np.sqrt(sq)
 
 
 def ensemble_average(inst: Dqc1Instance, ens: PureEnsemble) -> float | np.ndarray:

@@ -356,6 +356,13 @@ def _setup(cfg: ExperimentConfig) -> dict:
         u = unitary_from_spec(cfg.unitary, cfg.n, SeededRng(cfg.seed, 0))
     except (ValueError, OSError) as err:
         raise ValueError(f"field 'unitary': {err}") from None
+    if cfg.experiment == "complexity-curve":
+        t = normalized_trace(u)
+        if t.real == 0.0 or t.imag == 0.0:
+            raise ValueError(
+                f"field 'unitary': complexity-curve needs both trace quadratures "
+                f"nonzero, but {cfg.unitary!r} has t = {t}"
+            )
     # Validated once per sweep; every point reads the same instance.
     if cfg.experiment == "trace-vs-shots":
         return {"inst": Dqc1Instance(n=cfg.n, unitary=u, control=_control_from(cfg))}
@@ -393,11 +400,6 @@ def _point_complexity_curve(cfg, payload, idx):
     rounds_target = cfg.shots[idx]
     alpha = cfg.alpha
     t = normalized_trace(u)
-    if t.real == 0.0 or t.imag == 0.0:
-        raise ValueError(
-            "complexity-curve needs both trace quadratures nonzero; "
-            f"got t = {t}"
-        )
     # Failure probability 1/e per axis makes ln(1/pe) = 1; the eps values
     # are tuned so both axes land on the same round count.
     pe = math.exp(-1.0)

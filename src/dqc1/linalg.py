@@ -338,19 +338,36 @@ def matrix_to_json(a: np.ndarray) -> dict:
 
 
 def matrix_from_json(payload: dict) -> np.ndarray:
+    """Inverse of :func:`matrix_to_json`.  ``dim`` must be a positive integer
+    and ``re`` and ``im`` each ``dim`` rows of ``dim`` finite numbers; an
+    error names the key at fault."""
     for key in ("dim", "re", "im"):
         if key not in payload:
             raise ValueError(f"matrix payload missing key {key!r}")
     dim = payload["dim"]
-    re = np.asarray(payload["re"], dtype=np.float64)
-    im = np.asarray(payload["im"], dtype=np.float64)
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise ValueError(
-            f"matrix payload shapes {re.shape}/{im.shape} do not match dim {dim}"
+    if type(dim) is not int or dim < 1:
+        raise ValueError(f"matrix payload key 'dim': expected a positive integer, got {dim!r}")
+    parts = []
+    for key in ("re", "im"):
+        rows = payload[key]
+        square = (
+            isinstance(rows, list)
+            and len(rows) == dim
+            and all(isinstance(row, list) and len(row) == dim for row in rows)
         )
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise ValueError("matrix payload has a non-finite entry")
-    return re + 1j * im
+        if not square or not all(type(x) in (int, float) for row in rows for x in row):
+            raise ValueError(
+                f"matrix payload key {key!r}: expected {dim} rows of {dim} numbers each"
+            )
+        try:
+            part = np.array(rows, dtype=np.float64)
+            finite = np.isfinite(part).all()
+        except OverflowError:  # an integer beyond float range
+            finite = False
+        if not finite:
+            raise ValueError(f"matrix payload key {key!r} has a non-finite entry")
+        parts.append(part)
+    return parts[0] + 1j * parts[1]
 
 
 def save_matrix(path: str | Path, a: np.ndarray) -> None:

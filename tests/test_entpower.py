@@ -80,6 +80,47 @@ def test_pure_entanglement_of_product_states_vanishes(n, seed):
     assert np.all(pure_entanglement(np.stack([psi, psi])) <= 1e-15)
 
 
+def _schmidt_product_svd(psi):
+    """2 s1 s2 from LAPACK's singular values of the 2 x d amplitude matrix:
+    the oracle for pure_entanglement's Gram-Schmidt form."""
+    schmidt = np.linalg.svd(psi.reshape(2, -1), compute_uv=False)
+    return 2.0 * schmidt[0] * schmidt[1] if schmidt.size > 1 else 0.0
+
+
+# Derandomized, because the oracle is itself the noisier side: on random
+# states LAPACK's singular values put 2 s1 s2 up to about 1.1e-15 off a
+# 40-digit reference, about once in 65000 states, while the Gram-Schmidt
+# form stays within about 3e-16 of it.
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 5),
+    st.sampled_from(["random", "product", "near-product", "zero-row"]),
+    st.integers(0, 2**32 - 1),
+    st.floats(-15.0, -1.0),
+    st.booleans(),
+)
+def test_pure_entanglement_matches_the_svd_oracle(n, kind, seed, log_eps, swap):
+    # rows a and b of the amplitude matrix; near-product is b = c a + eps g
+    gen = SeededRng(seed, 0).gen
+    dim = 2**n
+    a = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
+    g = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
+    c = complex(*gen.standard_normal(2))
+    b = {
+        "random": g,
+        "product": c * a,
+        "near-product": c * a + 10.0**log_eps * g,
+        "zero-row": np.zeros(dim),
+    }[kind]
+    psi = np.concatenate((b, a) if swap else (a, b))
+    psi /= np.linalg.norm(psi)
+    got = pure_entanglement(psi)
+    assert abs(got - _schmidt_product_svd(psi)) <= 1e-15
+    if kind == "zero-row":
+        assert got == 0.0
+    np.testing.assert_array_equal(pure_entanglement(np.stack([psi, psi])), [got, got])
+
+
 def test_pure_entanglement_bell_state():
     bell = np.array([1.0, 0.0, 0.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
     assert abs(pure_entanglement(bell) - 1.0) < 1e-12

@@ -371,6 +371,24 @@ def test_run_entpower_vs_alpha_traceless_reference():
         assert row.deviation < 1e-9  # Fourier candidate saturates exactly
 
 
+def test_run_entpower_vs_alpha_trivial_circuit_alpha_one_row_at_roundoff():
+    # the alpha = 1 row scores the Fourier candidate through the Schmidt
+    # product, which read 7.9e-16 here when it came from a per-state SVD
+    cfg = config_from_dict(
+        {
+            "experiment": "entpower-vs-alpha",
+            "n": 5,
+            "unitary": "identity",
+            "samples": 50,
+            "seed": 42,
+            "workers": 1,
+        }
+    )
+    row = run_experiment(cfg)[-1]
+    assert row.param_value == 1.0 and row.reference == 0.0
+    assert row.measured <= 2e-16
+
+
 def test_run_verify_theorem1_rows():
     cfg = config_from_dict(
         {
@@ -688,6 +706,45 @@ def test_cli_run_rejects_a_missing_matrix_file(tmp_path, capsys, experiment, fie
     assert main(["run", str(write_config(tmp_path, payload)), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"field '{field}'" in err and "absent.json" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload,key",
+    [
+        ({"dim": 2, "re": [[1.0, 0.0], [0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}, "re"),
+        ({"dim": "2", "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}, "dim"),
+    ],
+    ids=["ragged-rows", "string-dim"],
+)
+def test_cli_rejects_a_malformed_matrix_file_by_key(tmp_path, capsys, payload, key):
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps(payload))
+    config = {"experiment": "verify-theorem1", "n": 1, "unitary": f"file:{matrix}", "samples": 2}
+    out = tmp_path / "rows.csv"
+    assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "field 'unitary'" in err and f"key '{key}'" in err
+    assert not out.exists()
+    assert main(["entpower", "--n", "1", "--unitary", f"file:{matrix}"]) == 2
+    assert f"key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("unitary", ["pauli:XY", "identity"])
+def test_complexity_curve_rejects_a_zero_trace_quadrature_before_the_sweep(
+    tmp_path, capsys, monkeypatch, unitary
+):
+    # t = 0 for XY and t = 1 for the identity: one quadrature is zero, so no
+    # budget can tune both axes; it used to fail at point 0 with exit 1
+    def no_points(*args):
+        raise AssertionError("a sweep point ran")
+
+    monkeypatch.setitem(dqc1.experiments._POINT_FUNCS, "complexity-curve", no_points)
+    config = {"experiment": "complexity-curve", "n": 2, "shots": [100], "unitary": unitary}
+    out = tmp_path / "rows.csv"
+    assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "field 'unitary'" in err and "quadratures" in err
     assert not out.exists()
 
 

@@ -448,6 +448,49 @@ def test_matrix_from_json_rejects_malformed():
         matrix_from_json({"dim": 2, "re": [[1.0, 0.0]], "im": [[0.0, 0.0]]})
 
 
+_EYE2 = [[1.0, 0.0], [0.0, 1.0]]
+_ZERO2 = [[0.0, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "payload,key",
+    [
+        ({"dim": 2, "re": [[1.0, 0.0], [0.0]], "im": _ZERO2}, "re"),
+        ({"dim": 2, "re": _EYE2, "im": [[0.0, 0.0, 0.0], [0.0, 0.0]]}, "im"),
+        ({"dim": 2, "re": [[1.0, 0.0]], "im": _ZERO2}, "re"),
+        ({"dim": 2, "re": [[[1.0], 0.0], [0.0, 1.0]], "im": _ZERO2}, "re"),
+        ({"dim": 2, "re": [["1", 0.0], [0.0, 1.0]], "im": _ZERO2}, "re"),
+        ({"dim": 2, "re": _EYE2, "im": [[True, 0.0], [0.0, 0.0]]}, "im"),
+        ({"dim": 2, "re": "eye", "im": _ZERO2}, "re"),
+        ({"dim": 2, "re": [[10**400, 0.0], [0.0, 1.0]], "im": _ZERO2}, "re"),
+        ({"dim": "2", "re": _EYE2, "im": _ZERO2}, "dim"),
+        ({"dim": 2.0, "re": _EYE2, "im": _ZERO2}, "dim"),
+        ({"dim": True, "re": [[1.0]], "im": [[0.0]]}, "dim"),
+        ({"dim": 0, "re": [], "im": []}, "dim"),
+    ],
+    ids=[
+        "ragged-re",
+        "ragged-im",
+        "short-re",
+        "nested-entry",
+        "string-entry",
+        "bool-entry",
+        "re-not-a-list",
+        "huge-entry",
+        "string-dim",
+        "float-dim",
+        "bool-dim",
+        "zero-dim",
+    ],
+)
+def test_matrix_from_json_names_the_malformed_key(payload, key):
+    # ragged rows used to leak numpy's "inhomogeneous shape" text, a string
+    # dim to report matching shapes as a mismatch, and a float dim passed
+    with pytest.raises(ValueError, match=f"key '{key}'") as info:
+        matrix_from_json(payload)
+    assert "inhomogeneous" not in str(info.value)
+
+
 @pytest.mark.parametrize("part", ["re", "im"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_load_matrix_rejects_non_finite_entries(tmp_path, part, bad):
