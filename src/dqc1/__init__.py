@@ -29,16 +29,11 @@ from .circuit import (
     ControlQubit,
     Dqc1Instance,
     branch_pure_state,
-    controlled_u,
     diag_phase_unitary,
-    evolve,
     final_control_closed,
-    final_state_closed,
     general_final_control,
-    initial_state,
     linear_entropy_closed,
     pauli_string,
-    reduced_system_state,
     unitary_from_spec,
 )
 from .measurement import (

@@ -46,7 +46,8 @@ class ControlQubit:
     """Control-qubit state, stored as a Bloch vector.
 
     Every construction path validates: the vector must have three finite
-    components and norm <= 1.  :meth:`from_alpha` (z polarization in
+    components and norm <= 1; a norm past 1 by at most ``TOL_CONSTRUCT`` is
+    scaled back onto the sphere.  :meth:`from_alpha` (z polarization in
     (0, 1]) and :meth:`from_bloch` build equal objects for equal vectors.
     """
 
@@ -58,8 +59,11 @@ class ControlQubit:
             raise ValueError("bloch vector must have three components")
         if not all(math.isfinite(x) for x in p):
             raise ValueError(f"bloch vector components must be finite, got {p}")
-        if _bloch_norm(p) > 1.0 + TOL_CONSTRUCT:
-            raise ValueError(f"bloch vector norm {_bloch_norm(p)} exceeds 1")
+        norm = _bloch_norm(p)
+        if norm > 1.0 + TOL_CONSTRUCT:
+            raise ValueError(f"bloch vector norm {norm} exceeds 1")
+        if norm > 1.0:  # past the sphere by roundoff: scale back onto it
+            p = tuple(x / norm for x in p)
         object.__setattr__(self, "bloch", p)
 
     @classmethod
@@ -81,8 +85,9 @@ class ControlQubit:
 
     @property
     def polarization(self) -> float:
-        """Bloch-vector norm."""
-        return _bloch_norm(self.bloch)
+        """Bloch-vector norm, at most 1 even where rescaling left the vector
+        an ulp long, so both eigenvalues (1 +- polarization)/2 are >= 0."""
+        return min(1.0, _bloch_norm(self.bloch))
 
     def density(self) -> np.ndarray:
         p1, p2, p3 = self.bloch
@@ -157,54 +162,6 @@ class Dqc1Instance:
         return 2**self.n
 
 
-def initial_state(inst: Dqc1Instance) -> np.ndarray:
-    """Joint state before the circuit: control (x) register."""
-    return kron(inst.control.density(), inst.system_state)
-
-
-def controlled_u(u: np.ndarray) -> np.ndarray:
-    """Block-diagonal controlled unitary |0><0| (x) I + |1><1| (x) U."""
-    u = np.asarray(u, dtype=np.complex128)
-    dim = u.shape[0]
-    out = np.zeros((2 * dim, 2 * dim), dtype=np.complex128)
-    out[:dim, :dim] = np.eye(dim)
-    out[dim:, dim:] = u
-    return out
-
-
-def _evolve_dense(
-    control: ControlQubit, rho_n: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    # V = CU (H (x) I) applied to the dense 2d x 2d joint state: the
-    # step-by-step oracle the closed forms are tested against.
-    dim = rho_n.shape[0]
-    v = controlled_u(u) @ kron(HADAMARD, np.eye(dim, dtype=np.complex128))
-    return v @ kron(control.density(), rho_n) @ v.conj().T
-
-
-def evolve(inst: Dqc1Instance) -> np.ndarray:
-    """Full joint state after Hadamard-then-controlled-U, by matrix products."""
-    return _evolve_dense(inst.control, inst.system_state, inst.unitary)
-
-
-def final_state_closed(alpha: float, u: np.ndarray) -> np.ndarray:
-    """Closed form of the post-circuit joint state for a z-polarized control.
-
-    Normalized to unit trace: with register dimension d, the state is
-    (|0><0| (x) I + |1><1| (x) I + alpha |0><1| (x) U^+ + alpha |1><0| (x) U) / 2d.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    u = np.asarray(u, dtype=np.complex128)
-    dim = u.shape[0]
-    out = np.zeros((2 * dim, 2 * dim), dtype=np.complex128)
-    out[:dim, :dim] = np.eye(dim)
-    out[dim:, dim:] = np.eye(dim)
-    out[:dim, dim:] = alpha * u.conj().T
-    out[dim:, :dim] = alpha * u
-    return out / (2 * dim)
-
-
 def branch_pure_state(phi: np.ndarray, u: np.ndarray) -> np.ndarray:
     """(|0>|phi> + |1>U|phi>)/sqrt(2): the circuit's action on a pure register
     state with a fully polarized control.
@@ -220,24 +177,23 @@ def branch_pure_state(phi: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.concatenate([phi, (u @ phi[..., None])[..., 0]], axis=-1) / np.sqrt(2.0)
 
 
-def reduced_system_state(phi: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Register marginal of the branch state: (|phi><phi| + U|phi><phi|U^+)/2."""
-    phi = np.asarray(phi, dtype=np.complex128).reshape(-1, 1)
-    uphi = np.asarray(u, dtype=np.complex128) @ phi
-    return 0.5 * (phi @ phi.conj().T + uphi @ uphi.conj().T)
-
-
 def general_final_control(
     control: ControlQubit, rho_n: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
     """Control-qubit marginal after the circuit, for any control Bloch vector
     and any register state, computed by full density-matrix evolution.
 
-    This is the dense oracle for :func:`final_control_closed`; it costs
-    O(d^3) time and O(d^2) memory in the joint dimension 2d."""
+    This is the package's one dense oracle, the step-by-step check of
+    :func:`final_control_closed`: it multiplies out V = CU (H (x) I) on the
+    joint state rho_c (x) rho_n, at O(d^3) time and O(d^2) memory in the
+    joint dimension 2d."""
     rho_n = np.asarray(rho_n, dtype=np.complex128)
-    joint = _evolve_dense(control, rho_n, u)
-    return partial_trace(joint, keep="control", system_dim=rho_n.shape[0])
+    dim = rho_n.shape[0]
+    cu = np.eye(2 * dim, dtype=np.complex128)  # |0><0| (x) I + |1><1| (x) U
+    cu[dim:, dim:] = u
+    v = cu @ kron(HADAMARD, np.eye(dim, dtype=np.complex128))
+    joint = v @ kron(control.density(), rho_n) @ v.conj().T
+    return partial_trace(joint, keep="control", system_dim=dim)
 
 
 def final_control_closed(

@@ -94,7 +94,10 @@ def _cmd_run(args) -> int:
     cfg = config_from_dict(payload)
     rows = run_experiment(cfg)
     out = cfg.out if cfg.out is not None else f"results.{cfg.format}"
-    write_results(rows, out, cfg.format)
+    try:
+        write_results(rows, out, cfg.format)
+    except OSError as err:
+        raise ConfigError(f"field 'out': {err}") from None
     print(f"{cfg.experiment}: wrote {len(rows)} rows to {out}")
     return 0
 

@@ -29,7 +29,6 @@ import numpy as np
 from .circuit import ControlQubit, Dqc1Instance, branch_pure_state
 from .linalg import (
     MAX_STACK_ENTRIES,
-    SIGMA_Z,
     SeededRng,
     TOL_SPECTRAL,
     eig_hermitian,
@@ -275,58 +274,32 @@ def lambda_factor(control: ControlQubit) -> float:
     return math.hypot(p2, p3)
 
 
-def _takagi_symmetric(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factor a complex symmetric matrix as W diag(sigma) W^T, sigma >= 0
-    descending, W unitary.
-
-    Works through the real symmetric embedding [[X, Y], [Y, -X]] of
-    A = X + iY: an eigenvector (u; v) with eigenvalue sigma gives the
-    factor column w = u + iv.  Columns for vanishing sigma are rebuilt as an
-    orthonormal completion, where the embedding pairs +0/-0 degenerately.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    d = a.shape[0]
-    if np.max(np.abs(a - a.T)) > 1e-10:
-        raise ValueError("matrix is not symmetric")
-    embed = np.block([[a.real, a.imag], [a.imag, -a.real]])
-    evals, evecs = np.linalg.eigh(embed)
-    idx = np.argsort(evals)[::-1][:d]
-    sigma = evals[idx]
-    w = evecs[:d, idx] + 1j * evecs[d:, idx]
-
-    floor = 1e-12 * max(1.0, sigma[0] if sigma.size else 1.0)
-    null = sigma <= floor
-    if np.any(null):
-        sigma = sigma.copy()
-        sigma[null] = 0.0
-        anchor = np.concatenate([w[:, ~null], np.eye(d, dtype=np.complex128)], axis=1)
-        full = np.linalg.qr(anchor)[0]
-        w = w.copy()
-        w[:, null] = full[:, int(np.sum(~null)) : d]
-
-    scale = max(1.0, float(sigma[0]) if sigma.size else 1.0)
-    if np.max(np.abs(w.conj().T @ w - np.eye(d))) > 1e-9:
-        raise ValueError("factor columns failed to orthonormalize")
-    if np.max(np.abs(w @ np.diag(sigma) @ w.T - a)) > 1e-9 * scale:
-        raise ValueError("symmetric factorization failed to reconstruct the input")
-    return sigma, w
-
-
 def analytic_min_T(control: ControlQubit) -> np.ndarray:
     """Right-unitary T achieving the minimal mixing factor.
 
-    Diagonalize the symmetric matrix sqrt(M) Phi^T sigma_z Phi sqrt(M) as
-    W diag(sigma) W^T; the minimizer is conj(W) followed by the phase mixer
-    [[1, 1], [i, -i]]/sqrt(2), which lands every diagonal entry on
-    (sigma_1 - sigma_2)/2.  For a z-polarized control this reduces to the
-    real Hadamard.
+    After the Hadamard a member with weight r and unit Bloch vector n costs
+    r |n_perp|, n_perp its y-z part, so by the triangle inequality no
+    decomposition costs less than |p_perp| = hypot(p2, p3), the lambda gap.
+    The pure members (+-c, p2, p3), c = sqrt(1 - p2^2 - p3^2), with weights
+    (1 +- p1/c)/2 (1/2 each when c = 0) attain it.  For their weighted
+    vectors V, T is the polar factor W Vh of sqrt(M) Phi^+ V = W S Vh: it
+    equals M^(-1/2) Phi^+ V where M is invertible, and stays exactly unitary
+    on a pure control, so nothing divides by sqrt(M).
     """
+    p1, p2, p3 = control.bloch
+    perp = math.hypot(p2, p3)
+    c = math.sqrt(max(p1 * p1, (1.0 - perp) * (1.0 + perp)))  # keeps |p1| <= c
+    tilt = p1 / c if c > 0.0 else 0.0
+    n1 = np.array([c, -c])
+    # unit vectors of Bloch (n1, p2, p3), in the chart that keeps 1 +- p3 >= 1
+    if p3 >= 0.0:
+        states = np.array([np.full(2, 1.0 + p3), n1 + 1j * p2]) / math.sqrt(2.0 * (1.0 + p3))
+    else:
+        states = np.array([n1 - 1j * p2, np.full(2, 1.0 - p3)]) / math.sqrt(2.0 * (1.0 - p3))
+    members = states * np.sqrt(0.5 * (1.0 + np.array([tilt, -tilt])))
     vecs, vals = control.eigensystem()
-    s = np.sqrt(vals)
-    sym = (s[:, None] * vecs.T) @ SIGMA_Z @ (vecs * s[None, :])
-    _, w = _takagi_symmetric(sym)
-    mixer = np.array([[1.0, 1.0], [1.0j, -1.0j]], dtype=np.complex128) / _SQRT2
-    return w.conj() @ mixer
+    w, _, vh = np.linalg.svd(np.sqrt(vals)[:, None] * (vecs.conj().T @ members))
+    return w @ vh
 
 
 def _analytic_mixing(control: ControlQubit) -> float:

@@ -50,6 +50,7 @@ from .linalg import (
 )
 from .measurement import (
     MAX_SHOTS,
+    ErrorBudget,
     entpower_from_rounds,
     error_budget,
     estimate_trace,
@@ -178,12 +179,16 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
             _is_real(x) for x in bloch
         ):
             raise ConfigError(f"field 'bloch': expected three numbers, got {bloch!r}")
+    if experiment == "trace-vs-shots":
+        # the readout divides by the control's z polarization
+        field = "alpha" if bloch is None else "bloch"
         try:
-            control = ControlQubit.from_bloch(bloch)
+            control = ControlQubit.from_bloch((0.0, 0.0, alpha) if bloch is None else bloch)
             readout_alpha(control)
         except (ValueError, OverflowError) as err:
-            raise ConfigError(f"field 'bloch': {err}") from None
-        bloch = control.bloch
+            raise ConfigError(f"field '{field}': {err}") from None
+        if bloch is not None:
+            bloch = control.bloch
 
     unitary = payload.get("unitary", "haar")
     if not isinstance(unitary, str) or not unitary:
@@ -363,6 +368,10 @@ def _setup(cfg: ExperimentConfig) -> dict:
                 f"field 'unitary': complexity-curve needs both trace quadratures "
                 f"nonzero, but {cfg.unitary!r} has t = {t}"
             )
+        try:
+            payload["budgets"] = [_complexity_budget(cfg.alpha, t, r) for r in cfg.shots]
+        except ValueError as err:
+            raise ValueError(f"field 'alpha': {cfg.alpha!r} leaves no budget: {err}") from None
     # Validated once per sweep; every point reads the same instance.
     if cfg.experiment == "trace-vs-shots":
         return {"inst": Dqc1Instance(n=cfg.n, unitary=u, control=_control_from(cfg))}
@@ -395,20 +404,20 @@ def _point_entpower_vs_alpha(cfg, payload, idx):
     return [("alpha", a, measured, entpower_alpha(u, a))]
 
 
-def _point_complexity_curve(cfg, payload, idx):
-    u = payload["u"]
-    rounds_target = cfg.shots[idx]
-    alpha = cfg.alpha
-    t = normalized_trace(u)
+def _complexity_budget(alpha: float, t: complex, rounds_target: int) -> ErrorBudget:
     # Failure probability 1/e per axis makes ln(1/pe) = 1; the eps values
     # are tuned so both axes land on the same round count.
     pe = math.exp(-1.0)
     eps_x = 1.0 / (alpha * math.sqrt(rounds_target) * abs(t.real))
     eps_y = 1.0 / (alpha * math.sqrt(rounds_target) * abs(t.imag))
-    budget = error_budget(eps_x, eps_y, pe, pe)
-    rounds = rounds_for_budget(budget, alpha, t)
-    measured = entpower_from_rounds(alpha, budget.m, rounds)
-    return [("rounds", rounds_target, measured, entpower_alpha(u, alpha))]
+    return error_budget(eps_x, eps_y, pe, pe)
+
+
+def _point_complexity_curve(cfg, payload, idx):
+    u, budget = payload["u"], payload["budgets"][idx]
+    rounds = rounds_for_budget(budget, cfg.alpha, normalized_trace(u))
+    measured = entpower_from_rounds(cfg.alpha, budget.m, rounds)
+    return [("rounds", cfg.shots[idx], measured, entpower_alpha(u, cfg.alpha))]
 
 
 def _range_verify_theorem1(cfg, payload, lo, hi):

@@ -93,12 +93,15 @@ def sample_shots(p: float, shots: int, rng: SeededRng) -> int:
 def readout_alpha(control: ControlQubit) -> float:
     """The z polarization trace readout divides by.  A transverse component
     would mix the quadratures, so it is rejected rather than approximated,
-    and so is a polarization that leaves no signal."""
+    and so is a polarization that leaves no signal or one too small to
+    divide by (its reciprocal overflows)."""
     p1, p2, p3 = control.bloch
     if p1 != 0.0 or p2 != 0.0:
         raise ValueError("trace estimation requires a z-polarized control")
     if p3 <= 0.0:
         raise ValueError("control polarization is zero; no signal to estimate")
+    if math.isinf(1.0 / p3):
+        raise ValueError(f"control polarization alpha={p3!r} is too small: 1/alpha overflows")
     return p3
 
 
@@ -156,8 +159,8 @@ def relative_error(eps: float, x: float) -> float:
 
 def error_budget(eps_x: float, eps_y: float, pe_x: float, pe_y: float) -> ErrorBudget:
     for name, eps in (("eps_x", eps_x), ("eps_y", eps_y)):
-        if eps <= 0.0:
-            raise ValueError(f"{name} must be positive, got {eps}")
+        if not (eps > 0.0 and eps * eps < math.inf):  # m divides by eps^2
+            raise ValueError(f"{name} must be positive with a finite square, got {eps}")
     for name, pe in (("pe_x", pe_x), ("pe_y", pe_y)):
         if not 0.0 < pe < 1.0:
             raise ValueError(f"{name} must lie in (0, 1), got {pe}")

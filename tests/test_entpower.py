@@ -1,6 +1,8 @@
 """Tests for entangling power: closed forms, optimal ensembles, and the
 decomposition machinery they are checked against."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,8 +19,8 @@ from dqc1.circuit import (
 from dqc1.entpower import (
     BranchCoefficients,
     PureEnsemble,
+    _analytic_mixing,
     _branch_entanglement,
-    _takagi_symmetric,
     analytic_min_T,
     branch_coefficients,
     brute_force_entpower,
@@ -518,43 +520,51 @@ def test_lambda_factor_matches_the_eigen_definition(p, on_sphere):
     assert abs(lam**2 - want_sq) <= 1e-12
 
 
-def test_takagi_reconstructs_random_symmetric():
-    rng = SeededRng(107, 0)
-    for dim in (2, 3, 5):
-        g = rng.gen.standard_normal((dim, dim)) + 1j * rng.gen.standard_normal(
-            (dim, dim)
-        )
-        a = g + g.T
-        sigma, w = _takagi_symmetric(a)
-        assert np.all(sigma >= 0.0)
-        assert np.all(np.diff(sigma) <= 1e-12)
-        np.testing.assert_allclose(w @ np.diag(sigma) @ w.T, a, atol=1e-9)
-        np.testing.assert_allclose(w.conj().T @ w, np.eye(dim), atol=1e-9)
+# Bloch vectors just past the unit sphere, within TOL_CONSTRUCT: construction
+# scales them back onto it, where the eigensystem used to go negative.
+_PAST_SPHERE = [
+    (0.0, 0.0, 1.0 + 1e-13),
+    (0.6, 0.8 + 1e-13, 0.0),
+    (0.0, 0.6, 0.8 + 5e-13),
+    (1.0 + 1e-13, 0.0, 0.0),
+]
 
 
-def test_takagi_handles_rank_deficiency():
-    rng = SeededRng(109, 0)
-    v = rng.gen.standard_normal(4) + 1j * rng.gen.standard_normal(4)
-    a = np.outer(v, v)  # symmetric, rank 1
-    sigma, w = _takagi_symmetric(a)
-    assert np.sum(sigma > 1e-9) == 1
-    np.testing.assert_allclose(w @ np.diag(sigma) @ w.T, a, atol=1e-9)
-    np.testing.assert_allclose(w.conj().T @ w, np.eye(4), atol=1e-9)
-
-
-def test_takagi_rejects_asymmetric():
-    with pytest.raises(ValueError, match="symmetric"):
-        _takagi_symmetric(np.array([[0.0, 1.0], [2.0, 0.0]]))
+def _minimizer_inputs():
+    rng = SeededRng(113, 0)
+    inputs = [random_bloch(rng) for _ in range(25)]
+    inputs += _PAST_SPHERE
+    # pure states in the y-z plane (c = 0), the axes and the fully mixed state
+    inputs += [(0.0, np.cos(a), np.sin(a)) for a in np.linspace(0.0, 2.0 * np.pi, 13)]
+    inputs += [tuple(s * e) for s in (1.0, -1.0) for e in np.eye(3)]
+    inputs.append((0.0, 0.0, 0.0))
+    for _ in range(25):  # norms in [1, 1 + 1e-12]
+        v = rng.gen.standard_normal(3)
+        inputs.append(tuple(v / np.linalg.norm(v) * (1.0 + rng.gen.uniform(0.0, 1e-12))))
+    return inputs
 
 
 def test_analytic_min_T_attains_lambda_gap():
-    rng = SeededRng(113, 0)
-    for _ in range(25):
-        ctl = ControlQubit.from_bloch(random_bloch(rng))
-        t_opt = analytic_min_T(ctl)
-        assert is_right_unitary(t_opt, 1e-10)
-        mix = mixing_factor(branch_coefficients(ctl, t_opt))
-        assert abs(mix - lambda_factor(ctl)) < 1e-12
+    for p in _minimizer_inputs():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ctl = ControlQubit.from_bloch(p)
+            t_opt = analytic_min_T(ctl)
+            mix = mixing_factor(branch_coefficients(ctl, t_opt))
+        assert is_right_unitary(t_opt, TOL_SPECTRAL), p
+        assert abs(mix - lambda_factor(ctl)) <= 1e-14, p
+
+
+@pytest.mark.parametrize("p", _PAST_SPHERE)
+def test_sampled_mixing_searches_take_bloch_vectors_past_the_sphere(p):
+    ctl = ControlQubit.from_bloch(p)
+    assert ctl.polarization == 1.0
+    lam = lambda_factor(ctl)
+    assert abs(_analytic_mixing(ctl) - lam) <= 1e-14
+    assert abs(brute_force_min_mixing(ctl, 10, 4, SeededRng(0, 0)) - lam) <= 1e-14
+    inst = Dqc1Instance(n=1, unitary=SIGMA_X, control=ctl)
+    got = brute_force_entpower(inst, 10, SeededRng(0, 1))
+    assert abs(got - lam * entpower_standard(SIGMA_X)) <= 1e-12
 
 
 def test_brute_force_min_mixing_pure_control_always_one():

@@ -1,13 +1,19 @@
 """Tests for the experiment runner: config validation, sweep determinism,
 result I/O, and the command-line front end."""
 
+import contextlib
+import io
 import json
 import math
 import re
+import tempfile
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dqc1.experiments
 from dqc1.circuit import MAX_QUBITS, ControlQubit, Dqc1Instance, unitary_from_spec
@@ -748,6 +754,39 @@ def test_complexity_curve_rejects_a_zero_trace_quadrature_before_the_sweep(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("alpha", [1e-300, 1e-308])
+def test_complexity_curve_rejects_an_alpha_with_no_finite_budget(tmp_path, capsys, alpha):
+    # 1e-300 overflowed the budget weight and 1e-308 the per-axis eps, both
+    # inside point 0 with exit 1
+    config = {
+        "experiment": "complexity-curve",
+        "n": 2,
+        "unitary": "haar",
+        "shots": [5, 1000000],
+        "alpha": alpha,
+    }
+    out = tmp_path / "rows.csv"
+    assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == 2
+    assert "field 'alpha'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_trace_vs_shots_rejects_an_alpha_too_small_to_read(tmp_path, capsys):
+    # 1/alpha overflows: the estimates used to be written as inf, exit 0
+    config = {"experiment": "trace-vs-shots", "n": 1, "shots": [5], "alpha": 1e-320}
+    out = tmp_path / "rows.csv"
+    assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == 2
+    assert "field 'alpha'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_estimate_trace_rejects_an_alpha_too_small_to_read(capsys):
+    argv = ["estimate-trace", "--n", "1", "--shots", "5", "--unitary", "pauli:Z"]
+    assert main(argv + ["--alpha", "1e-320"]) == 2
+    captured = capsys.readouterr()
+    assert "alpha" in captured.err and "inf" not in captured.out
+
+
 def test_cli_run_rejects_a_non_unitary_file_for_verify_theorem3(tmp_path, capsys):
     # built once before the sweep, so it is rejected as a config field and
     # not inside point 0
@@ -931,3 +970,123 @@ def test_cli_verify_names_the_failing_points(monkeypatch, capsys, broken, names)
     out = capsys.readouterr().out
     assert f"{30 - len(broken)}/30 sampled ensembles at or below the closed form: FAIL" in out
     assert f"failing points: {names}\n" in out
+
+
+# --- whole-config property ---------------------------------------------------
+
+# Values of the wrong type, non-finite and subnormal floats, huge ints and
+# nested lists.  Strings stay short and never spell an existing file.
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, 1e-320, 1e-308, 1e-300, -0.0]),
+    st.integers(-3, 3),
+    st.sampled_from([10**400, -(10**400), 2**63, 2**64 + 1]),
+    st.lists(st.lists(st.integers(-1, 2), max_size=2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+_TINY = st.sampled_from([5e-324, 1e-320, 1e-310, 1e-308, 1e-300, 1e-200, 1e-150])
+_ALPHA = st.one_of(st.floats(0.0, 1.0, exclude_min=True), _TINY, st.just(1))
+_SPECS = {
+    "unitary": [
+        "haar", "identity", "pauli:Z", "pauli:XY", "pauli:ZZ", "pauli:q", "diag-phase:0,1",
+        "diag-phase:0.3,1,2,3", "diag-phase:nan,0", "diag-phase:1e400,0", "diag-phase:x",
+        "file:/nonexistent/u.json", "", "bogus",
+    ],
+    "rho": [
+        "maximally-mixed", "random", "random:1", "random:2", "random:4", "random:0",
+        "random:99", "random:", "random:-1", "file:/nonexistent/rho.json", "Random",
+    ],
+}
+
+
+def _field(valid, junk=_JUNK):
+    """A field's values: junk one draw in ten, so a whole config of a dozen
+    fields is still valid often enough to run its sweep."""
+    return st.integers(0, 9).flatmap(lambda k: junk if k == 0 else valid)
+
+
+def _junk_without(*bad):
+    """Junk without the values that are valid but too large to run quickly
+    (or, for ``workers``, that would start a pool)."""
+    return _JUNK.filter(lambda x: not any(check(x) for check in bad))
+
+
+def _int_above(k):
+    return lambda x: isinstance(x, int) and not isinstance(x, bool) and x > k
+
+
+_CONFIG = st.fixed_dictionaries(
+    {
+        "experiment": _field(st.sampled_from(EXPERIMENTS)),
+        "n": _field(st.sampled_from([1, 2]), _junk_without(_int_above(2))),
+        "workers": _field(st.just(1), _junk_without(_int_above(1), lambda x: x is None)),
+        "out": _field(
+            st.sampled_from(["rows.csv", "rows.json", "missing/rows.csv"]),
+            # a string or null would write into the working directory
+            _junk_without(lambda x: isinstance(x, str) or x is None),
+        ),
+        # required by two experiments, so always present: its absence would
+        # be named, but it would not be a key of the dict
+        "shots": _field(
+            st.one_of(
+                st.lists(
+                    st.one_of(st.integers(1, 10**6), st.just(MAX_SHOTS)), min_size=1, max_size=3
+                ),
+                st.lists(_JUNK, min_size=1, max_size=3),
+            )
+        ),
+    },
+    optional={
+        "alpha": _field(_ALPHA),
+        "bloch": _field(
+            st.one_of(
+                st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+                _ALPHA.map(lambda a: [0, 0, a]),
+                st.sampled_from([[0.0, 0.0, 1.0 + 1e-13], [5e-324, 0.0, 0.5], [0.0, 0.0, -0.5]]),
+                st.lists(_JUNK, max_size=4),
+            )
+        ),
+        "unitary": _field(st.sampled_from(_SPECS["unitary"])),
+        "rho": _field(st.sampled_from(_SPECS["rho"])),
+        "alphas": _field(
+            st.one_of(st.lists(_ALPHA, min_size=1, max_size=3), st.lists(_JUNK, max_size=3))
+        ),
+        "samples": _field(st.integers(1, 20), _junk_without(_int_above(20), lambda x: x is None)),
+        "seed": _field(st.one_of(st.integers(0, 2**64), st.just(10**400))),
+        "format": _field(st.sampled_from(["csv", "json", "xml"])),
+    },
+)
+
+
+def _pinned(**fields):
+    return {"n": 1, "workers": 1, "out": "rows.csv", "shots": [365], **fields}
+
+
+@settings(max_examples=250, deadline=None)
+@given(_CONFIG)
+# each of these exited 1 inside point 0, or exited 2 without naming a field
+@example(_pinned(experiment="complexity-curve", alpha=2.9296195021249704e-205))
+@example(_pinned(experiment="complexity-curve", alpha=1e-308))
+@example(_pinned(experiment="verify-theorem2", out="missing/rows.csv"))
+# these wrote inf estimates, or a polarization past 1, and exited 0
+@example(_pinned(experiment="trace-vs-shots", alpha=1e-320))
+@example(_pinned(experiment="trace-vs-shots", bloch=[0.0, 0.0, 1.0 + 1e-13]))
+def test_cli_run_exits_zero_or_names_a_field(config):
+    """``dqc1 run`` on any config either succeeds or exits 2 naming one of
+    the config's keys; it never fails inside a sweep (exit 1)."""
+    config = dict(config)
+    with tempfile.TemporaryDirectory() as tmp:
+        if isinstance(config["out"], str):
+            config["out"] = str(Path(tmp) / config["out"])
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", str(path)])
+    err = err.getvalue()
+    assert code in (0, 2), err
+    if code == 2:
+        assert any(f"'{key}'" in err for key in config), err

@@ -168,6 +168,10 @@ def test_estimate_trace_rejects_unusable_control():
     )
     with pytest.raises(ValueError, match="no signal"):
         estimate_trace(dead, 100, SeededRng(0, 0))
+    # the smallest subnormals leave a signal whose reciprocal overflows
+    faint = Dqc1Instance(n=1, unitary=u, control=ControlQubit.from_alpha(1e-320))
+    with pytest.raises(ValueError, match="alpha=1e-320 is too small"):
+        estimate_trace(faint, 100, SeededRng(0, 0))
 
 
 def test_rounds_required_plug_in():
@@ -206,6 +210,9 @@ def test_error_budget_weight():
         error_budget(0.0, 0.1, 0.5, 0.5)
     with pytest.raises(ValueError):
         error_budget(0.1, 0.1, 0.5, 1.5)
+    for eps in (math.inf, math.nan, 1e200):  # 1e200 squares past the float range
+        with pytest.raises(ValueError, match="eps_y must be positive with a finite square"):
+            error_budget(0.1, eps, 0.5, 0.5)
 
 
 def test_rounds_for_budget_real_target_drops_an_axis():
