@@ -84,7 +84,6 @@ def _cmd_run(args) -> int:
     if args.n is not None:
         payload["n"] = args.n
     if args.alpha is not None:
-        payload.pop("bloch", None)
         payload["alpha"] = args.alpha
     if args.shots is not None:
         try:

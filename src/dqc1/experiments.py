@@ -1,14 +1,16 @@
 """Config-driven parameter sweeps with deterministic per-point randomness.
 
-A run is described by a JSON config (strictly validated: unknown keys, and
-fields the chosen experiment does not read, are rejected).  Every parameter
-point draws from its own random stream keyed by (seed, point index), so
-results are byte-identical for a given config and seed no matter how many
-workers execute the sweep or in which order points finish.  A sweep
-evaluates its points in contiguous index ranges, serially or one range per
-pool task; the output never depends on the ranges.  A ``verify-theorem1``
-range draws each point from its own stream, then decomposes and scores the
-whole range in one stacked pass.
+A run is described by a JSON config.  Unknown keys are rejected, and so is
+a ``rho`` other than ``maximally-mixed`` outside ``verify-theorem3``; other
+fields an experiment does not read are ignored.  Every error names its
+field.  A sweep's fixed inputs are built and validated once, before any
+point runs, and every parameter point then draws from its own random stream
+keyed by (seed, point index), so results are byte-identical for a given
+config and seed no matter how many workers execute the sweep or in which
+order points finish.  A sweep evaluates its points in contiguous index
+ranges, serially or one range per pool task; the output never depends on
+the ranges.  A ``verify-theorem1`` range draws each point from its own
+stream, then decomposes and scores the whole range in one stacked pass.
 
 The reference column of every row comes from a closed form, never from
 sampling, so the deviation column isolates statistical error.
@@ -73,9 +75,6 @@ DEFAULT_ALPHAS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 #: they run serially unless the config sets ``workers``.
 SERIAL_BY_DEFAULT = ("trace-vs-shots", "complexity-curve")
 
-#: Most points one index range holds.
-MAX_RANGE = 256
-
 #: Most sampled decompositions one point draws (``samples``): 2000 at most in
 #: every bundled config, and a bound on a sweep's time and memory.
 MAX_SAMPLES = 10**6
@@ -92,7 +91,6 @@ class ExperimentConfig:
     experiment: str
     n: int
     alpha: float = 1.0
-    bloch: tuple[float, float, float] | None = None
     unitary: str = "haar"
     rho: str = "maximally-mixed"
     shots: tuple[int, ...] = ()
@@ -142,7 +140,7 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
     allowed = {f for f in ExperimentConfig.__dataclass_fields__}
     unknown = sorted(set(payload) - allowed)
     if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+        raise ConfigError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
 
     if "experiment" not in payload:
         raise ConfigError("missing required field 'experiment'")
@@ -160,35 +158,18 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
     if not 1 <= n <= MAX_QUBITS:
         raise ConfigError(f"field 'n': {n} outside the supported range [1, {MAX_QUBITS}]")
 
-    if "alpha" in payload and "bloch" in payload:
-        raise ConfigError("fields 'alpha' and 'bloch' are mutually exclusive")
-
     alpha = payload.get("alpha", 1.0)
     # compared before any float() conversion, which overflows on huge ints
     if not _is_real(alpha) or not 0.0 < alpha <= 1.0:
         raise ConfigError(f"field 'alpha': expected a number in (0, 1], got {alpha!r}")
     alpha = float(alpha)
 
-    bloch = payload.get("bloch")
-    if bloch is not None:
-        if experiment != "trace-vs-shots":
-            raise ConfigError(
-                f"field 'bloch': only trace-vs-shots reads a Bloch vector, not {experiment}"
-            )
-        if not isinstance(bloch, list) or len(bloch) != 3 or not all(
-            _is_real(x) for x in bloch
-        ):
-            raise ConfigError(f"field 'bloch': expected three numbers, got {bloch!r}")
     if experiment == "trace-vs-shots":
         # the readout divides by the control's z polarization
-        field = "alpha" if bloch is None else "bloch"
         try:
-            control = ControlQubit.from_bloch((0.0, 0.0, alpha) if bloch is None else bloch)
-            readout_alpha(control)
-        except (ValueError, OverflowError) as err:
-            raise ConfigError(f"field '{field}': {err}") from None
-        if bloch is not None:
-            bloch = control.bloch
+            readout_alpha(ControlQubit.from_alpha(alpha))
+        except ValueError as err:
+            raise ConfigError(f"field 'alpha': {err}") from None
 
     unitary = payload.get("unitary", "haar")
     if not isinstance(unitary, str) or not unitary:
@@ -252,7 +233,6 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
         experiment=experiment,
         n=n,
         alpha=alpha,
-        bloch=bloch,
         unitary=unitary,
         rho=rho,
         shots=tuple(shots),
@@ -294,29 +274,6 @@ def _valid_rho_spec(spec: str) -> bool:
     return spec.startswith("file:")
 
 
-def _control_from(cfg: ExperimentConfig) -> ControlQubit:
-    if cfg.bloch is not None:
-        return ControlQubit.from_bloch(cfg.bloch)
-    return ControlQubit.from_alpha(cfg.alpha)
-
-
-def _rho_from_spec(spec: str, n: int, rng: SeededRng, loaded: np.ndarray | None) -> np.ndarray:
-    """The register state of one point; ``loaded`` is the matrix of a
-    ``file:`` spec, read once per sweep by :func:`_setup`."""
-    dim = 2**n
-    if spec == "maximally-mixed":
-        return np.eye(dim, dtype=np.complex128) / dim
-    if spec == "random":
-        return random_density(dim, dim, rng)
-    if spec.startswith("random:"):
-        rank = int(spec[len("random:") :])
-        return random_density(dim, rank, rng)
-    rho = loaded
-    if rho.shape != (dim, dim) or not is_density(rho):
-        raise ValueError(f"register file {spec!r} is not a {dim}x{dim} density matrix")
-    return rho
-
-
 # --- sweep machinery ---------------------------------------------------------
 
 
@@ -346,15 +303,25 @@ def _point_label(cfg: ExperimentConfig, idx: int) -> str:
 
 
 def _setup(cfg: ExperimentConfig) -> dict:
+    """The sweep's fixed inputs, built and validated once before the first
+    point, so that a bad one fails with an error naming its field."""
     if cfg.experiment == "verify-theorem2":
         return {}
     payload = {}
     if cfg.experiment == "verify-theorem3":
-        if cfg.rho.startswith("file:"):
+        dim = 2**cfg.n
+        if cfg.rho == "maximally-mixed":
+            payload["rho"] = np.eye(dim, dtype=np.complex128) / dim
+        elif cfg.rho.startswith("file:"):
             try:
-                payload["rho"] = load_matrix(cfg.rho[len("file:") :])
+                rho = load_matrix(cfg.rho[len("file:") :])
+                if rho.shape != (dim, dim) or not is_density(rho):
+                    raise ValueError(f"register file is not a {dim}x{dim} density matrix")
             except (ValueError, OSError) as err:
                 raise ValueError(f"field 'rho': {err}") from None
+            payload["rho"] = rho
+        else:  # every point draws its own register from its stream
+            payload["rank"] = dim if cfg.rho == "random" else int(cfg.rho[len("random:") :])
         if cfg.unitary == "haar":
             return payload  # every point draws its own from its stream
     try:
@@ -369,12 +336,13 @@ def _setup(cfg: ExperimentConfig) -> dict:
                 f"nonzero, but {cfg.unitary!r} has t = {t}"
             )
         try:
-            payload["budgets"] = [_complexity_budget(cfg.alpha, t, r) for r in cfg.shots]
+            budgets = [_complexity_budget(cfg.alpha, t, r) for r in cfg.shots]
         except ValueError as err:
             raise ValueError(f"field 'alpha': {cfg.alpha!r} leaves no budget: {err}") from None
-    # Validated once per sweep; every point reads the same instance.
+        return {"t": t, "budgets": budgets, "reference": entpower_alpha(u, cfg.alpha)}
     if cfg.experiment == "trace-vs-shots":
-        return {"inst": Dqc1Instance(n=cfg.n, unitary=u, control=_control_from(cfg))}
+        inst = Dqc1Instance(n=cfg.n, unitary=u, control=ControlQubit.from_alpha(cfg.alpha))
+        return {"inst": inst, "t": normalized_trace(inst.unitary)}
     if cfg.experiment == "verify-theorem1":
         return {
             "inst": Dqc1Instance(n=cfg.n, unitary=u, control=ControlQubit.from_alpha(1.0)),
@@ -384,10 +352,9 @@ def _setup(cfg: ExperimentConfig) -> dict:
 
 
 def _point_trace_vs_shots(cfg, payload, idx):
-    inst = payload["inst"]
+    inst, t_ref = payload["inst"], payload["t"]
     shots = cfg.shots[idx]
     est = estimate_trace(inst, shots, SeededRng(cfg.seed, idx + 1))
-    t_ref = normalized_trace(inst.unitary)
     return [
         ("shots_re", shots, est.trace_estimate.real, t_ref.real),
         ("shots_im", shots, est.trace_estimate.imag, t_ref.imag),
@@ -414,10 +381,10 @@ def _complexity_budget(alpha: float, t: complex, rounds_target: int) -> ErrorBud
 
 
 def _point_complexity_curve(cfg, payload, idx):
-    u, budget = payload["u"], payload["budgets"][idx]
-    rounds = rounds_for_budget(budget, cfg.alpha, normalized_trace(u))
+    budget = payload["budgets"][idx]
+    rounds = rounds_for_budget(budget, cfg.alpha, payload["t"])
     measured = entpower_from_rounds(cfg.alpha, budget.m, rounds)
-    return [("rounds", cfg.shots[idx], measured, entpower_alpha(u, cfg.alpha))]
+    return [("rounds", cfg.shots[idx], measured, payload["reference"])]
 
 
 def _range_verify_theorem1(cfg, payload, lo, hi):
@@ -463,9 +430,10 @@ def _point_verify_theorem3(cfg, payload, idx):
         name, reference, control = anchors[idx - cfg.samples]
         return [(name, reference, lambda_factor(control), reference)]
     rng = SeededRng(cfg.seed, idx + 1)
-    # a non-haar unitary draws nothing, so building it once leaves the stream as is
+    # a fixed unitary or register draws nothing, so building it once in
+    # _setup leaves the stream as is
     u = payload["u"] if "u" in payload else unitary_from_spec(cfg.unitary, cfg.n, rng)
-    rho = _rho_from_spec(cfg.rho, cfg.n, rng, payload.get("rho"))
+    rho = payload["rho"] if "rho" in payload else random_density(2**cfg.n, payload["rank"], rng)
     lower, upper = entpower_bounds(u, rho)
     return [("sample", idx, lower, upper)]
 
@@ -511,12 +479,13 @@ def _eval_point(args: tuple) -> list[tuple]:
 def _ranges(count: int, pool_size: int, n: int) -> list[tuple[int, int]]:
     """Contiguous index ranges covering ``count`` points of an n-qubit
     sweep: about four per worker, so each costs one round trip and pickles
-    the shared cfg and payload once, at most :data:`MAX_RANGE` points each,
-    and at most :data:`~dqc1.linalg.MAX_STACK_ENTRIES` stacked entries each:
-    a ``verify-theorem1`` point stacks (2d)x(2d) branch states, d = 2**n, so
-    a range holds 256 points at n=2, 16 at n=4 and one from n=6 on."""
+    the shared cfg and payload once, and at most
+    :data:`~dqc1.linalg.MAX_STACK_ENTRIES` stacked entries each: a
+    ``verify-theorem1`` point stacks (2d)x(2d) branch states, d = 2**n, so a
+    range holds 1024 points at n=1, 256 at n=2, 16 at n=4 and one from n=6
+    on."""
     per_point = (2 ** (n + 1)) ** 2
-    step = max(1, min(count // (4 * pool_size), MAX_RANGE, MAX_STACK_ENTRIES // per_point))
+    step = max(1, min(count // (4 * pool_size), MAX_STACK_ENTRIES // per_point))
     return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
@@ -524,10 +493,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Evaluate every parameter point and return rows in point order."""
     payload = _setup(cfg)
     count = _point_count(cfg)
-    workers = cfg.workers
-    if workers is None:
-        workers = 1 if cfg.experiment in SERIAL_BY_DEFAULT else (os.cpu_count() or 1)
-    pool_size = max(1, min(workers, count))
+    cpus = os.cpu_count() or 1
+    workers = cfg.workers or (1 if cfg.experiment in SERIAL_BY_DEFAULT else cpus)
+    # results never depend on the pool, so it never outgrows the host
+    pool_size = max(1, min(workers, count, cpus))
     tasks = [(cfg, payload, lo, hi) for lo, hi in _ranges(count, pool_size, cfg.n)]
     if pool_size > 1:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:

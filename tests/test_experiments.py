@@ -29,7 +29,6 @@ from dqc1.entpower import (
 from dqc1.experiments import (
     DEFAULT_ALPHAS,
     EXPERIMENTS,
-    MAX_RANGE,
     MAX_SAMPLES,
     MAX_STACK_ENTRIES,
     ConfigError,
@@ -98,10 +97,6 @@ def test_config_accepts_the_fields_each_experiment_reads():
         config_from_dict(
             {"experiment": experiment, "n": 1, "shots": [10], "rho": "maximally-mixed"}
         )
-    cfg = config_from_dict(
-        {"experiment": "trace-vs-shots", "n": 1, "shots": [10], "bloch": [0, 0, 0.5]}
-    )
-    assert cfg.bloch == (0.0, 0.0, 0.5)
 
 
 def test_config_missing_required_fields():
@@ -109,12 +104,6 @@ def test_config_missing_required_fields():
         config_from_dict({"n": 1})
     with pytest.raises(ConfigError, match="'n'"):
         config_from_dict({"experiment": "verify-theorem2"})
-
-
-def test_config_alpha_bloch_exclusive():
-    payload = dict(MINIMAL, alpha=0.5, bloch=[0.0, 0.0, 0.5])
-    with pytest.raises(ConfigError, match="mutually exclusive"):
-        config_from_dict(payload)
 
 
 def test_config_shots_required_for_shot_experiments():
@@ -249,7 +238,7 @@ def test_run_verify_theorem1_stacked_ranges_match_per_point_oracle(n, unitary, s
 
 
 def test_run_verify_theorem1_full_ranges_match_per_point_oracle():
-    cfg = theorem1_config(samples=2000, seed=42, workers=1)  # ranges of MAX_RANGE points
+    cfg = theorem1_config(samples=2000, seed=42, workers=1)  # ranges of 256 points
     assert run_experiment(cfg) == per_point_theorem1_rows(cfg)
 
 
@@ -262,11 +251,11 @@ def test_run_verify_theorem1_uneven_ranges_do_not_change_results(samples):
 
 
 @pytest.mark.parametrize(
-    "n,step", [(1, MAX_RANGE), (2, MAX_RANGE), (3, 64), (4, 16), (5, 4), (6, 1), (MAX_QUBITS, 1)]
+    "n,step", [(1, 500), (2, 256), (3, 64), (4, 16), (5, 4), (6, 1), (MAX_QUBITS, 1)]
 )
 def test_ranges_bound_the_entries_a_range_stacks(n, step):
-    # a point stacks a (2d)x(2d) draw; past n=2 the entry bound, not the
-    # point cap, sets the range length
+    # a point stacks a (2d)x(2d) draw; from n=2 on the entry bound, not the
+    # quarter share of the points, sets the range length
     ranges = dqc1.experiments._ranges(2001, 1, n)
     assert {hi - lo for lo, hi in ranges[:-1]} == {step}
     assert [lo for lo, _ in ranges] == list(range(0, 2001, step)) and ranges[-1][1] == 2001
@@ -288,10 +277,10 @@ def test_run_verify_theorem1_stacks_one_point_per_range_at_n6(monkeypatch):
     assert stacked == [1] * 12
 
 
-@pytest.mark.parametrize("samples,ranges", [(60, 5), (2000, -(-2001 // MAX_RANGE))])
+@pytest.mark.parametrize("samples,ranges", [(60, 5), (2000, -(-2001 // 256))])
 def test_run_verify_theorem1_decomposes_once_per_range(monkeypatch, samples, ranges):
-    # 61 points serially make ranges of 15 (five of them), 2001 points
-    # ranges of MAX_RANGE; the register is eigensolved once per range
+    # 61 points serially make ranges of 15 (five of them), 2001 points at
+    # n=2 ranges of 256; the register is eigensolved once per range
     import dqc1.entpower
 
     calls = {"eig_hermitian": 0, "decompose_from_T": 0}
@@ -357,6 +346,56 @@ def test_closed_form_sweeps_run_serially_unless_workers_is_set(monkeypatch):
     run_experiment(trace_config(shots=shots, workers=2))  # an explicit count is honored
     run_experiment(config_from_dict(dict(MINIMAL, alphas=[0.2, 0.4], samples=5)))
     assert pools == [2, 2]  # other experiments default to the cpu count
+
+
+def test_pool_never_outgrows_the_cpu_count(monkeypatch):
+    # a pool sized by workers alone would ask for 53 processes here
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(dqc1.experiments, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(dqc1.experiments.os, "cpu_count", lambda: 2)
+    cfg = config_from_dict(
+        {"experiment": "verify-theorem3", "n": 1, "samples": 50, "workers": 10**6}
+    )
+    rows = run_experiment(cfg)
+    assert pools == [2]
+    assert rows == run_experiment(replace(cfg, workers=1))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_rows_do_not_depend_on_workers_or_ranges(monkeypatch, experiment, n):
+    # 8 to 15 points: serial ranges of 2 or 3 points, pooled ranges of 1
+    cfg = config_from_dict(
+        {
+            "experiment": experiment,
+            "n": n,
+            "shots": [10, 30, 100, 300, 1000, 3000, 10000, 100000],
+            "alphas": [0.1, 0.2, 0.35, 0.5, 0.6, 0.75, 0.9, 1.0],
+            "samples": 12,
+            "seed": 4,
+            "workers": 1,
+            **({"rho": "random:2"} if experiment == "verify-theorem3" else {}),
+        }
+    )
+    serial = run_experiment(cfg)
+    assert run_experiment(replace(cfg, workers=2)) == serial
+    monkeypatch.setattr(dqc1.experiments, "MAX_STACK_ENTRIES", 1)  # one point per range
+    assert dqc1.experiments._ranges(8, 1, n) == [(i, i + 1) for i in range(8)]
+    assert run_experiment(cfg) == serial
 
 
 def test_run_entpower_vs_alpha_traceless_reference():
@@ -474,20 +513,15 @@ def test_run_rho_file_register(tmp_path):
     assert all(r.measured <= r.reference + 1e-9 for r in rows if r.param_name == "sample")
 
 
-def test_run_failure_names_the_point(tmp_path):
-    # a register file that is not a density matrix fails at evaluation time,
-    # and the error says which sweep point died
-    bad = tmp_path / "bad.json"
-    save_matrix(bad, np.diag([1.0, 1.0]).astype(np.complex128))
+def broken_bounds(u, rho):
+    raise ValueError("no bounds")
+
+
+def test_run_failure_names_the_point(monkeypatch):
+    # a failure at evaluation time says which sweep point died
+    monkeypatch.setattr(dqc1.experiments, "entpower_bounds", broken_bounds)
     cfg = config_from_dict(
-        {
-            "experiment": "verify-theorem3",
-            "n": 1,
-            "rho": f"file:{bad}",
-            "samples": 2,
-            "seed": 1,
-            "workers": 1,
-        }
+        {"experiment": "verify-theorem3", "n": 1, "samples": 2, "seed": 1, "workers": 1}
     )
     with pytest.raises(RuntimeError, match="point 0"):
         run_experiment(cfg)
@@ -660,7 +694,6 @@ def test_cli_run_rejects_fields_the_experiment_does_not_read(
         ({"experiment": "verify-theorem3", "rho": "random:\u00b2"}, "rho"),
         ({"experiment": "verify-theorem3", "alpha": 10**400}, "alpha"),
         ({"experiment": "verify-theorem2", "alphas": [0.5, 10**400]}, "alphas"),
-        ({"experiment": "trace-vs-shots", "bloch": [0, 0, 10**400], "shots": [10]}, "bloch"),
         ({"experiment": "trace-vs-shots", "shots": [10, 10**30]}, "shots"),
         ({"experiment": "complexity-curve", "shots": [MAX_SHOTS + 1]}, "shots"),
         ({"experiment": "verify-theorem1", "samples": 10**12}, "samples"),
@@ -672,7 +705,6 @@ def test_cli_run_rejects_fields_the_experiment_does_not_read(
         "rank-superscript",
         "huge-alpha",
         "huge-in-alphas",
-        "huge-bloch",
         "huge-shots",
         "shots-over-max",
         "huge-samples",
@@ -800,6 +832,25 @@ def test_cli_run_rejects_a_non_unitary_file_for_verify_theorem3(tmp_path, capsys
     assert not out.exists()
 
 
+def test_cli_run_rejects_a_register_file_that_is_not_a_density_matrix(
+    tmp_path, capsys, monkeypatch
+):
+    # read and checked once before the sweep; it used to fail inside point 0
+    # with exit 1
+    def no_points(*args):
+        raise AssertionError("a sweep point ran")
+
+    monkeypatch.setitem(dqc1.experiments._POINT_FUNCS, "verify-theorem3", no_points)
+    matrix = tmp_path / "rho.json"
+    save_matrix(matrix, np.diag([1.0, 1.0]))  # trace 2
+    payload = {"experiment": "verify-theorem3", "n": 1, "rho": f"file:{matrix}", "samples": 2}
+    out = tmp_path / "rows.csv"
+    assert main(["run", str(write_config(tmp_path, payload)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "field 'rho'" in err and "not a 2x2 density matrix" in err
+    assert not out.exists()
+
+
 def test_run_verify_theorem3_builds_a_fixed_unitary_once(monkeypatch, tmp_path):
     calls = []
     real = dqc1.experiments.unitary_from_spec
@@ -854,21 +905,13 @@ def test_cli_run_missing_file(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
-def test_cli_run_runtime_failure_exits_one(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    save_matrix(bad, np.diag([1.0, 1.0]).astype(np.complex128))
+def test_cli_run_runtime_failure_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(dqc1.experiments, "entpower_bounds", broken_bounds)
     cfg = write_config(
         tmp_path,
-        {
-            "experiment": "verify-theorem3",
-            "n": 1,
-            "rho": f"file:{bad}",
-            "samples": 1,
-            "seed": 0,
-            "workers": 1,
-        },
+        {"experiment": "verify-theorem3", "n": 1, "samples": 1, "seed": 0, "workers": 1},
     )
-    assert main(["run", str(cfg)]) == 1
+    assert main(["run", str(cfg), "--out", str(tmp_path / "rows.csv")]) == 1
     assert "runtime error" in capsys.readouterr().err
 
 
