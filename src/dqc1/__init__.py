@@ -18,7 +18,6 @@ from .linalg import (
     kron,
     load_matrix,
     normalized_trace,
-    partial_trace,
     random_density,
     random_right_unitary,
     save_matrix,
@@ -43,9 +42,7 @@ from .measurement import (
     error_budget,
     estimate_trace,
     expect_pauli,
-    relative_error,
     rounds_for_budget,
-    rounds_required,
     sample_shots,
     total_complexity,
 )
@@ -73,7 +70,6 @@ from .experiments import (
     ResultRow,
     load_config,
     parse_config,
-    read_results,
     run_experiment,
     write_results,
 )

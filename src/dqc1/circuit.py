@@ -26,7 +26,6 @@ from .linalg import (
     is_unitary,
     kron,
     load_matrix,
-    partial_trace,
     trace_overlap,
 )
 
@@ -75,13 +74,6 @@ class ControlQubit:
     @classmethod
     def from_bloch(cls, p) -> "ControlQubit":
         return cls(bloch=p)
-
-    @property
-    def alpha(self) -> float:
-        """z polarization; only meaningful when the x/y components vanish."""
-        if self.bloch[0] != 0.0 or self.bloch[1] != 0.0:
-            raise ValueError("control is not z-polarized; no scalar alpha")
-        return self.bloch[2]
 
     @property
     def polarization(self) -> float:
@@ -193,7 +185,8 @@ def general_final_control(
     cu[dim:, dim:] = u
     v = cu @ kron(HADAMARD, np.eye(dim, dtype=np.complex128))
     joint = v @ kron(control.density(), rho_n) @ v.conj().T
-    return partial_trace(joint, keep="control", system_dim=dim)
+    # trace out the register: the control index leads each (2, d) factor
+    return np.trace(joint.reshape(2, dim, 2, dim), axis1=1, axis2=3)
 
 
 def final_control_closed(

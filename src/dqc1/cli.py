@@ -18,14 +18,15 @@ from pathlib import Path
 from .circuit import ControlQubit, Dqc1Instance, unitary_from_spec
 from .entpower import entpower_alpha
 from .experiments import (
+    _EXPERIMENTS,
     ConfigError,
-    _point_label,
+    check_rows,
     config_from_dict,
     config_payload,
     run_experiment,
     write_results,
 )
-from .linalg import TOL_CONSTRUCT, TOL_VERIFY, SeededRng, normalized_trace
+from .linalg import SeededRng, normalized_trace
 from .measurement import estimate_trace
 
 _F = "{:.17g}".format
@@ -75,24 +76,20 @@ def _cmd_run(args) -> int:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     payload = config_payload(path.read_text())
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    if args.out is not None:
-        payload["out"] = args.out
-    if args.format is not None:
-        payload["format"] = args.format
-    if args.n is not None:
-        payload["n"] = args.n
-    if args.alpha is not None:
-        payload["alpha"] = args.alpha
+    for key in ("seed", "out", "format", "n", "alpha"):
+        if getattr(args, key) is not None:
+            payload[key] = getattr(args, key)
     if args.shots is not None:
         try:
             payload["shots"] = [int(x) for x in args.shots.split(",")]
         except ValueError:
             raise ConfigError(f"--shots must be comma-separated integers, got {args.shots!r}")
     cfg = config_from_dict(payload)
-    rows = run_experiment(cfg)
     out = cfg.out if cfg.out is not None else f"results.{cfg.format}"
+    parent = Path(out).parent
+    if not parent.is_dir():  # rejected before the sweep, not after it
+        raise ConfigError(f"field 'out': {parent} is not an existing directory")
+    rows = run_experiment(cfg)
     try:
         write_results(rows, out, cfg.format)
     except OSError as err:
@@ -127,77 +124,18 @@ def _cmd_entpower(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    experiment = {
-        "theorem1": "verify-theorem1",
-        "theorem2": "verify-theorem2",
-        "theorem3": "verify-theorem3",
-    }[args.target]
-    cfg = config_from_dict(
-        {
-            "experiment": experiment,
-            "n": args.n,
-            "alpha": args.alpha,
-            "unitary": args.unitary,
-            "rho": "random" if experiment == "verify-theorem3" else "maximally-mixed",
-            "samples": args.samples,
-            "seed": args.seed,
-        }
-    )
-    rows = run_experiment(cfg)
-
-    def failing(ok) -> list[int]:
-        # every verify experiment writes one row per sweep point, in order
-        return [idx for idx, r in enumerate(rows) if not ok(r)]
-
-    def below(r) -> bool:  # rows other than sampled ones pass
-        return r.param_name != "sample" or r.measured <= r.reference + TOL_VERIFY
-
-    sampled = sum(1 for r in rows if r.param_name == "sample")
-    if experiment == "verify-theorem1":
-        fourier = next(r for r in rows if r.param_name == "fourier")
-        above = failing(below)
-        checks = [
-            (
-                f"Fourier ensemble deviation {fourier.deviation:.3e} (tol 1e-9)",
-                failing(lambda r: r.param_name != "fourier" or r.deviation <= TOL_VERIFY),
-            ),
-            (
-                f"{sampled - len(above)}/{sampled} sampled ensembles at or below the closed form",
-                above,
-            ),
-        ]
-    elif experiment == "verify-theorem2":
-        worst = max(r.deviation for r in rows)
-        checks = [
-            (
-                f"minimal mixing matches alpha at {len(rows)} polarizations "
-                f"(worst deviation {worst:.3e}, tol 1e-9)",
-                failing(lambda r: r.deviation <= TOL_VERIFY),
-            )
-        ]
-    else:
-        disordered = failing(below)
-        worst = max(r.deviation for r in rows if r.param_name.startswith("lambda_"))
-        checks = [
-            (
-                f"{sampled - len(disordered)}/{sampled} sampled pairs keep lower <= upper",
-                disordered,
-            ),
-            (
-                f"lambda anchors (pure/alpha/mixed) worst deviation {worst:.3e} (tol 1e-12)",
-                failing(
-                    lambda r: not r.param_name.startswith("lambda_")
-                    or r.deviation <= TOL_CONSTRUCT
-                ),
-            ),
-        ]
-
-    for label, bad in checks:
-        print(f"{args.target}: {label}: {'FAIL' if bad else 'PASS'}")
+    experiment = f"verify-{args.target}"
+    payload = {key: getattr(args, key) for key in ("n", "alpha", "unitary", "samples", "seed")}
+    payload["experiment"] = experiment
+    if _EXPERIMENTS[experiment].reads_rho:
+        payload["rho"] = "random"  # each point draws its own register
+    cfg = config_from_dict(payload)
+    checks = check_rows(cfg, run_experiment(cfg))
+    for line, bad in checks:
+        print(f"{args.target}: {line}: {'FAIL' if bad else 'PASS'}")
         if bad:
-            names = ", ".join(_point_label(cfg, idx) for idx in bad[:10])
             more = f" and {len(bad) - 10} more" if len(bad) > 10 else ""
-            print(f"{args.target}:   failing points: {names}{more}")
+            print(f"{args.target}:   failing points: {', '.join(bad[:10])}{more}")
     return 1 if any(bad for _, bad in checks) else 0
 
 
@@ -212,10 +150,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return commands[args.command](args)
-    except (ConfigError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (ValueError, OSError) as err:  # a ConfigError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # anything else is a runtime failure

@@ -11,6 +11,8 @@ order points finish.  A sweep evaluates its points in contiguous index
 ranges, serially or one range per pool task; the output never depends on
 the ranges.  A ``verify-theorem1`` range draws each point from its own
 stream, then decomposes and scores the whole range in one stacked pass.
+Each experiment is defined in one place, its record in ``_EXPERIMENTS``,
+which also holds the checks ``dqc1 verify`` applies to its rows.
 
 The reference column of every row comes from a closed form, never from
 sampling, so the deviation column isolates statistical error.
@@ -18,10 +20,10 @@ sampling, so the deviation column isolates statistical error.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -42,6 +44,8 @@ from .entpower import (
 )
 from .linalg import (
     MAX_STACK_ENTRIES,
+    TOL_CONSTRUCT,
+    TOL_VERIFY,
     SeededRng,
     StackError,
     is_density,
@@ -60,20 +64,7 @@ from .measurement import (
     rounds_for_budget,
 )
 
-EXPERIMENTS = (
-    "trace-vs-shots",
-    "entpower-vs-alpha",
-    "complexity-curve",
-    "verify-theorem1",
-    "verify-theorem2",
-    "verify-theorem3",
-)
-
 DEFAULT_ALPHAS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-
-#: Experiments whose points are closed forms, cheaper than starting a worker:
-#: they run serially unless the config sets ``workers``.
-SERIAL_BY_DEFAULT = ("trace-vs-shots", "complexity-curve")
 
 #: Most sampled decompositions one point draws (``samples``): 2000 at most in
 #: every bundled config, and a bound on a sweep's time and memory.
@@ -145,10 +136,11 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
     if "experiment" not in payload:
         raise ConfigError("missing required field 'experiment'")
     experiment = payload["experiment"]
-    if experiment not in EXPERIMENTS:
+    if not isinstance(experiment, str) or experiment not in _EXPERIMENTS:
         raise ConfigError(
             f"field 'experiment': {experiment!r} is not one of {', '.join(EXPERIMENTS)}"
         )
+    kind = _EXPERIMENTS[experiment]
 
     if "n" not in payload:
         raise ConfigError("missing required field 'n'")
@@ -164,13 +156,6 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
         raise ConfigError(f"field 'alpha': expected a number in (0, 1], got {alpha!r}")
     alpha = float(alpha)
 
-    if experiment == "trace-vs-shots":
-        # the readout divides by the control's z polarization
-        try:
-            readout_alpha(ControlQubit.from_alpha(alpha))
-        except ValueError as err:
-            raise ConfigError(f"field 'alpha': {err}") from None
-
     unitary = payload.get("unitary", "haar")
     if not isinstance(unitary, str) or not unitary:
         raise ConfigError(f"field 'unitary': expected a spec string, got {unitary!r}")
@@ -181,7 +166,7 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
             f"field 'rho': expected 'maximally-mixed', 'random', 'random:<rank>' "
             f"or 'file:<path>', got {rho!r}"
         )
-    if rho != "maximally-mixed" and experiment != "verify-theorem3":
+    if rho != "maximally-mixed" and not kind.reads_rho:
         raise ConfigError(
             f"field 'rho': only verify-theorem3 reads a register state, "
             f"{experiment} runs on the maximally mixed one; got {rho!r}"
@@ -194,7 +179,7 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
         raise ConfigError(
             f"field 'shots': expected a list of integers in [1, {MAX_SHOTS}], got {shots!r}"
         )
-    if experiment in ("trace-vs-shots", "complexity-curve") and not shots:
+    if kind.sweeps_shots and not shots:
         raise ConfigError(f"field 'shots': required and nonempty for {experiment}")
 
     alphas = payload.get("alphas", list(DEFAULT_ALPHAS))
@@ -277,78 +262,22 @@ def _valid_rho_spec(spec: str) -> bool:
 # --- sweep machinery ---------------------------------------------------------
 
 
-def _point_count(cfg: ExperimentConfig) -> int:
-    if cfg.experiment in ("trace-vs-shots", "complexity-curve"):
-        return len(cfg.shots)
-    if cfg.experiment in ("entpower-vs-alpha", "verify-theorem2"):
-        return len(cfg.alphas)
-    if cfg.experiment == "verify-theorem1":
-        return cfg.samples + 1  # Fourier row, then sampled ensembles
-    if cfg.experiment == "verify-theorem3":
-        return cfg.samples + 3  # sampled pairs, then the three lambda anchors
-    raise ValueError(f"unknown experiment {cfg.experiment!r}")
-
-
-def _point_label(cfg: ExperimentConfig, idx: int) -> str:
-    if cfg.experiment in ("trace-vs-shots", "complexity-curve"):
-        return f"shots={cfg.shots[idx]}"
-    if cfg.experiment in ("entpower-vs-alpha", "verify-theorem2"):
-        return f"alpha={cfg.alphas[idx]}"
-    if cfg.experiment == "verify-theorem1":
-        return "fourier" if idx == 0 else f"sample={idx}"
-    lambda_names = ("lambda_pure", "lambda_alpha", "lambda_mixed")
-    if idx >= cfg.samples:
-        return lambda_names[idx - cfg.samples]
-    return f"sample={idx}"
-
-
-def _setup(cfg: ExperimentConfig) -> dict:
-    """The sweep's fixed inputs, built and validated once before the first
-    point, so that a bad one fails with an error naming its field."""
-    if cfg.experiment == "verify-theorem2":
-        return {}
-    payload = {}
-    if cfg.experiment == "verify-theorem3":
-        dim = 2**cfg.n
-        if cfg.rho == "maximally-mixed":
-            payload["rho"] = np.eye(dim, dtype=np.complex128) / dim
-        elif cfg.rho.startswith("file:"):
-            try:
-                rho = load_matrix(cfg.rho[len("file:") :])
-                if rho.shape != (dim, dim) or not is_density(rho):
-                    raise ValueError(f"register file is not a {dim}x{dim} density matrix")
-            except (ValueError, OSError) as err:
-                raise ValueError(f"field 'rho': {err}") from None
-            payload["rho"] = rho
-        else:  # every point draws its own register from its stream
-            payload["rank"] = dim if cfg.rho == "random" else int(cfg.rho[len("random:") :])
-        if cfg.unitary == "haar":
-            return payload  # every point draws its own from its stream
+def _fixed_unitary(cfg: ExperimentConfig) -> np.ndarray:
+    """The sweep's one unitary; a Haar one draws from stream 0."""
     try:
-        u = unitary_from_spec(cfg.unitary, cfg.n, SeededRng(cfg.seed, 0))
+        return unitary_from_spec(cfg.unitary, cfg.n, SeededRng(cfg.seed, 0))
     except (ValueError, OSError) as err:
         raise ValueError(f"field 'unitary': {err}") from None
-    if cfg.experiment == "complexity-curve":
-        t = normalized_trace(u)
-        if t.real == 0.0 or t.imag == 0.0:
-            raise ValueError(
-                f"field 'unitary': complexity-curve needs both trace quadratures "
-                f"nonzero, but {cfg.unitary!r} has t = {t}"
-            )
-        try:
-            budgets = [_complexity_budget(cfg.alpha, t, r) for r in cfg.shots]
-        except ValueError as err:
-            raise ValueError(f"field 'alpha': {cfg.alpha!r} leaves no budget: {err}") from None
-        return {"t": t, "budgets": budgets, "reference": entpower_alpha(u, cfg.alpha)}
-    if cfg.experiment == "trace-vs-shots":
-        inst = Dqc1Instance(n=cfg.n, unitary=u, control=ControlQubit.from_alpha(cfg.alpha))
-        return {"inst": inst, "t": normalized_trace(inst.unitary)}
-    if cfg.experiment == "verify-theorem1":
-        return {
-            "inst": Dqc1Instance(n=cfg.n, unitary=u, control=ControlQubit.from_alpha(1.0)),
-            "reference": entpower_standard(u),
-        }
-    return {**payload, "u": u}
+
+
+def _setup_trace_vs_shots(cfg):
+    control = ControlQubit.from_alpha(cfg.alpha)
+    try:  # the readout divides by the control's z polarization
+        readout_alpha(control)
+    except ValueError as err:
+        raise ValueError(f"field 'alpha': {err}") from None
+    inst = Dqc1Instance(n=cfg.n, unitary=_fixed_unitary(cfg), control=control)
+    return {"inst": inst, "t": normalized_trace(inst.unitary)}
 
 
 def _point_trace_vs_shots(cfg, payload, idx):
@@ -380,11 +309,32 @@ def _complexity_budget(alpha: float, t: complex, rounds_target: int) -> ErrorBud
     return error_budget(eps_x, eps_y, pe, pe)
 
 
+def _setup_complexity_curve(cfg):
+    u = _fixed_unitary(cfg)
+    t = normalized_trace(u)
+    if t.real == 0.0 or t.imag == 0.0:
+        raise ValueError(
+            f"field 'unitary': complexity-curve needs both trace quadratures "
+            f"nonzero, but {cfg.unitary!r} has t = {t}"
+        )
+    try:
+        budgets = [_complexity_budget(cfg.alpha, t, r) for r in cfg.shots]
+    except ValueError as err:
+        raise ValueError(f"field 'alpha': {cfg.alpha!r} leaves no budget: {err}") from None
+    return {"t": t, "budgets": budgets, "reference": entpower_alpha(u, cfg.alpha)}
+
+
 def _point_complexity_curve(cfg, payload, idx):
     budget = payload["budgets"][idx]
     rounds = rounds_for_budget(budget, cfg.alpha, payload["t"])
     measured = entpower_from_rounds(cfg.alpha, budget.m, rounds)
     return [("rounds", cfg.shots[idx], measured, payload["reference"])]
+
+
+def _setup_verify_theorem1(cfg):
+    u = _fixed_unitary(cfg)
+    inst = Dqc1Instance(n=cfg.n, unitary=u, control=ControlQubit.from_alpha(1.0))
+    return {"inst": inst, "reference": entpower_standard(u)}
 
 
 def _range_verify_theorem1(cfg, payload, lo, hi):
@@ -420,32 +370,47 @@ def _point_verify_theorem2(cfg, payload, idx):
     return [("alpha", a, measured, a)]
 
 
+def _setup_verify_theorem3(cfg):
+    dim = 2**cfg.n
+    payload = {}
+    if cfg.rho == "maximally-mixed":
+        payload["rho"] = np.eye(dim, dtype=np.complex128) / dim
+    elif cfg.rho.startswith("file:"):
+        try:
+            rho = load_matrix(cfg.rho[len("file:") :])
+            if rho.shape != (dim, dim) or not is_density(rho):
+                raise ValueError(f"register file is not a {dim}x{dim} density matrix")
+        except (ValueError, OSError) as err:
+            raise ValueError(f"field 'rho': {err}") from None
+        payload["rho"] = rho
+    else:  # every point draws its own register from its stream
+        payload["rank"] = dim if cfg.rho == "random" else int(cfg.rho[len("random:") :])
+    if cfg.unitary != "haar":  # a Haar unitary is drawn per point, from its stream
+        payload["u"] = _fixed_unitary(cfg)
+    return payload
+
+
+#: Row names of the lambda anchors of ``verify-theorem3``: pure, alpha and
+#: fully mixed controls, whose z polarizations are also their references.
+_ANCHORS = ("lambda_pure", "lambda_alpha", "lambda_mixed")
+
+
 def _point_verify_theorem3(cfg, payload, idx):
     if idx >= cfg.samples:
-        anchors = (
-            ("lambda_pure", 1.0, ControlQubit.from_bloch((0.0, 0.0, 1.0))),
-            ("lambda_alpha", cfg.alpha, ControlQubit.from_alpha(cfg.alpha)),
-            ("lambda_mixed", 0.0, ControlQubit.from_bloch((0.0, 0.0, 0.0))),
-        )
-        name, reference, control = anchors[idx - cfg.samples]
-        return [(name, reference, lambda_factor(control), reference)]
+        z = (1.0, cfg.alpha, 0.0)[idx - cfg.samples]
+        control = ControlQubit.from_bloch((0.0, 0.0, z))
+        return [(_ANCHORS[idx - cfg.samples], z, lambda_factor(control), z)]
     rng = SeededRng(cfg.seed, idx + 1)
     # a fixed unitary or register draws nothing, so building it once in
-    # _setup leaves the stream as is
+    # the set-up leaves the stream as is
     u = payload["u"] if "u" in payload else unitary_from_spec(cfg.unitary, cfg.n, rng)
     rho = payload["rho"] if "rho" in payload else random_density(2**cfg.n, payload["rank"], rng)
     lower, upper = entpower_bounds(u, rho)
     return [("sample", idx, lower, upper)]
 
 
-def _failure(cfg: ExperimentConfig, lo: int, hi: int, err: Exception) -> RuntimeError:
-    """The error of a sweep whose points [lo, hi) failed with ``err``."""
-    where = f"point {lo} ({_point_label(cfg, lo)})" if hi - lo == 1 else f"points {lo}..{hi - 1}"
-    return RuntimeError(f"{cfg.experiment} failed at {where}: {err}")
-
-
 def _pointwise(point):
-    """Range task that evaluates its points one at a time."""
+    """Range evaluator that evaluates its points one at a time."""
 
     def evaluate(cfg, payload, lo, hi):
         rows = []
@@ -459,21 +424,119 @@ def _pointwise(point):
     return evaluate
 
 
-_POINT_FUNCS = {
-    "trace-vs-shots": _pointwise(_point_trace_vs_shots),
-    "entpower-vs-alpha": _pointwise(_point_entpower_vs_alpha),
-    "complexity-curve": _pointwise(_point_complexity_curve),
-    "verify-theorem1": _range_verify_theorem1,
-    "verify-theorem2": _pointwise(_point_verify_theorem2),
-    "verify-theorem3": _pointwise(_point_verify_theorem3),
+@dataclass(frozen=True)
+class _Experiment:
+    """One experiment: its point count and point labels, its set-up (built
+    and validated once per sweep, before any point), the evaluator of an
+    index range of points, and its ``dqc1 verify`` checks.  A check is
+    (rule, row names, tol, report line): each named row passes if its
+    deviation is at most tol (rule ``within``) or if measured is at most
+    reference + tol (rule ``below``), and the report line fills in
+    {passed}, {total}, {worst} (the largest deviation) and {tol}."""
+
+    count: Callable[[ExperimentConfig], int]
+    label: Callable[[ExperimentConfig, int], str]
+    setup: Callable[[ExperimentConfig], dict]
+    evaluate: Callable[[ExperimentConfig, dict, int, int], list]
+    serial: bool = False  # closed-form points, cheaper than starting a worker
+    sweeps_shots: bool = False  # one point per entry of a required ``shots``
+    reads_rho: bool = False
+    checks: tuple = ()
+
+
+_SHOTS = dict(
+    count=lambda cfg: len(cfg.shots),
+    label=lambda cfg, i: f"shots={cfg.shots[i]}",
+    serial=True,
+    sweeps_shots=True,
+)
+_ALPHAS = dict(count=lambda cfg: len(cfg.alphas), label=lambda cfg, i: f"alpha={cfg.alphas[i]}")
+
+#: Every experiment by name, in the order the docs list them.
+_EXPERIMENTS = {
+    "trace-vs-shots": _Experiment(
+        **_SHOTS, setup=_setup_trace_vs_shots, evaluate=_pointwise(_point_trace_vs_shots)
+    ),
+    "entpower-vs-alpha": _Experiment(
+        **_ALPHAS,
+        setup=lambda cfg: {"u": _fixed_unitary(cfg)},
+        evaluate=_pointwise(_point_entpower_vs_alpha),
+    ),
+    "complexity-curve": _Experiment(
+        **_SHOTS, setup=_setup_complexity_curve, evaluate=_pointwise(_point_complexity_curve)
+    ),
+    "verify-theorem1": _Experiment(
+        count=lambda cfg: cfg.samples + 1,  # the Fourier row, then sampled ensembles
+        label=lambda cfg, i: f"sample={i}" if i else "fourier",
+        setup=_setup_verify_theorem1,
+        evaluate=_range_verify_theorem1,
+        checks=(
+            (
+                "within",
+                ("fourier",),
+                TOL_VERIFY,
+                "Fourier ensemble deviation {worst:.3e} (tol {tol})",
+            ),
+            (
+                "below",
+                ("sample",),
+                TOL_VERIFY,
+                "{passed}/{total} sampled ensembles at or below the closed form",
+            ),
+        ),
+    ),
+    "verify-theorem2": _Experiment(
+        **_ALPHAS,
+        setup=lambda cfg: {},
+        evaluate=_pointwise(_point_verify_theorem2),
+        checks=(
+            (
+                "within",
+                ("alpha",),
+                TOL_VERIFY,
+                "minimal mixing matches alpha at {total} polarizations "
+                "(worst deviation {worst:.3e}, tol {tol})",
+            ),
+        ),
+    ),
+    "verify-theorem3": _Experiment(
+        count=lambda cfg: cfg.samples + 3,  # sampled pairs, then the lambda anchors
+        label=lambda cfg, i: _ANCHORS[i - cfg.samples] if i >= cfg.samples else f"sample={i}",
+        setup=_setup_verify_theorem3,
+        evaluate=_pointwise(_point_verify_theorem3),
+        reads_rho=True,
+        checks=(
+            (
+                "below",
+                ("sample",),
+                TOL_VERIFY,
+                "{passed}/{total} sampled pairs keep lower <= upper",
+            ),
+            (
+                "within",
+                _ANCHORS,
+                TOL_CONSTRUCT,
+                "lambda anchors (pure/alpha/mixed) worst deviation {worst:.3e} (tol {tol})",
+            ),
+        ),
+    ),
 }
+
+EXPERIMENTS = tuple(_EXPERIMENTS)
+
+
+def _failure(cfg: ExperimentConfig, lo: int, hi: int, err: Exception) -> RuntimeError:
+    """The error of a sweep whose points [lo, hi) failed with ``err``."""
+    label = _EXPERIMENTS[cfg.experiment].label(cfg, lo)
+    where = f"point {lo} ({label})" if hi - lo == 1 else f"points {lo}..{hi - 1}"
+    return RuntimeError(f"{cfg.experiment} failed at {where}: {err}")
 
 
 def _eval_point(args: tuple) -> list[tuple]:
     """Rows of the points in the index range [lo, hi), in point order: the
     unit of work of a sweep, and one pool task."""
     cfg, payload, lo, hi = args
-    return _POINT_FUNCS[cfg.experiment](cfg, payload, lo, hi)
+    return _EXPERIMENTS[cfg.experiment].evaluate(cfg, payload, lo, hi)
 
 
 def _ranges(count: int, pool_size: int, n: int) -> list[tuple[int, int]]:
@@ -491,10 +554,11 @@ def _ranges(count: int, pool_size: int, n: int) -> list[tuple[int, int]]:
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Evaluate every parameter point and return rows in point order."""
-    payload = _setup(cfg)
-    count = _point_count(cfg)
+    kind = _EXPERIMENTS[cfg.experiment]
+    payload = kind.setup(cfg)
+    count = kind.count(cfg)
     cpus = os.cpu_count() or 1
-    workers = cfg.workers or (1 if cfg.experiment in SERIAL_BY_DEFAULT else cpus)
+    workers = cfg.workers or (1 if kind.serial else cpus)
     # results never depend on the pool, so it never outgrows the host
     pool_size = max(1, min(workers, count, cpus))
     tasks = [(cfg, payload, lo, hi) for lo, hi in _ranges(count, pool_size, cfg.n)]
@@ -503,20 +567,33 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
             outputs = list(pool.map(_eval_point, tasks))
     else:
         outputs = [_eval_point(task) for task in tasks]
-    rows = []
-    for out in outputs:
-        for name, value, measured, reference in out:
-            rows.append(
-                ResultRow.build(cfg.experiment, name, value, measured, reference, cfg.seed)
-            )
-    return rows
+    return [ResultRow.build(cfg.experiment, *row, cfg.seed) for out in outputs for row in out]
+
+
+def check_rows(cfg: ExperimentConfig, rows: list[ResultRow]) -> list[tuple[str, list[str]]]:
+    """The ``dqc1 verify`` checks of a ``verify-*`` sweep on its rows, one
+    row per point in point order: per check, its report line and the labels
+    of its failing points."""
+    kind = _EXPERIMENTS[cfg.experiment]
+    results = []
+    for rule, names, tol, text in kind.checks:
+        read = [(idx, r) for idx, r in enumerate(rows) if r.param_name in names]
+        bad = [
+            kind.label(cfg, idx)
+            for idx, r in read
+            if not (r.deviation <= tol if rule == "within" else r.measured <= r.reference + tol)
+        ]
+        line = text.format(
+            passed=len(read) - len(bad),
+            total=len(read),
+            worst=max((r.deviation for _, r in read), default=0.0),
+            tol=f"1e{math.log10(tol):.0f}",
+        )
+        results.append((line, bad))
+    return results
 
 
 # --- result I/O --------------------------------------------------------------
-
-
-def _fmt_real(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def write_results(rows: list[ResultRow], path: str | Path, fmt: str = "csv") -> None:
@@ -525,50 +602,12 @@ def write_results(rows: list[ResultRow], path: str | Path, fmt: str = "csv") -> 
     path = Path(path)
     if fmt == "csv":
         lines = [",".join(_HEADER)]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    (
-                        row.experiment,
-                        row.param_name,
-                        _fmt_real(row.param_value),
-                        _fmt_real(row.measured),
-                        _fmt_real(row.reference),
-                        _fmt_real(row.deviation),
-                        str(row.seed),
-                    )
-                )
-            )
+        for r in rows:
+            reals = (r.param_value, r.measured, r.reference, r.deviation)
+            reals = [format(float(x), ".17g") for x in reals]
+            lines.append(",".join((r.experiment, r.param_name, *reals, str(r.seed))))
         path.write_text("\n".join(lines) + "\n")
     elif fmt == "json":
         path.write_text(json.dumps([asdict(row) for row in rows], indent=2) + "\n")
     else:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-
-
-def read_results(path: str | Path, fmt: str | None = None) -> list[ResultRow]:
-    path = Path(path)
-    if fmt is None:
-        fmt = "json" if path.suffix == ".json" else "csv"
-    if fmt == "json":
-        payload = json.loads(path.read_text())
-        return [ResultRow(**entry) for entry in payload]
-    rows = []
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if tuple(header) != _HEADER:
-            raise ValueError(f"unexpected CSV header: {header}")
-        for rec in reader:
-            rows.append(
-                ResultRow(
-                    experiment=rec[0],
-                    param_name=rec[1],
-                    param_value=float(rec[2]),
-                    measured=float(rec[3]),
-                    reference=float(rec[4]),
-                    deviation=float(rec[5]),
-                    seed=int(rec[6]),
-                )
-            )
-    return rows

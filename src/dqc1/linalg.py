@@ -123,39 +123,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def partial_trace(
-    rho: np.ndarray,
-    keep: str,
-    control_dim: int = 2,
-    system_dim: int | None = None,
-) -> np.ndarray:
-    """Trace out one factor of a control (x) system bipartite operator.
-
-    Parameters
-    ----------
-    rho : ndarray
-        Square matrix on the product space, control factor first.
-    keep : {"control", "system"}
-        Which marginal to return.
-    control_dim, system_dim : int
-        Factor dimensions; ``system_dim`` defaults to ``dim // control_dim``.
-    """
-    rho = _as_square(rho, "rho")
-    dim = rho.shape[0]
-    if system_dim is None:
-        system_dim = dim // control_dim
-    if control_dim * system_dim != dim:
-        raise ValueError(
-            f"dimension mismatch: {control_dim} * {system_dim} != {dim}"
-        )
-    blocks = rho.reshape(control_dim, system_dim, control_dim, system_dim)
-    if keep == "control":
-        return np.trace(blocks, axis1=1, axis2=3)
-    if keep == "system":
-        return np.trace(blocks, axis1=0, axis2=2)
-    raise ValueError(f"keep must be 'control' or 'system', got {keep!r}")
-
-
 def trace_overlap(u: np.ndarray, rho: np.ndarray) -> complex:
     """Tr(U rho) as the elementwise sum of U_ij rho_ji: O(d^2), never forms
     the product U rho."""

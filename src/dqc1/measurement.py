@@ -138,25 +138,6 @@ def estimate_trace(inst: Dqc1Instance, shots: int, rng: SeededRng) -> TraceEstim
     )
 
 
-def rounds_required(eps: float, pe: float, alpha: float) -> float:
-    """Circuit repetitions to hit absolute error ``eps`` on one quadrature
-    with failure probability ``pe``: ln(1/pe) / (alpha^2 eps^2)."""
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if not 0.0 < pe < 1.0:
-        raise ValueError(f"pe must lie in (0, 1), got {pe}")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    return math.log(1.0 / pe) / (alpha**2 * eps**2)
-
-
-def relative_error(eps: float, x: float) -> float:
-    """|eps / x| as a fraction.  Zero reference is an error, not infinity."""
-    if x == 0.0:
-        raise ValueError("relative error is undefined for a zero reference value")
-    return abs(eps / x)
-
-
 def error_budget(eps_x: float, eps_y: float, pe_x: float, pe_y: float) -> ErrorBudget:
     for name, eps in (("eps_x", eps_x), ("eps_y", eps_y)):
         if not (eps > 0.0 and eps * eps < math.inf):  # m divides by eps^2

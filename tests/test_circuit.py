@@ -27,10 +27,10 @@ from dqc1.linalg import (
     SeededRng,
     haar_unitary,
     kron,
-    partial_trace,
     random_density,
     save_matrix,
 )
+from support import partial_trace
 
 I2 = np.eye(2, dtype=np.complex128)
 
@@ -126,13 +126,6 @@ def test_control_constructors_build_equal_objects():
 def test_control_direct_constructor_validates(bloch, needle):
     with pytest.raises(ValueError, match=needle):
         ControlQubit(bloch=bloch)
-
-
-def test_control_alpha_property():
-    assert ControlQubit.from_alpha(0.3).alpha == 0.3
-    assert ControlQubit.from_bloch((0.0, 0.0, 0.5)).alpha == 0.5
-    with pytest.raises(ValueError, match="z-polarized"):
-        _ = ControlQubit.from_bloch((0.1, 0.0, 0.5)).alpha
 
 
 def test_control_polarization_exact_on_axis():

@@ -24,7 +24,6 @@ from dqc1.linalg import (
     matrix_from_json,
     matrix_to_json,
     normalized_trace,
-    partial_trace,
     random_density,
     random_right_unitary,
     require,
@@ -32,6 +31,7 @@ from dqc1.linalg import (
     trace_overlap,
     trace_sqrt_product,
 )
+from support import partial_trace
 
 I2 = np.eye(2, dtype=np.complex128)
 

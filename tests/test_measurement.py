@@ -14,9 +14,7 @@ from dqc1.measurement import (
     error_budget,
     estimate_trace,
     expect_pauli,
-    relative_error,
     rounds_for_budget,
-    rounds_required,
     sample_shots,
     total_complexity,
 )
@@ -174,31 +172,18 @@ def test_estimate_trace_rejects_unusable_control():
         estimate_trace(faint, 100, SeededRng(0, 0))
 
 
-def test_rounds_required_plug_in():
-    assert abs(rounds_required(0.1, math.exp(-1.0), 1.0) - 100.0) < 1e-12
+def test_rounds_for_budget_one_axis_formula():
+    # with both quadratures 1, each axis asks ln(1/pe) / (alpha * eps)^2 rounds
+    def rounds(eps, pe, alpha):
+        return rounds_for_budget(error_budget(eps, eps, pe, pe), alpha, 1.0 + 1.0j)
 
-
-def test_rounds_required_quadratic_scaling():
-    base = rounds_required(0.1, 0.05, 0.8)
-    assert abs(rounds_required(0.1, 0.05, 0.4) - 4.0 * base) < 1e-9 * base
-    assert abs(rounds_required(0.05, 0.05, 0.8) - 4.0 * base) < 1e-9 * base
-
-
-def test_rounds_required_validation():
-    with pytest.raises(ValueError):
-        rounds_required(0.0, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        rounds_required(0.1, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        rounds_required(0.1, 0.5, 0.0)
-
-
-def test_relative_error():
-    assert abs(relative_error(0.01, 0.5) - 0.02) < 1e-15
-    assert relative_error(0.0, 0.3) == 0.0
-    assert abs(relative_error(0.05, -0.25) - 0.2) < 1e-15
-    with pytest.raises(ValueError, match="zero reference"):
-        relative_error(0.1, 0.0)
+    assert abs(rounds(0.1, math.exp(-1.0), 1.0) - 100.0) < 1e-12
+    base = rounds(0.1, 0.05, 0.8)
+    assert abs(rounds(0.1, 0.05, 0.4) - 4.0 * base) < 1e-9 * base
+    assert abs(rounds(0.05, 0.05, 0.8) - 4.0 * base) < 1e-9 * base
+    for eps, pe, alpha in [(0.0, 0.5, 1.0), (0.1, 1.0, 1.0), (0.1, 0.5, 0.0)]:
+        with pytest.raises(ValueError):
+            rounds(eps, pe, alpha)
 
 
 def test_error_budget_weight():
