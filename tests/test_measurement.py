@@ -172,18 +172,28 @@ def test_estimate_trace_rejects_unusable_control():
         estimate_trace(faint, 100, SeededRng(0, 0))
 
 
-def test_rounds_for_budget_one_axis_formula():
+def _one_axis_rounds(eps, pe, alpha):
     # with both quadratures 1, each axis asks ln(1/pe) / (alpha * eps)^2 rounds
-    def rounds(eps, pe, alpha):
-        return rounds_for_budget(error_budget(eps, eps, pe, pe), alpha, 1.0 + 1.0j)
+    return rounds_for_budget(error_budget(eps, eps, pe, pe), alpha, 1.0 + 1.0j)
 
-    assert abs(rounds(0.1, math.exp(-1.0), 1.0) - 100.0) < 1e-12
-    base = rounds(0.1, 0.05, 0.8)
-    assert abs(rounds(0.1, 0.05, 0.4) - 4.0 * base) < 1e-9 * base
-    assert abs(rounds(0.05, 0.05, 0.8) - 4.0 * base) < 1e-9 * base
-    for eps, pe, alpha in [(0.0, 0.5, 1.0), (0.1, 1.0, 1.0), (0.1, 0.5, 0.0)]:
-        with pytest.raises(ValueError):
-            rounds(eps, pe, alpha)
+
+def test_rounds_required_plug_in():
+    assert abs(_one_axis_rounds(0.1, math.exp(-1.0), 1.0) - 100.0) < 1e-12
+
+
+def test_rounds_required_quadratic_scaling():
+    base = _one_axis_rounds(0.1, 0.05, 0.8)
+    assert abs(_one_axis_rounds(0.1, 0.05, 0.4) - 4.0 * base) < 1e-9 * base
+    assert abs(_one_axis_rounds(0.05, 0.05, 0.8) - 4.0 * base) < 1e-9 * base
+
+
+def test_rounds_required_validation():
+    with pytest.raises(ValueError):
+        _one_axis_rounds(0.0, 0.5, 1.0)
+    with pytest.raises(ValueError):
+        _one_axis_rounds(0.1, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        _one_axis_rounds(0.1, 0.5, 0.0)
 
 
 def test_error_budget_weight():
