@@ -22,7 +22,6 @@ from .linalg import (
     random_right_unitary,
     save_matrix,
     trace_overlap,
-    trace_sqrt_product,
 )
 from .circuit import (
     ControlQubit,

@@ -31,14 +31,13 @@ from .linalg import (
     MAX_STACK_ENTRIES,
     SeededRng,
     TOL_SPECTRAL,
+    TOL_VERIFY,
     eig_hermitian,
     eig_unitary,
     is_right_unitary,
     normalized_trace,
     random_right_unitary,
     require,
-    trace_overlap,
-    trace_sqrt_product,
 )
 
 _SQRT2 = np.sqrt(2.0)
@@ -147,11 +146,13 @@ def pure_entanglement(psi: np.ndarray) -> float | np.ndarray:
 
 def entpower_standard(u: np.ndarray) -> float:
     """Closed form sqrt(1 - |Tr U / d|^2) for a fully polarized control and
-    maximally mixed register.  A non-finite trace is an error, not a zero."""
+    maximally mixed register: the branch formula on vec(I) / sqrt(d), which
+    does not cancel near |Tr U / d| = 1.  A non-finite trace is an error."""
     t = normalized_trace(u)
     if not cmath.isfinite(t):
         raise ValueError(f"unitary has a non-finite trace {t}")
-    return float(np.sqrt(max(0.0, 1.0 - abs(t) ** 2)))
+    d = len(u)
+    return float(_branch_entanglement(np.eye(d).reshape(-1, 1), np.reshape(u, (-1, 1)), d)[0])
 
 
 def entpower_alpha(u: np.ndarray, alpha: float) -> float:
@@ -313,6 +314,7 @@ def _branch_entanglement(vecs: np.ndarray, u_vecs: np.ndarray, sq=1.0) -> np.nda
     It is computed as ||U phi - <phi|U phi> phi||, the norm of U phi's
     component orthogonal to phi: the same quantity, but it does not cancel
     near |<phi|U|phi>| = 1 and vanishes to roundoff on the trivial circuit.
+    On phi = vec(R) with U acting on R's rows it is sqrt(1 - |Tr U R R^+|^2).
     """
     return _orthogonal_residual(vecs, u_vecs, sq, axis=-2) / np.sqrt(sq)
 
@@ -346,15 +348,26 @@ def ensemble_average(inst: Dqc1Instance, ens: PureEnsemble) -> float | np.ndarra
 def entpower_bounds(u: np.ndarray, rho_n: np.ndarray) -> tuple[float, float]:
     """Lower and upper bounds on the entangling power for an arbitrary
     register state and fully polarized control:
-    1 - Tr sqrt(U rho U^+ rho) <= E_p <= sqrt(1 - |Tr(U rho)|^2)."""
+    1 - Tr sqrt(U rho U^+ rho) <= E_p <= sqrt(1 - |Tr(U rho)|^2).
+
+    One eigensolve gives R = sqrt(rho) (an eigenvalue below -TOL_VERIFY is
+    rejected, smaller roundoff clipped to 0).  The root fidelity is the sum
+    of the singular values of R U R (Uhlmann), and the upper bound is the
+    branch formula on the purification vec(R), normalized by ||R||_F.
+    """
     u = np.asarray(u, dtype=np.complex128)
     rho_n = np.asarray(rho_n, dtype=np.complex128)
     if u.shape != rho_n.shape:
         raise ValueError(f"shape mismatch: {u.shape} vs {rho_n.shape}")
-    lower = 1.0 - trace_sqrt_product(u, rho_n)
-    overlap = trace_overlap(u, rho_n)
-    upper = float(np.sqrt(max(0.0, 1.0 - abs(overlap) ** 2)))
-    return float(lower), upper
+    spec = eig_hermitian(rho_n)
+    if spec.eigenvalues.min() < -TOL_VERIFY:
+        raise ValueError("rho has a negative eigenvalue; not a density matrix")
+    vecs = spec.eigenvectors
+    root = (vecs * np.sqrt(np.clip(spec.eigenvalues, 0.0, None))) @ vecs.conj().T
+    lower = 1.0 - float(np.sum(np.linalg.svd(root @ u @ root, compute_uv=False)))
+    vec = root.reshape(-1, 1)
+    upper = _branch_entanglement(vec, (u @ root).reshape(-1, 1), np.vdot(vec, vec).real)
+    return lower, float(upper[0])
 
 
 def entpower_general_scaled(

@@ -254,8 +254,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def _valid_rho_spec(spec: str) -> bool:
     if spec in ("maximally-mixed", "random"):
         return True
-    if spec.startswith("random:"):
-        return spec[len("random:") :].isdecimal()
+    if spec.startswith("random:"):  # no more digits than 2**MAX_QUBITS, so int() reads it
+        return spec[len("random:") :].isdecimal() and len(spec) <= len(f"random:{2**MAX_QUBITS}")
     return spec.startswith("file:")
 
 

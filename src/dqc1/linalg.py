@@ -212,28 +212,6 @@ def eig_unitary(u: np.ndarray) -> Spectrum:
     return Spectrum(evals[order], evecs[:, order])
 
 
-def trace_sqrt_product(u: np.ndarray, rho: np.ndarray) -> float:
-    """Root fidelity Tr sqrt(sqrt(rho) U rho U^dagger sqrt(rho)) of rho and
-    U rho U^dagger.
-
-    By Uhlmann's theorem it is the trace norm of sqrt(rho) U sqrt(rho), i.e.
-    the sum of that matrix's singular values, which are non-negative by
-    construction.  sqrt(rho) comes from the Hermitian eigensolve of rho: an
-    eigenvalue below -TOL_VERIFY rejects the input, smaller negative roundoff
-    is clipped to 0 before the square root.
-    """
-    u = _as_square(u, "u")
-    rho = _as_square(rho, "rho")
-    if u.shape != rho.shape:
-        raise ValueError(f"shape mismatch: {u.shape} vs {rho.shape}")
-    spec = eig_hermitian(rho)
-    if spec.eigenvalues.min() < -TOL_VERIFY:
-        raise ValueError("rho has a negative eigenvalue; not a density matrix")
-    vecs = spec.eigenvectors
-    root = (vecs * np.sqrt(np.clip(spec.eigenvalues, 0.0, None))) @ vecs.conj().T
-    return float(np.sum(np.linalg.svd(root @ u @ root, compute_uv=False)))
-
-
 def _phase_fixed_qr(rows: int, cols: int, rng: SeededRng | Sequence[SeededRng]) -> np.ndarray:
     """Q factor of the QR of a ``rows x cols`` complex Ginibre matrix, with
     the phases of R's diagonal moved into Q so that Q's distribution is

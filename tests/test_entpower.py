@@ -196,6 +196,37 @@ def test_entpower_standard_rejects_non_finite_trace(bad):
         entpower_standard(np.diag([1.0, bad]))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 6),
+    st.one_of(st.just(0.0), st.floats(-12.0, 0.0).map(lambda e: 10.0**e)),
+    st.integers(0, 2**32 - 1),
+)
+@example(1, 1e-8, 0)
+def test_closed_forms_on_clustered_spectra_match_a_float_only_oracle(n, gap, seed):
+    """For U = V diag(e^{i phi}) V^+ and p = diag(V^+ rho V),
+    1 - |Tr U rho|^2 = 1/2 sum_jk p_j p_k (2 sin((phi_j - phi_k) / 2))^2
+    with no cancellation, so the closed forms must match it to roundoff
+    however tightly the eigenphases cluster (gap 0 is U = e^{i phi} I)."""
+    rng = SeededRng(seed, 0)
+    dim = 2**n
+    v = haar_unitary(dim, rng)
+    phases = rng.gen.uniform(-np.pi, np.pi) + gap * rng.gen.standard_normal(dim)
+    u = (v * np.exp(1j * phases)) @ v.conj().T
+    rho = random_density(dim, int(rng.gen.integers(1, dim + 1)), rng)
+    chord = 2.0 * np.sin((phases[:, None] - phases[None, :]) / 2.0)
+
+    def oracle(p):
+        return np.sqrt(0.5 * p @ chord**2 @ p)
+
+    standard = entpower_standard(u)
+    assert abs(standard - oracle(np.full(dim, 1.0 / dim))) <= 1e-14
+    p = np.einsum("ji,jk,ki->i", v.conj(), rho, v).real
+    assert abs(entpower_bounds(u, rho)[1] - oracle(p)) <= 1e-14
+    inst = Dqc1Instance(n=n, unitary=u, control=ControlQubit.from_alpha(1.0))
+    assert abs(ensemble_average(inst, fourier_ensemble(u)) - standard) <= 1e-14
+
+
 def test_entpower_alpha_scaling():
     u = np.diag([1.0, 1.0j])
     assert abs(entpower_alpha(u, 0.5) - 0.5 * np.sqrt(0.5)) < 1e-12
@@ -750,6 +781,45 @@ def test_entpower_bounds_ordering():
         rho = random_density(dim, int(rng.gen.integers(1, dim + 1)), rng)
         lower, upper = entpower_bounds(u, rho)
         assert lower <= upper + 1e-9
+
+
+def root_fidelity(u, rho):
+    """Tr sqrt(U rho U^+ rho), read off the lower bound."""
+    return 1.0 - entpower_bounds(u, rho)[0]
+
+
+def test_entpower_bounds_root_fidelity_commuting():
+    rho = np.diag([0.7, 0.2, 0.1]).astype(np.complex128)
+    u = np.diag(np.exp(1j * np.array([0.3, 1.1, 2.0])))
+    assert abs(root_fidelity(u, rho) - 1.0) < 1e-12
+
+
+def test_entpower_bounds_root_fidelity_maximally_mixed():
+    rng = SeededRng(3, 0)
+    for n in (1, 2, 3):
+        dim = 2**n
+        u = haar_unitary(dim, rng)
+        assert abs(root_fidelity(u, np.eye(dim) / dim) - 1.0) < 1e-12
+
+
+def test_entpower_bounds_root_fidelity_flip_on_biased_state():
+    # eigenvalues of (X rho X) rho are {0.09, 0.09}; the sum of roots is 0.6
+    rho = np.diag([0.9, 0.1]).astype(np.complex128)
+    assert abs(root_fidelity(SIGMA_X, rho) - 0.6) < 1e-12
+
+
+def test_entpower_bounds_root_fidelity_on_pure_states_is_the_overlap_modulus():
+    # for rho = |psi><psi| the root fidelity is |<psi|U|psi>| exactly: the
+    # zero eigenvalues of a rank-1 register must contribute no root dust
+    rng = SeededRng(14, 0)
+    for n in range(1, 5):
+        dim = 2**n
+        for _ in range(10):
+            u = haar_unitary(dim, rng)
+            psi = rng.gen.standard_normal(dim) + 1j * rng.gen.standard_normal(dim)
+            psi /= np.linalg.norm(psi)
+            want = abs(psi.conj() @ u @ psi)
+            assert abs(root_fidelity(u, np.outer(psi, psi.conj())) - want) <= 1e-12
 
 
 def test_entpower_general_scaled():

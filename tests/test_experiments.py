@@ -71,8 +71,8 @@ def test_config_minimal_defaults():
         ({"n": 2.0}, "n"),
         ({"alpha": 0.0}, "alpha"),
         ({"alpha": 1.5}, "alpha"),
-        ({"bloch": [0.9, 0.9, 0.9]}, "bloch"),
-        ({"bloch": [0.1, 0.2]}, "bloch"),
+        ({"n": True}, "n"),
+        ({"alpha": math.nan}, "alpha"),
         ({"unitary": ""}, "unitary"),
         ({"rho": "thermal"}, "rho"),
         ({"shots": [100, -5]}, "shots"),
@@ -83,9 +83,9 @@ def test_config_minimal_defaults():
         ({"format": "parquet"}, "format"),
         ({"workers": 0}, "workers"),
         ({"out": 7}, "out"),
-        ({"bloch": [math.nan, 0.0, 0.0]}, "bloch"),
-        ({"bloch": [0.0, math.inf, 0.0]}, "bloch"),
-        ({"bloch": [0.0, 0.0, 0.5]}, "bloch"),
+        ({"rho": 7}, "rho"),
+        ({"alphas": [0.5, math.nan]}, "alphas"),
+        ({"workers": True}, "workers"),
         ({"rho": "random"}, "rho"),
     ],
 )
@@ -668,16 +668,15 @@ def test_cli_run_rejects_bad_config(tmp_path, capsys):
     assert "foo" in capsys.readouterr().err
 
 
-def test_cli_run_rejects_non_finite_bloch(tmp_path, capsys):
+def test_cli_run_rejects_non_finite_alpha(tmp_path, capsys):
     # Python's JSON reader accepts the NaN literal, so the config must not
     path = tmp_path / "nan.json"
     path.write_text(
-        '{"experiment": "verify-theorem3", "n": 1, "bloch": [NaN, 0, 0], '
-        '"samples": 2, "workers": 1}'
+        '{"experiment": "verify-theorem3", "n": 1, "alpha": NaN, "samples": 2, "workers": 1}'
     )
     out = tmp_path / "rows.csv"
     assert main(["run", str(path), "--out", str(out)]) == 2
-    assert "'bloch'" in capsys.readouterr().err
+    assert "'alpha'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -689,13 +688,6 @@ def test_cli_run_rejects_non_finite_bloch(tmp_path, capsys):
         ("complexity-curve", {"rho": "random"}, "rho"),
         ("entpower-vs-alpha", {"rho": "random"}, "rho"),
         ("verify-theorem1", {"rho": "random"}, "rho"),
-        ("entpower-vs-alpha", {"bloch": [0.0, 0.0, 0.5]}, "bloch"),
-        ("verify-theorem1", {"bloch": [0.0, 0.0, 1.0]}, "bloch"),
-        ("verify-theorem3", {"bloch": [0.0, 0.0, 0.5]}, "bloch"),
-        ("trace-vs-shots", {"bloch": [0.5, 0.0, 0.5]}, "bloch"),
-        ("trace-vs-shots", {"bloch": [0.0, -0.1, 0.5]}, "bloch"),
-        ("trace-vs-shots", {"bloch": [0.0, 0.0, 0.0]}, "bloch"),
-        ("trace-vs-shots", {"bloch": [0.0, 0.0, -0.5]}, "bloch"),
     ],
 )
 def test_cli_run_rejects_fields_the_experiment_does_not_read(
@@ -716,6 +708,8 @@ def test_cli_run_rejects_fields_the_experiment_does_not_read(
         ({"experiment": "verify-theorem3", "rho": "random:0"}, "rho"),
         ({"experiment": "verify-theorem3", "rho": "random:9"}, "rho"),
         ({"experiment": "verify-theorem3", "rho": "random:\u00b2"}, "rho"),
+        ({"experiment": "verify-theorem3", "rho": "random:" + "9" * 5000}, "rho"),
+        ({"experiment": "verify-theorem3", "rho": "random:" + "0" * 5000 + "1"}, "rho"),
         ({"experiment": "verify-theorem3", "alpha": 10**400}, "alpha"),
         ({"experiment": "verify-theorem2", "alphas": [0.5, 10**400]}, "alphas"),
         ({"experiment": "trace-vs-shots", "shots": [10, 10**30]}, "shots"),
@@ -728,6 +722,8 @@ def test_cli_run_rejects_fields_the_experiment_does_not_read(
         "rank-0",
         "rank-9",
         "rank-superscript",
+        "rank-past-int-digit-limit",
+        "rank-with-leading-zeros-past-int-digit-limit",
         "huge-alpha",
         "huge-in-alphas",
         "huge-shots",
@@ -1002,6 +998,21 @@ def test_cli_verify_theorem1_passes_on_the_trivial_circuit(capsys):
     assert main(["verify", "theorem1", "--unitary", "identity", "--samples", "20"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("gap", ["1e-8", "1e-6"])
+def test_cli_verify_theorem1_passes_near_the_trivial_circuit(capsys, gap):
+    # eigenphases 0 and gap: E = sin(gap / 2), which sqrt(1 - |t|^2) with
+    # |t| = cos(gap / 2) rounds to 0 (1e-8) or misses by 2e-11 (1e-6)
+    argv = ["verify", "theorem1", "--n", "1", "--unitary", f"diag-phase:0,{gap}"]
+    assert main(argv + ["--samples", "20"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_cli_entpower_near_the_trivial_circuit(capsys):
+    assert main(["entpower", "--n", "1", "--unitary", "diag-phase:0,1e-8"]) == 0
+    value = float(capsys.readouterr().out.split("entangling_power")[1])
+    assert abs(value - math.sin(5e-9)) <= 1e-15 * 5e-9
 
 
 def verify_rows(target, unitary="haar", broken=()):

@@ -29,7 +29,6 @@ from dqc1.linalg import (
     require,
     save_matrix,
     trace_overlap,
-    trace_sqrt_product,
 )
 from support import partial_trace
 
@@ -236,40 +235,6 @@ def test_eig_unitary_degenerate_basis_is_orthonormal():
 def test_eig_unitary_rejects_non_unitary():
     with pytest.raises(ValueError, match="unitary"):
         eig_unitary(np.diag([1.0, 2.0]))
-
-
-def test_trace_sqrt_product_commuting():
-    rho = np.diag([0.7, 0.2, 0.1]).astype(np.complex128)
-    u = np.diag(np.exp(1j * np.array([0.3, 1.1, 2.0])))
-    assert abs(trace_sqrt_product(u, rho) - 1.0) < 1e-12
-
-
-def test_trace_sqrt_product_maximally_mixed():
-    rng = SeededRng(3, 0)
-    for n in (1, 2, 3):
-        dim = 2**n
-        u = haar_unitary(dim, rng)
-        assert abs(trace_sqrt_product(u, np.eye(dim) / dim) - 1.0) < 1e-12
-
-
-def test_trace_sqrt_product_flip_on_biased_state():
-    # eigenvalues of (X rho X) rho are {0.09, 0.09}; the sum of roots is 0.6
-    rho = np.diag([0.9, 0.1]).astype(np.complex128)
-    assert abs(trace_sqrt_product(SIGMA_X, rho) - 0.6) < 1e-12
-
-
-def test_trace_sqrt_product_on_pure_states_is_the_overlap_modulus():
-    # for rho = |psi><psi| the root fidelity is |<psi|U|psi>| exactly: the
-    # zero eigenvalues of a rank-1 register must contribute no root dust
-    rng = SeededRng(14, 0)
-    for n in range(1, 5):
-        dim = 2**n
-        for _ in range(10):
-            u = haar_unitary(dim, rng)
-            psi = rng.gen.standard_normal(dim) + 1j * rng.gen.standard_normal(dim)
-            psi /= np.linalg.norm(psi)
-            want = abs(psi.conj() @ u @ psi)
-            assert abs(trace_sqrt_product(u, np.outer(psi, psi.conj())) - want) <= 1e-12
 
 
 def test_trace_overlap_matches_dense_product():
