@@ -26,6 +26,7 @@ from .linalg import (
     is_unitary,
     kron,
     load_matrix,
+    brief,
     trace_overlap,
 )
 
@@ -216,7 +217,7 @@ def linear_entropy_closed(p, t: complex) -> float:
 def pauli_string(label: str) -> np.ndarray:
     """Tensor product of single-qubit Paulis, e.g. ``"XZ"`` or ``"IYX"``."""
     if not label or any(ch not in _PAULI_1Q for ch in label):
-        raise ValueError(f"pauli label must be a nonempty string over IXYZ, got {label!r}")
+        raise ValueError(f"pauli label must be a nonempty string over IXYZ, got {brief(label)}")
     out = _PAULI_1Q[label[0]]
     for ch in label[1:]:
         out = kron(out, _PAULI_1Q[ch])
@@ -229,9 +230,10 @@ def diag_phase_unitary(phases) -> np.ndarray:
     if phases.ndim != 1 or phases.size == 0:
         raise ValueError("phases must be a nonempty 1-D sequence")
     bad = np.flatnonzero(~np.isfinite(phases))
-    if bad.size:
-        listed = ", ".join(f"angle {k} is {phases[k]}" for k in bad)
-        raise ValueError(f"diag-phase angles must be finite: {listed}")
+    if bad.size:  # lists at most three, so the message stays one short line
+        listed = ", ".join(f"angle {k} is {phases[k]}" for k in bad[:3])
+        more = f" (and {bad.size - 3} more)" if bad.size > 3 else ""
+        raise ValueError(f"diag-phase angles must be finite: {listed}{more}")
     return np.diag(np.exp(1j * phases))
 
 
@@ -260,7 +262,7 @@ def unitary_from_spec(spec: str, n: int, rng: SeededRng | None = None) -> np.nda
         label = spec[len("pauli:") :]
         if len(label) != n:
             raise ValueError(
-                f"pauli spec {label!r} has {len(label)} letters, expected n={n}"
+                f"pauli spec {brief(label)} has {len(label)} letters, expected n={n}"
             )
         return pauli_string(label)
     if spec.startswith("diag-phase:"):
@@ -268,7 +270,7 @@ def unitary_from_spec(spec: str, n: int, rng: SeededRng | None = None) -> np.nda
         try:
             phases = [float(x) for x in body.split(",")]
         except ValueError as err:
-            raise ValueError(f"diag-phase spec has a non-numeric entry: {body!r}") from err
+            raise ValueError(f"diag-phase spec has a non-numeric entry: {brief(body)}") from err
         if len(phases) != dim:
             raise ValueError(
                 f"diag-phase spec has {len(phases)} angles, expected 2**n = {dim}"
@@ -281,4 +283,4 @@ def unitary_from_spec(spec: str, n: int, rng: SeededRng | None = None) -> np.nda
         if not is_unitary(u, TOL_SPECTRAL):
             raise ValueError("matrix file is not unitary within tolerance")
         return u
-    raise ValueError(f"unknown unitary spec {spec!r}")
+    raise ValueError(f"unknown unitary spec {brief(spec)}")

@@ -26,7 +26,7 @@ from .experiments import (
     run_experiment,
     write_results,
 )
-from .linalg import SeededRng, normalized_trace
+from .linalg import SeededRng, normalized_trace, brief
 from .measurement import estimate_trace
 
 _F = "{:.17g}".format
@@ -83,12 +83,12 @@ def _cmd_run(args) -> int:
         try:
             payload["shots"] = [int(x) for x in args.shots.split(",")]
         except ValueError:
-            raise ConfigError(f"--shots must be comma-separated integers, got {args.shots!r}")
+            raise ConfigError(f"--shots must be comma-separated integers, got {brief(args.shots)}")
     cfg = config_from_dict(payload)
     out = cfg.out if cfg.out is not None else f"results.{cfg.format}"
     parent = Path(out).parent
     if not parent.is_dir():  # rejected before the sweep, not after it
-        raise ConfigError(f"field 'out': {parent} is not an existing directory")
+        raise ConfigError(f"field 'out': {brief(str(parent))} is not an existing directory")
     rows = run_experiment(cfg)
     try:
         write_results(rows, out, cfg.format)

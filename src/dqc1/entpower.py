@@ -381,14 +381,13 @@ def entpower_general_scaled(
 
 
 def _right_unitary_stacks(rows: int, cols: int, samples: int, rng: SeededRng, per_sample: int):
-    """``samples`` right-unitary draws from ``rng``, yielded in stacks of at
-    most ``MAX_STACK_ENTRIES // per_sample`` (never fewer than one), where
-    ``per_sample`` is the largest array entry count one sample adds.  The
-    draws equal ``samples`` single calls of :func:`random_right_unitary`
-    on ``rng``, bit for bit and in order."""
+    """``samples`` calls of :func:`random_right_unitary` on ``rng``, bit for
+    bit and in order, yielded in stacks of at most
+    ``MAX_STACK_ENTRIES // per_sample`` (at least one), where ``per_sample``
+    is the largest array entry count one sample adds."""
     step = max(1, MAX_STACK_ENTRIES // per_sample)
     for lo in range(0, samples, step):
-        yield random_right_unitary(rows, cols, [rng] * min(step, samples - lo))
+        yield random_right_unitary(rows, cols, rng, min(step, samples - lo))
 
 
 def brute_force_min_mixing(
@@ -418,9 +417,7 @@ def brute_force_min_mixing(
     return best
 
 
-def brute_force_entpower(
-    inst: Dqc1Instance, samples: int, rng: SeededRng | None = None
-) -> float:
+def brute_force_entpower(inst: Dqc1Instance, samples: int, rng: SeededRng) -> float:
     """Best entangling power found over random register ensembles.
 
     Draws ``samples`` right-unitary decompositions of the register state
@@ -435,8 +432,6 @@ def brute_force_entpower(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if rng is None:
-        raise ValueError("brute_force_entpower requires a random stream")
     dim = inst.dim
     spec = eig_hermitian(inst.system_state)
     rank = int(np.sum(spec.eigenvalues > TOL_SPECTRAL))

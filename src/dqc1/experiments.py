@@ -8,9 +8,9 @@ point runs, and every parameter point then draws from its own random stream
 keyed by (seed, point index), so results are byte-identical for a given
 config and seed no matter how many workers execute the sweep or in which
 order points finish.  A sweep evaluates its points in contiguous index
-ranges, serially or one range per pool task; the output never depends on
-the ranges.  A ``verify-theorem1`` range draws each point from its own
-stream, then decomposes and scores the whole range in one stacked pass.
+ranges, one pool task each if ``workers`` asks for a pool, else serially;
+the output never depends on the ranges.  A ``verify-theorem1`` range draws
+each point from its own stream, then scores the range in one stacked pass.
 Each experiment is defined in one place, its record in ``_EXPERIMENTS``,
 which also holds the checks ``dqc1 verify`` applies to its rows.
 
@@ -53,6 +53,7 @@ from .linalg import (
     normalized_trace,
     random_density,
     random_right_unitary,
+    brief,
 )
 from .measurement import (
     MAX_SHOTS,
@@ -138,7 +139,7 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
     experiment = payload["experiment"]
     if not isinstance(experiment, str) or experiment not in _EXPERIMENTS:
         raise ConfigError(
-            f"field 'experiment': {experiment!r} is not one of {', '.join(EXPERIMENTS)}"
+            f"field 'experiment': {brief(experiment)} is not one of {', '.join(EXPERIMENTS)}"
         )
     kind = _EXPERIMENTS[experiment]
 
@@ -146,38 +147,38 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
         raise ConfigError("missing required field 'n'")
     n = payload["n"]
     if not _is_int(n):
-        raise ConfigError(f"field 'n': expected an integer, got {n!r}")
+        raise ConfigError(f"field 'n': expected an integer, got {brief(n)}")
     if not 1 <= n <= MAX_QUBITS:
         raise ConfigError(f"field 'n': {n} outside the supported range [1, {MAX_QUBITS}]")
 
     alpha = payload.get("alpha", 1.0)
     # compared before any float() conversion, which overflows on huge ints
     if not _is_real(alpha) or not 0.0 < alpha <= 1.0:
-        raise ConfigError(f"field 'alpha': expected a number in (0, 1], got {alpha!r}")
+        raise ConfigError(f"field 'alpha': expected a number in (0, 1], got {brief(alpha)}")
     alpha = float(alpha)
 
     unitary = payload.get("unitary", "haar")
     if not isinstance(unitary, str) or not unitary:
-        raise ConfigError(f"field 'unitary': expected a spec string, got {unitary!r}")
+        raise ConfigError(f"field 'unitary': expected a spec string, got {brief(unitary)}")
 
     rho = payload.get("rho", "maximally-mixed")
     if not isinstance(rho, str) or not _valid_rho_spec(rho):
         raise ConfigError(
             f"field 'rho': expected 'maximally-mixed', 'random', 'random:<rank>' "
-            f"or 'file:<path>', got {rho!r}"
+            f"or 'file:<path>', got {brief(rho)}"
         )
     if rho != "maximally-mixed" and not kind.reads_rho:
         raise ConfigError(
             f"field 'rho': only verify-theorem3 reads a register state, "
-            f"{experiment} runs on the maximally mixed one; got {rho!r}"
+            f"{experiment} runs on the maximally mixed one; got {brief(rho)}"
         )
     if rho.startswith("random:") and not 1 <= int(rho[len("random:") :]) <= 2**n:
-        raise ConfigError(f"field 'rho': rank in {rho!r} outside [1, {2**n}] for n={n}")
+        raise ConfigError(f"field 'rho': rank in {brief(rho)} outside [1, {2**n}] for n={n}")
 
     shots = payload.get("shots", [])
     if not isinstance(shots, list) or not all(_is_int(x) and 1 <= x <= MAX_SHOTS for x in shots):
         raise ConfigError(
-            f"field 'shots': expected a list of integers in [1, {MAX_SHOTS}], got {shots!r}"
+            f"field 'shots': expected a list of integers in [1, {MAX_SHOTS}], got {brief(shots)}"
         )
     if kind.sweeps_shots and not shots:
         raise ConfigError(f"field 'shots': required and nonempty for {experiment}")
@@ -189,30 +190,30 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
         or not all(_is_real(x) and 0.0 < x <= 1.0 for x in alphas)
     ):
         raise ConfigError(
-            f"field 'alphas': expected a nonempty list of numbers in (0, 1], got {alphas!r}"
+            f"field 'alphas': expected a nonempty list of numbers in (0, 1], got {brief(alphas)}"
         )
 
     samples = payload.get("samples", 100)
     if not _is_int(samples) or not 1 <= samples <= MAX_SAMPLES:
         raise ConfigError(
-            f"field 'samples': expected an integer in [1, {MAX_SAMPLES}], got {samples!r}"
+            f"field 'samples': expected an integer in [1, {MAX_SAMPLES}], got {brief(samples)}"
         )
 
     seed = payload.get("seed", 0)
     if not _is_int(seed) or seed < 0:
-        raise ConfigError(f"field 'seed': expected a non-negative integer, got {seed!r}")
+        raise ConfigError(f"field 'seed': expected a non-negative integer, got {brief(seed)}")
 
     out = payload.get("out")
     if out is not None and not isinstance(out, str):
-        raise ConfigError(f"field 'out': expected a path string, got {out!r}")
+        raise ConfigError(f"field 'out': expected a path string, got {brief(out)}")
 
     fmt = payload.get("format", "csv")
     if fmt not in ("csv", "json"):
-        raise ConfigError(f"field 'format': expected 'csv' or 'json', got {fmt!r}")
+        raise ConfigError(f"field 'format': expected 'csv' or 'json', got {brief(fmt)}")
 
     workers = payload.get("workers")
     if workers is not None and (not _is_int(workers) or workers < 1):
-        raise ConfigError(f"field 'workers': expected a positive integer, got {workers!r}")
+        raise ConfigError(f"field 'workers': expected a positive integer, got {brief(workers)}")
 
     return ExperimentConfig(
         experiment=experiment,
@@ -315,7 +316,7 @@ def _setup_complexity_curve(cfg):
     if t.real == 0.0 or t.imag == 0.0:
         raise ValueError(
             f"field 'unitary': complexity-curve needs both trace quadratures "
-            f"nonzero, but {cfg.unitary!r} has t = {t}"
+            f"nonzero, but {brief(cfg.unitary)} has t = {t}"
         )
     try:
         budgets = [_complexity_budget(cfg.alpha, t, r) for r in cfg.shots]
@@ -438,16 +439,13 @@ class _Experiment:
     label: Callable[[ExperimentConfig, int], str]
     setup: Callable[[ExperimentConfig], dict]
     evaluate: Callable[[ExperimentConfig, dict, int, int], list]
-    serial: bool = False  # closed-form points, cheaper than starting a worker
     sweeps_shots: bool = False  # one point per entry of a required ``shots``
     reads_rho: bool = False
     checks: tuple = ()
 
 
 _SHOTS = dict(
-    count=lambda cfg: len(cfg.shots),
-    label=lambda cfg, i: f"shots={cfg.shots[i]}",
-    serial=True,
+    count=lambda cfg: len(cfg.shots), label=lambda cfg, i: f"shots={cfg.shots[i]}",
     sweeps_shots=True,
 )
 _ALPHAS = dict(count=lambda cfg: len(cfg.alphas), label=lambda cfg, i: f"alpha={cfg.alphas[i]}")
@@ -557,10 +555,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     kind = _EXPERIMENTS[cfg.experiment]
     payload = kind.setup(cfg)
     count = kind.count(cfg)
-    cpus = os.cpu_count() or 1
-    workers = cfg.workers or (1 if kind.serial else cpus)
-    # results never depend on the pool, so it never outgrows the host
-    pool_size = max(1, min(workers, count, cpus))
+    # a pool only on request, and never larger than the host: rows never depend on it
+    pool_size = min(cfg.workers or 1, count, os.cpu_count() or 1)
     tasks = [(cfg, payload, lo, hi) for lo, hi in _ranges(count, pool_size, cfg.n)]
     if pool_size > 1:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:

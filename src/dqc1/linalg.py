@@ -12,6 +12,7 @@ constructions, ``TOL_SPECTRAL`` for results of an eigensolve, and
 from __future__ import annotations
 
 import json
+import reprlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +30,11 @@ MAX_KRON_DIM = 4096
 #: stack a sweep or a sampled search builds is split to stay under this, so
 #: a stack costs at most 256 KiB per complex array however large n gets.
 MAX_STACK_ENTRIES = 2**14
+
+#: ``repr`` of a rejected value for a one-line error, cut in the middle to 40 characters.
+_BRIEF = reprlib.Repr()
+_BRIEF.maxstring = _BRIEF.maxother = 40
+brief = _BRIEF.repr
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -212,32 +218,32 @@ def eig_unitary(u: np.ndarray) -> Spectrum:
     return Spectrum(evals[order], evecs[:, order])
 
 
-def _phase_fixed_qr(rows: int, cols: int, rng: SeededRng | Sequence[SeededRng]) -> np.ndarray:
-    """Q factor of the QR of a ``rows x cols`` complex Ginibre matrix, with
-    the phases of R's diagonal moved into Q so that Q's distribution is
-    Haar rather than QR-convention biased.
-
-    A sequence of streams draws one matrix per stream, in order, exactly as
-    one call per stream would (a stream listed k times draws k matrices in
-    turn), and one stacked QR serves them all with the same bits per member.
-    """
-    shape = (rows, cols)
+def _ginibre(rows: int, cols: int, rng: SeededRng | Sequence[SeededRng], count=None):
+    """Complex Ginibre ``rows x cols`` block from one ``standard_normal``
+    draw of shape ``(2, rows, cols)``, real part first.  A ``count`` stacks
+    that many blocks from one stream in that one call, and a sequence of
+    streams a block per stream; each has the bits of a draw of its own."""
+    shape = (2, rows, cols) if count is None else (count, 2, rows, cols)
     if isinstance(rng, SeededRng):
-        g = rng.gen.standard_normal(shape) + 1j * rng.gen.standard_normal(shape)
+        h = rng.gen.standard_normal(shape)
     else:
-        g = np.array(
-            [r.gen.standard_normal(shape) + 1j * r.gen.standard_normal(shape) for r in rng]
-        ).reshape(-1, rows, cols)
-    q, r = np.linalg.qr(g)
+        h = np.array([r.gen.standard_normal(shape) for r in rng]).reshape(-1, *shape)
+    g = np.empty(h.shape[:-3] + (rows, cols), dtype=np.complex128)
+    g.real, g.imag = h[..., 0, :, :], h[..., 1, :, :]
+    return g
+
+
+def _phase_fixed_qr(rows: int, cols: int, rng, count=None) -> np.ndarray:
+    """Q factor of the QR of a complex Ginibre matrix (:func:`_ginibre`),
+    with the phases of R's diagonal moved into Q so that Q's distribution is
+    Haar rather than QR-convention biased; one stacked QR serves a stack."""
+    q, r = np.linalg.qr(_ginibre(rows, cols, rng, count))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
 
 
-def haar_unitary(dim: int, rng: SeededRng | Sequence[SeededRng]) -> np.ndarray:
-    """Haar-distributed unitary via the phase-fixed QR of a complex Ginibre
-    matrix.  ``rng`` may be a sequence of streams: each then draws one
-    unitary exactly as a call of its own would, stacked along a leading
-    axis."""
+def haar_unitary(dim: int, rng: SeededRng) -> np.ndarray:
+    """Haar-distributed unitary: the phase-fixed QR of a complex Ginibre matrix."""
     if dim < 1:
         raise ValueError("dim must be positive")
     return _phase_fixed_qr(dim, dim, rng)
@@ -247,13 +253,13 @@ def random_density(dim: int, rank: int, rng: SeededRng) -> np.ndarray:
     """Random density matrix of the given rank (Ginibre G: rho = GG^+/Tr)."""
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must be in [1, {dim}], got {rank}")
-    g = rng.gen.standard_normal((dim, rank)) + 1j * rng.gen.standard_normal((dim, rank))
+    g = _ginibre(dim, rank, rng)
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
 
 def random_right_unitary(
-    rows: int, cols: int, rng: SeededRng | Sequence[SeededRng]
+    rows: int, cols: int, rng: SeededRng | Sequence[SeededRng], count: int | None = None
 ) -> np.ndarray:
     """Haar-random ``rows x cols`` matrix with orthonormal rows (a point of
     the complex Stiefel manifold): the transpose of the phase-fixed thin QR
@@ -264,12 +270,12 @@ def random_right_unitary(
     columns of a Haar unitary of size ``cols`` (Mezzadri, "How to generate
     random matrices from the classical compact groups", math-ph/0609050),
     at O(cols rows^2) cost and with ``rows * cols`` complex normals per draw.
-    A sequence of streams gives one matrix per stream, stacked, with the
-    same bits as one call per stream (see :func:`_phase_fixed_qr`).
+    A ``count`` stacks that many draws from ``rng`` in turn, and a sequence
+    of streams one draw per stream; each has the bits of a call of its own.
     """
     if rows > cols:
         raise ValueError(f"rows ({rows}) must not exceed cols ({cols})")
-    return np.swapaxes(_phase_fixed_qr(cols, rows, rng), -1, -2)
+    return np.swapaxes(_phase_fixed_qr(cols, rows, rng, count), -1, -2)
 
 
 def matrix_to_json(a: np.ndarray) -> dict:
@@ -291,7 +297,7 @@ def matrix_from_json(payload: dict) -> np.ndarray:
             raise ValueError(f"matrix payload missing key {key!r}")
     dim = payload["dim"]
     if type(dim) is not int or dim < 1:
-        raise ValueError(f"matrix payload key 'dim': expected a positive integer, got {dim!r}")
+        raise ValueError(f"matrix payload key 'dim': expected a positive integer, got {brief(dim)}")
     parts = []
     for key in ("re", "im"):
         rows = payload[key]

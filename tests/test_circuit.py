@@ -406,6 +406,16 @@ def test_unitary_from_spec_rejects(spec, n):
         unitary_from_spec(spec, n)
 
 
+def test_diag_phase_lists_at_most_three_non_finite_angles():
+    # 1024 NaN angles: three are named and the rest counted, not listed
+    with pytest.raises(ValueError) as info:
+        unitary_from_spec("diag-phase:" + ",".join(["nan"] * 1024), 10)
+    assert str(info.value) == (
+        "diag-phase angles must be finite: "
+        "angle 0 is nan, angle 1 is nan, angle 2 is nan (and 1021 more)"
+    )
+
+
 @pytest.mark.parametrize("n", [-1, 0, MAX_QUBITS + 1])
 @pytest.mark.parametrize("spec", ["identity", "haar", "pauli:X"])
 def test_unitary_from_spec_rejects_register_size_first(spec, n):

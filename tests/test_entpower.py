@@ -43,6 +43,7 @@ from dqc1.linalg import (
     SeededRng,
     StackError,
     TOL_SPECTRAL,
+    TOL_VERIFY,
     eig_hermitian,
     eig_unitary,
     haar_unitary,
@@ -207,7 +208,8 @@ def test_closed_forms_on_clustered_spectra_match_a_float_only_oracle(n, gap, see
     """For U = V diag(e^{i phi}) V^+ and p = diag(V^+ rho V),
     1 - |Tr U rho|^2 = 1/2 sum_jk p_j p_k (2 sin((phi_j - phi_k) / 2))^2
     with no cancellation, so the closed forms must match it to roundoff
-    however tightly the eigenphases cluster (gap 0 is U = e^{i phi} I)."""
+    however tightly the eigenphases cluster (gap 0 is U = e^{i phi} I), and
+    no sampled ensemble may exceed the closed form."""
     rng = SeededRng(seed, 0)
     dim = 2**n
     v = haar_unitary(dim, rng)
@@ -225,6 +227,8 @@ def test_closed_forms_on_clustered_spectra_match_a_float_only_oracle(n, gap, see
     assert abs(entpower_bounds(u, rho)[1] - oracle(p)) <= 1e-14
     inst = Dqc1Instance(n=n, unitary=u, control=ControlQubit.from_alpha(1.0))
     assert abs(ensemble_average(inst, fourier_ensemble(u)) - standard) <= 1e-14
+    sampled = decompose_from_T(inst.system_state, random_right_unitary(dim, 2 * dim, rng, 3))
+    assert np.all(ensemble_average(inst, sampled) <= standard + TOL_VERIFY)
 
 
 def test_entpower_alpha_scaling():
@@ -459,7 +463,7 @@ def test_branch_coefficients_weights_sum_to_one():
 def test_branch_coefficients_and_mixing_factor_accept_a_stack():
     rng = SeededRng(223, 0)
     ctl = ControlQubit.from_bloch((0.2, -0.5, 0.6))
-    stack = random_right_unitary(2, 4, [rng] * 6)
+    stack = random_right_unitary(2, 4, rng, 6)
     coeffs = branch_coefficients(ctl, stack)
     mixes = mixing_factor(coeffs)
     assert coeffs.xs.shape == (6, 4) and mixes.shape == (6,)
@@ -945,7 +949,7 @@ def test_brute_force_entpower_validation():
     inst = Dqc1Instance(n=1, unitary=u, control=ControlQubit.from_alpha(1.0))
     with pytest.raises(ValueError, match="samples"):
         brute_force_entpower(inst, samples=0, rng=SeededRng(0, 0))
-    with pytest.raises(ValueError, match="random stream"):
+    with pytest.raises(TypeError, match="rng"):  # a required parameter, no default
         brute_force_entpower(inst, samples=5)
 
 

@@ -333,32 +333,15 @@ def test_run_verify_theorem1_names_the_range_of_an_unattributed_failure(monkeypa
         run_experiment(theorem1_config(workers=1))
 
 
-def test_closed_form_sweeps_run_serially_unless_workers_is_set(monkeypatch):
-    pools = []
-
-    class RecordingPool(dqc1.experiments.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs["max_workers"])
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(dqc1.experiments, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(dqc1.experiments.os, "cpu_count", lambda: 2)
-    shots = [10, 100, 1000, 10000]
-    run_experiment(trace_config(shots=shots))
-    run_experiment(config_from_dict({"experiment": "complexity-curve", "n": 2, "shots": shots}))
-    assert pools == []
-    run_experiment(trace_config(shots=shots, workers=2))  # an explicit count is honored
-    run_experiment(config_from_dict(dict(MINIMAL, alphas=[0.2, 0.4], samples=5)))
-    assert pools == [2, 2]  # other experiments default to the cpu count
-
-
-def test_pool_never_outgrows_the_cpu_count(monkeypatch):
-    # a pool sized by workers alone would ask for 53 processes here
-    pools = []
+@pytest.fixture
+def pools(monkeypatch):
+    """The sizes of the pools ``run_experiment`` builds, on a 2-CPU host,
+    each one running its tasks in process."""
+    sizes = []
 
     class InProcessPool:
         def __init__(self, max_workers):
-            pools.append(max_workers)
+            sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -371,6 +354,30 @@ def test_pool_never_outgrows_the_cpu_count(monkeypatch):
 
     monkeypatch.setattr(dqc1.experiments, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(dqc1.experiments.os, "cpu_count", lambda: 2)
+    return sizes
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_sweeps_run_serially_unless_workers_is_set(pools, experiment):
+    cfg = config_from_dict(
+        {
+            "experiment": experiment,
+            "n": 1,
+            "shots": [10, 100, 1000],
+            "alphas": [0.5, 1.0],
+            "samples": 3,
+            **({"rho": "random"} if experiment == "verify-theorem3" else {}),
+        }
+    )
+    assert cfg.workers is None
+    rows = run_experiment(cfg)
+    assert pools == []
+    assert run_experiment(replace(cfg, workers=2)) == rows  # an explicit count is honored
+    assert pools == [2]
+
+
+def test_pool_never_outgrows_the_cpu_count(pools):
+    # a pool sized by workers alone would ask for 53 processes here
     cfg = config_from_dict(
         {"experiment": "verify-theorem3", "n": 1, "samples": 50, "workers": 10**6}
     )
@@ -742,6 +749,36 @@ def test_cli_run_rejects_out_of_range_values(tmp_path, capsys, monkeypatch, payl
     assert main(["run", str(write_config(tmp_path, payload)), "--out", str(out)]) == 2
     assert f"field '{needle}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload,field",
+    [
+        ({"experiment": "verify-theorem3", "rho": "random:" + "9" * 5000}, "rho"),
+        ({"experiment": "verify-theorem3", "rho": "x" * 5000}, "rho"),
+        ({"experiment": "verify-theorem1", "rho": "file:" + "x" * 5000}, "rho"),
+        ({"experiment": "verify-theorem1", "unitary": "x" * 5000}, "unitary"),
+        ({"experiment": "verify-theorem1", "unitary": "pauli:" + "X" * 5000}, "unitary"),
+        ({"experiment": "verify-theorem1", "unitary": "diag-phase:" + "0," * 2500}, "unitary"),
+        ({"experiment": "x" * 5000}, "experiment"),
+    ],
+    ids=[
+        "rho-rank",
+        "rho-spec",
+        "rho-unread",
+        "unitary",
+        "unitary-pauli",
+        "unitary-diag-phase",
+        "experiment",
+    ],
+)
+def test_cli_run_error_echoes_a_long_value_in_one_short_line(tmp_path, capsys, payload, field):
+    # every value here is at least 5000 characters, and was echoed whole
+    payload = {"n": 1, "samples": 2, "workers": 1, **payload}
+    out = tmp_path / "rows.csv"
+    assert main(["run", str(write_config(tmp_path, payload)), "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: field '{field}': ") and len(line) < 200
 
 
 @pytest.mark.parametrize(

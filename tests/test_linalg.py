@@ -158,7 +158,7 @@ def test_require_names_the_first_failing_member():
 
 
 def test_is_right_unitary_on_a_stack():
-    stack = random_right_unitary(2, 4, [SeededRng(17, 0)] * 5)
+    stack = random_right_unitary(2, 4, SeededRng(17, 0), 5)
     assert is_right_unitary(stack) and all(is_right_unitary(t) for t in stack)
     stack[2, 1, 3] += 1e-3  # one bad member fails the whole stack
     assert not is_right_unitary(stack[2])
@@ -276,19 +276,20 @@ def test_haar_unitary_deterministic():
 @pytest.mark.parametrize("dim", [1, 2, 4, 8])
 @pytest.mark.parametrize("seed", [0, 5, 1234])
 def test_haar_unitary_batch_of_one_matches_single_draw(dim, seed):
+    # a square right-unitary draw is the transpose of a Haar one, bit for bit
     single = haar_unitary(dim, SeededRng(seed, 0))
-    batched = haar_unitary(dim, [SeededRng(seed, 0)])
+    batched = random_right_unitary(dim, dim, SeededRng(seed, 0), 1)
     assert batched.shape == (1, dim, dim)
-    np.testing.assert_array_equal(single, batched[0])
+    np.testing.assert_array_equal(single, batched[0].T)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 8, 32])
 def test_haar_unitary_over_streams_matches_one_call_per_stream(dim):
     streams = [SeededRng(11, idx) for idx in range(1, 8)]
-    stack = haar_unitary(dim, streams)
+    stack = random_right_unitary(dim, dim, streams)
     assert stack.shape == (7, dim, dim)
-    for idx, u in enumerate(stack, start=1):
-        np.testing.assert_array_equal(u, haar_unitary(dim, SeededRng(11, idx)))
+    for idx, t_mat in enumerate(stack, start=1):
+        np.testing.assert_array_equal(t_mat.T, haar_unitary(dim, SeededRng(11, idx)))
 
 
 def _phase_fixed_ginibre_q(gen, shape):
@@ -311,7 +312,7 @@ def test_haar_unitary_bits_are_the_phase_fixed_qr_of_one_ginibre_draw(dim, seed)
 
 
 def test_haar_unitary_batch_members_are_unitary():
-    stack = haar_unitary(4, [SeededRng(21, idx) for idx in range(6)])
+    stack = random_right_unitary(4, 4, SeededRng(21, 0), 6)
     assert stack.shape == (6, 4, 4)
     for u in stack:
         assert is_unitary(u, 1e-12)
@@ -355,14 +356,15 @@ def test_random_right_unitary():
 
 @pytest.mark.parametrize("rows,cols,k", [(1, 1, 3), (2, 4, 50), (4, 8, 256), (32, 64, 8)])
 def test_random_right_unitary_stacks_match_per_call_draws(rows, cols, k):
-    # one stream per member, and one stream listed k times, both give the
+    # one stream per member, and k draws from one stream, both give the
     # bits of k separate calls in order
     streams = [SeededRng(31, idx) for idx in range(k)]
     stack = random_right_unitary(rows, cols, streams)
     assert stack.shape == (k, rows, cols)
     for idx, t_mat in enumerate(stack):
         np.testing.assert_array_equal(t_mat, random_right_unitary(rows, cols, SeededRng(31, idx)))
-    repeated = random_right_unitary(rows, cols, [SeededRng(37, 0)] * k)
+    repeated = random_right_unitary(rows, cols, SeededRng(37, 0), k)
+    assert repeated.shape == (k, rows, cols)
     rng = SeededRng(37, 0)
     for t_mat in repeated:
         np.testing.assert_array_equal(t_mat, random_right_unitary(rows, cols, rng))
@@ -383,7 +385,7 @@ def test_random_right_unitary_haar_moments():
     # Haar on the Stiefel manifold: every entry of a rows x cols draw has
     # E|T_ij|^2 = 1/cols and E|T_ij|^4 = 2/(cols (cols + 1))
     rows, cols, draws = 4, 16, 20000
-    stack = random_right_unitary(rows, cols, [SeededRng(43, 0)] * draws)
+    stack = random_right_unitary(rows, cols, SeededRng(43, 0), draws)
     assert is_right_unitary(stack)
     power = np.abs(stack) ** 2
     assert abs(power.mean() - 1.0 / cols) < 1e-12  # exact: rows are unit vectors
@@ -432,6 +434,7 @@ _ZERO2 = [[0.0, 0.0], [0.0, 0.0]]
         ({"dim": 2.0, "re": _EYE2, "im": _ZERO2}, "dim"),
         ({"dim": True, "re": [[1.0]], "im": [[0.0]]}, "dim"),
         ({"dim": 0, "re": [], "im": []}, "dim"),
+        ({"dim": "2" * 5000, "re": _EYE2, "im": _ZERO2}, "dim"),
     ],
     ids=[
         "ragged-re",
@@ -446,14 +449,16 @@ _ZERO2 = [[0.0, 0.0], [0.0, 0.0]]
         "float-dim",
         "bool-dim",
         "zero-dim",
+        "long-string-dim",
     ],
 )
 def test_matrix_from_json_names_the_malformed_key(payload, key):
     # ragged rows used to leak numpy's "inhomogeneous shape" text, a string
-    # dim to report matching shapes as a mismatch, and a float dim passed
+    # dim to report matching shapes as a mismatch, a float dim passed, and
+    # a 5000-character dim was echoed whole
     with pytest.raises(ValueError, match=f"key '{key}'") as info:
         matrix_from_json(payload)
-    assert "inhomogeneous" not in str(info.value)
+    assert "inhomogeneous" not in str(info.value) and len(str(info.value)) < 200
 
 
 @pytest.mark.parametrize("part", ["re", "im"])
