@@ -26,7 +26,6 @@ from .linalg import (
 from .circuit import (
     ControlQubit,
     Dqc1Instance,
-    branch_pure_state,
     diag_phase_unitary,
     final_control_closed,
     general_final_control,
@@ -61,7 +60,6 @@ from .entpower import (
     fourier_ensemble,
     lambda_factor,
     mixing_factor,
-    pure_entanglement,
 )
 from .experiments import (
     ConfigError,

@@ -155,21 +155,6 @@ class Dqc1Instance:
         return 2**self.n
 
 
-def branch_pure_state(phi: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """(|0>|phi> + |1>U|phi>)/sqrt(2): the circuit's action on a pure register
-    state with a fully polarized control.
-
-    ``phi`` may be a stack of shape (..., d).  U|phi> is then one stacked
-    matrix-vector product, not a matrix-matrix product, so every state gets
-    the same bits as a call of its own.
-    """
-    phi = np.asarray(phi, dtype=np.complex128)
-    off = np.abs(np.linalg.norm(phi, axis=-1) - 1.0)
-    if np.max(off, initial=0.0) > TOL_SPECTRAL:
-        raise ValueError(f"phi is not normalized (norm off by {np.max(off):.3e})")
-    return np.concatenate([phi, (u @ phi[..., None])[..., 0]], axis=-1) / np.sqrt(2.0)
-
-
 def general_final_control(
     control: ControlQubit, rho_n: np.ndarray, u: np.ndarray
 ) -> np.ndarray:

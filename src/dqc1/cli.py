@@ -89,6 +89,8 @@ def _cmd_run(args) -> int:
     parent = Path(out).parent
     if not parent.is_dir():  # rejected before the sweep, not after it
         raise ConfigError(f"field 'out': {brief(str(parent))} is not an existing directory")
+    if Path(out).is_dir():
+        raise ConfigError(f"field 'out': {brief(out)} is a directory, not a file")
     rows = run_experiment(cfg)
     try:
         write_results(rows, out, cfg.format)

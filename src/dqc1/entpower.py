@@ -15,7 +15,9 @@ decompositions of each mixed branch.  Closed forms:
 
 Every closed form here has an independent sampling route in this module
 (ensemble_average, brute_force_entpower, brute_force_min_mixing) so the two
-can be checked against each other.
+can be checked against each other.  The sampled entangling-power routes
+score every branch with one kernel, sqrt(1 - |<phi|U|phi>|^2) as the norm
+of U phi's component orthogonal to phi, times the control's lambda gap.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import ControlQubit, Dqc1Instance, branch_pure_state
+from .circuit import ControlQubit, Dqc1Instance
 from .linalg import (
     MAX_STACK_ENTRIES,
     SeededRng,
@@ -57,7 +59,10 @@ class PureEnsemble:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.states = np.asarray(self.states, dtype=np.complex128)
+        # C order: a column sum over an F-ordered single ensemble (as
+        # decompose_from_T can return) takes other bits than the same sum
+        # over a stack, which would break stack-equals-single identity
+        self.states = np.ascontiguousarray(self.states, dtype=np.complex128)
         if self.weights.ndim not in (1, 2) or self.states.ndim != self.weights.ndim + 1:
             raise ValueError(
                 "weights must be 1-D and states 2-D (columns), or stacks of them"
@@ -98,50 +103,6 @@ class BranchCoefficients:
     @property
     def rs(self) -> np.ndarray:
         return np.abs(self.xs) ** 2 + np.abs(self.ys) ** 2
-
-
-def _orthogonal_residual(a: np.ndarray, b: np.ndarray, sq, axis: int) -> np.ndarray:
-    """||b - (a^+ b / sq) a|| over vectors along ``axis``, with sq = ||a||^2 > 0:
-    the norm of b's component orthogonal to a, one Gram-Schmidt step that,
-    unlike sqrt(||b||^2 - |a^+ b|^2 / sq), does not cancel as b nears a
-    multiple of a."""
-    overlap = np.expand_dims(np.sum(a.conj() * b, axis=axis) / sq, axis)
-    return np.linalg.norm(b - overlap * a, axis=axis)
-
-
-def pure_entanglement(psi: np.ndarray) -> float | np.ndarray:
-    """sqrt(2 (1 - purity)) of the register marginal of a pure joint state.
-
-    The state lives on control (x) register with the control factor first.
-    Its Schmidt coefficients s1, s2 are the singular values of the 2 x d
-    amplitude matrix, the marginal's spectrum is {s1^2, s2^2}, and with
-    s1^2 + s2^2 = 1 the definition equals 2 s1 s2, which is |det R| of the
-    matrix's two-row QR: s1 s2 = ||a|| ||b - (a^+ b / ||a||^2) a|| with a the
-    longer row and b the other.  No SVD and no cancellation, so the value
-    vanishes to roundoff on product states (exactly when a row vanishes or
-    the register is one-dimensional).  ``psi`` may be a stack of shape
-    (..., 2d): every state must be normalized, and the result is an array
-    over the leading axes whose entries equal the single-state values bit
-    for bit (a float for one state).
-    """
-    psi = np.asarray(psi, dtype=np.complex128)
-    if psi.ndim == 0 or psi.shape[-1] % 2 != 0:
-        raise ValueError("joint state dimension must be even (control x register)")
-    rows = psi.reshape(*psi.shape[:-1], 2, -1)
-    sq = np.sum(rows.conj() * rows, axis=-1).real
-    off = np.abs(np.sqrt(sq[..., 0] + sq[..., 1]) - 1.0)
-    if np.max(off, initial=0.0) > TOL_SPECTRAL:
-        raise ValueError(f"state is not normalized (norm off by {np.max(off):.3e})")
-    if rows.shape[-1] == 1:  # a one-dimensional register has one Schmidt coefficient
-        value = np.zeros(psi.shape[:-1])
-    else:
-        # pivot on the longer row, so the projection never divides by a small norm
-        swap = (sq[..., 1] > sq[..., 0])[..., None]
-        a = np.where(swap, rows[..., 1, :], rows[..., 0, :])
-        b = np.where(swap, rows[..., 0, :], rows[..., 1, :])
-        pivot = np.max(sq, axis=-1)
-        value = 2.0 * np.sqrt(pivot) * _orthogonal_residual(a, b, pivot, axis=-1)
-    return float(value) if value.ndim == 0 else value
 
 
 def entpower_standard(u: np.ndarray) -> float:
@@ -303,43 +264,37 @@ def analytic_min_T(control: ControlQubit) -> np.ndarray:
     return w @ vh
 
 
-def _analytic_mixing(control: ControlQubit) -> float:
-    return mixing_factor(branch_coefficients(control, analytic_min_T(control)))
-
-
-def _branch_entanglement(vecs: np.ndarray, u_vecs: np.ndarray, sq=1.0) -> np.ndarray:
+def _branch_entanglement(vecs: np.ndarray, u_vecs: np.ndarray, sq) -> np.ndarray:
     """Pure-branch entanglement sqrt(1 - |<phi|U|phi>|^2) of every column
-    phi = vec / sqrt(sq) of ``vecs`` (axis -2), given U vec in ``u_vecs``.
+    phi = vec / sqrt(sq) of ``vecs`` (axis -2), given U vec in ``u_vecs`` and
+    each column's squared norm sq > 0.
 
     It is computed as ||U phi - <phi|U phi> phi||, the norm of U phi's
-    component orthogonal to phi: the same quantity, but it does not cancel
-    near |<phi|U|phi>| = 1 and vanishes to roundoff on the trivial circuit.
-    On phi = vec(R) with U acting on R's rows it is sqrt(1 - |Tr U R R^+|^2).
+    component orthogonal to phi, one Gram-Schmidt step: the same quantity,
+    but it does not cancel near |<phi|U|phi>| = 1 and vanishes to roundoff on
+    the trivial circuit.  On phi = vec(R) with U acting on R's rows it is
+    sqrt(1 - |Tr U R R^+|^2).
     """
-    return _orthogonal_residual(vecs, u_vecs, sq, axis=-2) / np.sqrt(sq)
+    overlap = (np.sum(vecs.conj() * u_vecs, axis=-2) / sq)[..., None, :]
+    return np.linalg.norm(u_vecs - overlap * vecs, axis=-2) / np.sqrt(sq)
 
 
 def ensemble_average(inst: Dqc1Instance, ens: PureEnsemble) -> float | np.ndarray:
     """Weighted branch entanglement of the circuit over a register ensemble.
 
-    The ensemble must realize the instance's register state.  With a fully
-    z-polarized control each branch is pure and its entanglement is computed
-    from the branch state's Schmidt coefficients, for all members in one
-    stacked pass.  Otherwise each branch is a rank-2 mixed state whose
-    entanglement is its minimal decomposition mixing (the analytic minimizer)
-    times the pure-branch value sqrt(1 - |<phi|U|phi>|^2).  A stack of
-    ensembles gives an array with one average per ensemble, each equal bit
-    for bit to the average of that ensemble alone.
+    The ensemble must realize the instance's register state.  Each member
+    phi scores the pure-branch value sqrt(1 - |<phi|U|phi>|^2) scaled by the
+    control's minimal mixing factor, the lambda gap (1 for a fully polarized
+    control, whose branches are pure), for all members in one stacked pass.
+    A stack of ensembles gives an array with one average per ensemble, each
+    equal bit for bit to the average of that ensemble alone.
     """
     off = np.max(np.abs(ens.density() - inst.system_state), axis=(-2, -1))
     require(off <= TOL_SPECTRAL, "ensemble does not realize the instance's register state")
 
-    u = inst.unitary
-    if inst.control.bloch == (0.0, 0.0, 1.0):
-        values = pure_entanglement(branch_pure_state(np.swapaxes(ens.states, -1, -2), u))
-    else:
-        mix = _analytic_mixing(inst.control)
-        values = mix * _branch_entanglement(ens.states, u @ ens.states)
+    states = ens.states
+    sq = np.sum(states.conj() * states, axis=-2).real
+    values = lambda_factor(inst.control) * _branch_entanglement(states, inst.unitary @ states, sq)
     # a 1 x 1 matmul is the dot product np.dot takes, one per stack member
     total = (ens.weights[..., None, :] @ values[..., :, None])[..., 0, 0]
     return float(total) if total.ndim == 0 else total
@@ -413,7 +368,7 @@ def brute_force_min_mixing(
         for t_stack in _right_unitary_stacks(2, cols, samples, rng, 2 * cols)
     )
     if include_analytic:
-        best = min(best, _analytic_mixing(control))
+        best = min(best, mixing_factor(branch_coefficients(control, analytic_min_T(control))))
     return best
 
 
@@ -425,10 +380,9 @@ def brute_force_entpower(inst: Dqc1Instance, samples: int, rng: SeededRng) -> fl
     and takes the largest ensemble average.  When the register is maximally
     mixed the Fourier ensemble joins the candidate list, which is what lets
     the search actually attain the closed form.  Samples are scored like
-    :func:`ensemble_average`'s mixed-control path, with the register
-    spectrum, the analytic mixing factor and U Phi sqrt(M) computed once,
-    in bounded stacks of samples whose result equals a one-sample-at-a-time
-    loop bit for bit.
+    :func:`ensemble_average`, with the register spectrum, the lambda gap and
+    U Phi sqrt(M) computed once, in bounded stacks of samples whose result
+    equals a one-sample-at-a-time loop bit for bit.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -437,7 +391,7 @@ def brute_force_entpower(inst: Dqc1Instance, samples: int, rng: SeededRng) -> fl
     rank = int(np.sum(spec.eigenvalues > TOL_SPECTRAL))
     root = spec.eigenvectors[:, :rank] * np.sqrt(spec.eigenvalues[:rank])
     u_root = inst.unitary @ root
-    mix = _analytic_mixing(inst.control)
+    mix = lambda_factor(inst.control)
 
     best = -np.inf
     mixed = np.eye(dim, dtype=np.complex128) / dim

@@ -181,14 +181,14 @@ def is_right_unitary(t: np.ndarray, tol: float = TOL_CONSTRUCT) -> bool:
     return bool(err <= tol * t.shape[-1])
 
 
-def eig_hermitian(a: np.ndarray, tol: float = TOL_SPECTRAL) -> Spectrum:
+def eig_hermitian(a: np.ndarray) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Ties keep the eigensolver's first-occurrence order.  Raises if the input
-    is not Hermitian within ``tol``.
+    is not Hermitian within ``TOL_SPECTRAL``.
     """
     a = _as_square(a)
-    if np.max(np.abs(a - a.conj().T)) > tol:
+    if np.max(np.abs(a - a.conj().T)) > TOL_SPECTRAL:
         raise ValueError("matrix is not Hermitian within tolerance")
     evals, evecs = np.linalg.eigh(a)
     order = np.arange(len(evals))[::-1]  # eigh is ascending; stable reversal

@@ -12,7 +12,6 @@ from dqc1.circuit import (
     ControlQubit,
     Dqc1Instance,
     _bloch_norm,
-    branch_pure_state,
     diag_phase_unitary,
     final_control_closed,
     general_final_control,
@@ -241,20 +240,11 @@ def test_final_control_marginal_and_expectations():
         assert abs(np.trace((marginal @ (1j * SIGMA_X @ SIGMA_Z))).real - alpha * t.imag) < 1e-13
 
 
-def test_branch_pure_state_examples():
-    phi = np.array([1.0, 0.0], dtype=np.complex128)
-    bell = branch_pure_state(phi, SIGMA_X)
-    np.testing.assert_allclose(bell, [1, 0, 0, 1] / np.sqrt(2), atol=1e-15)
-    product = branch_pure_state(phi, I2)
-    np.testing.assert_allclose(product, [1, 0, 1, 0] / np.sqrt(2), atol=1e-15)
-    with pytest.raises(ValueError, match="normalized"):
-        branch_pure_state(np.array([1.0, 1.0]), I2)
-
-
 def _branch_marginal(phi, u):
     """Register marginal of the branch state, (|phi><phi| + U|phi><phi|U^+)/2,
-    by tracing out the control of the dense pure state."""
-    psi = branch_pure_state(phi, u)
+    by tracing out the control of the dense pure state
+    (|0>|phi> + |1>U|phi>)/sqrt(2)."""
+    psi = np.concatenate([phi, u @ phi]) / np.sqrt(2.0)
     return partial_trace(np.outer(psi, psi.conj()), keep="system")
 
 

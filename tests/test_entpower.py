@@ -1,25 +1,24 @@
 """Tests for entangling power: closed forms, optimal ensembles, and the
 decomposition machinery they are checked against."""
 
+import functools
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dqc1.entpower
 from dqc1.circuit import (
     ControlQubit,
     Dqc1Instance,
-    branch_pure_state,
     diag_phase_unitary,
     pauli_string,
 )
 from dqc1.entpower import (
     BranchCoefficients,
     PureEnsemble,
-    _analytic_mixing,
     _branch_entanglement,
     analytic_min_T,
     branch_coefficients,
@@ -34,7 +33,6 @@ from dqc1.entpower import (
     fourier_ensemble,
     lambda_factor,
     mixing_factor,
-    pure_entanglement,
 )
 from dqc1.linalg import (
     HADAMARD,
@@ -62,107 +60,95 @@ def random_bloch(rng):
 
 
 # --- pure-state entanglement -------------------------------------------------
+#
+# A pure joint state x |0> + y |1> (x, y register vectors, the control factor
+# first) has Schmidt product 2 s1 s2 = 2 ||x|| ||y - (x^+ y / ||x||^2) x||,
+# which is 2 ||x||^2 times the branch kernel on the rows x and y.  On the
+# branch state (|0>|phi> + |1>U|phi>)/sqrt(2) that is the kernel's
+# sqrt(1 - |<phi|U|phi>|^2) itself.
+
+
+def _kernel_schmidt_product(psi):
+    """2 s1 s2 of normalized joint states psi (..., 2d) through the kernel."""
+    rows = psi.reshape(*psi.shape[:-1], 2, -1)
+    x, y = rows[..., 0, :, None], rows[..., 1, :, None]
+    sq = np.sum(x.conj() * x, axis=-2).real
+    return (2.0 * sq * _branch_entanglement(x, y, sq))[..., 0]
 
 
 def test_pure_entanglement_product_state():
     psi = np.zeros(4, dtype=np.complex128)
     psi[0] = 1.0
-    assert pure_entanglement(psi) == 0.0
+    assert _kernel_schmidt_product(psi) == 0.0
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 5), st.integers(0, 2**32 - 1))
 def test_pure_entanglement_of_product_states_vanishes(n, seed):
-    # n = 0 is a one-dimensional register: a single Schmidt coefficient
-    # zero to roundoff, with no 1 - purity cancellation (which leaves ~1e-8)
+    # n = 0 is a one-dimensional register, zero to roundoff with no
+    # 1 - purity cancellation (which leaves ~1e-8)
     rng = SeededRng(seed, 0)
     a = rng.gen.standard_normal(2) + 1j * rng.gen.standard_normal(2)
     b = rng.gen.standard_normal(2**n) + 1j * rng.gen.standard_normal(2**n)
     psi = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
-    assert pure_entanglement(psi) <= 1e-15
-    assert np.all(pure_entanglement(np.stack([psi, psi])) <= 1e-15)
+    assert _kernel_schmidt_product(psi) <= 1e-15
+    assert np.all(_kernel_schmidt_product(np.stack([psi, psi])) <= 1e-15)
 
 
 def _schmidt_product_svd(psi):
     """2 s1 s2 from LAPACK's singular values of the 2 x d amplitude matrix:
-    the oracle for pure_entanglement's Gram-Schmidt form."""
+    the oracle for the branch kernel's Gram-Schmidt form."""
     schmidt = np.linalg.svd(psi.reshape(2, -1), compute_uv=False)
     return 2.0 * schmidt[0] * schmidt[1] if schmidt.size > 1 else 0.0
 
 
-# Derandomized, because the oracle is itself the noisier side: on random
-# states LAPACK's singular values put 2 s1 s2 up to about 1.1e-15 off a
-# 40-digit reference, about once in 65000 states, while the Gram-Schmidt
-# form stays within about 3e-16 of it.
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(
-    st.integers(1, 5),
-    st.sampled_from(["random", "product", "near-product", "zero-row"]),
-    st.integers(0, 2**32 - 1),
-    st.floats(-15.0, -1.0),
-    st.booleans(),
-)
-def test_pure_entanglement_matches_the_svd_oracle(n, kind, seed, log_eps, swap):
-    # rows a and b of the amplitude matrix; near-product is b = c a + eps g
-    gen = SeededRng(seed, 0).gen
+def _oracle_unitary(kind, dim, rng):
+    if kind == "haar":
+        return haar_unitary(dim, rng)
+    if kind == "identity":
+        return np.eye(dim, dtype=np.complex128)
+    return diag_phase_unitary(np.eye(dim)[-1] * 1e-8)  # |Tr U / d| a hair below 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["haar", "identity", "diag-phase"])
+def test_ensemble_average_matches_the_svd_oracle(n, kind):
+    # at alpha 1 every branch is pure, so the average is sum_j w_j 2 s1 s2 of
+    # the branch states; the kernel stays within about 2.2e-16 of a 40-digit
+    # reference on these, and LAPACK's singular values within about 1.1e-15
     dim = 2**n
-    a = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
-    g = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
-    c = complex(*gen.standard_normal(2))
-    b = {
-        "random": g,
-        "product": c * a,
-        "near-product": c * a + 10.0**log_eps * g,
-        "zero-row": np.zeros(dim),
-    }[kind]
-    psi = np.concatenate((b, a) if swap else (a, b))
-    psi /= np.linalg.norm(psi)
-    got = pure_entanglement(psi)
-    assert abs(got - _schmidt_product_svd(psi)) <= 1e-15
-    if kind == "zero-row":
-        assert got == 0.0
-    np.testing.assert_array_equal(pure_entanglement(np.stack([psi, psi])), [got, got])
+    rng = SeededRng(283, n)
+    for _ in range(3):
+        u = _oracle_unitary(kind, dim, rng)
+        inst = Dqc1Instance(n=n, unitary=u, control=ControlQubit.from_alpha(1.0))
+        sampled = decompose_from_T(inst.system_state, random_right_unitary(dim, 2 * dim, rng))
+        for ens in (fourier_ensemble(u), sampled):
+            want = sum(
+                w * _schmidt_product_svd(np.concatenate([phi, u @ phi]) / np.sqrt(2.0))
+                for w, phi in zip(ens.weights, ens.states.T)
+            )
+            assert abs(ensemble_average(inst, ens) - want) <= 2e-15
 
 
 def test_pure_entanglement_bell_state():
     bell = np.array([1.0, 0.0, 0.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
-    assert abs(pure_entanglement(bell) - 1.0) < 1e-12
-
-
-def test_pure_entanglement_validation():
-    with pytest.raises(ValueError, match="normalized"):
-        pure_entanglement(np.array([1.0, 0.0, 0.0, 1.0]))
-    with pytest.raises(ValueError, match="even"):
-        pure_entanglement(np.ones(3) / np.sqrt(3.0))
+    assert abs(_kernel_schmidt_product(bell) - 1.0) < 1e-12
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 8), st.integers(0, 2**32 - 1))
 def test_stacked_branch_and_entanglement_match_single_calls(n, count, seed):
-    # a stack gives every state the bits of a call of its own
+    # a stack of member sets gives every set the bits of a call of its own
     rng = SeededRng(seed, 0)
     dim = 2**n
     u = haar_unitary(dim, rng)
-    phis = rng.gen.standard_normal((count, dim)) + 1j * rng.gen.standard_normal((count, dim))
-    phis /= np.linalg.norm(phis, axis=1, keepdims=True)
-    np.testing.assert_array_equal(
-        branch_pure_state(phis, u), [branch_pure_state(phi, u) for phi in phis]
-    )
-    joint = rng.gen.standard_normal((count, 2 * dim)) + 1j * rng.gen.standard_normal(
-        (count, 2 * dim)
-    )
-    joint /= np.linalg.norm(joint, axis=1, keepdims=True)
-    got = pure_entanglement(joint)
-    assert got.shape == (count,)
-    singles = [pure_entanglement(psi) for psi in joint]
-    assert all(isinstance(value, float) for value in singles)
+    shape = (count, dim, 3)
+    vecs = rng.gen.standard_normal(shape) + 1j * rng.gen.standard_normal(shape)
+    sq = np.sum(vecs.conj() * vecs, axis=-2).real
+    got = _branch_entanglement(vecs, u @ vecs, sq)
+    assert got.shape == (count, 3)
+    singles = [_branch_entanglement(v, u @ v, s) for v, s in zip(vecs, sq)]
     np.testing.assert_array_equal(got, singles)
-    joint[count // 2] *= 1.0 + 1e-6
-    with pytest.raises(ValueError, match="normalized"):
-        pure_entanglement(joint)
-    phis[count - 1] *= 1.0 + 1e-6
-    with pytest.raises(ValueError, match="normalized"):
-        branch_pure_state(phis, u)
 
 
 def test_branch_entanglement_overlap_identity():
@@ -177,7 +163,7 @@ def test_branch_entanglement_overlap_identity():
             phi /= np.linalg.norm(phi)
             overlap = phi.conj() @ u @ phi
             want = np.sqrt(1.0 - abs(overlap) ** 2)
-            got = pure_entanglement(branch_pure_state(phi, u))
+            got = _kernel_schmidt_product(np.concatenate([phi, u @ phi]) / np.sqrt(2.0))
             assert abs(got - want) < 1e-12
 
 
@@ -595,7 +581,7 @@ def test_sampled_mixing_searches_take_bloch_vectors_past_the_sphere(p):
     ctl = ControlQubit.from_bloch(p)
     assert ctl.polarization == 1.0
     lam = lambda_factor(ctl)
-    assert abs(_analytic_mixing(ctl) - lam) <= 1e-14
+    assert abs(mixing_factor(branch_coefficients(ctl, analytic_min_T(ctl))) - lam) <= 1e-14
     assert abs(brute_force_min_mixing(ctl, 10, 4, SeededRng(0, 0)) - lam) <= 1e-14
     inst = Dqc1Instance(n=1, unitary=SIGMA_X, control=ctl)
     got = brute_force_entpower(inst, 10, SeededRng(0, 1))
@@ -638,7 +624,8 @@ def test_brute_force_min_mixing_validation():
 def test_ensemble_average_identity_unitary_is_zero():
     inst = Dqc1Instance(n=1, unitary=I2, control=ControlQubit.from_alpha(1.0))
     ens = fourier_ensemble(I2)
-    # every branch is a product state, and 2 s1 s2 leaves no purity dust
+    # every branch is a product state, and the orthogonal residual leaves
+    # no purity dust
     assert ensemble_average(inst, ens) <= 1e-15
 
 
@@ -691,13 +678,63 @@ def test_ensemble_average_mode_equivalence_is_bit_exact():
     assert a == b
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.floats(-1.0, 1.0),
+    st.floats(0.0, 2.0 * np.pi),
+    st.floats(0.0, 1.0),
+)
+@example(1, 0, 0.0, 0.0, 0.0)  # the fully mixed control: lambda gap 0
+@example(2, 0, 0.0, 0.0, 1.0)  # p = (1, 0, 0): pure, but the gap is 0
+@example(2, 0, -1.0, 0.0, 1.0)  # p = (0, 0, -1)
+def test_ensemble_average_scales_by_the_lambda_gap(n, seed, cos_theta, phi, radius):
+    # at any Bloch vector p the average is lambda_factor(p) times the fully
+    # polarized one: the same kernel, scaled per member before the weighting
+    sin_theta = np.sqrt(1.0 - cos_theta**2)
+    p = tuple(radius * np.array([sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta]))
+    dim = 2**n
+    rng = SeededRng(seed, 0)
+    u = haar_unitary(dim, rng)
+    sampled = decompose_from_T(np.eye(dim) / dim, random_right_unitary(dim, 2 * dim, rng))
+    control = ControlQubit.from_bloch(p)
+    lam = lambda_factor(control)
+    assume(lam == 0.0 or lam > 1e-300)  # a subnormal product keeps no relative precision
+    for ens in (fourier_ensemble(u), sampled):
+        pure = ensemble_average(Dqc1Instance(n, u, ControlQubit.from_alpha(1.0)), ens)
+        got = ensemble_average(Dqc1Instance(n=n, unitary=u, control=control), ens)
+        assert abs(got - lam * pure) <= 1e-15 * lam * pure
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_ensemble_average_takes_the_same_bits_from_either_memory_order(n):
+    # a single ensemble from decompose_from_T can come out F-ordered; a
+    # column sum over that layout would round differently
+    dim = 2**n
+    rng = SeededRng(307, n)
+    u = haar_unitary(dim, rng)
+    inst = Dqc1Instance(n=n, unitary=u, control=ControlQubit.from_bloch((0.3, -0.2, 0.5)))
+    for _ in range(5):
+        ens = decompose_from_T(inst.system_state, random_right_unitary(dim, 2 * dim, rng))
+        c_order = PureEnsemble(ens.weights, np.ascontiguousarray(ens.states))
+        f_order = PureEnsemble(ens.weights, np.asfortranarray(ens.states))
+        assert ensemble_average(inst, c_order) == ensemble_average(inst, f_order)
+
+
 def _member_loop_average(inst, ens):
-    """The fully polarized path one member at a time: the oracle for the
-    stacked pass."""
-    values = [
-        pure_entanglement(branch_pure_state(ens.states[:, j], inst.unitary))
-        for j in range(ens.size)
-    ]
+    """The branch kernel one member at a time: the oracle for the stacked
+    pass.  Each register sum runs row by row, the order in which a sum over
+    axis -2 of a C-ordered d x m array (m >= 2) adds, and U acts on all
+    members in one product, whose columns a matrix-vector product would
+    give other bits."""
+    u_states = inst.unitary @ ens.states
+    values = []
+    for phi, u_phi in zip(ens.states.T, u_states.T):
+        sq = functools.reduce(np.add, phi.conj() * phi).real
+        residual = u_phi - functools.reduce(np.add, phi.conj() * u_phi) / sq * phi
+        norm = np.sqrt(functools.reduce(np.add, (residual.conj() * residual).real))
+        values.append(lambda_factor(inst.control) * (norm / np.sqrt(sq)))
     return float(np.dot(ens.weights, values))
 
 
@@ -892,7 +929,7 @@ def _brute_force_entpower_one_sample_at_a_time(inst, samples, rng):
     rank = int(np.sum(spec.eigenvalues > TOL_SPECTRAL))
     root = spec.eigenvectors[:, :rank] * np.sqrt(spec.eigenvalues[:rank])
     u_root = inst.unitary @ root
-    mix = mixing_factor(branch_coefficients(inst.control, analytic_min_T(inst.control)))
+    mix = lambda_factor(inst.control)
     best = -np.inf
     for _ in range(samples):
         t_mat = random_right_unitary(rank, 2 * inst.dim, rng)

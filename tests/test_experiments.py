@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dqc1.cli
 import dqc1.experiments
 from dqc1.circuit import MAX_QUBITS, ControlQubit, Dqc1Instance, unitary_from_spec
 from dqc1.cli import main
@@ -442,8 +443,8 @@ def test_run_entpower_vs_alpha_traceless_reference():
 
 
 def test_run_entpower_vs_alpha_trivial_circuit_alpha_one_row_at_roundoff():
-    # the alpha = 1 row scores the Fourier candidate through the Schmidt
-    # product, which read 7.9e-16 here when it came from a per-state SVD
+    # the alpha = 1 row scores the Fourier candidate through the branch
+    # kernel; a per-state SVD of the branch states read 7.9e-16 here
     cfg = config_from_dict(
         {
             "experiment": "entpower-vs-alpha",
@@ -749,6 +750,17 @@ def test_cli_run_rejects_out_of_range_values(tmp_path, capsys, monkeypatch, payl
     assert main(["run", str(write_config(tmp_path, payload)), "--out", str(out)]) == 2
     assert f"field '{needle}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_run_rejects_a_directory_as_out_before_the_sweep(tmp_path, capsys, monkeypatch):
+    # the sweep used to run to the end, and only writing failed
+    calls = []
+    monkeypatch.setattr(dqc1.cli, "run_experiment", lambda cfg: calls.append(cfg) or [])
+    cfg = write_config(tmp_path, {"experiment": "verify-theorem1", "n": 1, "samples": 2})
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "field 'out'" in err and "is a directory" in err
+    assert calls == []
 
 
 @pytest.mark.parametrize(
