@@ -17,7 +17,8 @@ Every closed form here has an independent sampling route in this module
 (ensemble_average, brute_force_entpower, brute_force_min_mixing) so the two
 can be checked against each other.  The sampled entangling-power routes
 score every branch with one kernel, sqrt(1 - |<phi|U|phi>|^2) as the norm
-of U phi's component orthogonal to phi, times the control's lambda gap.
+of U phi's component orthogonal to phi, times the control's lambda gap, and
+every stack of sampled register decompositions with one scorer, _DrawScorer.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .linalg import (
     is_right_unitary,
     normalized_trace,
     random_right_unitary,
-    require,
 )
 
 _SQRT2 = np.sqrt(2.0)
@@ -47,48 +47,36 @@ _SQRT2 = np.sqrt(2.0)
 
 @dataclass
 class PureEnsemble:
-    """Weighted pure states; columns of ``states`` are the state vectors.
-
-    A stack of ensembles of equal size has weights of shape (k, m) and
-    states of shape (k, d, m); every check then runs once over the whole
-    stack, and a failure names its member (:class:`~dqc1.linalg.StackError`).
-    """
+    """Weighted pure states; columns of ``states`` are the state vectors."""
 
     weights: np.ndarray
     states: np.ndarray
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        # C order: a column sum over an F-ordered single ensemble (as
-        # decompose_from_T can return) takes other bits than the same sum
-        # over a stack, which would break stack-equals-single identity
+        # C order: a column sum over an F-ordered array (as decompose_from_T
+        # can return) takes other bits, so an average would hang on layout
         self.states = np.ascontiguousarray(self.states, dtype=np.complex128)
-        if self.weights.ndim not in (1, 2) or self.states.ndim != self.weights.ndim + 1:
-            raise ValueError(
-                "weights must be 1-D and states 2-D (columns), or stacks of them"
-            )
-        if self.states.shape[:-2] + self.states.shape[-1:] != self.weights.shape:
-            raise ValueError(
-                f"{self.states.shape[-1]} states but {self.weights.shape[-1]} weights"
-            )
-        require(self.weights.min(axis=-1) > 0.0, "ensemble weights must be positive")
-        total = self.weights.sum(axis=-1)
-        require(np.abs(total - 1.0) <= TOL_SPECTRAL, "weights sum to {}, expected 1", total)
-        norms = np.linalg.norm(self.states, axis=-2)
-        require(
-            np.max(np.abs(norms - 1.0), axis=-1) <= TOL_SPECTRAL,
-            "ensemble states must be normalized",
-        )
+        if self.weights.ndim != 1 or self.states.ndim != 2:
+            raise ValueError("weights must be 1-D and states 2-D (columns)")
+        if self.states.shape[1] != self.weights.size:
+            raise ValueError(f"{self.states.shape[1]} states but {self.weights.size} weights")
+        if not self.weights.min() > 0.0:
+            raise ValueError("ensemble weights must be positive")
+        total = self.weights.sum()
+        if not abs(total - 1.0) <= TOL_SPECTRAL:
+            raise ValueError(f"weights sum to {total}, expected 1")
+        norms = np.linalg.norm(self.states, axis=0)
+        if not np.max(np.abs(norms - 1.0)) <= TOL_SPECTRAL:
+            raise ValueError("ensemble states must be normalized")
 
     @property
     def size(self) -> int:
-        """Member count, summed over a stack."""
+        """Member count."""
         return self.weights.size
 
     def density(self) -> np.ndarray:
-        return (self.states * self.weights[..., None, :]) @ np.swapaxes(
-            self.states.conj(), -1, -2
-        )
+        return (self.states * self.weights) @ self.states.conj().T
 
 
 @dataclass
@@ -120,7 +108,7 @@ def entpower_alpha(u: np.ndarray, alpha: float) -> float:
     """Linear scaling of the closed form with z polarization alpha."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return alpha * entpower_standard(u)
+    return abs(alpha) * entpower_standard(u)  # alpha -0.0 passes, and gives +0.0
 
 
 def fourier_ensemble(u: np.ndarray) -> PureEnsemble:
@@ -142,24 +130,17 @@ def decompose_from_T(target: np.ndarray, t_mat: np.ndarray) -> PureEnsemble:
 
     With eigendecomposition target = Phi M Phi^+ restricted to its support,
     the (unnormalized) members are the columns of Phi sqrt(M) T; every
-    ensemble of the target arises this way for some right-unitary T.  T must
+    ensemble of the target arises this way for some right-unitary T
+    (Hughston, Jozsa and Wootters, Phys. Lett. A 183, 14, 1993).  T must
     have one row per support dimension (eigenvalues the rows do not cover
     must vanish) and satisfy T T^+ = I.  A column T zeroes out carries no
     member and is dropped.
-
-    ``t_mat`` may be a stack of shape (k, rows, cols): the target is then
-    eigensolved once, the result is a stack of k ensembles, and a zero
-    column is rejected, since every member of a stack keeps ``cols`` states.
     """
     t_mat = np.asarray(t_mat, dtype=np.complex128)
-    if t_mat.ndim not in (2, 3):
-        raise ValueError("T must be a 2-D matrix or a stack of them")
-    ok = is_right_unitary(t_mat, TOL_SPECTRAL)
-    if not ok and t_mat.ndim == 3:  # find the member at fault
-        ok = [is_right_unitary(t, TOL_SPECTRAL) for t in t_mat]
-    require(ok, "T rows are not orthonormal (T T^+ != I)")
+    if t_mat.ndim != 2 or not is_right_unitary(t_mat, TOL_SPECTRAL):
+        raise ValueError("T must be a 2-D matrix with orthonormal rows (T T^+ = I)")
     spec = eig_hermitian(np.asarray(target, dtype=np.complex128))
-    rows = t_mat.shape[-2]
+    rows = t_mat.shape[0]
     if rows > spec.eigenvalues.size:
         raise ValueError(
             f"T has {rows} rows but the target dimension is {spec.eigenvalues.size}"
@@ -174,13 +155,10 @@ def decompose_from_T(target: np.ndarray, t_mat: np.ndarray) -> PureEnsemble:
         raise ValueError("target has a negative eigenvalue; not a density matrix")
     kept = np.clip(spec.eigenvalues[:rows], 0.0, None)
     members = (spec.eigenvectors[:, :rows] * np.sqrt(kept)) @ t_mat
-    weights = np.linalg.norm(members, axis=-2) ** 2
+    weights = np.linalg.norm(members, axis=0) ** 2
     keep = weights > 1e-15
-    if t_mat.ndim == 2:
-        members, weights = members[:, keep], weights[keep]
-    else:
-        require(keep.all(axis=-1), "T has a zero column; stacked ensembles keep every column")
-    return PureEnsemble(weights=weights, states=members / np.sqrt(weights)[..., None, :])
+    members, weights = members[:, keep], weights[keep]
+    return PureEnsemble(weights=weights, states=members / np.sqrt(weights))
 
 
 def branch_coefficients(control: ControlQubit, t_mat: np.ndarray) -> BranchCoefficients:
@@ -279,25 +257,20 @@ def _branch_entanglement(vecs: np.ndarray, u_vecs: np.ndarray, sq) -> np.ndarray
     return np.linalg.norm(u_vecs - overlap * vecs, axis=-2) / np.sqrt(sq)
 
 
-def ensemble_average(inst: Dqc1Instance, ens: PureEnsemble) -> float | np.ndarray:
+def ensemble_average(inst: Dqc1Instance, ens: PureEnsemble) -> float:
     """Weighted branch entanglement of the circuit over a register ensemble.
 
     The ensemble must realize the instance's register state.  Each member
     phi scores the pure-branch value sqrt(1 - |<phi|U|phi>|^2) scaled by the
     control's minimal mixing factor, the lambda gap (1 for a fully polarized
-    control, whose branches are pure), for all members in one stacked pass.
-    A stack of ensembles gives an array with one average per ensemble, each
-    equal bit for bit to the average of that ensemble alone.
+    control, whose branches are pure), for all members in one pass.
     """
-    off = np.max(np.abs(ens.density() - inst.system_state), axis=(-2, -1))
-    require(off <= TOL_SPECTRAL, "ensemble does not realize the instance's register state")
-
+    if not np.max(np.abs(ens.density() - inst.system_state)) <= TOL_SPECTRAL:
+        raise ValueError("ensemble does not realize the instance's register state")
     states = ens.states
-    sq = np.sum(states.conj() * states, axis=-2).real
+    sq = np.sum(states.conj() * states, axis=0).real
     values = lambda_factor(inst.control) * _branch_entanglement(states, inst.unitary @ states, sq)
-    # a 1 x 1 matmul is the dot product np.dot takes, one per stack member
-    total = (ens.weights[..., None, :] @ values[..., :, None])[..., 0, 0]
-    return float(total) if total.ndim == 0 else total
+    return float(np.dot(ens.weights, values))
 
 
 def entpower_bounds(u: np.ndarray, rho_n: np.ndarray) -> tuple[float, float]:
@@ -372,6 +345,37 @@ def brute_force_min_mixing(
     return best
 
 
+def _draw_entries(dim: int) -> int:
+    """Entries a sampled decomposition adds per stacked array: d x 2d members, or U times them."""
+    return 2 * dim * dim
+
+
+class _DrawScorer:
+    """Ensemble averages of sampled decompositions of one instance's register.
+
+    A right-unitary ``rank x 2d`` draw T selects the members Phi sqrt(M) T of
+    the register state Phi M Phi^+ on its support, as in :func:`decompose_from_T`.
+    A call maps a (k, rank, 2d) stack of draws to their k averages, each
+    member scored as in :func:`ensemble_average` with its squared norm as its
+    weight, and each average with the bits of its draw alone.  The draws come
+    from :func:`~dqc1.linalg.random_right_unitary`, orthonormal by its QR, and
+    go unchecked.
+    """
+
+    def __init__(self, inst: Dqc1Instance):
+        spec = eig_hermitian(inst.system_state)
+        self.rank = int(np.sum(spec.eigenvalues > TOL_SPECTRAL))
+        self.root = spec.eigenvectors[:, : self.rank] * np.sqrt(spec.eigenvalues[: self.rank])
+        self.u_root = inst.unitary @ self.root
+        self.mix = lambda_factor(inst.control)
+
+    def __call__(self, t_stack: np.ndarray) -> np.ndarray:
+        members = self.root @ t_stack
+        weights = np.sum(np.abs(members) ** 2, axis=-2)
+        branch = _branch_entanglement(members, self.u_root @ t_stack, weights)
+        return (weights[:, None, :] @ (self.mix * branch)[:, :, None])[:, 0, 0]
+
+
 def brute_force_entpower(inst: Dqc1Instance, samples: int, rng: SeededRng) -> float:
     """Best entangling power found over random register ensembles.
 
@@ -379,29 +383,17 @@ def brute_force_entpower(inst: Dqc1Instance, samples: int, rng: SeededRng) -> fl
     (rows = its support dimension, columns = twice the register dimension)
     and takes the largest ensemble average.  When the register is maximally
     mixed the Fourier ensemble joins the candidate list, which is what lets
-    the search actually attain the closed form.  Samples are scored like
-    :func:`ensemble_average`, with the register spectrum, the lambda gap and
-    U Phi sqrt(M) computed once, in bounded stacks of samples whose result
-    equals a one-sample-at-a-time loop bit for bit.
+    the search actually attain the closed form.  The samples are scored in
+    bounded stacks by one :class:`_DrawScorer`, and the result equals a
+    one-sample-at-a-time loop bit for bit.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     dim = inst.dim
-    spec = eig_hermitian(inst.system_state)
-    rank = int(np.sum(spec.eigenvalues > TOL_SPECTRAL))
-    root = spec.eigenvectors[:, :rank] * np.sqrt(spec.eigenvalues[:rank])
-    u_root = inst.unitary @ root
-    mix = lambda_factor(inst.control)
-
+    score = _DrawScorer(inst)
     best = -np.inf
-    mixed = np.eye(dim, dtype=np.complex128) / dim
-    if np.max(np.abs(inst.system_state - mixed)) <= TOL_SPECTRAL:
+    if np.max(np.abs(inst.system_state - np.eye(dim) / dim)) <= TOL_SPECTRAL:
         best = ensemble_average(inst, fourier_ensemble(inst.unitary))
-    # each sample stacks two dim x 2 dim arrays: its members and U times them
-    for t_stack in _right_unitary_stacks(rank, 2 * dim, samples, rng, dim * 2 * dim):
-        members = root @ t_stack
-        weights = np.sum(np.abs(members) ** 2, axis=-2)
-        branch = _branch_entanglement(members, u_root @ t_stack, weights)
-        scores = (weights[:, None, :] @ (mix * branch)[:, :, None])[:, 0, 0]
-        best = max(best, float(scores.max()))
-    return float(best)
+    for t_stack in _right_unitary_stacks(score.rank, 2 * dim, samples, rng, _draw_entries(dim)):
+        best = max(best, float(score(t_stack).max()))
+    return best

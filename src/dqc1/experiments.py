@@ -32,9 +32,10 @@ import numpy as np
 
 from .circuit import MAX_QUBITS, ControlQubit, Dqc1Instance, unitary_from_spec
 from .entpower import (
+    _DrawScorer,
+    _draw_entries,
     brute_force_entpower,
     brute_force_min_mixing,
-    decompose_from_T,
     ensemble_average,
     entpower_alpha,
     entpower_bounds,
@@ -47,7 +48,6 @@ from .linalg import (
     TOL_CONSTRUCT,
     TOL_VERIFY,
     SeededRng,
-    StackError,
     is_density,
     load_matrix,
     normalized_trace,
@@ -318,10 +318,12 @@ def _setup_complexity_curve(cfg):
             f"field 'unitary': complexity-curve needs both trace quadratures "
             f"nonzero, but {brief(cfg.unitary)} has t = {t}"
         )
-    try:
-        budgets = [_complexity_budget(cfg.alpha, t, r) for r in cfg.shots]
-    except ValueError as err:
-        raise ValueError(f"field 'alpha': {cfg.alpha!r} leaves no budget: {err}") from None
+    # the alpha is at fault if it leaves no budget on unit quadratures, else the unitary
+    for field, value, quads in (("alpha", cfg.alpha, 1 + 1j), ("unitary", cfg.unitary, t)):
+        try:
+            budgets = [_complexity_budget(cfg.alpha, quads, r) for r in cfg.shots]
+        except (ValueError, ZeroDivisionError) as err:
+            raise ValueError(f"field '{field}': {brief(value)} leaves no budget: {err}") from None
     return {"t": t, "budgets": budgets, "reference": entpower_alpha(u, cfg.alpha)}
 
 
@@ -351,13 +353,10 @@ def _range_verify_theorem1(cfg, payload, lo, hi):
     if first == hi:
         return rows
     # Each point draws from its own stream exactly as it would alone; the
-    # range is then decomposed and scored as one stack, with the same bits.
+    # range is then scored as one stack, with the same bits.
     streams = [SeededRng(cfg.seed, idx) for idx in range(first, hi)]
     try:
-        t_stack = random_right_unitary(inst.dim, 2 * inst.dim, streams)
-        measured = ensemble_average(inst, decompose_from_T(inst.system_state, t_stack))
-    except StackError as err:
-        raise _failure(cfg, first + err.index, first + err.index + 1, err) from err
+        measured = _DrawScorer(inst)(random_right_unitary(inst.dim, 2 * inst.dim, streams))
     except Exception as err:
         raise _failure(cfg, first, hi, err) from err
     return rows + [("sample", idx, m, reference) for idx, m in zip(range(first, hi), measured)]
@@ -541,12 +540,11 @@ def _ranges(count: int, pool_size: int, n: int) -> list[tuple[int, int]]:
     """Contiguous index ranges covering ``count`` points of an n-qubit
     sweep: about four per worker, so each costs one round trip and pickles
     the shared cfg and payload once, and at most
-    :data:`~dqc1.linalg.MAX_STACK_ENTRIES` stacked entries each: a
-    ``verify-theorem1`` point stacks (2d)x(2d) branch states, d = 2**n, so a
-    range holds 1024 points at n=1, 256 at n=2, 16 at n=4 and one from n=6
-    on."""
-    per_point = (2 ** (n + 1)) ** 2
-    step = max(1, min(count // (4 * pool_size), MAX_STACK_ENTRIES // per_point))
+    :data:`~dqc1.linalg.MAX_STACK_ENTRIES` stacked entries each.  A
+    ``verify-theorem1`` point stacks one sampled decomposition, 2 d^2
+    entries per array (d = 2**n), so a range holds at most 2048 points at
+    n=1, 512 at n=2, 32 at n=4, 2 at n=6 and one from n=7 on."""
+    step = max(1, min(count // (4 * pool_size), MAX_STACK_ENTRIES // _draw_entries(2**n)))
     return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 

@@ -71,37 +71,6 @@ class SeededRng:
         return f"SeededRng(seed={self.seed}, stream={self.stream})"
 
 
-class StackError(ValueError):
-    """A check failed for one member of a stack of inputs; ``index`` is that
-    member's position along the stack's leading axis."""
-
-    def __init__(self, message: str, index: int):
-        super().__init__(message, index)
-        self.index = index
-
-    def __str__(self) -> str:
-        return self.args[0]
-
-
-def require(ok, message: str, value=None) -> None:
-    """Raise ``ValueError`` unless ``ok`` holds; a ``{}`` in ``message`` is
-    filled with ``value``.
-
-    For a stack, ``ok`` and ``value`` hold one entry per member along the
-    leading axis, and the error is a :class:`StackError` naming the first
-    member that fails.
-    """
-    ok = np.asarray(ok)
-    if ok.ndim == 0:
-        if not ok:
-            raise ValueError(message.format(value))
-        return
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        idx = int(bad[0])
-        raise StackError(message.format(None if value is None else value[idx]), idx)
-
-
 @dataclass
 class Spectrum:
     """Eigenvalues with matching eigenvector columns."""

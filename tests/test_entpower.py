@@ -2,6 +2,7 @@
 decomposition machinery they are checked against."""
 
 import functools
+import math
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from dqc1.entpower import (
     BranchCoefficients,
     PureEnsemble,
     _branch_entanglement,
+    _DrawScorer,
     analytic_min_T,
     branch_coefficients,
     brute_force_entpower,
@@ -39,7 +41,6 @@ from dqc1.linalg import (
     SIGMA_X,
     SIGMA_Z,
     SeededRng,
-    StackError,
     TOL_SPECTRAL,
     TOL_VERIFY,
     eig_hermitian,
@@ -213,14 +214,15 @@ def test_closed_forms_on_clustered_spectra_match_a_float_only_oracle(n, gap, see
     assert abs(entpower_bounds(u, rho)[1] - oracle(p)) <= 1e-14
     inst = Dqc1Instance(n=n, unitary=u, control=ControlQubit.from_alpha(1.0))
     assert abs(ensemble_average(inst, fourier_ensemble(u)) - standard) <= 1e-14
-    sampled = decompose_from_T(inst.system_state, random_right_unitary(dim, 2 * dim, rng, 3))
-    assert np.all(ensemble_average(inst, sampled) <= standard + TOL_VERIFY)
+    sampled = _DrawScorer(inst)(random_right_unitary(dim, 2 * dim, rng, 3))
+    assert np.all(sampled <= standard + TOL_VERIFY)
 
 
 def test_entpower_alpha_scaling():
     u = np.diag([1.0, 1.0j])
     assert abs(entpower_alpha(u, 0.5) - 0.5 * np.sqrt(0.5)) < 1e-12
     assert entpower_alpha(u, 0.0) == 0.0
+    assert math.copysign(1.0, entpower_alpha(u, -0.0)) == 1.0  # -0.0 passes the range check
     rng = SeededRng(73, 0)
     for _ in range(10):
         u = haar_unitary(8, rng)
@@ -244,6 +246,8 @@ def test_pure_ensemble_validation():
         PureEnsemble(weights=[0.5, 0.5], states=2.0 * states)
     with pytest.raises(ValueError, match="states but"):
         PureEnsemble(weights=[1.0], states=states)
+    with pytest.raises(ValueError, match="1-D"):  # one ensemble, not a stack of them
+        PureEnsemble(weights=np.full((3, 2), 0.5), states=np.stack([states] * 3))
 
 
 def test_fourier_ensemble_realizes_maximally_mixed():
@@ -353,67 +357,13 @@ def test_decompose_from_T_drops_empty_members():
     assert ens.size == 2  # the all-zero third column carries no member
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("rank", ["full", "deficient"])
-def test_decompose_from_T_stack_matches_single_calls_bit_for_bit(n, rank):
-    dim = 2**n
-    rows = dim if rank == "full" else max(1, dim // 2)
-    target = random_density(dim, rows, SeededRng(227, n))
-    streams = [SeededRng(229, idx) for idx in range(9)]
-    t_stack = random_right_unitary(rows, 2 * dim, streams)
-    stacked = decompose_from_T(target, t_stack)
-    assert stacked.weights.shape == (9, 2 * dim)
-    assert stacked.states.shape == (9, dim, 2 * dim)
-    assert stacked.size == 9 * 2 * dim  # total member count
-    for k, t_mat in enumerate(t_stack):
-        single = decompose_from_T(target, t_mat)
-        np.testing.assert_array_equal(stacked.weights[k], single.weights)
-        np.testing.assert_array_equal(stacked.states[k], single.states)
-        np.testing.assert_array_equal(stacked.density()[k], single.density())
-
-
-def test_decompose_from_T_stack_names_its_bad_member():
-    t_stack = random_right_unitary(2, 4, [SeededRng(233, idx) for idx in range(5)])
-    t_stack[3, 0] *= 1.5
-    with pytest.raises(StackError, match="orthonormal") as info:
-        decompose_from_T(I2 / 2, t_stack)
-    assert info.value.index == 3
-    # a zero column is dropped from one ensemble, but rejected in a stack,
-    # where every member keeps all its columns
-    t_stack = random_right_unitary(2, 3, [SeededRng(233, idx) for idx in range(4)])
-    t_stack[2] = np.eye(2, 3)
-    assert decompose_from_T(I2 / 2, t_stack[2]).size == 2
-    with pytest.raises(StackError, match="zero column") as info:
-        decompose_from_T(I2 / 2, t_stack)
-    assert info.value.index == 2
-
-
-def test_pure_ensemble_stack_validation_names_the_member():
-    states = np.stack([np.eye(2, dtype=np.complex128)] * 4)
-    weights = np.full((4, 2), 0.5)
-    assert PureEnsemble(weights=weights, states=states).size == 8
-
-    unnormalized = states.copy()
-    unnormalized[2] *= 2.0
-    with pytest.raises(StackError, match="normalized") as info:
-        PureEnsemble(weights=weights, states=unnormalized)
-    assert info.value.index == 2
-
-    for member, bad, needle in ((1, [1.0, 0.0], "positive"), (3, [0.6, 0.6], "sum to 1.2")):
-        broken = weights.copy()
-        broken[member] = bad
-        with pytest.raises(StackError, match=needle) as info:
-            PureEnsemble(weights=broken, states=states)
-        assert info.value.index == member
-    with pytest.raises(ValueError, match="states but"):
-        PureEnsemble(weights=np.full((4, 3), 1 / 3), states=states)
-
-
 def test_decompose_from_T_rejects_bad_T():
     with pytest.raises(ValueError, match="orthonormal"):
         decompose_from_T(I2 / 2, np.ones((2, 3)))
     with pytest.raises(ValueError, match="rows"):
         decompose_from_T(I2 / 2, np.eye(3, dtype=np.complex128))
+    with pytest.raises(ValueError, match="2-D"):  # one T, not a stack of them
+        decompose_from_T(I2 / 2, np.stack([HADAMARD] * 3))
 
 
 def test_decompose_from_T_rejects_uncovered_support():
@@ -723,9 +673,9 @@ def test_ensemble_average_takes_the_same_bits_from_either_memory_order(n):
 
 
 def _member_loop_average(inst, ens):
-    """The branch kernel one member at a time: the oracle for the stacked
-    pass.  Each register sum runs row by row, the order in which a sum over
-    axis -2 of a C-ordered d x m array (m >= 2) adds, and U acts on all
+    """The branch kernel one member at a time: the oracle for the pass over
+    all members.  Each register sum runs row by row, the order in which a sum
+    over axis 0 of a C-ordered d x m array (m >= 2) adds, and U acts on all
     members in one product, whose columns a matrix-vector product would
     give other bits."""
     u_states = inst.unitary @ ens.states
@@ -748,31 +698,6 @@ def test_ensemble_average_polarized_matches_member_loop_bit_for_bit(n):
         sampled = decompose_from_T(inst.system_state, random_right_unitary(dim, 2 * dim, rng))
         for ens in (fourier_ensemble(u), sampled):
             assert ensemble_average(inst, ens) == _member_loop_average(inst, ens)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("bloch", [(0.0, 0.0, 1.0), (0.0, 0.0, 0.6), (0.3, -0.2, 0.5)])
-def test_ensemble_average_stack_matches_single_calls_bit_for_bit(n, bloch):
-    dim = 2**n
-    u = haar_unitary(dim, SeededRng(239, n))
-    inst = Dqc1Instance(n=n, unitary=u, control=ControlQubit.from_bloch(bloch))
-    t_stack = random_right_unitary(dim, 2 * dim, [SeededRng(241, idx) for idx in range(6)])
-    stacked = ensemble_average(inst, decompose_from_T(inst.system_state, t_stack))
-    assert stacked.shape == (6,)
-    for value, t_mat in zip(stacked, t_stack):
-        assert value == ensemble_average(inst, decompose_from_T(inst.system_state, t_mat))
-
-
-def test_ensemble_average_stack_names_the_member_it_rejects():
-    u = haar_unitary(4, SeededRng(251, 0))
-    inst = Dqc1Instance(n=2, unitary=u, control=ControlQubit.from_alpha(1.0))
-    ens = decompose_from_T(inst.system_state, np.stack([np.eye(4)] * 3))
-    states = ens.states.copy()
-    states[1] = states[1][:, [1, 0, 2, 3]] * np.exp(0.3j)  # same density
-    states[2] = np.eye(4)[:, [0, 0, 2, 3]]  # no longer I/4
-    with pytest.raises(StackError, match="realize") as info:
-        ensemble_average(inst, PureEnsemble(weights=ens.weights, states=states))
-    assert info.value.index == 2
 
 
 def test_ensemble_average_rejects_wrong_realization():
@@ -990,24 +915,39 @@ def test_brute_force_entpower_validation():
         brute_force_entpower(inst, samples=5)
 
 
-@pytest.mark.parametrize(
-    "n,rho,control",
-    [
-        (1, np.diag([0.9, 0.1]), ControlQubit.from_alpha(1.0)),
-        (1, np.diag([0.9, 0.1]), ControlQubit.from_bloch((0.3, 0.0, 0.4))),
-        (2, random_density(4, 2, SeededRng(199, 0)), ControlQubit.from_alpha(0.6)),
-    ],
+_CONTROLS = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True).map(ControlQubit.from_alpha),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+    .filter(lambda p: np.linalg.norm(p) <= 1.0)
+    .map(ControlQubit.from_bloch),
 )
-def test_brute_force_entpower_sample_matches_ensemble_average(n, rho, control):
-    # one sample of the search scores the same decomposition that
-    # decompose_from_T + ensemble_average build from the same draw
-    u = haar_unitary(2**n, SeededRng(211, 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.booleans(), _CONTROLS, st.integers(1, 4), st.integers(0, 2**32 - 1))
+@example(1, False, ControlQubit.from_alpha(1.0), 1, 5)
+@example(2, False, ControlQubit.from_bloch((0.3, 0.0, 0.4)), 3, 5)
+@example(5, True, ControlQubit.from_alpha(0.6), 4, 5)
+@example(5, False, ControlQubit.from_bloch((0.3, -0.2, 0.5)), 2, 5)
+def test_scored_draws_match_ensemble_average(n, full_rank, control, k, seed):
+    # the sampled searches score Phi sqrt(M) T straight from a stack of
+    # draws; decompose_from_T + ensemble_average build and check the same
+    # decomposition one draw at a time
+    dim = 2**n
+    rng = SeededRng(seed, 0)
+    rho = random_density(dim, dim if full_rank else int(rng.gen.integers(1, dim)), rng)
+    u = haar_unitary(dim, rng)
     inst = Dqc1Instance(n=n, unitary=u, control=control, system_state=rho)
-    got = brute_force_entpower(inst, samples=1, rng=SeededRng(5, 0))
-    rank = int(np.linalg.matrix_rank(rho))
-    t_mat = random_right_unitary(rank, 2 * 2**n, SeededRng(5, 0))
-    want = ensemble_average(inst, decompose_from_T(rho, t_mat))
-    assert abs(got - want) < 1e-12
+    score = _DrawScorer(inst)
+    t_stack = random_right_unitary(score.rank, 2 * dim, rng, k)
+    members = score.root @ t_stack
+    realized = members @ np.swapaxes(members.conj(), -1, -2)
+    assert np.max(np.abs(realized - rho)) <= TOL_SPECTRAL
+    scores = score(t_stack)
+    assert scores.shape == (k,)
+    for j, t_mat in enumerate(t_stack):
+        assert abs(scores[j] - ensemble_average(inst, decompose_from_T(rho, t_mat))) <= 1e-15
+        assert score(t_stack[j : j + 1])[0] == scores[j]
 
 
 def test_branch_coefficients_container():

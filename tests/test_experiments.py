@@ -24,8 +24,8 @@ import dqc1.experiments
 from dqc1.circuit import MAX_QUBITS, ControlQubit, Dqc1Instance, unitary_from_spec
 from dqc1.cli import main
 from dqc1.entpower import (
-    PureEnsemble,
-    decompose_from_T,
+    _DrawScorer,
+    _draw_entries,
     ensemble_average,
     entpower_bounds,
     entpower_standard,
@@ -219,16 +219,17 @@ def theorem1_config(**overrides):
 
 
 def per_point_theorem1_rows(cfg):
-    """verify-theorem1 one point at a time, each with its own draw,
-    decomposition and score: the oracle for the stacked ranges."""
+    """verify-theorem1 one point at a time, each with its own draw scored
+    as a one-member stack: the oracle for the stacked ranges."""
     u = unitary_from_spec(cfg.unitary, cfg.n, SeededRng(cfg.seed, 0))
     inst = Dqc1Instance(n=cfg.n, unitary=u, control=ControlQubit.from_alpha(1.0))
     reference = entpower_standard(u)
     fourier = ensemble_average(inst, fourier_ensemble(u))
     rows = [ResultRow.build(cfg.experiment, "fourier", 0, fourier, reference, cfg.seed)]
+    score = _DrawScorer(inst)
     for idx in range(1, cfg.samples + 1):
         t_mat = random_right_unitary(inst.dim, 2 * inst.dim, SeededRng(cfg.seed, idx))
-        measured = ensemble_average(inst, decompose_from_T(inst.system_state, t_mat))
+        measured = score(t_mat[None])[0]
         rows.append(ResultRow.build(cfg.experiment, "sample", idx, measured, reference, cfg.seed))
     return rows
 
@@ -237,13 +238,13 @@ def per_point_theorem1_rows(cfg):
 @pytest.mark.parametrize("unitary", ["haar", "identity"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_run_verify_theorem1_stacked_ranges_match_per_point_oracle(n, unitary, seed):
-    # 71 or 41 points go out in ranges of 17 or 10, and of 4 at n=5
+    # 71 or 41 points go out in ranges of 17 or 10, and of 8 at n=5
     cfg = theorem1_config(n=n, unitary=unitary, seed=seed, samples=70 if n <= 3 else 40, workers=1)
     assert run_experiment(cfg) == per_point_theorem1_rows(cfg)
 
 
 def test_run_verify_theorem1_full_ranges_match_per_point_oracle():
-    cfg = theorem1_config(samples=2000, seed=42, workers=1)  # ranges of 256 points
+    cfg = theorem1_config(samples=2000, seed=42, workers=1)  # ranges of 500 points
     assert run_experiment(cfg) == per_point_theorem1_rows(cfg)
 
 
@@ -256,19 +257,21 @@ def test_run_verify_theorem1_uneven_ranges_do_not_change_results(samples):
 
 
 @pytest.mark.parametrize(
-    "n,step", [(1, 500), (2, 256), (3, 64), (4, 16), (5, 4), (6, 1), (MAX_QUBITS, 1)]
+    "n,step", [(1, 500), (2, 500), (3, 128), (4, 32), (5, 8), (6, 2), (7, 1), (MAX_QUBITS, 1)]
 )
 def test_ranges_bound_the_entries_a_range_stacks(n, step):
-    # a point stacks a (2d)x(2d) draw; from n=2 on the entry bound, not the
-    # quarter share of the points, sets the range length
+    # a point stacks d x 2d arrays, d = 2**n; from n=3 on the entry bound,
+    # not the quarter share of the points, sets the range length
     ranges = dqc1.experiments._ranges(2001, 1, n)
     assert {hi - lo for lo, hi in ranges[:-1]} == {step}
     assert [lo for lo, _ in ranges] == list(range(0, 2001, step)) and ranges[-1][1] == 2001
-    assert step == 1 or step * (2 ** (n + 1)) ** 2 <= MAX_STACK_ENTRIES
+    assert _draw_entries(2**n) == 2 * 4**n
+    assert step == 1 or step * _draw_entries(2**n) <= MAX_STACK_ENTRIES
 
 
-def test_run_verify_theorem1_stacks_one_point_per_range_at_n6(monkeypatch):
-    # 13 serial points would make ranges of 3; one n=6 draw fills the bound
+def test_run_verify_theorem1_stacks_two_points_per_range_at_n6(monkeypatch):
+    # 14 serial points would make ranges of 3; two n=6 draws fill the bound,
+    # and the Fourier row takes the first range's other slot
     stacked = []
     real = dqc1.experiments.random_right_unitary
 
@@ -277,60 +280,44 @@ def test_run_verify_theorem1_stacks_one_point_per_range_at_n6(monkeypatch):
         return real(rows, cols, streams)
 
     monkeypatch.setattr(dqc1.experiments, "random_right_unitary", recording)
-    cfg = theorem1_config(n=6, samples=12, workers=1)
+    cfg = theorem1_config(n=6, samples=13, workers=1)
     assert run_experiment(cfg) == per_point_theorem1_rows(cfg)
-    assert stacked == [1] * 12
+    assert stacked == [1] + [2] * 6
 
 
-@pytest.mark.parametrize("samples,ranges", [(60, 5), (2000, -(-2001 // 256))])
+@pytest.mark.parametrize("samples,ranges", [(60, 5), (2000, -(-2001 // 500))])
 def test_run_verify_theorem1_decomposes_once_per_range(monkeypatch, samples, ranges):
     # 61 points serially make ranges of 15 (five of them), 2001 points at
-    # n=2 ranges of 256; the register is eigensolved once per range
+    # n=2 ranges of 500; the register is eigensolved and its draws scored
+    # once per range
     import dqc1.entpower
 
-    calls = {"eig_hermitian": 0, "decompose_from_T": 0}
+    calls = {"eig_hermitian": 0, "score": 0}
+    real_eig = dqc1.entpower.eig_hermitian
 
-    def counting(module, name):
-        real = getattr(module, name)
+    def counting_eig(*args):
+        calls["eig_hermitian"] += 1
+        return real_eig(*args)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
+    class CountingScorer(_DrawScorer):
+        def __call__(self, t_stack):
+            calls["score"] += 1
+            return super().__call__(t_stack)
 
-        monkeypatch.setattr(module, name, wrapper)
-
-    counting(dqc1.entpower, "eig_hermitian")
-    counting(dqc1.experiments, "decompose_from_T")
+    monkeypatch.setattr(dqc1.entpower, "eig_hermitian", counting_eig)
+    monkeypatch.setattr(dqc1.experiments, "_DrawScorer", CountingScorer)
     assert len(run_experiment(theorem1_config(samples=samples, workers=1))) == samples + 1
-    assert calls == {"eig_hermitian": ranges, "decompose_from_T": ranges}
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_run_verify_theorem1_names_the_point_a_stack_rejects(monkeypatch, workers):
-    cfg = theorem1_config(workers=workers)
-    poisoned = random_right_unitary(4, 8, SeededRng(cfg.seed, 17))
-    real = dqc1.experiments.decompose_from_T
-
-    def unnormalize_point_17(target, t_stack):
-        ens = real(target, t_stack)
-        states = ens.states.copy()
-        for k, t_mat in enumerate(t_stack):
-            if np.array_equal(t_mat, poisoned):
-                states[k, :, 0] *= 2.0
-        return PureEnsemble(weights=ens.weights, states=states)
-
-    monkeypatch.setattr(dqc1.experiments, "decompose_from_T", unnormalize_point_17)
-    with pytest.raises(RuntimeError, match=r"at point 17 \(sample=17\): .*normalized"):
-        run_experiment(cfg)
+    assert calls == {"eig_hermitian": ranges, "score": ranges}
 
 
 def test_run_verify_theorem1_names_the_range_of_an_unattributed_failure(monkeypatch):
-    def broken(target, t_stack):
-        raise ValueError("no decomposition")
+    class BrokenScorer(_DrawScorer):
+        def __call__(self, t_stack):
+            raise ValueError("no score")
 
-    monkeypatch.setattr(dqc1.experiments, "decompose_from_T", broken)
+    monkeypatch.setattr(dqc1.experiments, "_DrawScorer", BrokenScorer)
     # 31 points serially: the first range is 0..6, its stack points 1..6
-    with pytest.raises(RuntimeError, match=r"failed at points 1\.\.6: no decomposition"):
+    with pytest.raises(RuntimeError, match=r"failed at points 1\.\.6: no score"):
         run_experiment(theorem1_config(workers=1))
 
 
@@ -873,6 +860,29 @@ def test_complexity_curve_rejects_an_alpha_with_no_finite_budget(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("alpha", [1.0, 1e-150])
+def test_complexity_curve_names_the_unitary_when_a_tiny_quadrature_leaves_no_budget(
+    tmp_path, capsys, monkeypatch, alpha
+):
+    # Re t = 1e-200: at alpha 1 eps_x overflows its square (the error named
+    # alpha), and at alpha 1e-150 alpha * Re t underflows to 0 (exit 1 on a
+    # division by zero); both alphas budget unit quadratures
+    monkeypatch.setattr(dqc1.experiments, "_eval_point", no_points)
+    save_matrix(tmp_path / "u.json", np.diag([1e-200 + 1j, 1e-200 + 1j]))
+    config = {
+        "experiment": "complexity-curve",
+        "n": 1,
+        "unitary": f"file:{tmp_path / 'u.json'}",
+        "shots": [10, 1000],
+        "alpha": alpha,
+    }
+    out = tmp_path / "rows.csv"
+    assert main(["run", str(write_config(tmp_path, config)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "field 'unitary'" in err and "leaves no budget" in err
+    assert not out.exists()
+
+
 def test_trace_vs_shots_rejects_an_alpha_too_small_to_read(tmp_path, capsys):
     # 1/alpha overflows: the estimates used to be written as inf, exit 0
     config = {"experiment": "trace-vs-shots", "n": 1, "shots": [5], "alpha": 1e-320}
@@ -1005,6 +1015,12 @@ def test_cli_entpower(capsys):
     assert main(["entpower", "--n", "2", "--unitary", "pauli:XY"]) == 0
     out = capsys.readouterr().out
     assert "entangling_power 1" in out
+
+
+def test_cli_entpower_at_alpha_minus_zero_prints_plus_zero(capsys):
+    # -0.0 passes the [0, 1] range check, and -0.0 * E printed "-0"
+    assert main(["entpower", "--n", "2", "--alpha", "-0.0"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "entangling_power 0"
 
 
 @pytest.mark.parametrize("n", [-1, 0, MAX_QUBITS + 1])

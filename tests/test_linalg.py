@@ -12,7 +12,6 @@ from dqc1.linalg import (
     SIGMA_Y,
     SIGMA_Z,
     SeededRng,
-    StackError,
     eig_hermitian,
     eig_unitary,
     haar_unitary,
@@ -26,7 +25,6 @@ from dqc1.linalg import (
     normalized_trace,
     random_density,
     random_right_unitary,
-    require,
     save_matrix,
     trace_overlap,
 )
@@ -144,17 +142,6 @@ def test_predicates_reject_non_finite_entries(bad):
     assert not is_density(np.array([[0.5, bad], [bad, 0.5]]))
     assert not is_unitary(np.array([[bad, 0.0], [0.0, 1.0]]))
     assert not is_unitary(np.array([[1.0, 0.0], [0.0, 1j * bad]]))
-
-
-def test_require_names_the_first_failing_member():
-    require(True, "unused")
-    with pytest.raises(ValueError, match="^sum is 2$") as info:
-        require(False, "sum is {}", 2)
-    assert not isinstance(info.value, StackError)
-    with pytest.raises(StackError, match="^sum is 3.0$") as info:
-        require(np.array([True, False, False]), "sum is {}", np.array([1.0, 3.0, 4.0]))
-    assert info.value.index == 1
-    require(np.ones(4, dtype=bool), "unused")
 
 
 def test_is_right_unitary_on_a_stack():
