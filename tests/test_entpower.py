@@ -700,6 +700,25 @@ def test_ensemble_average_polarized_matches_member_loop_bit_for_bit(n):
             assert ensemble_average(inst, ens) == _member_loop_average(inst, ens)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("bloch", [(0.0, 0.0, 1.0), (0.0, 0.0, 0.6), (0.3, -0.2, 0.5)])
+def test_ensemble_average_stack_matches_single_calls_bit_for_bit(n, bloch):
+    # the scorer is the one stacked form of ensemble_average: a stack of
+    # draws scores each draw with the bits of a one-draw call, and within
+    # roundoff of ensemble_average on the decomposition that draw selects
+    dim = 2**n
+    u = haar_unitary(dim, SeededRng(239, n))
+    inst = Dqc1Instance(n=n, unitary=u, control=ControlQubit.from_bloch(bloch))
+    t_stack = random_right_unitary(dim, 2 * dim, [SeededRng(241, idx) for idx in range(6)])
+    score = _DrawScorer(inst)
+    stacked = score(t_stack)
+    assert stacked.shape == (6,)
+    for value, t_mat in zip(stacked, t_stack):
+        assert value == score(t_mat[None])[0]
+        single = ensemble_average(inst, decompose_from_T(inst.system_state, t_mat))
+        assert abs(value - single) <= 1e-15
+
+
 def test_ensemble_average_rejects_wrong_realization():
     rng = SeededRng(151, 0)
     u = haar_unitary(2, rng)
@@ -913,6 +932,26 @@ def test_brute_force_entpower_validation():
         brute_force_entpower(inst, samples=0, rng=SeededRng(0, 0))
     with pytest.raises(TypeError, match="rng"):  # a required parameter, no default
         brute_force_entpower(inst, samples=5)
+
+
+@pytest.mark.parametrize(
+    "n,rho,control",
+    [
+        (1, np.diag([0.9, 0.1]), ControlQubit.from_alpha(1.0)),
+        (1, np.diag([0.9, 0.1]), ControlQubit.from_bloch((0.3, 0.0, 0.4))),
+        (2, random_density(4, 2, SeededRng(199, 0)), ControlQubit.from_alpha(0.6)),
+    ],
+)
+def test_brute_force_entpower_sample_matches_ensemble_average(n, rho, control):
+    # one sample of the search scores the same decomposition that
+    # decompose_from_T + ensemble_average build from the same draw
+    u = haar_unitary(2**n, SeededRng(211, 0))
+    inst = Dqc1Instance(n=n, unitary=u, control=control, system_state=rho)
+    got = brute_force_entpower(inst, samples=1, rng=SeededRng(5, 0))
+    rank = int(np.linalg.matrix_rank(rho))
+    t_mat = random_right_unitary(rank, 2 * 2**n, SeededRng(5, 0))
+    want = ensemble_average(inst, decompose_from_T(rho, t_mat))
+    assert abs(got - want) < 1e-12
 
 
 _CONTROLS = st.one_of(
