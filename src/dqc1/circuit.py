@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -120,7 +121,8 @@ def _bloch_norm(p) -> float:
 @dataclass(frozen=True)
 class Dqc1Instance:
     """A register size, the unitary under test, the control state, and the
-    register state (maximally mixed unless overridden)."""
+    register state (maximally mixed unless overridden).  The arrays are
+    validated once, at construction, and must not be mutated after it."""
 
     n: int
     unitary: np.ndarray
@@ -154,6 +156,12 @@ class Dqc1Instance:
     def dim(self) -> int:
         return 2**self.n
 
+    @cached_property
+    def overlap(self) -> complex:
+        """t = Tr(U rho_n), the one number the readout depends on: taken by
+        :func:`~dqc1.linalg.trace_overlap` on first use, then kept."""
+        return trace_overlap(self.unitary, self.system_state)
+
 
 def general_final_control(
     control: ControlQubit, rho_n: np.ndarray, u: np.ndarray
@@ -185,7 +193,11 @@ def final_control_closed(
     t = Tr(U rho_n).  Valid for any control Bloch vector and register
     state; O(d^2) in the register dimension d.
     """
-    t = trace_overlap(u, rho_n)
+    return _closed_marginal(control, trace_overlap(u, rho_n))
+
+
+def _closed_marginal(control: ControlQubit, t: complex) -> np.ndarray:
+    """The Knill-Laflamme marginal of :func:`final_control_closed` at a given t."""
     out = HADAMARD @ control.density() @ HADAMARD
     out[0, 1] *= t.conjugate()
     out[1, 0] *= t

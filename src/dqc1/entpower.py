@@ -18,7 +18,8 @@ Every closed form here has an independent sampling route in this module
 can be checked against each other.  The sampled entangling-power routes
 score every branch with one kernel, sqrt(1 - |<phi|U|phi>|^2) as the norm
 of U phi's component orthogonal to phi, times the control's lambda gap, and
-every stack of sampled register decompositions with one scorer, _DrawScorer.
+every stack of sampled register decompositions with one scorer, _DrawScorer,
+which _EntpowerSearch prepares once for a brute-force search at every alpha.
 """
 
 from __future__ import annotations
@@ -35,8 +36,10 @@ from .linalg import (
     SeededRng,
     TOL_SPECTRAL,
     TOL_VERIFY,
+    brief,
     eig_hermitian,
     eig_unitary,
+    is_integer,
     is_right_unitary,
     normalized_trace,
     random_right_unitary,
@@ -61,6 +64,8 @@ class PureEnsemble:
             raise ValueError("weights must be 1-D and states 2-D (columns)")
         if self.states.shape[1] != self.weights.size:
             raise ValueError(f"{self.states.shape[1]} states but {self.weights.size} weights")
+        if self.weights.size == 0:
+            raise ValueError("ensemble is empty: it needs at least one member")
         if not self.weights.min() > 0.0:
             raise ValueError("ensemble weights must be positive")
         total = self.weights.sum()
@@ -265,12 +270,16 @@ def ensemble_average(inst: Dqc1Instance, ens: PureEnsemble) -> float:
     control's minimal mixing factor, the lambda gap (1 for a fully polarized
     control, whose branches are pure), for all members in one pass.
     """
+    return float(np.dot(ens.weights, lambda_factor(inst.control) * _member_branches(inst, ens)))
+
+
+def _member_branches(inst: Dqc1Instance, ens: PureEnsemble) -> np.ndarray:
+    """Pure-branch value of each member of an ensemble of the register state."""
     if not np.max(np.abs(ens.density() - inst.system_state)) <= TOL_SPECTRAL:
         raise ValueError("ensemble does not realize the instance's register state")
     states = ens.states
     sq = np.sum(states.conj() * states, axis=0).real
-    values = lambda_factor(inst.control) * _branch_entanglement(states, inst.unitary @ states, sq)
-    return float(np.dot(ens.weights, values))
+    return _branch_entanglement(states, inst.unitary @ states, sq)
 
 
 def entpower_bounds(u: np.ndarray, rho_n: np.ndarray) -> tuple[float, float]:
@@ -355,11 +364,11 @@ class _DrawScorer:
 
     A right-unitary ``rank x 2d`` draw T selects the members Phi sqrt(M) T of
     the register state Phi M Phi^+ on its support, as in :func:`decompose_from_T`.
-    A call maps a (k, rank, 2d) stack of draws to their k averages, each
-    member scored as in :func:`ensemble_average` with its squared norm as its
-    weight, and each average with the bits of its draw alone.  The draws come
-    from :func:`~dqc1.linalg.random_right_unitary`, orthonormal by its QR, and
-    go unchecked.
+    A call maps a (k, rank, 2d) stack of draws and the control's lambda gap
+    ``mix`` to the k averages, each member scored as in :func:`ensemble_average`
+    with its squared norm as its weight, and each with the bits of its draw
+    alone.  The draws come from :func:`~dqc1.linalg.random_right_unitary`,
+    orthonormal by its QR, and go unchecked.
     """
 
     def __init__(self, inst: Dqc1Instance):
@@ -367,13 +376,35 @@ class _DrawScorer:
         self.rank = int(np.sum(spec.eigenvalues > TOL_SPECTRAL))
         self.root = spec.eigenvectors[:, : self.rank] * np.sqrt(spec.eigenvalues[: self.rank])
         self.u_root = inst.unitary @ self.root
-        self.mix = lambda_factor(inst.control)
 
-    def __call__(self, t_stack: np.ndarray) -> np.ndarray:
+    def __call__(self, t_stack: np.ndarray, mix: float) -> np.ndarray:
         members = self.root @ t_stack
         weights = np.sum(np.abs(members) ** 2, axis=-2)
         branch = _branch_entanglement(members, self.u_root @ t_stack, weights)
-        return (weights[:, None, :] @ (self.mix * branch)[:, :, None])[:, 0, 0]
+        return (weights[:, None, :] @ (mix * branch)[:, :, None])[:, 0, 0]
+
+
+class _EntpowerSearch:
+    """:func:`brute_force_entpower`'s alpha-free half, prepared once: the
+    scorer and, on a maximally mixed register, the Fourier members' weights
+    and branch values.  A call takes the control's lambda gap in place of
+    the instance's control, which is not read."""
+
+    def __init__(self, inst: Dqc1Instance):
+        self.dim, self.score, self.fourier = inst.dim, _DrawScorer(inst), None
+        if np.max(np.abs(inst.system_state - np.eye(self.dim) / self.dim)) <= TOL_SPECTRAL:
+            ens = fourier_ensemble(inst.unitary)
+            self.fourier = ens.weights, _member_branches(inst, ens)
+
+    def __call__(self, mix: float, samples: int, rng: SeededRng) -> float:
+        best = -np.inf
+        if self.fourier is not None:
+            weights, branch = self.fourier
+            best = float(np.dot(weights, mix * branch))
+        rank, dim = self.score.rank, self.dim
+        for t_stack in _right_unitary_stacks(rank, 2 * dim, samples, rng, _draw_entries(dim)):
+            best = max(best, float(self.score(t_stack, mix).max()))
+        return best
 
 
 def brute_force_entpower(inst: Dqc1Instance, samples: int, rng: SeededRng) -> float:
@@ -387,13 +418,6 @@ def brute_force_entpower(inst: Dqc1Instance, samples: int, rng: SeededRng) -> fl
     bounded stacks by one :class:`_DrawScorer`, and the result equals a
     one-sample-at-a-time loop bit for bit.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    dim = inst.dim
-    score = _DrawScorer(inst)
-    best = -np.inf
-    if np.max(np.abs(inst.system_state - np.eye(dim) / dim)) <= TOL_SPECTRAL:
-        best = ensemble_average(inst, fourier_ensemble(inst.unitary))
-    for t_stack in _right_unitary_stacks(score.rank, 2 * dim, samples, rng, _draw_entries(dim)):
-        best = max(best, float(score(t_stack).max()))
-    return best
+    if not is_integer(samples) or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, got {brief(samples)}")
+    return _EntpowerSearch(inst)(lambda_factor(inst.control), samples, rng)

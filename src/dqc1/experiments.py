@@ -9,7 +9,10 @@ keyed by (seed, point index), so results are byte-identical for a given
 config and seed no matter how many workers execute the sweep or in which
 order points finish.  A sweep evaluates its points in contiguous index
 ranges, one pool task each if ``workers`` asks for a pool, else serially;
-the output never depends on the ranges.  A ``verify-theorem1`` range draws
+the output never depends on the ranges.  What all points share but no check
+needs first (an eigensolve, a scorer) is built by the experiment's
+``prepare`` once per process that runs points, never in a pool's parent,
+and lives no longer than the sweep.  A ``verify-theorem1`` range draws
 each point from its own stream, then scores the range in one stacked pass.
 Each experiment is defined in one place, its record in ``_EXPERIMENTS``,
 which also holds the checks ``dqc1 verify`` applies to its rows.
@@ -33,8 +36,8 @@ import numpy as np
 from .circuit import MAX_QUBITS, ControlQubit, Dqc1Instance, unitary_from_spec
 from .entpower import (
     _DrawScorer,
+    _EntpowerSearch,
     _draw_entries,
-    brute_force_entpower,
     brute_force_min_mixing,
     ensemble_average,
     entpower_alpha,
@@ -49,6 +52,7 @@ from .linalg import (
     TOL_VERIFY,
     SeededRng,
     is_density,
+    is_integer,
     load_matrix,
     normalized_trace,
     random_density,
@@ -117,12 +121,8 @@ class ResultRow:
         )
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _is_real(x) -> bool:
-    return _is_int(x) or isinstance(x, float)
+    return is_integer(x) or isinstance(x, float)
 
 
 def config_from_dict(payload: dict) -> ExperimentConfig:
@@ -146,7 +146,7 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
     if "n" not in payload:
         raise ConfigError("missing required field 'n'")
     n = payload["n"]
-    if not _is_int(n):
+    if not is_integer(n):
         raise ConfigError(f"field 'n': expected an integer, got {brief(n)}")
     if not 1 <= n <= MAX_QUBITS:
         raise ConfigError(f"field 'n': {n} outside the supported range [1, {MAX_QUBITS}]")
@@ -176,7 +176,7 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
         raise ConfigError(f"field 'rho': rank in {brief(rho)} outside [1, {2**n}] for n={n}")
 
     shots = payload.get("shots", [])
-    if not isinstance(shots, list) or not all(_is_int(x) and 1 <= x <= MAX_SHOTS for x in shots):
+    if not isinstance(shots, list) or not all(is_integer(x) and 1 <= x <= MAX_SHOTS for x in shots):
         raise ConfigError(
             f"field 'shots': expected a list of integers in [1, {MAX_SHOTS}], got {brief(shots)}"
         )
@@ -194,13 +194,13 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
         )
 
     samples = payload.get("samples", 100)
-    if not _is_int(samples) or not 1 <= samples <= MAX_SAMPLES:
+    if not is_integer(samples) or not 1 <= samples <= MAX_SAMPLES:
         raise ConfigError(
             f"field 'samples': expected an integer in [1, {MAX_SAMPLES}], got {brief(samples)}"
         )
 
     seed = payload.get("seed", 0)
-    if not _is_int(seed) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise ConfigError(f"field 'seed': expected a non-negative integer, got {brief(seed)}")
 
     out = payload.get("out")
@@ -212,7 +212,7 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
         raise ConfigError(f"field 'format': expected 'csv' or 'json', got {brief(fmt)}")
 
     workers = payload.get("workers")
-    if workers is not None and (not _is_int(workers) or workers < 1):
+    if workers is not None and (not is_integer(workers) or workers < 1):
         raise ConfigError(f"field 'workers': expected a positive integer, got {brief(workers)}")
 
     return ExperimentConfig(
@@ -292,13 +292,18 @@ def _point_trace_vs_shots(cfg, payload, idx):
 
 
 def _point_entpower_vs_alpha(cfg, payload, idx):
-    u = payload["u"]
     a = cfg.alphas[idx]
-    inst = Dqc1Instance(n=cfg.n, unitary=u, control=ControlQubit.from_alpha(a))
-    measured = brute_force_entpower(
-        inst, samples=cfg.samples, rng=SeededRng(cfg.seed, idx + 1)
-    )
-    return [("alpha", a, measured, entpower_alpha(u, a))]
+    mix = lambda_factor(ControlQubit.from_alpha(a))
+    measured = payload["search"](mix, cfg.samples, SeededRng(cfg.seed, idx + 1))
+    return [("alpha", a, measured, entpower_alpha(payload["u"], a))]
+
+
+def _prepare_entpower_vs_alpha(cfg, payload):
+    # the instance (which validates U) and the search's eigensolves are
+    # built where the points run, never in a pool's parent; the search
+    # reads U and the register, not the instance's control
+    inst = Dqc1Instance(n=cfg.n, unitary=payload["u"], control=ControlQubit.from_alpha(1.0))
+    return {**payload, "search": _EntpowerSearch(inst)}
 
 
 def _complexity_budget(alpha: float, t: complex, rounds_target: int) -> ErrorBudget:
@@ -356,7 +361,8 @@ def _range_verify_theorem1(cfg, payload, lo, hi):
     # range is then scored as one stack, with the same bits.
     streams = [SeededRng(cfg.seed, idx) for idx in range(first, hi)]
     try:
-        measured = _DrawScorer(inst)(random_right_unitary(inst.dim, 2 * inst.dim, streams))
+        draws = random_right_unitary(inst.dim, 2 * inst.dim, streams)
+        measured = payload["score"](draws, lambda_factor(inst.control))
     except Exception as err:
         raise _failure(cfg, first, hi, err) from err
     return rows + [("sample", idx, m, reference) for idx, m in zip(range(first, hi), measured)]
@@ -427,17 +433,19 @@ def _pointwise(point):
 @dataclass(frozen=True)
 class _Experiment:
     """One experiment: its point count and point labels, its set-up (built
-    and validated once per sweep, before any point), the evaluator of an
-    index range of points, and its ``dqc1 verify`` checks.  A check is
-    (rule, row names, tol, report line): each named row passes if its
-    deviation is at most tol (rule ``within``) or if measured is at most
-    reference + tol (rule ``below``), and the report line fills in
-    {passed}, {total}, {worst} (the largest deviation) and {tol}."""
+    and validated once per sweep, before any point), its ``prepare`` (the
+    payload plus what the points share, once per process that runs them),
+    the evaluator of an index range of points, and its ``dqc1 verify``
+    checks.  A check is (rule, row names, tol, report line): each named row
+    passes if its deviation is at most tol (rule ``within``) or if measured
+    is at most reference + tol (rule ``below``), and the report line fills
+    in {passed}, {total}, {worst} (the largest deviation) and {tol}."""
 
     count: Callable[[ExperimentConfig], int]
     label: Callable[[ExperimentConfig, int], str]
     setup: Callable[[ExperimentConfig], dict]
     evaluate: Callable[[ExperimentConfig, dict, int, int], list]
+    prepare: Callable[[ExperimentConfig, dict], dict] = lambda cfg, payload: payload
     sweeps_shots: bool = False  # one point per entry of a required ``shots``
     reads_rho: bool = False
     checks: tuple = ()
@@ -457,6 +465,7 @@ _EXPERIMENTS = {
     "entpower-vs-alpha": _Experiment(
         **_ALPHAS,
         setup=lambda cfg: {"u": _fixed_unitary(cfg)},
+        prepare=_prepare_entpower_vs_alpha,
         evaluate=_pointwise(_point_entpower_vs_alpha),
     ),
     "complexity-curve": _Experiment(
@@ -466,6 +475,7 @@ _EXPERIMENTS = {
         count=lambda cfg: cfg.samples + 1,  # the Fourier row, then sampled ensembles
         label=lambda cfg, i: f"sample={i}" if i else "fourier",
         setup=_setup_verify_theorem1,
+        prepare=lambda cfg, payload: {**payload, "score": _DrawScorer(payload["inst"])},
         evaluate=_range_verify_theorem1,
         checks=(
             (
@@ -529,17 +539,43 @@ def _failure(cfg: ExperimentConfig, lo: int, hi: int, err: Exception) -> Runtime
     return RuntimeError(f"{cfg.experiment} failed at {where}: {err}")
 
 
+def _prepare(cfg: ExperimentConfig, payload: dict) -> dict | RuntimeError:
+    """The experiment's ``prepare`` of the set-up's payload or, if it fails,
+    the error every point raises: returned, so that in a pool each task
+    raises it and the parent sees it."""
+    kind = _EXPERIMENTS[cfg.experiment]
+    try:
+        return kind.prepare(cfg, payload)
+    except Exception as err:
+        return _failure(cfg, 0, kind.count(cfg), err)
+
+
+#: A pool worker's sweep: its cfg and :func:`_prepare` of its payload.
+_worker_sweep = None
+
+
+def _start_worker(cfg: ExperimentConfig, payload: dict) -> None:
+    """Pool initializer: prepare the sweep once in this worker."""
+    global _worker_sweep
+    _worker_sweep = cfg, _prepare(cfg, payload)
+
+
+def _eval_in_worker(bounds: tuple[int, int]) -> list[tuple]:
+    return _eval_point((*_worker_sweep, *bounds))
+
+
 def _eval_point(args: tuple) -> list[tuple]:
-    """Rows of the points in the index range [lo, hi), in point order: the
-    unit of work of a sweep, and one pool task."""
+    """Rows of the points in the index range [lo, hi), in point order, from
+    the prepared payload: the unit of work of a sweep, and one pool task."""
     cfg, payload, lo, hi = args
+    if isinstance(payload, RuntimeError):  # the sweep could not be prepared
+        raise payload
     return _EXPERIMENTS[cfg.experiment].evaluate(cfg, payload, lo, hi)
 
 
 def _ranges(count: int, pool_size: int, n: int) -> list[tuple[int, int]]:
     """Contiguous index ranges covering ``count`` points of an n-qubit
-    sweep: about four per worker, so each costs one round trip and pickles
-    the shared cfg and payload once, and at most
+    sweep: about four per worker, so each costs one round trip, and at most
     :data:`~dqc1.linalg.MAX_STACK_ENTRIES` stacked entries each.  A
     ``verify-theorem1`` point stacks one sampled decomposition, 2 d^2
     entries per array (d = 2**n), so a range holds at most 2048 points at
@@ -555,12 +591,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     count = kind.count(cfg)
     # a pool only on request, and never larger than the host: rows never depend on it
     pool_size = min(cfg.workers or 1, count, os.cpu_count() or 1)
-    tasks = [(cfg, payload, lo, hi) for lo, hi in _ranges(count, pool_size, cfg.n)]
-    if pool_size > 1:
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            outputs = list(pool.map(_eval_point, tasks))
+    bounds = _ranges(count, pool_size, cfg.n)
+    if pool_size > 1:  # each worker prepares its own copy of the payload
+        init = dict(initializer=_start_worker, initargs=(cfg, payload))
+        with ProcessPoolExecutor(pool_size, **init) as pool:
+            outputs = list(pool.map(_eval_in_worker, bounds))
     else:
-        outputs = [_eval_point(task) for task in tasks]
+        prepared = _prepare(cfg, payload)
+        outputs = [_eval_point((cfg, prepared, lo, hi)) for lo, hi in bounds]
     return [ResultRow.build(cfg.experiment, *row, cfg.seed) for out in outputs for row in out]
 
 

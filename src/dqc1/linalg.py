@@ -12,6 +12,7 @@ constructions, ``TOL_SPECTRAL`` for results of an eigensolve, and
 from __future__ import annotations
 
 import json
+import numbers
 import reprlib
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -35,6 +36,12 @@ MAX_STACK_ENTRIES = 2**14
 _BRIEF = reprlib.Repr()
 _BRIEF.maxstring = _BRIEF.maxother = 40
 brief = _BRIEF.repr
+
+
+def is_integer(x) -> bool:
+    """An int, numpy's included, that is not a bool: what a count must be."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)

@@ -11,7 +11,8 @@ by t = Tr(U rho_n) and its conjugate, so for a control with z polarization
     <sigma_x> = alpha * Re Tr(U rho_n),    <sigma_y> = alpha * Im Tr(U rho_n),
 
 and the estimator inverts as (mean_x + i * mean_y) / alpha.  Reading t costs
-O(d^2); the dense joint state is never built.  The dense evolution
+O(d^2), once per instance, which keeps it (:attr:`~dqc1.circuit.Dqc1Instance.overlap`);
+the dense joint state is never built.  The dense evolution
 (:func:`dqc1.circuit.general_final_control`) is kept only as the oracle the
 tests compare this readout against.
 """
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import ControlQubit, Dqc1Instance, final_control_closed
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, SeededRng, TOL_CONSTRUCT
+from .circuit import ControlQubit, Dqc1Instance, _closed_marginal
+from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, SeededRng, TOL_CONSTRUCT, brief, is_integer
 
 _PAULI_AXIS = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
@@ -81,11 +82,11 @@ def expect_pauli(rho_f: np.ndarray, axis: str) -> float:
 
 def sample_shots(p: float, shots: int, rng: SeededRng) -> int:
     """Number of +1 outcomes in ``shots`` Bernoulli trials with P(+1) = p,
-    for 1 <= shots <= :data:`MAX_SHOTS`."""
-    if not 1 <= shots <= MAX_SHOTS:
-        raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
-    if p < -TOL_CONSTRUCT or p > 1.0 + TOL_CONSTRUCT:
-        raise ValueError(f"probability {p} outside [0, 1]")
+    for an integer 1 <= shots <= :data:`MAX_SHOTS`."""
+    if not is_integer(shots) or not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be an integer in [1, {MAX_SHOTS}], got {brief(shots)}")
+    if not -TOL_CONSTRUCT <= p <= 1.0 + TOL_CONSTRUCT:  # NaN fails too
+        raise ValueError(f"probability p={p} outside [0, 1]")
     p = min(1.0, max(0.0, p))
     return int(rng.gen.binomial(shots, p))
 
@@ -109,10 +110,11 @@ def estimate_trace(inst: Dqc1Instance, shots: int, rng: SeededRng) -> TraceEstim
     """Estimate Tr(U rho_n) from finite-shot x and y control readout.
 
     Each axis gets its own ``shots`` independent rounds.  For the default
-    maximally mixed register this estimates the normalized trace of U.
+    maximally mixed register this estimates the normalized trace of U, read
+    from the instance's kept t (:attr:`~dqc1.circuit.Dqc1Instance.overlap`).
     """
     alpha = readout_alpha(inst.control)
-    rho_f = final_control_closed(inst.control, inst.system_state, inst.unitary)
+    rho_f = _closed_marginal(inst.control, inst.overlap)
 
     means, errs = [], []
     for axis in ("x", "y"):
@@ -190,10 +192,12 @@ def rounds_for_budget(budget: ErrorBudget, alpha: float, t: complex) -> float:
 def entpower_from_rounds(alpha: float, m: float, rounds: float) -> float:
     """Entangling power reachable at round count ``rounds`` under shot
     budget weight ``m``: sqrt(alpha^2 - m/rounds)."""
-    if rounds <= 0.0:
-        raise ValueError(f"rounds must be positive, got {rounds}")
-    if m < 0.0:
-        raise ValueError(f"m must be non-negative, got {m}")
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    if not 0.0 < rounds < math.inf:
+        raise ValueError(f"rounds must be positive and finite, got {rounds}")
+    if not 0.0 <= m < math.inf:
+        raise ValueError(f"m must be non-negative and finite, got {m}")
     val = alpha**2 - m / rounds
     if val < -TOL_CONSTRUCT:
         raise ValueError(

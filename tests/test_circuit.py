@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+
+import dqc1.circuit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +30,7 @@ from dqc1.linalg import (
     kron,
     random_density,
     save_matrix,
+    trace_overlap,
 )
 from support import partial_trace
 
@@ -412,3 +415,22 @@ def test_unitary_from_spec_rejects_register_size_first(spec, n):
     # checked before anything of size 2**n is built
     with pytest.raises(ValueError, match=f"n must lie in \\[1, {MAX_QUBITS}\\], got {n}"):
         unitary_from_spec(spec, n, SeededRng(0, 0))
+
+
+@pytest.mark.parametrize("rank", [None, 2])  # None: the maximally mixed register
+def test_instance_keeps_its_overlap_from_first_use(monkeypatch, rank):
+    calls = []
+    real = dqc1.circuit.trace_overlap
+
+    def counting(u, rho):
+        calls.append(1)
+        return real(u, rho)
+
+    monkeypatch.setattr(dqc1.circuit, "trace_overlap", counting)
+    rho = None if rank is None else random_density(8, rank, SeededRng(43, 0))
+    u = haar_unitary(8, SeededRng(47, 0))
+    inst = Dqc1Instance(3, u, ControlQubit.from_alpha(0.5), system_state=rho)
+    assert calls == []  # construction does not take t
+    t = inst.overlap
+    assert t == trace_overlap(inst.unitary, inst.system_state)  # bit for bit
+    assert inst.overlap == t and calls == [1]  # taken once, then kept

@@ -16,12 +16,14 @@ from dqc1.circuit import (
     Dqc1Instance,
     diag_phase_unitary,
     pauli_string,
+    unitary_from_spec,
 )
 from dqc1.entpower import (
     BranchCoefficients,
     PureEnsemble,
     _branch_entanglement,
     _DrawScorer,
+    _EntpowerSearch,
     analytic_min_T,
     branch_coefficients,
     brute_force_entpower,
@@ -214,7 +216,7 @@ def test_closed_forms_on_clustered_spectra_match_a_float_only_oracle(n, gap, see
     assert abs(entpower_bounds(u, rho)[1] - oracle(p)) <= 1e-14
     inst = Dqc1Instance(n=n, unitary=u, control=ControlQubit.from_alpha(1.0))
     assert abs(ensemble_average(inst, fourier_ensemble(u)) - standard) <= 1e-14
-    sampled = _DrawScorer(inst)(random_right_unitary(dim, 2 * dim, rng, 3))
+    sampled = _DrawScorer(inst)(random_right_unitary(dim, 2 * dim, rng, 3), 1.0)
     assert np.all(sampled <= standard + TOL_VERIFY)
 
 
@@ -710,11 +712,11 @@ def test_ensemble_average_stack_matches_single_calls_bit_for_bit(n, bloch):
     u = haar_unitary(dim, SeededRng(239, n))
     inst = Dqc1Instance(n=n, unitary=u, control=ControlQubit.from_bloch(bloch))
     t_stack = random_right_unitary(dim, 2 * dim, [SeededRng(241, idx) for idx in range(6)])
-    score = _DrawScorer(inst)
-    stacked = score(t_stack)
+    score, mix = _DrawScorer(inst), lambda_factor(inst.control)
+    stacked = score(t_stack, mix)
     assert stacked.shape == (6,)
     for value, t_mat in zip(stacked, t_stack):
-        assert value == score(t_mat[None])[0]
+        assert value == score(t_mat[None], mix)[0]
         single = ensemble_average(inst, decompose_from_T(inst.system_state, t_mat))
         assert abs(value - single) <= 1e-15
 
@@ -977,16 +979,16 @@ def test_scored_draws_match_ensemble_average(n, full_rank, control, k, seed):
     rho = random_density(dim, dim if full_rank else int(rng.gen.integers(1, dim)), rng)
     u = haar_unitary(dim, rng)
     inst = Dqc1Instance(n=n, unitary=u, control=control, system_state=rho)
-    score = _DrawScorer(inst)
+    score, mix = _DrawScorer(inst), lambda_factor(control)
     t_stack = random_right_unitary(score.rank, 2 * dim, rng, k)
     members = score.root @ t_stack
     realized = members @ np.swapaxes(members.conj(), -1, -2)
     assert np.max(np.abs(realized - rho)) <= TOL_SPECTRAL
-    scores = score(t_stack)
+    scores = score(t_stack, mix)
     assert scores.shape == (k,)
     for j, t_mat in enumerate(t_stack):
         assert abs(scores[j] - ensemble_average(inst, decompose_from_T(rho, t_mat))) <= 1e-15
-        assert score(t_stack[j : j + 1])[0] == scores[j]
+        assert score(t_stack[j : j + 1], mix)[0] == scores[j]
 
 
 def test_branch_coefficients_container():
@@ -995,3 +997,30 @@ def test_branch_coefficients_container():
     )
     np.testing.assert_allclose(coeffs.rs, [0.5, 0.5], atol=1e-15)
     assert abs(mixing_factor(coeffs) - 1.0) < 1e-15
+
+
+def test_pure_ensemble_rejects_an_empty_ensemble():
+    with pytest.raises(ValueError, match="empty"):
+        PureEnsemble(weights=[], states=np.zeros((2, 0)))
+
+
+@pytest.mark.parametrize("samples", [True, False, 2.0, 2.5, "3", None])
+def test_brute_force_entpower_samples_must_be_an_integer(samples):
+    inst = Dqc1Instance(n=1, unitary=SIGMA_X, control=ControlQubit.from_alpha(1.0))
+    with pytest.raises(ValueError, match="samples"):
+        brute_force_entpower(inst, samples, SeededRng(0, 0))
+
+
+@pytest.mark.parametrize("rank", [None, 3])  # None: the maximally mixed register
+@pytest.mark.parametrize("spec", ["haar", "identity"])
+def test_prepared_search_matches_brute_force_entpower_bit_for_bit(spec, rank):
+    # one search prepared for every alpha gives the bits of a fresh
+    # brute_force_entpower per alpha, Fourier candidate and draws alike
+    n = 3
+    u = unitary_from_spec(spec, n, SeededRng(283, 0))
+    rho = None if rank is None else random_density(2**n, rank, SeededRng(293, 0))
+    search = _EntpowerSearch(Dqc1Instance(n, u, ControlQubit.from_alpha(1.0), system_state=rho))
+    for a in (0.1, 0.5, 1.0):
+        control = ControlQubit.from_alpha(a)
+        want = brute_force_entpower(Dqc1Instance(n, u, control, rho), 30, SeededRng(307, 1))
+        assert search(lambda_factor(control), 30, SeededRng(307, 1)) == want

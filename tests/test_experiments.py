@@ -8,6 +8,7 @@ import inspect
 import io
 import json
 import math
+import os
 import re
 import sys
 import tempfile
@@ -19,8 +20,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dqc1.circuit
 import dqc1.cli
+import dqc1.entpower
 import dqc1.experiments
+import dqc1.linalg
 from dqc1.circuit import MAX_QUBITS, ControlQubit, Dqc1Instance, unitary_from_spec
 from dqc1.cli import main
 from dqc1.entpower import (
@@ -229,7 +233,7 @@ def per_point_theorem1_rows(cfg):
     score = _DrawScorer(inst)
     for idx in range(1, cfg.samples + 1):
         t_mat = random_right_unitary(inst.dim, 2 * inst.dim, SeededRng(cfg.seed, idx))
-        measured = score(t_mat[None])[0]
+        measured = score(t_mat[None], 1.0)[0]  # a fully polarized control's lambda gap
         rows.append(ResultRow.build(cfg.experiment, "sample", idx, measured, reference, cfg.seed))
     return rows
 
@@ -288,8 +292,8 @@ def test_run_verify_theorem1_stacks_two_points_per_range_at_n6(monkeypatch):
 @pytest.mark.parametrize("samples,ranges", [(60, 5), (2000, -(-2001 // 500))])
 def test_run_verify_theorem1_decomposes_once_per_range(monkeypatch, samples, ranges):
     # 61 points serially make ranges of 15 (five of them), 2001 points at
-    # n=2 ranges of 500; the register is eigensolved and its draws scored
-    # once per range
+    # n=2 ranges of 500; the draws are scored once per range, and the
+    # register is eigensolved once per sweep, when the sweep is prepared
     import dqc1.entpower
 
     calls = {"eig_hermitian": 0, "score": 0}
@@ -300,19 +304,19 @@ def test_run_verify_theorem1_decomposes_once_per_range(monkeypatch, samples, ran
         return real_eig(*args)
 
     class CountingScorer(_DrawScorer):
-        def __call__(self, t_stack):
+        def __call__(self, t_stack, mix):
             calls["score"] += 1
-            return super().__call__(t_stack)
+            return super().__call__(t_stack, mix)
 
     monkeypatch.setattr(dqc1.entpower, "eig_hermitian", counting_eig)
     monkeypatch.setattr(dqc1.experiments, "_DrawScorer", CountingScorer)
     assert len(run_experiment(theorem1_config(samples=samples, workers=1))) == samples + 1
-    assert calls == {"eig_hermitian": ranges, "score": ranges}
+    assert calls == {"eig_hermitian": 1, "score": ranges}
 
 
 def test_run_verify_theorem1_names_the_range_of_an_unattributed_failure(monkeypatch):
     class BrokenScorer(_DrawScorer):
-        def __call__(self, t_stack):
+        def __call__(self, t_stack, mix):
             raise ValueError("no score")
 
     monkeypatch.setattr(dqc1.experiments, "_DrawScorer", BrokenScorer)
@@ -324,12 +328,13 @@ def test_run_verify_theorem1_names_the_range_of_an_unattributed_failure(monkeypa
 @pytest.fixture
 def pools(monkeypatch):
     """The sizes of the pools ``run_experiment`` builds, on a 2-CPU host,
-    each one running its tasks in process."""
+    each one running its initializer and its tasks in process."""
     sizes = []
 
     class InProcessPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -342,6 +347,7 @@ def pools(monkeypatch):
 
     monkeypatch.setattr(dqc1.experiments, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(dqc1.experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(dqc1.experiments, "_worker_sweep", None)  # restored after the test
     return sizes
 
 
@@ -372,6 +378,106 @@ def test_pool_never_outgrows_the_cpu_count(pools):
     rows = run_experiment(cfg)
     assert pools == [2]
     assert rows == run_experiment(replace(cfg, workers=1))
+
+
+def test_serial_entpower_sweep_prepares_its_search_once(monkeypatch):
+    # the alpha-free half of the search (the Fourier eigensolve, the scorer's
+    # register root, the instance's validation of U) runs once per sweep, not
+    # once per alpha
+    calls = {"fourier_ensemble": 0, "instance is_unitary": 0, "eig_unitary is_unitary": 0}
+
+    def counting(key, real):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for module, attr, key in (
+        (dqc1.entpower, "fourier_ensemble", "fourier_ensemble"),
+        (dqc1.circuit, "is_unitary", "instance is_unitary"),
+        (dqc1.linalg, "is_unitary", "eig_unitary is_unitary"),
+    ):
+        monkeypatch.setattr(module, attr, counting(key, getattr(module, attr)))
+    cfg = config_from_dict({"experiment": "entpower-vs-alpha", "n": 3, "samples": 20})
+    assert len(cfg.alphas) == 10 and cfg.workers is None
+    assert len(run_experiment(cfg)) == 10
+    assert calls == {"fourier_ensemble": 1, "instance is_unitary": 1, "eig_unitary is_unitary": 1}
+
+
+def recording_prepare(monkeypatch, experiment, path):
+    """Make ``experiment``'s prepare append its process id to ``path``."""
+    kind = dqc1.experiments._EXPERIMENTS[experiment]
+
+    def prepare(cfg, payload):
+        with open(path, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return kind.prepare(cfg, payload)
+
+    monkeypatch.setitem(dqc1.experiments._EXPERIMENTS, experiment, replace(kind, prepare=prepare))
+    return lambda: [int(line) for line in path.read_text().split()]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"experiment": "entpower-vs-alpha", "n": 2, "samples": 10},
+        {"experiment": "verify-theorem1", "n": 2, "samples": 40},
+        {"experiment": "trace-vs-shots", "n": 2, "shots": [10, 100, 1000, 10000]},
+    ],
+)
+def test_prepare_runs_once_per_process_and_never_in_a_pool_parent(monkeypatch, tmp_path, payload):
+    cfg = config_from_dict(dict(payload, seed=3))
+    pids = recording_prepare(monkeypatch, cfg.experiment, tmp_path / "pids")
+    serial = run_experiment(cfg)
+    assert pids() == [os.getpid()]  # a serial sweep prepares once, in process
+    (tmp_path / "pids").unlink()
+    monkeypatch.setattr(dqc1.experiments.os, "cpu_count", lambda: 2)
+    assert run_experiment(replace(cfg, workers=2)) == serial
+    forked = pids()
+    assert 1 <= len(forked) <= 2 and len(set(forked)) == len(forked)  # once per worker
+    assert os.getpid() not in forked
+
+
+def test_a_failed_prepare_fails_every_point_serially_and_in_a_pool(monkeypatch):
+    kind = dqc1.experiments._EXPERIMENTS["entpower-vs-alpha"]
+
+    def broken(cfg, payload):
+        raise ValueError("no eigenbasis")
+
+    monkeypatch.setitem(
+        dqc1.experiments._EXPERIMENTS, "entpower-vs-alpha", replace(kind, prepare=broken)
+    )
+    monkeypatch.setattr(dqc1.experiments.os, "cpu_count", lambda: 2)
+    cfg = config_from_dict({"experiment": "entpower-vs-alpha", "n": 1, "samples": 2})
+    for workers in (None, 2):
+        with pytest.raises(RuntimeError, match=r"failed at points 0\.\.9: no eigenbasis"):
+            run_experiment(replace(cfg, workers=workers))
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+@pytest.mark.parametrize("experiment", ["entpower-vs-alpha", "verify-theorem1", "trace-vs-shots"])
+def test_a_rewritten_unitary_file_is_read_afresh_by_the_next_sweep(tmp_path, experiment, workers):
+    # nothing prepared outlives its sweep: the second sweep reads the new matrix
+    path = tmp_path / "u.json"
+    cfg = config_from_dict(
+        {
+            "experiment": experiment,
+            "n": 2,
+            "unitary": f"file:{path}",
+            "samples": 6,
+            "shots": [10, 1000],
+            "alphas": [0.5, 1.0],
+            "workers": workers,
+        }
+    )
+    rows = []
+    for spec in ("pauli:XY", "diag-phase:0,0.5,1,2"):
+        u = unitary_from_spec(spec, 2)
+        save_matrix(path, u)
+        rows.append(run_experiment(cfg))
+        assert rows[-1] == run_experiment(replace(cfg, unitary=spec))
+    assert rows[0] != rows[1]
 
 
 @pytest.mark.parametrize("n", [1, 3])

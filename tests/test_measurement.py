@@ -6,7 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from dqc1.circuit import ControlQubit, Dqc1Instance, diag_phase_unitary, pauli_string
+from dqc1.circuit import (
+    ControlQubit,
+    Dqc1Instance,
+    diag_phase_unitary,
+    final_control_closed,
+    pauli_string,
+)
 from dqc1.linalg import SIGMA_X, SeededRng, haar_unitary, random_density
 from dqc1.measurement import (
     MAX_SHOTS,
@@ -282,3 +288,67 @@ def test_total_complexity():
         total_complexity(0, 100.0)
     with pytest.raises(ValueError):
         total_complexity(2, 0.0)
+
+
+def _readout_through_final_control_closed(inst, shots, rng):
+    """estimate_trace's means and estimate, with the marginal taken by
+    final_control_closed from the instance's arrays: the oracle for the
+    instance's kept t."""
+    rho_f = final_control_closed(inst.control, inst.system_state, inst.unitary)
+    means = []
+    for axis in ("x", "y"):
+        hits = sample_shots((1.0 + expect_pauli(rho_f, axis)) / 2.0, shots, rng)
+        means.append((2.0 * hits - shots) / shots)
+    return means, complex(means[0], means[1]) / inst.control.bloch[2]
+
+
+@pytest.mark.parametrize("rank", [None, 1, 3])  # None: the maximally mixed register
+@pytest.mark.parametrize("n", [1, 3])
+def test_estimate_trace_reads_the_kept_overlap_bit_for_bit(n, rank):
+    dim = 2**n
+    rho = None if rank is None else random_density(dim, min(rank, dim), SeededRng(31, n))
+    u = haar_unitary(dim, SeededRng(37, n))
+    inst = Dqc1Instance(n, u, ControlQubit.from_alpha(0.7), system_state=rho)
+    for shots in (1, 10, 10**6):
+        est = estimate_trace(inst, shots, SeededRng(41, shots))
+        means, want = _readout_through_final_control_closed(inst, shots, SeededRng(41, shots))
+        assert [est.mean_x, est.mean_y] == means
+        assert est.trace_estimate == want
+
+
+@pytest.mark.parametrize("shots", [10.5, 10.0, True, "10", None])
+def test_shots_must_be_an_integer(shots):
+    inst = Dqc1Instance(n=1, unitary=I2, control=ControlQubit.from_alpha(1.0))
+    with pytest.raises(ValueError, match="shots"):
+        sample_shots(0.5, shots, SeededRng(0, 0))
+    with pytest.raises(ValueError, match="shots"):
+        estimate_trace(inst, shots, SeededRng(0, 0))
+
+
+def test_shots_may_be_a_numpy_integer():
+    inst = Dqc1Instance(n=1, unitary=I2, control=ControlQubit.from_alpha(1.0))
+    est = estimate_trace(inst, np.int64(100), SeededRng(0, 0))
+    assert est == estimate_trace(inst, 100, SeededRng(0, 0))
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+def test_sample_shots_rejects_a_non_finite_probability(p):
+    with pytest.raises(ValueError, match="p="):
+        sample_shots(p, 10, SeededRng(0, 0))
+
+
+@pytest.mark.parametrize(
+    "alpha,m,rounds,field",
+    [
+        (1.0, math.nan, 10.0, "m"),
+        (1.0, math.inf, 10.0, "m"),
+        (1.0, 1.0, math.nan, "rounds"),
+        (1.0, 1.0, math.inf, "rounds"),
+        (math.nan, 1.0, 10.0, "alpha"),
+        (0.0, 0.0, 10.0, "alpha"),
+        (1.5, 0.0, 10.0, "alpha"),
+    ],
+)
+def test_entpower_from_rounds_rejects_non_finite_inputs(alpha, m, rounds, field):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        entpower_from_rounds(alpha, m, rounds)
