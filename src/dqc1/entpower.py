@@ -341,10 +341,10 @@ def brute_force_min_mixing(
     result equals the lambda gap up to roundoff; set
     ``include_analytic=False`` to probe how close sampling alone gets.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if cols < 2:
-        raise ValueError(f"cols must be >= 2, got {cols}")
+    if not is_integer(samples) or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, got {brief(samples)}")
+    if not is_integer(cols) or cols < 2:
+        raise ValueError(f"cols must be an integer >= 2, got {brief(cols)}")
     best = min(
         float(mixing_factor(branch_coefficients(control, t_stack)).min())
         for t_stack in _right_unitary_stacks(2, cols, samples, rng, 2 * cols)

@@ -357,12 +357,11 @@ def _range_verify_theorem1(cfg, payload, lo, hi):
     first = max(lo, 1)
     if first == hi:
         return rows
-    # Each point draws from its own stream exactly as it would alone; the
-    # range is then scored as one stack, with the same bits.
-    streams = [SeededRng(cfg.seed, idx) for idx in range(first, hi)]
+    # Each point draws from its own stream exactly as it would alone (all
+    # derived in one pass); the range is then scored as one stack, same bits.
     try:
-        draws = random_right_unitary(inst.dim, 2 * inst.dim, streams)
-        measured = payload["score"](draws, lambda_factor(inst.control))
+        draws = random_right_unitary(inst.dim, 2 * inst.dim, SeededRng.streams(cfg.seed, first, hi))
+        measured = payload["score"](draws, lambda_factor(inst.control)).tolist()
     except Exception as err:
         raise _failure(cfg, first, hi, err) from err
     return rows + [("sample", idx, m, reference) for idx, m in zip(range(first, hi), measured)]
@@ -633,12 +632,9 @@ def write_results(rows: list[ResultRow], path: str | Path, fmt: str = "csv") -> 
     float-exactly; an empty run still writes the CSV header."""
     path = Path(path)
     if fmt == "csv":
-        lines = [",".join(_HEADER)]
-        for r in rows:
-            reals = (r.param_value, r.measured, r.reference, r.deviation)
-            reals = [format(float(x), ".17g") for x in reals]
-            lines.append(",".join((r.experiment, r.param_name, *reals, str(r.seed))))
-        path.write_text("\n".join(lines) + "\n")
+        # a row's fields are in _HEADER order; %.17g formats as format(x, ".17g")
+        line = "%s,%s,%.17g,%.17g,%.17g,%.17g,%d\n"
+        path.write_text(",".join(_HEADER) + "\n" + "".join(line % tuple(vars(r).values()) for r in rows))
     elif fmt == "json":
         path.write_text(json.dumps([asdict(row) for row in rows], indent=2) + "\n")
     else:

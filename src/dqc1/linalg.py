@@ -49,6 +49,26 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 
 
+def _check_indices(**values) -> None:
+    for name, x in values.items():
+        if not is_integer(x) or x < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {brief(x)}")
+
+
+def _hash_steps(init: int, mult: int, start: int, count: int):
+    """Xor and multiplier of seed_seq hash steps start.. (constant multiplied before use)."""
+    h = [init * pow(mult, j, 2**32) % 2**32 for j in range(start, start + count + 1)]
+    return np.array(h[:-1], np.uint32), np.array(h[1:], np.uint32)
+
+
+#: O'Neill's seed_seq hash as numpy's ``SeedSequence`` runs it: steps 16..19
+#: of its entropy hash take a one-word spawn key, each mixed into one pool word
+#: by ``mix(x, y) = 0xCA01F9DD x - 0x4973F715 y`` and an xorshift, and eight
+#: steps of its output hash make ``generate_state(4, uint64)``.
+_KEY_HASH = _hash_steps(0x43B0D7E5, 0x931E8875, 16, 4)
+_OUT_HASH = _hash_steps(0x8B51F9DD, 0x58F38DED, 0, 8)
+
+
 class SeededRng:
     """Reproducible random stream identified by a (seed, stream) pair.
 
@@ -66,13 +86,41 @@ class SeededRng:
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        if seed < 0 or stream < 0:
-            raise ValueError("seed and stream must be non-negative integers")
-        self.seed = int(seed)
-        self.stream = int(stream)
+        _check_indices(seed=seed, stream=stream)
+        self.seed, self.stream = int(seed), int(stream)
         self.gen = np.random.default_rng(
             np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         )
+
+    @classmethod
+    def streams(cls, seed: int, lo: int, hi: int) -> list[SeededRng]:
+        """``[SeededRng(seed, k) for k in range(lo, hi)]``, bit for bit, from
+        one ``SeedSequence``: NEP 19 keeps its mixing stable, and a seed of at
+        most four words leaves the pool of ``SeedSequence(seed)`` equal to the
+        spawned one's before its key word, so only that word and the output
+        hash are mixed here, for all keys at once.  A longer seed or a key of
+        2**32 or more takes one ``SeededRng`` each."""
+        _check_indices(seed=seed, lo=lo, hi=hi)
+        if seed >= 2**128 or hi > 2**32:
+            return [cls(seed, k) for k in range(lo, hi)]
+        from numpy.random.bit_generator import ISeedSequence
+
+        class Words(ISeedSequence):  # the words PCG64 would ask SeedSequence for
+            def __init__(self, words):
+                self.words = words
+
+            def generate_state(self, n_words, dtype=np.uint32):
+                return self.words
+
+        key = (np.arange(lo, hi, dtype=np.uint32)[:, None] ^ _KEY_HASH[0]) * _KEY_HASH[1]
+        pool = np.random.SeedSequence(int(seed)).pool * 0xCA01F9DD - (key ^ key >> 16) * 0x4973F715
+        out = (np.tile(pool ^ pool >> 16, 2) ^ _OUT_HASH[0]) * _OUT_HASH[1]
+        words = (out ^ out >> 16).astype("<u4").view("<u8").astype(np.uint64)
+        rngs = [cls.__new__(cls) for _ in words]
+        for k, rng, w in zip(range(lo, hi), rngs, words):
+            rng.seed, rng.stream = int(seed), k
+            rng.gen = np.random.Generator(np.random.PCG64(Words(w)))
+        return rngs
 
     def __repr__(self) -> str:
         return f"SeededRng(seed={self.seed}, stream={self.stream})"

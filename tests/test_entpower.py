@@ -570,6 +570,24 @@ def test_brute_force_min_mixing_validation():
         brute_force_min_mixing(ControlQubit.from_alpha(0.5), 10, 1, SeededRng(0, 0))
 
 
+@pytest.mark.parametrize(
+    "samples,cols,name",
+    [
+        (True, 4, "samples"),  # once returned a value
+        (2.5, 4, "samples"),  # once "'float' object cannot be interpreted as an integer"
+        (2.0, 4, "samples"),
+        ("3", 4, "samples"),
+        (None, 4, "samples"),
+        (3, 4.0, "cols"),
+        (3, 2.5, "cols"),
+        (3, True, "cols"),
+    ],
+)
+def test_brute_force_min_mixing_names_a_non_integer_count(samples, cols, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        brute_force_min_mixing(ControlQubit.from_alpha(0.5), samples, cols, SeededRng(0, 0))
+
+
 # --- ensemble averages and the closed-form checks ----------------------------
 
 

@@ -314,6 +314,31 @@ def test_run_verify_theorem1_decomposes_once_per_range(monkeypatch, samples, ran
     assert calls == {"eig_hermitian": 1, "score": ranges}
 
 
+def test_serial_theorem1_sweep_builds_one_seed_sequence_per_range(monkeypatch):
+    # 2001 points at n=2 make five serial ranges; each derives its streams
+    # from one SeedSequence, and the set-up draws its Haar unitary from one more
+    built = []
+    real = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    assert len(run_experiment(theorem1_config(samples=2000, workers=1))) == 2001
+    assert len(built) <= len(dqc1.experiments._ranges(2001, 1, 2)) + 1 == 6
+
+
+def test_theorem1_range_hands_back_python_floats():
+    # float rows pickle about ten times faster than numpy scalars out of a worker
+    cfg = theorem1_config(samples=40, workers=1)
+    kind = dqc1.experiments._EXPERIMENTS[cfg.experiment]
+    prepared = dqc1.experiments._prepare(cfg, kind.setup(cfg))
+    rows = dqc1.experiments._eval_point((cfg, prepared, 0, 41))
+    assert [row[0] for row in rows] == ["fourier"] + ["sample"] * 40
+    assert {type(row[2]) for row in rows[1:]} == {float}
+
+
 def test_run_verify_theorem1_names_the_range_of_an_unattributed_failure(monkeypatch):
     class BrokenScorer(_DrawScorer):
         def __call__(self, t_stack, mix):
@@ -674,6 +699,24 @@ def test_write_read_json_is_float_exact(tmp_path):
     assert read_results(path) == rows
     payload = json.loads(path.read_text())
     assert payload[0] == asdict(rows[0])
+
+
+@pytest.mark.parametrize(
+    "x", [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3, 1e16]
+)
+def test_csv_rows_keep_their_per_field_format(tmp_path, x):
+    # the one-format writer against the per-field format(float(x), ".17g")
+    # it replaced, on the special values too
+    rows = [
+        ResultRow("verify-theorem1", "sample", x, -x, x / 3, abs(x), 2**128),
+        ResultRow.build("trace-vs-shots", "shots_y", 10**6, x, 0.5, 7),
+    ]
+    write_results(rows, tmp_path / "out.csv", "csv")
+    lines = [",".join(dqc1.experiments._HEADER)]
+    for r in rows:
+        reals = [format(float(v), ".17g") for v in (r.param_value, r.measured, r.reference, r.deviation)]
+        lines.append(",".join((r.experiment, r.param_name, *reals, str(r.seed))))
+    assert (tmp_path / "out.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_write_empty_rows_keeps_header(tmp_path):

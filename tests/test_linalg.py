@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
 from dqc1.linalg import (
@@ -28,6 +30,7 @@ from dqc1.linalg import (
     save_matrix,
     trace_overlap,
 )
+from dqc1.experiments import MAX_SAMPLES
 from support import partial_trace
 
 I2 = np.eye(2, dtype=np.complex128)
@@ -60,6 +63,68 @@ def test_seeded_rng_rejects_negative():
         SeededRng(-1, 0)
     with pytest.raises(ValueError):
         SeededRng(0, -2)
+
+
+@pytest.mark.parametrize(
+    "seed,stream,name",
+    [
+        (1.5, 0, "seed"),  # once truncated to seed 1
+        (1, 2.7, "stream"),  # once truncated to stream 2
+        (True, 2, "seed"),  # once taken as seed 1
+        ("3", 0, "seed"),  # once a bare "'<' not supported" from the comparison
+        (0, False, "stream"),
+        (np.float64(2.0), 0, "seed"),
+        (None, 0, "seed"),
+    ],
+)
+def test_seeded_rng_rejects_a_non_integer_or_bool_and_names_it(seed, stream, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer"):
+        SeededRng(seed, stream)
+
+
+@pytest.mark.parametrize(
+    "seed,lo,hi,name",
+    [(1.5, 0, 3, "seed"), (True, 0, 3, "seed"), (0, 2.0, 3, "lo"), (0, -1, 3, "lo"), (0, 0, "3", "hi")],
+)
+def test_seeded_rng_streams_checks_its_arguments_once(seed, lo, hi, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer"):
+        SeededRng.streams(seed, lo, hi)
+
+
+def assert_streams_match_seeded_rng(seed, lo, hi):
+    streams = SeededRng.streams(seed, lo, hi)
+    assert [(r.seed, r.stream) for r in streams] == [(seed, k) for k in range(lo, hi)]
+    for k, got in zip(range(lo, hi), streams):
+        want = SeededRng(seed, k).gen
+        assert got.gen.bit_generator.state == want.bit_generator.state, k
+        assert got.gen.standard_normal(3).tolist() == want.standard_normal(3).tolist(), k
+
+
+# 2**128 has five words and every key from 2**32 on two: both fall back to
+# one SeedSequence per stream, which the pin compares with itself
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1, 2**128])
+@pytest.mark.parametrize("lo,hi", [(0, 3003), (MAX_SAMPLES - 7, MAX_SAMPLES + 4), (2**32 - 3, 2**32 + 3)])
+def test_seeded_rng_streams_pin_seeded_rng_bit_for_bit(seed, lo, hi):
+    assert_streams_match_seeded_rng(seed, lo, hi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(st.integers(0, 2**32), st.integers(0, 2**130)),
+    st.one_of(st.integers(0, 3000), st.integers(2**32 - 20, 2**32 + 5), st.integers(0, 2**40)),
+    st.integers(0, 12),
+)
+def test_seeded_rng_streams_equal_seeded_rng_over_any_range(seed, lo, span):
+    assert_streams_match_seeded_rng(seed, lo, lo + span)
+
+
+def test_seeded_rng_streams_take_numpy_integers_and_an_empty_range():
+    assert SeededRng.streams(5, 7, 7) == []
+    got = SeededRng.streams(np.int64(5), np.uint32(2), np.int16(4))
+    assert [(r.seed, r.stream) for r in got] == [(5, 2), (5, 3)]
+    assert {type(x) for r in got for x in (r.seed, r.stream)} == {int}
+    for r in got:
+        assert r.gen.bit_generator.state == SeededRng(5, r.stream).gen.bit_generator.state
 
 
 def test_kron_identities():
