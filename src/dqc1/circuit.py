@@ -24,6 +24,7 @@ from .linalg import (
     TOL_CONSTRUCT,
     TOL_SPECTRAL,
     is_density,
+    is_integer,
     is_unitary,
     kron,
     load_matrix,
@@ -130,6 +131,8 @@ class Dqc1Instance:
     system_state: np.ndarray | None = None
 
     def __post_init__(self):
+        if not is_integer(self.n):
+            raise ValueError(f"n must be an integer, got {brief(self.n)}")
         if not 1 <= self.n <= MAX_QUBITS:
             raise ValueError(f"n must lie in [1, {MAX_QUBITS}], got {self.n}")
         dim = 2**self.n
@@ -244,6 +247,8 @@ def unitary_from_spec(spec: str, n: int, rng: SeededRng | None = None) -> np.nda
     ``diag-phase`` needs 2**n angles; ``file`` loads the JSON matrix format
     and checks unitarity.
     """
+    if not is_integer(n):
+        raise ValueError(f"n must be an integer, got {brief(n)}")
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"n must lie in [1, {MAX_QUBITS}], got {n}")
     dim = 2**n

@@ -19,6 +19,7 @@ from .circuit import ControlQubit, Dqc1Instance, unitary_from_spec
 from .entpower import entpower_alpha
 from .experiments import (
     _EXPERIMENTS,
+    _FIELDS,
     ConfigError,
     check_rows,
     config_from_dict,
@@ -39,14 +40,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a config-driven parameter sweep")
+    given = dict(argument_default=argparse.SUPPRESS)  # an unset flag leaves the config's value
+    p_run = sub.add_parser("run", help="run a config-driven parameter sweep", **given)
     p_run.add_argument("config", help="path to a JSON experiment config")
-    p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--out", default=None, help="override the output path")
-    p_run.add_argument("--format", choices=("csv", "json"), default=None)
-    p_run.add_argument("--n", type=int, default=None, help="override the register size")
-    p_run.add_argument("--alpha", type=float, default=None, help="override the polarization")
-    p_run.add_argument("--shots", default=None, help="override the shots grid (comma-separated)")
+    p_run.add_argument("--seed", type=int, help="override the config seed")
+    p_run.add_argument("--out", help="override the output path")
+    p_run.add_argument("--format", choices=("csv", "json"))
+    p_run.add_argument("--n", type=int, help="override the register size")
+    p_run.add_argument("--alpha", type=float, help="override the polarization")
+    p_run.add_argument("--shots", help="override the shots grid (comma-separated)")
 
     p_est = sub.add_parser("estimate-trace", help="finite-shot trace estimation")
     p_est.add_argument("--n", type=int, required=True)
@@ -61,13 +63,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ep.add_argument("--unitary", default="haar")
     p_ep.add_argument("--seed", type=int, default=0)
 
-    p_ver = sub.add_parser("verify", help="check a closed form against sampling")
+    p_ver = sub.add_parser("verify", help="check a closed form against sampling", **given)
     p_ver.add_argument("target", choices=("theorem1", "theorem2", "theorem3"))
     p_ver.add_argument("--n", type=int, default=2)
-    p_ver.add_argument("--samples", type=int, default=100)
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--samples", type=int)
+    p_ver.add_argument("--seed", type=int)
     p_ver.add_argument("--alpha", type=float, default=0.6)
-    p_ver.add_argument("--unitary", default="haar")
+    p_ver.add_argument("--unitary")
     return parser
 
 
@@ -76,10 +78,8 @@ def _cmd_run(args) -> int:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     payload = config_payload(path.read_text())
-    for key in ("seed", "out", "format", "n", "alpha"):
-        if getattr(args, key) is not None:
-            payload[key] = getattr(args, key)
-    if args.shots is not None:
+    payload.update((key, value) for key, value in vars(args).items() if key in _FIELDS)
+    if "shots" in vars(args):
         try:
             payload["shots"] = [int(x) for x in args.shots.split(",")]
         except ValueError:
@@ -127,7 +127,7 @@ def _cmd_entpower(args) -> int:
 
 def _cmd_verify(args) -> int:
     experiment = f"verify-{args.target}"
-    payload = {key: getattr(args, key) for key in ("n", "alpha", "unitary", "samples", "seed")}
+    payload = {key: value for key, value in vars(args).items() if key in _FIELDS}
     payload["experiment"] = experiment
     if _EXPERIMENTS[experiment].reads_rho:
         payload["rho"] = "random"  # each point draws its own register

@@ -1,9 +1,10 @@
 """Config-driven parameter sweeps with deterministic per-point randomness.
 
-A run is described by a JSON config.  Unknown keys are rejected, and so is
-a ``rho`` other than ``maximally-mixed`` outside ``verify-theorem3``; other
-fields an experiment does not read are ignored.  Every error names its
-field.  A sweep's fixed inputs are built and validated once, before any
+A run is described by an :class:`ExperimentConfig`, which checks its fields
+when built, from JSON or by hand; every error names its field.  Unknown keys
+are rejected, and so is a ``rho`` other than ``maximally-mixed`` outside
+``verify-theorem3``; other fields an experiment does not read are ignored.
+A sweep's fixed inputs are built and validated once, before any
 point runs, and every parameter point then draws from its own random stream
 keyed by (seed, point index), so results are byte-identical for a given
 config and seed no matter how many workers execute the sweep or in which
@@ -84,6 +85,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One sweep's parameters, checked field by field at construction: the
+    first failure raises a :class:`ConfigError` that names its field.
+    ``alpha`` is kept as a float, ``shots`` and ``alphas`` as tuples."""
+
     experiment: str
     n: int
     alpha: float = 1.0
@@ -96,6 +101,86 @@ class ExperimentConfig:
     out: str | None = None
     format: str = "csv"
     workers: int | None = None
+
+    def __post_init__(self):
+        kind = _experiment(self.experiment)
+        for name, (test, expected) in _FIELDS.items():
+            x = getattr(self, name)
+            if not test(x):
+                problem = f"expected {expected}, got {brief(x)}"
+            # the rules that read the fields checked before this one
+            elif name == "n" and not 1 <= x <= MAX_QUBITS:
+                problem = f"{x} outside the supported range [1, {MAX_QUBITS}]"
+            elif name == "rho" and x != "maximally-mixed" and not kind.reads_rho:
+                problem = (
+                    f"only verify-theorem3 reads a register state, "
+                    f"{self.experiment} runs on the maximally mixed one; got {brief(x)}"
+                )
+            elif name == "rho" and type(rank := _rho(x)[1]) is int and not 1 <= rank <= 2**self.n:
+                problem = f"rank in {brief(x)} outside [1, {2**self.n}] for n={self.n}"
+            elif name == "shots" and kind.sweeps_shots and not x:
+                problem = f"required and nonempty for {self.experiment}"
+            else:
+                continue
+            raise ConfigError(f"field '{name}': {problem}")
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "shots", tuple(self.shots))
+        object.__setattr__(self, "alphas", tuple(float(x) for x in self.alphas))
+
+
+def _experiment(x) -> _Experiment:
+    """The record of a config's experiment, the first field checked."""
+    if not isinstance(x, str) or x not in _EXPERIMENTS:
+        raise ConfigError(f"field 'experiment': {brief(x)} is not one of {', '.join(EXPERIMENTS)}")
+    return _EXPERIMENTS[x]
+
+
+def _is_alpha(x) -> bool:
+    # compared before any float() conversion, which overflows on huge ints
+    return (is_integer(x) or isinstance(x, float)) and 0.0 < x <= 1.0
+
+
+#: Every config field after ``experiment``, in the order they are checked:
+#: a test of its value and the text the error expects.
+_FIELDS = {
+    "n": (is_integer, "an integer"),
+    "alpha": (_is_alpha, "a number in (0, 1]"),
+    "unitary": (lambda x: isinstance(x, str) and x != "", "a spec string"),
+    "rho": (
+        lambda x: isinstance(x, str) and _rho(x) is not None,
+        "'maximally-mixed', 'random', 'random:<rank>' or 'file:<path>'",
+    ),
+    "shots": (
+        lambda x: isinstance(x, (list, tuple))
+        and all(is_integer(s) and 1 <= s <= MAX_SHOTS for s in x),
+        f"a list of integers in [1, {MAX_SHOTS}]",
+    ),
+    "alphas": (
+        lambda x: isinstance(x, (list, tuple)) and len(x) > 0 and all(map(_is_alpha, x)),
+        "a nonempty list of numbers in (0, 1]",
+    ),
+    "samples": (
+        lambda x: is_integer(x) and 1 <= x <= MAX_SAMPLES,
+        f"an integer in [1, {MAX_SAMPLES}]",
+    ),
+    "seed": (lambda x: is_integer(x) and x >= 0, "a non-negative integer"),
+    "out": (lambda x: x is None or isinstance(x, str), "a path string"),
+    "format": (lambda x: x in ("csv", "json"), "'csv' or 'json'"),
+    "workers": (lambda x: x is None or is_integer(x) and x >= 1, "a positive integer"),
+}
+
+
+def _rho(spec: str) -> tuple[str, int | str | None] | None:
+    """A ``rho`` spec's kind and its rank (an int, None if full) or path, or
+    None if it is no spec."""
+    if spec in ("maximally-mixed", "random"):
+        return spec, None
+    if spec.startswith("file:"):
+        return "file", spec[len("file:") :]
+    rank = spec[len("random:") :]  # no more digits than 2**MAX_QUBITS, so int() reads it
+    if spec.startswith("random:") and rank.isdecimal() and len(rank) <= len(str(2**MAX_QUBITS)):
+        return "random", int(rank)
+    return None
 
 
 @dataclass(frozen=True)
@@ -121,114 +206,19 @@ class ResultRow:
         )
 
 
-def _is_real(x) -> bool:
-    return is_integer(x) or isinstance(x, float)
-
-
 def config_from_dict(payload: dict) -> ExperimentConfig:
     """Validate a config dict; every failure names the offending field."""
     if not isinstance(payload, dict):
         raise ConfigError("config root must be a JSON object")
-    allowed = {f for f in ExperimentConfig.__dataclass_fields__}
-    unknown = sorted(set(payload) - allowed)
+    unknown = sorted(set(payload).difference(ExperimentConfig.__dataclass_fields__))
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
-
     if "experiment" not in payload:
         raise ConfigError("missing required field 'experiment'")
-    experiment = payload["experiment"]
-    if not isinstance(experiment, str) or experiment not in _EXPERIMENTS:
-        raise ConfigError(
-            f"field 'experiment': {brief(experiment)} is not one of {', '.join(EXPERIMENTS)}"
-        )
-    kind = _EXPERIMENTS[experiment]
-
     if "n" not in payload:
+        _experiment(payload["experiment"])  # an unknown experiment is named first
         raise ConfigError("missing required field 'n'")
-    n = payload["n"]
-    if not is_integer(n):
-        raise ConfigError(f"field 'n': expected an integer, got {brief(n)}")
-    if not 1 <= n <= MAX_QUBITS:
-        raise ConfigError(f"field 'n': {n} outside the supported range [1, {MAX_QUBITS}]")
-
-    alpha = payload.get("alpha", 1.0)
-    # compared before any float() conversion, which overflows on huge ints
-    if not _is_real(alpha) or not 0.0 < alpha <= 1.0:
-        raise ConfigError(f"field 'alpha': expected a number in (0, 1], got {brief(alpha)}")
-    alpha = float(alpha)
-
-    unitary = payload.get("unitary", "haar")
-    if not isinstance(unitary, str) or not unitary:
-        raise ConfigError(f"field 'unitary': expected a spec string, got {brief(unitary)}")
-
-    rho = payload.get("rho", "maximally-mixed")
-    if not isinstance(rho, str) or not _valid_rho_spec(rho):
-        raise ConfigError(
-            f"field 'rho': expected 'maximally-mixed', 'random', 'random:<rank>' "
-            f"or 'file:<path>', got {brief(rho)}"
-        )
-    if rho != "maximally-mixed" and not kind.reads_rho:
-        raise ConfigError(
-            f"field 'rho': only verify-theorem3 reads a register state, "
-            f"{experiment} runs on the maximally mixed one; got {brief(rho)}"
-        )
-    if rho.startswith("random:") and not 1 <= int(rho[len("random:") :]) <= 2**n:
-        raise ConfigError(f"field 'rho': rank in {brief(rho)} outside [1, {2**n}] for n={n}")
-
-    shots = payload.get("shots", [])
-    if not isinstance(shots, list) or not all(is_integer(x) and 1 <= x <= MAX_SHOTS for x in shots):
-        raise ConfigError(
-            f"field 'shots': expected a list of integers in [1, {MAX_SHOTS}], got {brief(shots)}"
-        )
-    if kind.sweeps_shots and not shots:
-        raise ConfigError(f"field 'shots': required and nonempty for {experiment}")
-
-    alphas = payload.get("alphas", list(DEFAULT_ALPHAS))
-    if (
-        not isinstance(alphas, list)
-        or not alphas
-        or not all(_is_real(x) and 0.0 < x <= 1.0 for x in alphas)
-    ):
-        raise ConfigError(
-            f"field 'alphas': expected a nonempty list of numbers in (0, 1], got {brief(alphas)}"
-        )
-
-    samples = payload.get("samples", 100)
-    if not is_integer(samples) or not 1 <= samples <= MAX_SAMPLES:
-        raise ConfigError(
-            f"field 'samples': expected an integer in [1, {MAX_SAMPLES}], got {brief(samples)}"
-        )
-
-    seed = payload.get("seed", 0)
-    if not is_integer(seed) or seed < 0:
-        raise ConfigError(f"field 'seed': expected a non-negative integer, got {brief(seed)}")
-
-    out = payload.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError(f"field 'out': expected a path string, got {brief(out)}")
-
-    fmt = payload.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"field 'format': expected 'csv' or 'json', got {brief(fmt)}")
-
-    workers = payload.get("workers")
-    if workers is not None and (not is_integer(workers) or workers < 1):
-        raise ConfigError(f"field 'workers': expected a positive integer, got {brief(workers)}")
-
-    return ExperimentConfig(
-        experiment=experiment,
-        n=n,
-        alpha=alpha,
-        unitary=unitary,
-        rho=rho,
-        shots=tuple(shots),
-        alphas=tuple(float(x) for x in alphas),
-        samples=samples,
-        seed=seed,
-        out=out,
-        format=fmt,
-        workers=workers,
-    )
+    return ExperimentConfig(**payload)
 
 
 def config_payload(text: str) -> dict:
@@ -250,14 +240,6 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(Path(path).read_text())
-
-
-def _valid_rho_spec(spec: str) -> bool:
-    if spec in ("maximally-mixed", "random"):
-        return True
-    if spec.startswith("random:"):  # no more digits than 2**MAX_QUBITS, so int() reads it
-        return spec[len("random:") :].isdecimal() and len(spec) <= len(f"random:{2**MAX_QUBITS}")
-    return spec.startswith("file:")
 
 
 # --- sweep machinery ---------------------------------------------------------
@@ -377,19 +359,20 @@ def _point_verify_theorem2(cfg, payload, idx):
 
 def _setup_verify_theorem3(cfg):
     dim = 2**cfg.n
+    kind, arg = _rho(cfg.rho)
     payload = {}
-    if cfg.rho == "maximally-mixed":
+    if kind == "maximally-mixed":
         payload["rho"] = np.eye(dim, dtype=np.complex128) / dim
-    elif cfg.rho.startswith("file:"):
+    elif kind == "file":
         try:
-            rho = load_matrix(cfg.rho[len("file:") :])
+            rho = load_matrix(arg)
             if rho.shape != (dim, dim) or not is_density(rho):
                 raise ValueError(f"register file is not a {dim}x{dim} density matrix")
         except (ValueError, OSError) as err:
             raise ValueError(f"field 'rho': {err}") from None
         payload["rho"] = rho
     else:  # every point draws its own register from its stream
-        payload["rank"] = dim if cfg.rho == "random" else int(cfg.rho[len("random:") :])
+        payload["rank"] = dim if arg is None else arg
     if cfg.unitary != "haar":  # a Haar unitary is drawn per point, from its stream
         payload["u"] = _fixed_unitary(cfg)
     return payload

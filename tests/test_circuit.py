@@ -417,6 +417,16 @@ def test_unitary_from_spec_rejects_register_size_first(spec, n):
         unitary_from_spec(spec, n, SeededRng(0, 0))
 
 
+@pytest.mark.parametrize("n", [True, 1.0])
+def test_register_size_must_be_an_integer(n):
+    # True was taken as n=1, and 1.0 failed inside 2**n-sized code with
+    # "'float' object cannot be interpreted as an integer"
+    with pytest.raises(ValueError, match=f"^n must be an integer, got {n}$"):
+        Dqc1Instance(n=n, unitary=np.eye(2), control=ControlQubit.from_alpha(1.0))
+    with pytest.raises(ValueError, match=f"^n must be an integer, got {n}$"):
+        unitary_from_spec("identity", n)
+
+
 @pytest.mark.parametrize("rank", [None, 2])  # None: the maximally mixed register
 def test_instance_keeps_its_overlap_from_first_use(monkeypatch, rank):
     calls = []

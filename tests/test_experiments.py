@@ -101,6 +101,104 @@ def test_config_rejects_and_names_field(patch, needle):
         config_from_dict(payload)
 
 
+_ONE_OF = (
+    "is not one of trace-vs-shots, entpower-vs-alpha, complexity-curve, "
+    "verify-theorem1, verify-theorem2, verify-theorem3"
+)
+
+
+@pytest.mark.parametrize(
+    "payload,text",
+    [
+        ([1], "config root must be a JSON object"),
+        (dict(MINIMAL, foo=1, bar=2), "unknown config key(s): 'bar', 'foo'"),
+        ({"n": 1}, "missing required field 'experiment'"),
+        ({"experiment": 7, "n": 1}, f"field 'experiment': 7 {_ONE_OF}"),
+        ({"experiment": "bogus"}, f"field 'experiment': 'bogus' {_ONE_OF}"),
+        ({"experiment": "verify-theorem2"}, "missing required field 'n'"),
+        (dict(MINIMAL, n=2.0), "field 'n': expected an integer, got 2.0"),
+        (dict(MINIMAL, n=11), "field 'n': 11 outside the supported range [1, 10]"),
+        (dict(MINIMAL, alpha=1.5), "field 'alpha': expected a number in (0, 1], got 1.5"),
+        (dict(MINIMAL, unitary=""), "field 'unitary': expected a spec string, got ''"),
+        (
+            dict(MINIMAL, rho="thermal"),
+            "field 'rho': expected 'maximally-mixed', 'random', 'random:<rank>' "
+            "or 'file:<path>', got 'thermal'",
+        ),
+        (
+            dict(MINIMAL, shots=[100, -5]),
+            "field 'shots': expected a list of integers in [1, 1000000000000000], got [100, -5]",
+        ),
+        (
+            dict(MINIMAL, alphas=[]),
+            "field 'alphas': expected a nonempty list of numbers in (0, 1], got []",
+        ),
+        (dict(MINIMAL, samples=0), "field 'samples': expected an integer in [1, 1000000], got 0"),
+        (dict(MINIMAL, seed=-1), "field 'seed': expected a non-negative integer, got -1"),
+        (dict(MINIMAL, out=7), "field 'out': expected a path string, got 7"),
+        (
+            dict(MINIMAL, format="parquet"),
+            "field 'format': expected 'csv' or 'json', got 'parquet'",
+        ),
+        (dict(MINIMAL, workers=0), "field 'workers': expected a positive integer, got 0"),
+        (
+            dict(MINIMAL, rho="random"),
+            "field 'rho': only verify-theorem3 reads a register state, "
+            "verify-theorem2 runs on the maximally mixed one; got 'random'",
+        ),
+        (
+            {"experiment": "verify-theorem3", "n": 1, "rho": "random:9"},
+            "field 'rho': rank in 'random:9' outside [1, 2] for n=1",
+        ),
+        (
+            {"experiment": "trace-vs-shots", "n": 1},
+            "field 'shots': required and nonempty for trace-vs-shots",
+        ),
+    ],
+    ids=[
+        "root", "unknown-keys", "missing-experiment", "invalid-experiment",
+        "bogus-experiment-without-n", "missing-n", "n-type", "n-range", "alpha", "unitary",
+        "rho", "shots", "alphas", "samples", "seed", "out", "format", "workers", "rho-unread",
+        "rho-rank", "shots-required",
+    ],
+)
+def test_config_error_text(payload, text):
+    # one case per way config_from_dict rejects a payload, text pinned whole
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(payload)
+    assert str(info.value) == text
+
+
+@pytest.mark.parametrize(
+    "base,fields,name",
+    [
+        # ran 0 rows without an error
+        ("verify-theorem1", {"samples": -5}, "samples"),
+        # raised a bare KeyError
+        ("verify-theorem1", {"experiment": "x"}, "experiment"),
+        # failed inside point 0
+        ("verify-theorem2", {"alphas": (2.0,)}, "alphas"),
+    ],
+)
+def test_an_invalid_config_cannot_be_constructed(base, fields, name):
+    with pytest.raises(ConfigError, match=f"^field '{name}': "):
+        ExperimentConfig(**{"experiment": base, "n": 2, **fields})
+    with pytest.raises(ConfigError, match=f"^field '{name}': "):
+        replace(ExperimentConfig(base, 2), **fields)
+
+
+def test_every_config_field_is_checked():
+    fields = ("experiment", *dqc1.experiments._FIELDS)
+    assert fields == tuple(ExperimentConfig.__dataclass_fields__)
+
+
+def test_config_keeps_numbers_as_floats_and_grids_as_tuples():
+    cfg = ExperimentConfig("trace-vs-shots", 1, alpha=1, shots=[10, 20], alphas=[1, 0.5])
+    assert (cfg.alpha, cfg.shots, cfg.alphas) == (1.0, (10, 20), (1.0, 0.5))
+    assert type(cfg.alpha) is float and all(type(a) is float for a in cfg.alphas)
+    assert ExperimentConfig("trace-vs-shots", 1, shots=(10, 20), alphas=(1, 0.5)) == cfg
+
+
 def test_config_accepts_the_fields_each_experiment_reads():
     for experiment in EXPERIMENTS:
         config_from_dict(
@@ -1454,3 +1552,26 @@ def test_cli_run_exits_zero_or_names_a_field(config):
     assert code in (0, 2), err
     if code == 2:
         assert any(f"'{key}'" in err for key in config), err
+
+
+def _outcome(build):
+    """What building a config gives: the config, or its error's text."""
+    try:
+        return build()
+    except ConfigError as err:
+        return str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # any subset of the optional fields of a whole-config draw
+    _CONFIG.flatmap(
+        lambda c: st.sets(st.sampled_from(sorted(set(c) - {"experiment", "n"}))).map(
+            lambda dropped: {k: v for k, v in c.items() if k not in dropped}
+        )
+    )
+)
+def test_config_from_dict_and_the_constructor_share_one_schema(payload):
+    assert _outcome(lambda: config_from_dict(dict(payload))) == _outcome(
+        lambda: ExperimentConfig(**payload)
+    )
