@@ -22,10 +22,10 @@ from .linalg import (
     SIGMA_Z,
     SeededRng,
     TOL_CONSTRUCT,
-    TOL_SPECTRAL,
-    is_density,
-    is_integer,
-    is_unitary,
+    _check_count,
+    _check_density,
+    _check_unitary,
+    haar_unitary,
     kron,
     load_matrix,
     brief,
@@ -122,8 +122,8 @@ def _bloch_norm(p) -> float:
 @dataclass(frozen=True)
 class Dqc1Instance:
     """A register size, the unitary under test, the control state, and the
-    register state (maximally mixed unless overridden).  The arrays are
-    validated once, at construction, and must not be mutated after it."""
+    register state (by default the maximally mixed one, built unchecked).
+    The arrays are validated once, at construction, and must not be mutated."""
 
     n: int
     unitary: np.ndarray
@@ -131,28 +131,13 @@ class Dqc1Instance:
     system_state: np.ndarray | None = None
 
     def __post_init__(self):
-        if not is_integer(self.n):
-            raise ValueError(f"n must be an integer, got {brief(self.n)}")
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"n must lie in [1, {MAX_QUBITS}], got {self.n}")
+        _check_count("n", self.n, 1, MAX_QUBITS)
         dim = 2**self.n
-        u = np.asarray(self.unitary, dtype=np.complex128)
-        if u.shape != (dim, dim):
-            raise ValueError(f"unitary shape {u.shape} does not match n={self.n}")
-        if not is_unitary(u, TOL_SPECTRAL):
-            raise ValueError("unitary is not unitary within tolerance")
-        object.__setattr__(self, "unitary", u)
-        rho = self.system_state
-        if rho is None:
+        object.__setattr__(self, "unitary", _check_unitary("unitary", self.unitary, dim))
+        if self.system_state is None:
             rho = np.eye(dim, dtype=np.complex128) / dim
         else:
-            rho = np.asarray(rho, dtype=np.complex128)
-            if rho.shape != (dim, dim):
-                raise ValueError(
-                    f"system_state shape {rho.shape} does not match n={self.n}"
-                )
-            if not is_density(rho, TOL_SPECTRAL):
-                raise ValueError("system_state is not a density matrix")
+            rho = _check_density("system_state", self.system_state, dim)
         object.__setattr__(self, "system_state", rho)
 
     @property
@@ -176,8 +161,9 @@ def general_final_control(
     :func:`final_control_closed`: it multiplies out V = CU (H (x) I) on the
     joint state rho_c (x) rho_n, at O(d^3) time and O(d^2) memory in the
     joint dimension 2d."""
-    rho_n = np.asarray(rho_n, dtype=np.complex128)
+    rho_n = _check_density("rho_n", rho_n)
     dim = rho_n.shape[0]
+    u = _check_unitary("u", u, dim)
     cu = np.eye(2 * dim, dtype=np.complex128)  # |0><0| (x) I + |1><1| (x) U
     cu[dim:, dim:] = u
     v = cu @ kron(HADAMARD, np.eye(dim, dtype=np.complex128))
@@ -194,9 +180,10 @@ def final_control_closed(
     Knill-Laflamme one-clean-qubit identity: the marginal is H rho_c H with
     entry [0, 1] scaled by conj(t) and entry [1, 0] by t, where
     t = Tr(U rho_n).  Valid for any control Bloch vector and register
-    state; O(d^2) in the register dimension d.
+    state; O(d^2) in the register dimension d after O(d^3) argument checks.
     """
-    return _closed_marginal(control, trace_overlap(u, rho_n))
+    rho_n = _check_density("rho_n", rho_n)
+    return _closed_marginal(control, trace_overlap(_check_unitary("u", u, len(rho_n)), rho_n))
 
 
 def _closed_marginal(control: ControlQubit, t: complex) -> np.ndarray:
@@ -211,12 +198,14 @@ def linear_entropy_closed(p, t: complex) -> float:
     """Closed form of 1 - Tr(rho_f^2) for control Bloch vector ``p`` and
     register trace overlap ``t`` = Tr(U rho_n)."""
     p1, p2, p3 = (float(x) for x in p)
+    if not (_bloch_norm((p1, p2, p3)) <= 1.0 + TOL_CONSTRUCT and abs(t) <= 1.0 + TOL_CONSTRUCT):
+        raise ValueError(f"p and t must have norm at most 1, got p={brief(p)}, t={brief(t)}")
     return 0.5 * (1.0 - p1 * p1 - (p2 * p2 + p3 * p3) * abs(t) ** 2)
 
 
 def pauli_string(label: str) -> np.ndarray:
     """Tensor product of single-qubit Paulis, e.g. ``"XZ"`` or ``"IYX"``."""
-    if not label or any(ch not in _PAULI_1Q for ch in label):
+    if not isinstance(label, str) or not label or any(ch not in _PAULI_1Q for ch in label):
         raise ValueError(f"pauli label must be a nonempty string over IXYZ, got {brief(label)}")
     out = _PAULI_1Q[label[0]]
     for ch in label[1:]:
@@ -247,14 +236,9 @@ def unitary_from_spec(spec: str, n: int, rng: SeededRng | None = None) -> np.nda
     ``diag-phase`` needs 2**n angles; ``file`` loads the JSON matrix format
     and checks unitarity.
     """
-    if not is_integer(n):
-        raise ValueError(f"n must be an integer, got {brief(n)}")
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"n must lie in [1, {MAX_QUBITS}], got {n}")
+    _check_count("n", n, 1, MAX_QUBITS)
     dim = 2**n
     if spec == "haar":
-        from .linalg import haar_unitary
-
         if rng is None:
             raise ValueError("unitary spec 'haar' requires a random stream")
         return haar_unitary(dim, rng)
@@ -263,9 +247,7 @@ def unitary_from_spec(spec: str, n: int, rng: SeededRng | None = None) -> np.nda
     if spec.startswith("pauli:"):
         label = spec[len("pauli:") :]
         if len(label) != n:
-            raise ValueError(
-                f"pauli spec {brief(label)} has {len(label)} letters, expected n={n}"
-            )
+            raise ValueError(f"pauli spec {brief(label)} has {len(label)} letters, expected n={n}")
         return pauli_string(label)
     if spec.startswith("diag-phase:"):
         body = spec[len("diag-phase:") :]
@@ -274,15 +256,8 @@ def unitary_from_spec(spec: str, n: int, rng: SeededRng | None = None) -> np.nda
         except ValueError as err:
             raise ValueError(f"diag-phase spec has a non-numeric entry: {brief(body)}") from err
         if len(phases) != dim:
-            raise ValueError(
-                f"diag-phase spec has {len(phases)} angles, expected 2**n = {dim}"
-            )
+            raise ValueError(f"diag-phase spec has {len(phases)} angles, expected 2**n = {dim}")
         return diag_phase_unitary(phases)
     if spec.startswith("file:"):
-        u = load_matrix(spec[len("file:") :])
-        if u.shape != (dim, dim):
-            raise ValueError(f"matrix file has shape {u.shape}, expected ({dim}, {dim})")
-        if not is_unitary(u, TOL_SPECTRAL):
-            raise ValueError("matrix file is not unitary within tolerance")
-        return u
+        return _check_unitary("matrix file", load_matrix(spec[len("file:") :]), dim)
     raise ValueError(f"unknown unitary spec {brief(spec)}")

@@ -24,7 +24,6 @@ which _EntpowerSearch prepares once for a brute-force search at every alpha.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -35,13 +34,12 @@ from .linalg import (
     MAX_STACK_ENTRIES,
     SeededRng,
     TOL_SPECTRAL,
-    TOL_VERIFY,
-    brief,
+    _check_count,
+    _check_density,
+    _check_unitary,
+    _eig_unitary,
     eig_hermitian,
-    eig_unitary,
-    is_integer,
     is_right_unitary,
-    normalized_trace,
     random_right_unitary,
 )
 
@@ -101,12 +99,14 @@ class BranchCoefficients:
 def entpower_standard(u: np.ndarray) -> float:
     """Closed form sqrt(1 - |Tr U / d|^2) for a fully polarized control and
     maximally mixed register: the branch formula on vec(I) / sqrt(d), which
-    does not cancel near |Tr U / d| = 1.  A non-finite trace is an error."""
-    t = normalized_trace(u)
-    if not cmath.isfinite(t):
-        raise ValueError(f"unitary has a non-finite trace {t}")
+    does not cancel near |Tr U / d| = 1."""
+    return _standard(_check_unitary("u", u))
+
+
+def _standard(u: np.ndarray) -> float:
+    """:func:`entpower_standard` of a unitary the package built or checked."""
     d = len(u)
-    return float(_branch_entanglement(np.eye(d).reshape(-1, 1), np.reshape(u, (-1, 1)), d)[0])
+    return float(_branch_entanglement(np.eye(d).reshape(-1, 1), u.reshape(-1, 1), d)[0])
 
 
 def entpower_alpha(u: np.ndarray, alpha: float) -> float:
@@ -123,7 +123,12 @@ def fourier_ensemble(u: np.ndarray) -> PureEnsemble:
     the maximally mixed state, and every member has the same overlap
     <phi|U|phi> = Tr U / d, which is what makes it saturate the closed form.
     """
-    spec = eig_unitary(u)
+    return _fourier_ensemble(_check_unitary("u", u))
+
+
+def _fourier_ensemble(u: np.ndarray) -> PureEnsemble:
+    """:func:`fourier_ensemble` of a unitary the package built or checked."""
+    spec = _eig_unitary(u)
     d = spec.eigenvalues.size
     grid = np.arange(d)
     fourier = np.exp(2j * np.pi * np.outer(grid, grid) / d) / np.sqrt(d)
@@ -141,23 +146,19 @@ def decompose_from_T(target: np.ndarray, t_mat: np.ndarray) -> PureEnsemble:
     must vanish) and satisfy T T^+ = I.  A column T zeroes out carries no
     member and is dropped.
     """
+    spec = eig_hermitian(_check_density("target", target))
     t_mat = np.asarray(t_mat, dtype=np.complex128)
     if t_mat.ndim != 2 or not is_right_unitary(t_mat, TOL_SPECTRAL):
         raise ValueError("T must be a 2-D matrix with orthonormal rows (T T^+ = I)")
-    spec = eig_hermitian(np.asarray(target, dtype=np.complex128))
     rows = t_mat.shape[0]
     if rows > spec.eigenvalues.size:
-        raise ValueError(
-            f"T has {rows} rows but the target dimension is {spec.eigenvalues.size}"
-        )
+        raise ValueError(f"T has {rows} rows but the target dimension is {spec.eigenvalues.size}")
     discarded = spec.eigenvalues[rows:]
     if discarded.size and discarded.max() > TOL_SPECTRAL:
         raise ValueError(
             f"T has {rows} rows but the target carries weight "
             f"{discarded.max():.3e} outside their span"
         )
-    if spec.eigenvalues.min() < -TOL_SPECTRAL:
-        raise ValueError("target has a negative eigenvalue; not a density matrix")
     kept = np.clip(spec.eigenvalues[:rows], 0.0, None)
     members = (spec.eigenvectors[:, :rows] * np.sqrt(kept)) @ t_mat
     weights = np.linalg.norm(members, axis=0) ** 2
@@ -270,13 +271,14 @@ def ensemble_average(inst: Dqc1Instance, ens: PureEnsemble) -> float:
     control's minimal mixing factor, the lambda gap (1 for a fully polarized
     control, whose branches are pure), for all members in one pass.
     """
+    gap = ens.density() - inst.system_state if len(ens.states) == inst.dim else np.inf
+    if not np.max(np.abs(gap)) <= TOL_SPECTRAL:
+        raise ValueError("ens does not realize the instance's register state")
     return float(np.dot(ens.weights, lambda_factor(inst.control) * _member_branches(inst, ens)))
 
 
 def _member_branches(inst: Dqc1Instance, ens: PureEnsemble) -> np.ndarray:
     """Pure-branch value of each member of an ensemble of the register state."""
-    if not np.max(np.abs(ens.density() - inst.system_state)) <= TOL_SPECTRAL:
-        raise ValueError("ensemble does not realize the instance's register state")
     states = ens.states
     sq = np.sum(states.conj() * states, axis=0).real
     return _branch_entanglement(states, inst.unitary @ states, sq)
@@ -287,18 +289,17 @@ def entpower_bounds(u: np.ndarray, rho_n: np.ndarray) -> tuple[float, float]:
     register state and fully polarized control:
     1 - Tr sqrt(U rho U^+ rho) <= E_p <= sqrt(1 - |Tr(U rho)|^2).
 
-    One eigensolve gives R = sqrt(rho) (an eigenvalue below -TOL_VERIFY is
-    rejected, smaller roundoff clipped to 0).  The root fidelity is the sum
-    of the singular values of R U R (Uhlmann), and the upper bound is the
-    branch formula on the purification vec(R), normalized by ||R||_F.
+    One eigensolve gives R = sqrt(rho), with roundoff below 0 clipped.  The
+    root fidelity is the sum of the singular values of R U R (Uhlmann), and
+    the upper bound is the branch formula on the purification vec(R) / ||R||_F.
     """
-    u = np.asarray(u, dtype=np.complex128)
-    rho_n = np.asarray(rho_n, dtype=np.complex128)
-    if u.shape != rho_n.shape:
-        raise ValueError(f"shape mismatch: {u.shape} vs {rho_n.shape}")
+    u = _check_unitary("u", u)
+    return _bounds(u, _check_density("rho_n", rho_n, len(u)))
+
+
+def _bounds(u: np.ndarray, rho_n: np.ndarray) -> tuple[float, float]:
+    """:func:`entpower_bounds` of a unitary and register the package built or checked."""
     spec = eig_hermitian(rho_n)
-    if spec.eigenvalues.min() < -TOL_VERIFY:
-        raise ValueError("rho has a negative eigenvalue; not a density matrix")
     vecs = spec.eigenvectors
     root = (vecs * np.sqrt(np.clip(spec.eigenvalues, 0.0, None))) @ vecs.conj().T
     lower = 1.0 - float(np.sum(np.linalg.svd(root @ u @ root, compute_uv=False)))
@@ -341,10 +342,8 @@ def brute_force_min_mixing(
     result equals the lambda gap up to roundoff; set
     ``include_analytic=False`` to probe how close sampling alone gets.
     """
-    if not is_integer(samples) or samples < 1:
-        raise ValueError(f"samples must be an integer >= 1, got {brief(samples)}")
-    if not is_integer(cols) or cols < 2:
-        raise ValueError(f"cols must be an integer >= 2, got {brief(cols)}")
+    _check_count("samples", samples, 1)
+    _check_count("cols", cols, 2)
     best = min(
         float(mixing_factor(branch_coefficients(control, t_stack)).min())
         for t_stack in _right_unitary_stacks(2, cols, samples, rng, 2 * cols)
@@ -393,7 +392,7 @@ class _EntpowerSearch:
     def __init__(self, inst: Dqc1Instance):
         self.dim, self.score, self.fourier = inst.dim, _DrawScorer(inst), None
         if np.max(np.abs(inst.system_state - np.eye(self.dim) / self.dim)) <= TOL_SPECTRAL:
-            ens = fourier_ensemble(inst.unitary)
+            ens = _fourier_ensemble(inst.unitary)
             self.fourier = ens.weights, _member_branches(inst, ens)
 
     def __call__(self, mix: float, samples: int, rng: SeededRng) -> float:
@@ -418,6 +417,5 @@ def brute_force_entpower(inst: Dqc1Instance, samples: int, rng: SeededRng) -> fl
     bounded stacks by one :class:`_DrawScorer`, and the result equals a
     one-sample-at-a-time loop bit for bit.
     """
-    if not is_integer(samples) or samples < 1:
-        raise ValueError(f"samples must be an integer >= 1, got {brief(samples)}")
+    _check_count("samples", samples, 1)
     return _EntpowerSearch(inst)(lambda_factor(inst.control), samples, rng)

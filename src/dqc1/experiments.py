@@ -36,15 +36,14 @@ import numpy as np
 
 from .circuit import MAX_QUBITS, ControlQubit, Dqc1Instance, unitary_from_spec
 from .entpower import (
+    _bounds,
     _DrawScorer,
     _EntpowerSearch,
     _draw_entries,
+    _fourier_ensemble,
+    _standard,
     brute_force_min_mixing,
     ensemble_average,
-    entpower_alpha,
-    entpower_bounds,
-    entpower_standard,
-    fourier_ensemble,
     lambda_factor,
 )
 from .linalg import (
@@ -52,7 +51,7 @@ from .linalg import (
     TOL_CONSTRUCT,
     TOL_VERIFY,
     SeededRng,
-    is_density,
+    _check_density,
     is_integer,
     load_matrix,
     normalized_trace,
@@ -110,7 +109,7 @@ class ExperimentConfig:
                 problem = f"expected {expected}, got {brief(x)}"
             # the rules that read the fields checked before this one
             elif name == "n" and not 1 <= x <= MAX_QUBITS:
-                problem = f"{x} outside the supported range [1, {MAX_QUBITS}]"
+                problem = f"{brief(x)} outside the supported range [1, {MAX_QUBITS}]"
             elif name == "rho" and x != "maximally-mixed" and not kind.reads_rho:
                 problem = (
                     f"only verify-theorem3 reads a register state, "
@@ -228,6 +227,8 @@ def config_payload(text: str) -> dict:
         payload = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from None
+    except ValueError:  # an int literal past Python's int-to-str digit limit
+        raise ConfigError("config holds an integer too long to read") from None
     if not isinstance(payload, dict):
         raise ConfigError("config root must be a JSON object")
     return payload
@@ -277,15 +278,15 @@ def _point_entpower_vs_alpha(cfg, payload, idx):
     a = cfg.alphas[idx]
     mix = lambda_factor(ControlQubit.from_alpha(a))
     measured = payload["search"](mix, cfg.samples, SeededRng(cfg.seed, idx + 1))
-    return [("alpha", a, measured, entpower_alpha(payload["u"], a))]
+    return [("alpha", a, measured, a * payload["standard"])]
 
 
 def _prepare_entpower_vs_alpha(cfg, payload):
-    # the instance (which validates U) and the search's eigensolves are
-    # built where the points run, never in a pool's parent; the search
-    # reads U and the register, not the instance's control
+    # the instance (which validates U), the search's eigensolves and the
+    # closed form are built where the points run, never in a pool's parent;
+    # the search reads U and the register, not the instance's control
     inst = Dqc1Instance(n=cfg.n, unitary=payload["u"], control=ControlQubit.from_alpha(1.0))
-    return {**payload, "search": _EntpowerSearch(inst)}
+    return {**payload, "search": _EntpowerSearch(inst), "standard": _standard(inst.unitary)}
 
 
 def _complexity_budget(alpha: float, t: complex, rounds_target: int) -> ErrorBudget:
@@ -311,7 +312,7 @@ def _setup_complexity_curve(cfg):
             budgets = [_complexity_budget(cfg.alpha, quads, r) for r in cfg.shots]
         except (ValueError, ZeroDivisionError) as err:
             raise ValueError(f"field '{field}': {brief(value)} leaves no budget: {err}") from None
-    return {"t": t, "budgets": budgets, "reference": entpower_alpha(u, cfg.alpha)}
+    return {"t": t, "budgets": budgets, "reference": cfg.alpha * _standard(u)}
 
 
 def _point_complexity_curve(cfg, payload, idx):
@@ -322,9 +323,8 @@ def _point_complexity_curve(cfg, payload, idx):
 
 
 def _setup_verify_theorem1(cfg):
-    u = _fixed_unitary(cfg)
-    inst = Dqc1Instance(n=cfg.n, unitary=u, control=ControlQubit.from_alpha(1.0))
-    return {"inst": inst, "reference": entpower_standard(u)}
+    inst = Dqc1Instance(n=cfg.n, unitary=_fixed_unitary(cfg), control=ControlQubit.from_alpha(1.0))
+    return {"inst": inst, "reference": _standard(inst.unitary)}
 
 
 def _range_verify_theorem1(cfg, payload, lo, hi):
@@ -332,7 +332,7 @@ def _range_verify_theorem1(cfg, payload, lo, hi):
     rows = []
     if lo == 0:
         try:
-            measured = ensemble_average(inst, fourier_ensemble(inst.unitary))
+            measured = ensemble_average(inst, _fourier_ensemble(inst.unitary))
         except Exception as err:
             raise _failure(cfg, 0, 1, err) from err
         rows.append(("fourier", 0, measured, reference))
@@ -365,12 +365,9 @@ def _setup_verify_theorem3(cfg):
         payload["rho"] = np.eye(dim, dtype=np.complex128) / dim
     elif kind == "file":
         try:
-            rho = load_matrix(arg)
-            if rho.shape != (dim, dim) or not is_density(rho):
-                raise ValueError(f"register file is not a {dim}x{dim} density matrix")
+            payload["rho"] = _check_density("register file", load_matrix(arg), dim)
         except (ValueError, OSError) as err:
             raise ValueError(f"field 'rho': {err}") from None
-        payload["rho"] = rho
     else:  # every point draws its own register from its stream
         payload["rank"] = dim if arg is None else arg
     if cfg.unitary != "haar":  # a Haar unitary is drawn per point, from its stream
@@ -393,7 +390,7 @@ def _point_verify_theorem3(cfg, payload, idx):
     # the set-up leaves the stream as is
     u = payload["u"] if "u" in payload else unitary_from_spec(cfg.unitary, cfg.n, rng)
     rho = payload["rho"] if "rho" in payload else random_density(2**cfg.n, payload["rank"], rng)
-    lower, upper = entpower_bounds(u, rho)
+    lower, upper = _bounds(u, rho)
     return [("sample", idx, lower, upper)]
 
 

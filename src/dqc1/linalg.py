@@ -32,8 +32,17 @@ MAX_KRON_DIM = 4096
 #: a stack costs at most 256 KiB per complex array however large n gets.
 MAX_STACK_ENTRIES = 2**14
 
+
+class _Brief(reprlib.Repr):
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:  # past Python's int-to-str digit limit
+            return f"<{x.bit_length()}-bit int>"
+
+
 #: ``repr`` of a rejected value for a one-line error, cut in the middle to 40 characters.
-_BRIEF = reprlib.Repr()
+_BRIEF = _Brief()
 _BRIEF.maxstring = _BRIEF.maxother = 40
 brief = _BRIEF.repr
 
@@ -47,12 +56,6 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
-
-
-def _check_indices(**values) -> None:
-    for name, x in values.items():
-        if not is_integer(x) or x < 0:
-            raise ValueError(f"{name} must be a non-negative integer, got {brief(x)}")
 
 
 def _hash_steps(init: int, mult: int, start: int, count: int):
@@ -86,7 +89,8 @@ class SeededRng:
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        _check_indices(seed=seed, stream=stream)
+        _check_count("seed", seed, 0)
+        _check_count("stream", stream, 0)
         self.seed, self.stream = int(seed), int(stream)
         self.gen = np.random.default_rng(
             np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
@@ -100,7 +104,8 @@ class SeededRng:
         spawned one's before its key word, so only that word and the output
         hash are mixed here, for all keys at once.  A longer seed or a key of
         2**32 or more takes one ``SeededRng`` each."""
-        _check_indices(seed=seed, lo=lo, hi=hi)
+        for name, x in (("seed", seed), ("lo", lo), ("hi", hi)):
+            _check_count(name, x, 0)
         if seed >= 2**128 or hi > 2**32:
             return [cls(seed, k) for k in range(lo, hi)]
         from numpy.random.bit_generator import ISeedSequence
@@ -134,17 +139,44 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-def _as_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
+def _check_count(name: str, x, lo: int, hi: int | None = None) -> None:
+    """``x`` is an int, numpy's included, not a bool, in [lo, hi] (hi None: no limit)."""
+    if not (is_integer(x) and lo <= x and (hi is None or x <= hi)):
+        want = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {want}, got {brief(x)}")
+
+
+def _check_matrix(name: str, a, dim: int | None = None) -> np.ndarray:
+    """``a`` as a complex array: finite, nonempty, square, and dim x dim if given."""
+    try:
+        a = np.asarray(a, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be a numeric matrix, got {brief(a)}") from None
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0 or dim not in (None, len(a)):
+        want = "a nonempty square matrix" if dim is None else f"a {dim}x{dim} matrix"
+        raise ValueError(f"{name} must be {want}, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has a non-finite entry")
     return a
+
+
+def _check_unitary(name: str, u, dim: int | None = None) -> np.ndarray:
+    """:func:`_check_matrix`, and unitary within ``TOL_SPECTRAL``."""
+    if not is_unitary(u := _check_matrix(name, u, dim)):
+        raise ValueError(f"{name} is not unitary within tolerance")
+    return u
+
+
+def _check_density(name: str, rho, dim: int | None = None) -> np.ndarray:
+    """:func:`_check_matrix`, and a density matrix within ``TOL_SPECTRAL``."""
+    if not is_density(rho := _check_matrix(name, rho, dim)):
+        raise ValueError(f"{name} is not a {len(rho)}x{len(rho)} density matrix")
+    return rho
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product, refused above :data:`MAX_KRON_DIM`."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
+    a, b = _check_matrix("a", a), _check_matrix("b", b)
     out_dim = a.shape[0] * b.shape[0]
     if out_dim > MAX_KRON_DIM:
         raise ValueError(
@@ -156,32 +188,32 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def trace_overlap(u: np.ndarray, rho: np.ndarray) -> complex:
     """Tr(U rho) as the elementwise sum of U_ij rho_ji: O(d^2), never forms
     the product U rho."""
-    u = _as_square(u, "u")
-    rho = _as_square(rho, "rho")
-    if u.shape != rho.shape:
-        raise ValueError(f"shape mismatch: {u.shape} vs {rho.shape}")
+    u = _check_matrix("u", u)
+    rho = _check_matrix("rho", rho, len(u))
     return complex(np.sum(u * rho.T))
 
 
 def normalized_trace(u: np.ndarray) -> complex:
     """Tr U / d, the quantity the one-clean-qubit readout estimates.  The
     register dimension d is a power of two, so the division is exact."""
-    u = _as_square(u, "u")
+    u = _check_matrix("u", u)
     return complex(np.trace(u)) / u.shape[0]
 
 
 def is_unitary(a: np.ndarray, tol: float = TOL_SPECTRAL) -> bool:
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.isfinite(a).all():
+    try:
+        a = _check_matrix("a", a)
+    except ValueError:
         return False
     dim = a.shape[0]
     return bool(np.max(np.abs(a.conj().T @ a - np.eye(dim))) <= tol * dim)
 
 
 def is_density(a: np.ndarray, tol: float = TOL_SPECTRAL) -> bool:
-    """Finite, Hermitian, unit trace, eigenvalues >= -tol."""
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.isfinite(a).all():
+    """Finite, nonempty, Hermitian, unit trace, eigenvalues >= -tol."""
+    try:
+        a = _check_matrix("a", a)
+    except ValueError:
         return False
     if np.max(np.abs(a - a.conj().T)) > tol:
         return False
@@ -211,9 +243,9 @@ def eig_hermitian(a: np.ndarray) -> Spectrum:
     Ties keep the eigensolver's first-occurrence order.  Raises if the input
     is not Hermitian within ``TOL_SPECTRAL``.
     """
-    a = _as_square(a)
+    a = _check_matrix("a", a)
     if np.max(np.abs(a - a.conj().T)) > TOL_SPECTRAL:
-        raise ValueError("matrix is not Hermitian within tolerance")
+        raise ValueError("a is not Hermitian within tolerance")
     evals, evecs = np.linalg.eigh(a)
     order = np.arange(len(evals))[::-1]  # eigh is ascending; stable reversal
     return Spectrum(evals[order].copy(), evecs[:, order].copy())
@@ -230,9 +262,11 @@ def eig_unitary(u: np.ndarray) -> Spectrum:
     the result is checked by max|U V - V Lambda| <= TOL_SPECTRAL * d.
     Eigenvalues come back sorted by phase angle.
     """
-    u = _as_square(u, "u")
-    if not is_unitary(u):
-        raise ValueError("matrix is not unitary within tolerance")
+    return _eig_unitary(_check_unitary("u", u))
+
+
+def _eig_unitary(u: np.ndarray) -> Spectrum:
+    """:func:`eig_unitary` of a unitary the package built or checked."""
     evals, evecs = np.linalg.eig(u)
     w, _, vh = np.linalg.svd(evecs)
     evecs = w @ vh
@@ -268,15 +302,14 @@ def _phase_fixed_qr(rows: int, cols: int, rng, count=None) -> np.ndarray:
 
 def haar_unitary(dim: int, rng: SeededRng) -> np.ndarray:
     """Haar-distributed unitary: the phase-fixed QR of a complex Ginibre matrix."""
-    if dim < 1:
-        raise ValueError("dim must be positive")
+    _check_count("dim", dim, 1)
     return _phase_fixed_qr(dim, dim, rng)
 
 
 def random_density(dim: int, rank: int, rng: SeededRng) -> np.ndarray:
     """Random density matrix of the given rank (Ginibre G: rho = GG^+/Tr)."""
-    if not 1 <= rank <= dim:
-        raise ValueError(f"rank must be in [1, {dim}], got {rank}")
+    _check_count("dim", dim, 1)
+    _check_count("rank", rank, 1, dim)
     g = _ginibre(dim, rank, rng)
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
@@ -297,14 +330,16 @@ def random_right_unitary(
     A ``count`` stacks that many draws from ``rng`` in turn, and a sequence
     of streams one draw per stream; each has the bits of a call of its own.
     """
-    if rows > cols:
-        raise ValueError(f"rows ({rows}) must not exceed cols ({cols})")
+    _check_count("cols", cols, 1)
+    _check_count("rows", rows, 1, cols)
+    if count is not None:
+        _check_count("count", count, 1)
     return np.swapaxes(_phase_fixed_qr(cols, rows, rng, count), -1, -2)
 
 
 def matrix_to_json(a: np.ndarray) -> dict:
     """Row-major dict form: {"dim": d, "re": [[...]], "im": [[...]]}."""
-    a = _as_square(a)
+    a = _check_matrix("a", a)
     return {
         "dim": a.shape[0],
         "re": a.real.tolist(),
@@ -319,29 +354,15 @@ def matrix_from_json(payload: dict) -> np.ndarray:
     for key in ("dim", "re", "im"):
         if key not in payload:
             raise ValueError(f"matrix payload missing key {key!r}")
-    dim = payload["dim"]
-    if type(dim) is not int or dim < 1:
-        raise ValueError(f"matrix payload key 'dim': expected a positive integer, got {brief(dim)}")
+    _check_count("matrix payload key 'dim'", dim := payload["dim"], 1)
     parts = []
     for key in ("re", "im"):
         rows = payload[key]
-        square = (
-            isinstance(rows, list)
-            and len(rows) == dim
-            and all(isinstance(row, list) and len(row) == dim for row in rows)
-        )
-        if not square or not all(type(x) in (int, float) for row in rows for x in row):
-            raise ValueError(
-                f"matrix payload key {key!r}: expected {dim} rows of {dim} numbers each"
-            )
-        try:
-            part = np.array(rows, dtype=np.float64)
-            finite = np.isfinite(part).all()
-        except OverflowError:  # an integer beyond float range
-            finite = False
-        if not finite:
-            raise ValueError(f"matrix payload key {key!r} has a non-finite entry")
-        parts.append(part)
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(type(x) in (int, float) for x in row) for row in rows
+        ):
+            raise ValueError(f"matrix payload key {key!r}: expected rows of JSON numbers")
+        parts.append(_check_matrix(f"matrix payload key {key!r}", rows, dim).real)
     return parts[0] + 1j * parts[1]
 
 
@@ -352,7 +373,7 @@ def save_matrix(path: str | Path, a: np.ndarray) -> None:
 def load_matrix(path: str | Path) -> np.ndarray:
     try:
         payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # a JSONDecodeError, or an int past Python's digit limit
         raise ValueError(f"{path}: not valid JSON ({err})") from err
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object")

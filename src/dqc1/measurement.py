@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import ControlQubit, Dqc1Instance, _closed_marginal
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, SeededRng, TOL_CONSTRUCT, brief, is_integer
+from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, SeededRng, TOL_CONSTRUCT, _check_count, _check_matrix
 
 _PAULI_AXIS = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
@@ -71,9 +71,7 @@ class ErrorBudget:
 
 def expect_pauli(rho_f: np.ndarray, axis: str) -> float:
     """Real Pauli expectation Tr(rho_f sigma_axis) of a one-qubit state."""
-    rho_f = np.asarray(rho_f, dtype=np.complex128)
-    if rho_f.shape != (2, 2):
-        raise ValueError(f"rho_f must be 2x2, got shape {rho_f.shape}")
+    rho_f = _check_matrix("rho_f", rho_f, 2)
     if axis not in _PAULI_AXIS:
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
     val = np.trace(rho_f @ _PAULI_AXIS[axis])
@@ -83,8 +81,7 @@ def expect_pauli(rho_f: np.ndarray, axis: str) -> float:
 def sample_shots(p: float, shots: int, rng: SeededRng) -> int:
     """Number of +1 outcomes in ``shots`` Bernoulli trials with P(+1) = p,
     for an integer 1 <= shots <= :data:`MAX_SHOTS`."""
-    if not is_integer(shots) or not 1 <= shots <= MAX_SHOTS:
-        raise ValueError(f"shots must be an integer in [1, {MAX_SHOTS}], got {brief(shots)}")
+    _check_count("shots", shots, 1, MAX_SHOTS)
     if not -TOL_CONSTRUCT <= p <= 1.0 + TOL_CONSTRUCT:  # NaN fails too
         raise ValueError(f"probability p={p} outside [0, 1]")
     p = min(1.0, max(0.0, p))
@@ -161,6 +158,8 @@ def rounds_for_budget(budget: ErrorBudget, alpha: float, t: complex) -> float:
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     t = complex(t)
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     candidates = []
     for label, eps, pe, quad in (
         ("x", budget.eps_x, budget.pe_x, t.real),
@@ -208,8 +207,7 @@ def entpower_from_rounds(alpha: float, m: float, rounds: float) -> float:
 
 def total_complexity(n: int, rounds: float) -> float:
     """Gate-count proxy: register size times rounds."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if rounds <= 0.0:
-        raise ValueError(f"rounds must be positive, got {rounds}")
+    _check_count("n", n, 1)
+    if not 0.0 < rounds < math.inf:
+        raise ValueError(f"rounds must be positive and finite, got {rounds}")
     return n * rounds

@@ -49,7 +49,14 @@ from dqc1.experiments import (
     run_experiment,
     write_results,
 )
-from dqc1.linalg import SIGMA_X, SeededRng, random_density, random_right_unitary, save_matrix
+from dqc1.linalg import (
+    SIGMA_X,
+    SeededRng,
+    matrix_to_json,
+    random_density,
+    random_right_unitary,
+    save_matrix,
+)
 from dqc1.measurement import MAX_SHOTS
 from support import read_results
 
@@ -268,16 +275,15 @@ def test_run_identity_unitary_estimates_one():
 
 
 def test_run_trace_vs_shots_validates_the_unitary_once(monkeypatch):
-    import dqc1.circuit
-
+    # every unitarity check runs through linalg._check_unitary's one call
     calls = []
-    real = dqc1.circuit.is_unitary
+    real = dqc1.linalg.is_unitary
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(dqc1.circuit, "is_unitary", counting)
+    monkeypatch.setattr(dqc1.linalg, "is_unitary", counting)
     rows = run_experiment(trace_config(shots=[10, 100, 1000, 10000], workers=1))
     assert len(rows) == 8
     assert len(calls) == 1
@@ -291,16 +297,15 @@ def test_run_workers_do_not_change_results():
 
 
 def test_run_verify_theorem1_validates_the_unitary_once(monkeypatch):
-    import dqc1.circuit
-
+    # the instance checks U; the reference and the Fourier row trust it
     calls = []
-    real = dqc1.circuit.is_unitary
+    real = dqc1.linalg.is_unitary
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(dqc1.circuit, "is_unitary", counting)
+    monkeypatch.setattr(dqc1.linalg, "is_unitary", counting)
     cfg = config_from_dict(
         {"experiment": "verify-theorem1", "n": 2, "samples": 10, "seed": 7, "workers": 1}
     )
@@ -506,8 +511,8 @@ def test_pool_never_outgrows_the_cpu_count(pools):
 def test_serial_entpower_sweep_prepares_its_search_once(monkeypatch):
     # the alpha-free half of the search (the Fourier eigensolve, the scorer's
     # register root, the instance's validation of U) runs once per sweep, not
-    # once per alpha
-    calls = {"fourier_ensemble": 0, "instance is_unitary": 0, "eig_unitary is_unitary": 0}
+    # once per alpha, and the Fourier eigensolve trusts the instance's U
+    calls = {"_fourier_ensemble": 0, "is_unitary": 0}
 
     def counting(key, real):
         def wrapper(*args, **kwargs):
@@ -516,16 +521,12 @@ def test_serial_entpower_sweep_prepares_its_search_once(monkeypatch):
 
         return wrapper
 
-    for module, attr, key in (
-        (dqc1.entpower, "fourier_ensemble", "fourier_ensemble"),
-        (dqc1.circuit, "is_unitary", "instance is_unitary"),
-        (dqc1.linalg, "is_unitary", "eig_unitary is_unitary"),
-    ):
-        monkeypatch.setattr(module, attr, counting(key, getattr(module, attr)))
+    for module, attr in ((dqc1.entpower, "_fourier_ensemble"), (dqc1.linalg, "is_unitary")):
+        monkeypatch.setattr(module, attr, counting(attr, getattr(module, attr)))
     cfg = config_from_dict({"experiment": "entpower-vs-alpha", "n": 3, "samples": 20})
     assert len(cfg.alphas) == 10 and cfg.workers is None
     assert len(run_experiment(cfg)) == 10
-    assert calls == {"fourier_ensemble": 1, "instance is_unitary": 1, "eig_unitary is_unitary": 1}
+    assert calls == {"_fourier_ensemble": 1, "is_unitary": 1}
 
 
 def recording_prepare(monkeypatch, experiment, path):
@@ -761,7 +762,7 @@ def broken_bounds(u, rho):
 
 def test_run_failure_names_the_point(monkeypatch):
     # a failure at evaluation time says which sweep point died
-    monkeypatch.setattr(dqc1.experiments, "entpower_bounds", broken_bounds)
+    monkeypatch.setattr(dqc1.experiments, "_bounds", broken_bounds)
     cfg = config_from_dict(
         {"experiment": "verify-theorem3", "n": 1, "samples": 2, "seed": 1, "workers": 1}
     )
@@ -1032,7 +1033,9 @@ def test_cli_run_error_echoes_a_long_value_in_one_short_line(tmp_path, capsys, p
 )
 def test_cli_run_rejects_a_non_finite_matrix_file(tmp_path, capsys, experiment, field):
     matrix = tmp_path / "m.json"
-    save_matrix(matrix, np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    written = matrix_to_json(np.eye(2))
+    written["re"][0][0] = float("nan")  # save_matrix refuses a non-finite matrix
+    matrix.write_text(json.dumps(written))
     payload = {"experiment": experiment, "n": 1, field: f"file:{matrix}", "samples": 2}
     out = tmp_path / "rows.csv"
     assert main(["run", str(write_config(tmp_path, payload)), "--out", str(out)]) == 2
@@ -1230,7 +1233,7 @@ def test_cli_run_missing_file(tmp_path, capsys):
 
 
 def test_cli_run_runtime_failure_exits_one(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(dqc1.experiments, "entpower_bounds", broken_bounds)
+    monkeypatch.setattr(dqc1.experiments, "_bounds", broken_bounds)
     cfg = write_config(
         tmp_path,
         {"experiment": "verify-theorem3", "n": 1, "samples": 1, "seed": 0, "workers": 1},
