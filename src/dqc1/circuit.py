@@ -10,6 +10,7 @@ produce bit-identical results everywhere downstream.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,6 +23,7 @@ from .linalg import (
     SIGMA_Z,
     SeededRng,
     TOL_CONSTRUCT,
+    _as_array,
     _check_count,
     _check_density,
     _check_unitary,
@@ -70,8 +72,8 @@ class ControlQubit:
 
     @classmethod
     def from_alpha(cls, alpha: float) -> "ControlQubit":
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+        if not (isinstance(alpha, numbers.Real) and 0.0 < alpha <= 1.0):
+            raise ValueError(f"alpha must lie in (0, 1], got {brief(alpha)}")
         return cls(bloch=(0.0, 0.0, alpha))
 
     @classmethod
@@ -215,7 +217,7 @@ def pauli_string(label: str) -> np.ndarray:
 
 def diag_phase_unitary(phases) -> np.ndarray:
     """Diagonal unitary diag(e^{i phi_k}) from a sequence of angles."""
-    phases = np.asarray(phases, dtype=np.float64)
+    phases = _as_array("phases", phases, np.float64)
     if phases.ndim != 1 or phases.size == 0:
         raise ValueError("phases must be a nonempty 1-D sequence")
     bad = np.flatnonzero(~np.isfinite(phases))
@@ -237,6 +239,8 @@ def unitary_from_spec(spec: str, n: int, rng: SeededRng | None = None) -> np.nda
     and checks unitarity.
     """
     _check_count("n", n, 1, MAX_QUBITS)
+    if not isinstance(spec, str):
+        raise ValueError(f"spec must be a unitary spec string, got {brief(spec)}")
     dim = 2**n
     if spec == "haar":
         if rng is None:

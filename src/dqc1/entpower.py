@@ -25,6 +25,7 @@ which _EntpowerSearch prepares once for a brute-force search at every alpha.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +35,12 @@ from .linalg import (
     MAX_STACK_ENTRIES,
     SeededRng,
     TOL_SPECTRAL,
+    _as_array,
     _check_count,
     _check_density,
     _check_unitary,
     _eig_unitary,
+    brief,
     eig_hermitian,
     is_right_unitary,
     random_right_unitary,
@@ -54,10 +57,10 @@ class PureEnsemble:
     states: np.ndarray
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
+        self.weights = _as_array("weights", self.weights, np.float64)
         # C order: a column sum over an F-ordered array (as decompose_from_T
         # can return) takes other bits, so an average would hang on layout
-        self.states = np.ascontiguousarray(self.states, dtype=np.complex128)
+        self.states = np.ascontiguousarray(_as_array("states", self.states))
         if self.weights.ndim != 1 or self.states.ndim != 2:
             raise ValueError("weights must be 1-D and states 2-D (columns)")
         if self.states.shape[1] != self.weights.size:
@@ -111,8 +114,8 @@ def _standard(u: np.ndarray) -> float:
 
 def entpower_alpha(u: np.ndarray, alpha: float) -> float:
     """Linear scaling of the closed form with z polarization alpha."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    if not (isinstance(alpha, numbers.Real) and 0.0 <= alpha <= 1.0):
+        raise ValueError(f"alpha must lie in [0, 1], got {brief(alpha)}")
     return abs(alpha) * entpower_standard(u)  # alpha -0.0 passes, and gives +0.0
 
 
@@ -147,7 +150,7 @@ def decompose_from_T(target: np.ndarray, t_mat: np.ndarray) -> PureEnsemble:
     member and is dropped.
     """
     spec = eig_hermitian(_check_density("target", target))
-    t_mat = np.asarray(t_mat, dtype=np.complex128)
+    t_mat = _as_array("T", t_mat)
     if t_mat.ndim != 2 or not is_right_unitary(t_mat, TOL_SPECTRAL):
         raise ValueError("T must be a 2-D matrix with orthonormal rows (T T^+ = I)")
     rows = t_mat.shape[0]
@@ -181,7 +184,7 @@ def branch_coefficients(control: ControlQubit, t_mat: np.ndarray) -> BranchCoeff
     be a stack of shape (..., 2, cols); the coefficients then carry the same
     leading axes.
     """
-    t_mat = np.asarray(t_mat, dtype=np.complex128)
+    t_mat = _as_array("T", t_mat)
     if t_mat.ndim < 2 or t_mat.shape[-2] != 2:
         raise ValueError(f"T must have exactly 2 rows, got shape {t_mat.shape}")
     if not is_right_unitary(t_mat, TOL_SPECTRAL):

@@ -4,16 +4,17 @@ A run is described by an :class:`ExperimentConfig`, which checks its fields
 when built, from JSON or by hand; every error names its field.  Unknown keys
 are rejected, and so is a ``rho`` other than ``maximally-mixed`` outside
 ``verify-theorem3``; other fields an experiment does not read are ignored.
-A sweep's fixed inputs are built and validated once, before any
-point runs, and every parameter point then draws from its own random stream
+A sweep's fixed inputs, and what all its points share (an eigensolve, a
+scorer), are built and validated by the experiment's set-up once per
+process that runs points, before its first point: in process when serial,
+in each worker and never in the parent when pooled, so a set-up error
+reaches the caller as itself either way.  The set-up lives no longer than
+the sweep.  Every parameter point then draws from its own random stream
 keyed by (seed, point index), so results are byte-identical for a given
 config and seed no matter how many workers execute the sweep or in which
 order points finish.  A sweep evaluates its points in contiguous index
 ranges, one pool task each if ``workers`` asks for a pool, else serially;
-the output never depends on the ranges.  What all points share but no check
-needs first (an eigensolve, a scorer) is built by the experiment's
-``prepare`` once per process that runs points, never in a pool's parent,
-and lives no longer than the sweep.  A ``verify-theorem1`` range draws
+the output never depends on the ranges.  A ``verify-theorem1`` range draws
 each point from its own stream, then scores the range in one stacked pass.
 Each experiment is defined in one place, its record in ``_EXPERIMENTS``,
 which also holds the checks ``dqc1 verify`` applies to its rows.
@@ -24,6 +25,7 @@ sampling, so the deviation column isolates statistical error.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -281,12 +283,10 @@ def _point_entpower_vs_alpha(cfg, payload, idx):
     return [("alpha", a, measured, a * payload["standard"])]
 
 
-def _prepare_entpower_vs_alpha(cfg, payload):
-    # the instance (which validates U), the search's eigensolves and the
-    # closed form are built where the points run, never in a pool's parent;
+def _setup_entpower_vs_alpha(cfg):
     # the search reads U and the register, not the instance's control
-    inst = Dqc1Instance(n=cfg.n, unitary=payload["u"], control=ControlQubit.from_alpha(1.0))
-    return {**payload, "search": _EntpowerSearch(inst), "standard": _standard(inst.unitary)}
+    inst = Dqc1Instance(n=cfg.n, unitary=_fixed_unitary(cfg), control=ControlQubit.from_alpha(1.0))
+    return {"search": _EntpowerSearch(inst), "standard": _standard(inst.unitary)}
 
 
 def _complexity_budget(alpha: float, t: complex, rounds_target: int) -> ErrorBudget:
@@ -324,7 +324,7 @@ def _point_complexity_curve(cfg, payload, idx):
 
 def _setup_verify_theorem1(cfg):
     inst = Dqc1Instance(n=cfg.n, unitary=_fixed_unitary(cfg), control=ControlQubit.from_alpha(1.0))
-    return {"inst": inst, "reference": _standard(inst.unitary)}
+    return {"inst": inst, "reference": _standard(inst.unitary), "score": _DrawScorer(inst)}
 
 
 def _range_verify_theorem1(cfg, payload, lo, hi):
@@ -411,20 +411,19 @@ def _pointwise(point):
 
 @dataclass(frozen=True)
 class _Experiment:
-    """One experiment: its point count and point labels, its set-up (built
-    and validated once per sweep, before any point), its ``prepare`` (the
-    payload plus what the points share, once per process that runs them),
-    the evaluator of an index range of points, and its ``dqc1 verify``
-    checks.  A check is (rule, row names, tol, report line): each named row
-    passes if its deviation is at most tol (rule ``within``) or if measured
-    is at most reference + tol (rule ``below``), and the report line fills
-    in {passed}, {total}, {worst} (the largest deviation) and {tol}."""
+    """One experiment: its point count and point labels, its set-up (the
+    payload every point reads, built and validated once per process that
+    runs points, before any point), the evaluator of an index range of
+    points, and its ``dqc1 verify`` checks.  A check is (rule, row names,
+    tol, report line): each named row passes if its deviation is at most
+    tol (rule ``within``) or if measured is at most reference + tol (rule
+    ``below``), and the report line fills in {passed}, {total}, {worst}
+    (the largest deviation) and {tol}."""
 
     count: Callable[[ExperimentConfig], int]
     label: Callable[[ExperimentConfig, int], str]
     setup: Callable[[ExperimentConfig], dict]
     evaluate: Callable[[ExperimentConfig, dict, int, int], list]
-    prepare: Callable[[ExperimentConfig, dict], dict] = lambda cfg, payload: payload
     sweeps_shots: bool = False  # one point per entry of a required ``shots``
     reads_rho: bool = False
     checks: tuple = ()
@@ -443,8 +442,7 @@ _EXPERIMENTS = {
     ),
     "entpower-vs-alpha": _Experiment(
         **_ALPHAS,
-        setup=lambda cfg: {"u": _fixed_unitary(cfg)},
-        prepare=_prepare_entpower_vs_alpha,
+        setup=_setup_entpower_vs_alpha,
         evaluate=_pointwise(_point_entpower_vs_alpha),
     ),
     "complexity-curve": _Experiment(
@@ -454,7 +452,6 @@ _EXPERIMENTS = {
         count=lambda cfg: cfg.samples + 1,  # the Fourier row, then sampled ensembles
         label=lambda cfg, i: f"sample={i}" if i else "fourier",
         setup=_setup_verify_theorem1,
-        prepare=lambda cfg, payload: {**payload, "score": _DrawScorer(payload["inst"])},
         evaluate=_range_verify_theorem1,
         checks=(
             (
@@ -518,37 +515,23 @@ def _failure(cfg: ExperimentConfig, lo: int, hi: int, err: Exception) -> Runtime
     return RuntimeError(f"{cfg.experiment} failed at {where}: {err}")
 
 
-def _prepare(cfg: ExperimentConfig, payload: dict) -> dict | RuntimeError:
-    """The experiment's ``prepare`` of the set-up's payload or, if it fails,
-    the error every point raises: returned, so that in a pool each task
-    raises it and the parent sees it."""
-    kind = _EXPERIMENTS[cfg.experiment]
-    try:
-        return kind.prepare(cfg, payload)
-    except Exception as err:
-        return _failure(cfg, 0, kind.count(cfg), err)
+@functools.lru_cache(maxsize=1)
+def _payload(cfg: ExperimentConfig) -> dict:
+    """The experiment's set-up of ``cfg``, built once per process that runs
+    its points; an error is raised, not kept, so every try raises it anew."""
+    return _EXPERIMENTS[cfg.experiment].setup(cfg)
 
 
-#: A pool worker's sweep: its cfg and :func:`_prepare` of its payload.
-_worker_sweep = None
-
-
-def _start_worker(cfg: ExperimentConfig, payload: dict) -> None:
-    """Pool initializer: prepare the sweep once in this worker."""
-    global _worker_sweep
-    _worker_sweep = cfg, _prepare(cfg, payload)
-
-
-def _eval_in_worker(bounds: tuple[int, int]) -> list[tuple]:
-    return _eval_point((*_worker_sweep, *bounds))
+def _eval_range(task: tuple) -> list[tuple]:
+    """One range task ``(cfg, lo, hi)``, serial or in a pool worker."""
+    cfg, lo, hi = task
+    return _eval_point((cfg, _payload(cfg), lo, hi))
 
 
 def _eval_point(args: tuple) -> list[tuple]:
     """Rows of the points in the index range [lo, hi), in point order, from
-    the prepared payload: the unit of work of a sweep, and one pool task."""
+    the set-up's payload: the unit of work of a sweep."""
     cfg, payload, lo, hi = args
-    if isinstance(payload, RuntimeError):  # the sweep could not be prepared
-        raise payload
     return _EXPERIMENTS[cfg.experiment].evaluate(cfg, payload, lo, hi)
 
 
@@ -565,19 +548,18 @@ def _ranges(count: int, pool_size: int, n: int) -> list[tuple[int, int]]:
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Evaluate every parameter point and return rows in point order."""
-    kind = _EXPERIMENTS[cfg.experiment]
-    payload = kind.setup(cfg)
-    count = kind.count(cfg)
+    count = _EXPERIMENTS[cfg.experiment].count(cfg)
     # a pool only on request, and never larger than the host: rows never depend on it
     pool_size = min(cfg.workers or 1, count, os.cpu_count() or 1)
-    bounds = _ranges(count, pool_size, cfg.n)
-    if pool_size > 1:  # each worker prepares its own copy of the payload
-        init = dict(initializer=_start_worker, initargs=(cfg, payload))
-        with ProcessPoolExecutor(pool_size, **init) as pool:
-            outputs = list(pool.map(_eval_in_worker, bounds))
-    else:
-        prepared = _prepare(cfg, payload)
-        outputs = [_eval_point((cfg, prepared, lo, hi)) for lo, hi in bounds]
+    tasks = [(cfg, lo, hi) for lo, hi in _ranges(count, pool_size, cfg.n)]
+    try:  # a pool's parent sets nothing up: each worker does, on its first task
+        if pool_size > 1:
+            with ProcessPoolExecutor(pool_size) as pool:
+                outputs = list(pool.map(_eval_range, tasks))
+        else:
+            outputs = list(map(_eval_range, tasks))
+    finally:
+        _payload.cache_clear()
     return [ResultRow.build(cfg.experiment, *row, cfg.seed) for out in outputs for row in out]
 
 

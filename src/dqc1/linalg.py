@@ -24,7 +24,8 @@ TOL_CONSTRUCT = 1e-12
 TOL_SPECTRAL = 1e-10
 TOL_VERIFY = 1e-9
 
-#: Largest matrix dimension :func:`kron` will produce (2**12, i.e. 12 qubits).
+#: Largest matrix side the package builds, by :func:`kron` or by a random
+#: draw (2**12, i.e. 12 qubits).
 MAX_KRON_DIM = 4096
 
 #: Most matrix entries one stacked pass holds in any of its arrays: every
@@ -146,12 +147,17 @@ def _check_count(name: str, x, lo: int, hi: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer {want}, got {brief(x)}")
 
 
+def _as_array(name: str, x, dtype=np.complex128) -> np.ndarray:
+    """``x`` as an array of ``dtype``, or a ValueError that names it."""
+    try:
+        return np.asarray(x, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be numeric, got {brief(x)}") from None
+
+
 def _check_matrix(name: str, a, dim: int | None = None) -> np.ndarray:
     """``a`` as a complex array: finite, nonempty, square, and dim x dim if given."""
-    try:
-        a = np.asarray(a, dtype=np.complex128)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{name} must be a numeric matrix, got {brief(a)}") from None
+    a = _as_array(name, a)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0 or dim not in (None, len(a)):
         want = "a nonempty square matrix" if dim is None else f"a {dim}x{dim} matrix"
         raise ValueError(f"{name} must be {want}, got shape {a.shape}")
@@ -229,7 +235,10 @@ def is_right_unitary(t: np.ndarray, tol: float = TOL_CONSTRUCT) -> bool:
     ``t`` may be a stack of matrices (leading axes); the result is True only
     if every member passes.
     """
-    t = np.asarray(t, dtype=np.complex128)
+    try:
+        t = _as_array("t", t)
+    except ValueError:
+        return False
     if t.ndim < 2 or t.shape[-2] > t.shape[-1]:
         return False
     gram = t @ np.swapaxes(t.conj(), -1, -2)
@@ -285,7 +294,9 @@ def _ginibre(rows: int, cols: int, rng: SeededRng | Sequence[SeededRng], count=N
     if isinstance(rng, SeededRng):
         h = rng.gen.standard_normal(shape)
     else:
-        h = np.array([r.gen.standard_normal(shape) for r in rng]).reshape(-1, *shape)
+        h = np.empty((len(rng), *shape))
+        for r, block in zip(rng, h):
+            r.gen.standard_normal(out=block)
     g = np.empty(h.shape[:-3] + (rows, cols), dtype=np.complex128)
     g.real, g.imag = h[..., 0, :, :], h[..., 1, :, :]
     return g
@@ -302,13 +313,13 @@ def _phase_fixed_qr(rows: int, cols: int, rng, count=None) -> np.ndarray:
 
 def haar_unitary(dim: int, rng: SeededRng) -> np.ndarray:
     """Haar-distributed unitary: the phase-fixed QR of a complex Ginibre matrix."""
-    _check_count("dim", dim, 1)
+    _check_count("dim", dim, 1, MAX_KRON_DIM)
     return _phase_fixed_qr(dim, dim, rng)
 
 
 def random_density(dim: int, rank: int, rng: SeededRng) -> np.ndarray:
     """Random density matrix of the given rank (Ginibre G: rho = GG^+/Tr)."""
-    _check_count("dim", dim, 1)
+    _check_count("dim", dim, 1, MAX_KRON_DIM)
     _check_count("rank", rank, 1, dim)
     g = _ginibre(dim, rank, rng)
     rho = g @ g.conj().T
@@ -330,7 +341,7 @@ def random_right_unitary(
     A ``count`` stacks that many draws from ``rng`` in turn, and a sequence
     of streams one draw per stream; each has the bits of a call of its own.
     """
-    _check_count("cols", cols, 1)
+    _check_count("cols", cols, 1, MAX_KRON_DIM)
     _check_count("rows", rows, 1, cols)
     if count is not None:
         _check_count("count", count, 1)

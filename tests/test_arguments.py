@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 from dqc1.circuit import (
     ControlQubit,
     Dqc1Instance,
+    diag_phase_unitary,
     final_control_closed,
     general_final_control,
     linear_entropy_closed,
@@ -23,6 +24,7 @@ from dqc1.circuit import (
 from dqc1.cli import main
 from dqc1.entpower import (
     PureEnsemble,
+    branch_coefficients,
     brute_force_entpower,
     brute_force_min_mixing,
     decompose_from_T,
@@ -93,6 +95,19 @@ FOUR_STATES = PureEnsemble(np.full(4, 0.25), np.eye(4))  # an ensemble of I/4
         ("rows", lambda: random_right_unitary(-1, 3, SeededRng(0))),  # "negative dimensions"
         ("dim", lambda: haar_unitary(2.5, SeededRng(0))),  # numpy's TypeError
         ("rank", lambda: random_density(2, 1.5, SeededRng(0))),
+        ("spec", lambda: unitary_from_spec(5, 1)),  # AttributeError from spec.startswith
+        ("alpha", lambda: ControlQubit.from_alpha("x")),  # TypeError from <
+        ("alpha", lambda: entpower_alpha(I2, "x")),
+        ("T", lambda: branch_coefficients(PURE, "ab")),  # "complex() arg is a malformed string"
+        ("T", lambda: decompose_from_T(I2 / 2, "ab")),
+        ("phases", lambda: diag_phase_unitary(["a"])),  # "could not convert string to float"
+        ("weights", lambda: PureEnsemble(["a"], [[1]])),
+        ("states", lambda: PureEnsemble([1], [["a"]])),
+        # rejected before any allocation: numpy's "array is too big", then
+        # MemoryErrors after asking for 149 GiB
+        pytest.param("dim", lambda: haar_unitary(10**10, SeededRng(0)), id="huge-dim-haar"),
+        pytest.param("dim", lambda: random_density(10**10, 1, SeededRng(0)), id="huge-dim-rho"),
+        pytest.param("cols", lambda: random_right_unitary(1, 10**10, SeededRng(0)), id="huge-cols"),
     ],
 )
 def test_a_bad_argument_is_rejected_by_name(name, call):
@@ -104,6 +119,7 @@ def test_is_unitary_of_an_empty_matrix_is_false():
     # raised numpy's zero-size reduction error
     assert is_unitary(np.zeros((0, 0))) is False
     assert is_density(np.zeros((0, 0))) is False
+    assert is_right_unitary("abc") is False  # raised numpy's "malformed string"
 
 
 # --- integers too long for Python to print -------------------------------------

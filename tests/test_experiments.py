@@ -396,7 +396,7 @@ def test_run_verify_theorem1_stacks_two_points_per_range_at_n6(monkeypatch):
 def test_run_verify_theorem1_decomposes_once_per_range(monkeypatch, samples, ranges):
     # 61 points serially make ranges of 15 (five of them), 2001 points at
     # n=2 ranges of 500; the draws are scored once per range, and the
-    # register is eigensolved once per sweep, when the sweep is prepared
+    # register is eigensolved once per sweep, in the sweep's set-up
     import dqc1.entpower
 
     calls = {"eig_hermitian": 0, "score": 0}
@@ -436,8 +436,7 @@ def test_theorem1_range_hands_back_python_floats():
     # float rows pickle about ten times faster than numpy scalars out of a worker
     cfg = theorem1_config(samples=40, workers=1)
     kind = dqc1.experiments._EXPERIMENTS[cfg.experiment]
-    prepared = dqc1.experiments._prepare(cfg, kind.setup(cfg))
-    rows = dqc1.experiments._eval_point((cfg, prepared, 0, 41))
+    rows = dqc1.experiments._eval_point((cfg, kind.setup(cfg), 0, 41))
     assert [row[0] for row in rows] == ["fourier"] + ["sample"] * 40
     assert {type(row[2]) for row in rows[1:]} == {float}
 
@@ -456,13 +455,12 @@ def test_run_verify_theorem1_names_the_range_of_an_unattributed_failure(monkeypa
 @pytest.fixture
 def pools(monkeypatch):
     """The sizes of the pools ``run_experiment`` builds, on a 2-CPU host,
-    each one running its initializer and its tasks in process."""
+    each one running its tasks in process."""
     sizes = []
 
     class InProcessPool:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
             sizes.append(max_workers)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -475,7 +473,6 @@ def pools(monkeypatch):
 
     monkeypatch.setattr(dqc1.experiments, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(dqc1.experiments.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(dqc1.experiments, "_worker_sweep", None)  # restored after the test
     return sizes
 
 
@@ -529,54 +526,67 @@ def test_serial_entpower_sweep_prepares_its_search_once(monkeypatch):
     assert calls == {"_fourier_ensemble": 1, "is_unitary": 1}
 
 
-def recording_prepare(monkeypatch, experiment, path):
-    """Make ``experiment``'s prepare append its process id to ``path``."""
+def recording_setup(monkeypatch, experiment, path, error=None):
+    """Make ``experiment``'s set-up append its process id to ``path``, then
+    raise ``error`` if one is given, on a 2-CPU host."""
     kind = dqc1.experiments._EXPERIMENTS[experiment]
 
-    def prepare(cfg, payload):
+    def setup(cfg):
         with open(path, "a") as handle:
             handle.write(f"{os.getpid()}\n")
-        return kind.prepare(cfg, payload)
+        if error is not None:
+            raise error
+        return kind.setup(cfg)
 
-    monkeypatch.setitem(dqc1.experiments._EXPERIMENTS, experiment, replace(kind, prepare=prepare))
+    monkeypatch.setitem(dqc1.experiments._EXPERIMENTS, experiment, replace(kind, setup=setup))
+    monkeypatch.setattr(dqc1.experiments.os, "cpu_count", lambda: 2)
     return lambda: [int(line) for line in path.read_text().split()]
 
 
-@pytest.mark.parametrize(
-    "payload",
-    [
-        {"experiment": "entpower-vs-alpha", "n": 2, "samples": 10},
-        {"experiment": "verify-theorem1", "n": 2, "samples": 40},
-        {"experiment": "trace-vs-shots", "n": 2, "shots": [10, 100, 1000, 10000]},
-    ],
-)
-def test_prepare_runs_once_per_process_and_never_in_a_pool_parent(monkeypatch, tmp_path, payload):
-    cfg = config_from_dict(dict(payload, seed=3))
-    pids = recording_prepare(monkeypatch, cfg.experiment, tmp_path / "pids")
-    serial = run_experiment(cfg)
-    assert pids() == [os.getpid()]  # a serial sweep prepares once, in process
-    (tmp_path / "pids").unlink()
-    monkeypatch.setattr(dqc1.experiments.os, "cpu_count", lambda: 2)
-    assert run_experiment(replace(cfg, workers=2)) == serial
-    forked = pids()
-    assert 1 <= len(forked) <= 2 and len(set(forked)) == len(forked)  # once per worker
-    assert os.getpid() not in forked
+def memo_is_empty():
+    return dqc1.experiments._payload.cache_info().currsize == 0
 
 
-def test_a_failed_prepare_fails_every_point_serially_and_in_a_pool(monkeypatch):
-    kind = dqc1.experiments._EXPERIMENTS["entpower-vs-alpha"]
-
-    def broken(cfg, payload):
-        raise ValueError("no eigenbasis")
-
-    monkeypatch.setitem(
-        dqc1.experiments._EXPERIMENTS, "entpower-vs-alpha", replace(kind, prepare=broken)
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_setup_runs_once_per_process_and_never_in_a_pool_parent(monkeypatch, tmp_path, experiment):
+    cfg = config_from_dict(
+        {
+            "experiment": experiment,
+            "n": 2,
+            "shots": [10, 100, 1000, 10000],
+            "alphas": [0.25, 0.5, 0.75, 1.0],
+            "samples": 10,
+            "seed": 3,
+        }
     )
-    monkeypatch.setattr(dqc1.experiments.os, "cpu_count", lambda: 2)
+    pids = recording_setup(monkeypatch, experiment, tmp_path / "pids")
+    serial = run_experiment(cfg)
+    assert pids() == [os.getpid()]  # a serial sweep sets up once, in process
+    assert memo_is_empty()
+    (tmp_path / "pids").unlink()
+    assert run_experiment(replace(cfg, workers=2)) == serial
+    pooled = pids()
+    assert 1 <= len(pooled) <= 2 and len(set(pooled)) == len(pooled)  # once per worker
+    assert os.getpid() not in pooled
+    assert memo_is_empty()
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_a_failed_setup_raises_its_own_error_serially_and_in_a_pool(monkeypatch, tmp_path, workers):
+    # a failure in what the points share used to be wrapped as "failed at points 0..9"
+    pids = recording_setup(
+        monkeypatch, "entpower-vs-alpha", tmp_path / "pids", LookupError("no eigenbasis")
+    )
+    monkeypatch.setattr(dqc1.experiments, "_eval_point", no_points)
     cfg = config_from_dict({"experiment": "entpower-vs-alpha", "n": 1, "samples": 2})
-    for workers in (None, 2):
-        with pytest.raises(RuntimeError, match=r"failed at points 0\.\.9: no eigenbasis"):
-            run_experiment(replace(cfg, workers=workers))
+    with pytest.raises(LookupError) as caught:
+        run_experiment(replace(cfg, workers=workers))
+    assert type(caught.value) is LookupError and str(caught.value) == "no eigenbasis"
+    if workers:
+        assert pids() and os.getpid() not in pids()
+    else:  # the first range's set-up fails, and no later range runs
+        assert pids() == [os.getpid()]
+    assert memo_is_empty()
 
 
 @pytest.mark.parametrize("workers", [None, 2])
@@ -1055,6 +1065,32 @@ def test_cli_run_rejects_a_missing_matrix_file(tmp_path, capsys, experiment, fie
     err = capsys.readouterr().err
     assert f"field '{field}'" in err and "absent.json" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload,field",
+    [
+        ({"experiment": "complexity-curve", "unitary": "identity", "shots": [10, 100]}, "unitary"),
+        ({"experiment": "verify-theorem3", "rho": "file:absent.json"}, "rho"),
+    ],
+    ids=["complexity-identity", "theorem3-missing-register"],
+)
+def test_cli_run_rejects_a_pooled_sweep_in_its_workers_set_up(
+    tmp_path, capsys, monkeypatch, payload, field
+):
+    # a pool's workers set the sweep up, so its error comes from them: still
+    # before any point, with exit 2 and the serial run's line
+    monkeypatch.setattr(dqc1.experiments, "_eval_point", no_points)
+    monkeypatch.setattr(dqc1.experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.chdir(tmp_path)  # where the workers look for the register file
+    out = tmp_path / "rows.csv"
+    errs = []
+    for workers in (1, 2):
+        cfg = write_config(tmp_path, {"n": 1, "samples": 2, "workers": workers, **payload})
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        errs.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert errs[0] == errs[1] and errs[0].startswith(f"error: field '{field}': ")
 
 
 @pytest.mark.parametrize(
