@@ -26,6 +26,7 @@ from .linalg import (
     _as_array,
     _check_count,
     _check_density,
+    _check_matrix,
     _check_unitary,
     haar_unitary,
     kron,
@@ -72,7 +73,7 @@ class ControlQubit:
 
     @classmethod
     def from_alpha(cls, alpha: float) -> "ControlQubit":
-        if not (isinstance(alpha, numbers.Real) and 0.0 < alpha <= 1.0):
+        if isinstance(alpha, bool) or not (isinstance(alpha, numbers.Real) and 0.0 < alpha <= 1.0):
             raise ValueError(f"alpha must lie in (0, 1], got {brief(alpha)}")
         return cls(bloch=(0.0, 0.0, alpha))
 
@@ -125,7 +126,9 @@ def _bloch_norm(p) -> float:
 class Dqc1Instance:
     """A register size, the unitary under test, the control state, and the
     register state (by default the maximally mixed one, built unchecked).
-    The arrays are validated once, at construction, and must not be mutated."""
+    Every argument is checked, U's unitarity too; a sweep's instance
+    (:func:`_trusted_instance`) trusts the U of :func:`unitary_from_spec`,
+    which checks a file's once.  The arrays must not be mutated."""
 
     n: int
     unitary: np.ndarray
@@ -133,14 +136,7 @@ class Dqc1Instance:
     system_state: np.ndarray | None = None
 
     def __post_init__(self):
-        _check_count("n", self.n, 1, MAX_QUBITS)
-        dim = 2**self.n
-        object.__setattr__(self, "unitary", _check_unitary("unitary", self.unitary, dim))
-        if self.system_state is None:
-            rho = np.eye(dim, dtype=np.complex128) / dim
-        else:
-            rho = _check_density("system_state", self.system_state, dim)
-        object.__setattr__(self, "system_state", rho)
+        _settle(self, _check_unitary)
 
     @property
     def dim(self) -> int:
@@ -151,6 +147,29 @@ class Dqc1Instance:
         """t = Tr(U rho_n), the one number the readout depends on: taken by
         :func:`~dqc1.linalg.trace_overlap` on first use, then kept."""
         return trace_overlap(self.unitary, self.system_state)
+
+
+def _settle(inst: Dqc1Instance, check_unitary) -> None:
+    """Check an instance's fields, U by ``check_unitary``, and store its arrays."""
+    _check_count("n", inst.n, 1, MAX_QUBITS)
+    if not isinstance(inst.control, ControlQubit):
+        raise ValueError(f"control must be a ControlQubit, got {brief(inst.control)}")
+    dim = 2**inst.n
+    u = check_unitary("unitary", inst.unitary, dim)
+    if inst.system_state is None:
+        rho = np.eye(dim, dtype=np.complex128) / dim
+    else:
+        rho = _check_density("system_state", inst.system_state, dim)
+    inst.__dict__.update(unitary=u, system_state=rho)  # past the frozen __setattr__
+
+
+def _trusted_instance(n: int, unitary: np.ndarray, control: ControlQubit) -> Dqc1Instance:
+    """A :class:`Dqc1Instance` on the maximally mixed register, less U's O(d^3)
+    unitarity check: :func:`unitary_from_spec` built U unitary, or checked its file."""
+    inst = object.__new__(Dqc1Instance)
+    inst.__dict__.update(n=n, unitary=unitary, control=control, system_state=None)
+    _settle(inst, _check_matrix)
+    return inst
 
 
 def general_final_control(

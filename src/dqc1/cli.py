@@ -15,7 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .circuit import ControlQubit, Dqc1Instance, unitary_from_spec
+from .circuit import ControlQubit, _trusted_instance, unitary_from_spec
 from .entpower import entpower_alpha
 from .experiments import (
     _EXPERIMENTS,
@@ -102,9 +102,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_estimate_trace(args) -> int:
     u = unitary_from_spec(args.unitary, args.n, SeededRng(args.seed, 0))
-    inst = Dqc1Instance(
-        n=args.n, unitary=u, control=ControlQubit.from_alpha(args.alpha)
-    )
+    inst = _trusted_instance(args.n, u, ControlQubit.from_alpha(args.alpha))
     est = estimate_trace(inst, args.shots, SeededRng(args.seed, 1))
     exact = normalized_trace(u)
     err = abs(est.trace_estimate - exact)

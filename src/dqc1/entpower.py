@@ -189,6 +189,12 @@ def branch_coefficients(control: ControlQubit, t_mat: np.ndarray) -> BranchCoeff
         raise ValueError(f"T must have exactly 2 rows, got shape {t_mat.shape}")
     if not is_right_unitary(t_mat, TOL_SPECTRAL):
         raise ValueError("T rows are not orthonormal (T T^+ != I)")
+    return _branch_coefficients(control, t_mat)
+
+
+def _branch_coefficients(control: ControlQubit, t_mat: np.ndarray) -> BranchCoefficients:
+    """:func:`branch_coefficients` of a ``T`` the package built right-unitary
+    (a QR draw, or :func:`analytic_min_T`'s polar factor), left unchecked."""
     vecs, vals = control.eigensystem()
     s0, s1 = np.sqrt(vals[0]), np.sqrt(vals[1])
     plus0 = (vecs[0, 0] + vecs[1, 0]) * s0
@@ -348,11 +354,11 @@ def brute_force_min_mixing(
     _check_count("samples", samples, 1)
     _check_count("cols", cols, 2)
     best = min(
-        float(mixing_factor(branch_coefficients(control, t_stack)).min())
+        float(mixing_factor(_branch_coefficients(control, t_stack)).min())
         for t_stack in _right_unitary_stacks(2, cols, samples, rng, 2 * cols)
     )
     if include_analytic:
-        best = min(best, mixing_factor(branch_coefficients(control, analytic_min_T(control))))
+        best = min(best, mixing_factor(_branch_coefficients(control, analytic_min_T(control))))
     return best
 
 

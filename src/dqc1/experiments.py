@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import MAX_QUBITS, ControlQubit, Dqc1Instance, unitary_from_spec
+from .circuit import MAX_QUBITS, ControlQubit, _trusted_instance, unitary_from_spec
 from .entpower import (
     _bounds,
     _DrawScorer,
@@ -186,6 +186,8 @@ def _rho(spec: str) -> tuple[str, int | str | None] | None:
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One point's row; ``deviation`` is ``abs(measured - reference)``."""
+
     experiment: str
     param_name: str
     param_value: float
@@ -193,18 +195,6 @@ class ResultRow:
     reference: float
     deviation: float
     seed: int
-
-    @classmethod
-    def build(cls, experiment, param_name, param_value, measured, reference, seed):
-        return cls(
-            experiment=experiment,
-            param_name=param_name,
-            param_value=float(param_value),
-            measured=float(measured),
-            reference=float(reference),
-            deviation=abs(float(measured) - float(reference)),
-            seed=int(seed),
-        )
 
 
 def config_from_dict(payload: dict) -> ExperimentConfig:
@@ -262,7 +252,7 @@ def _setup_trace_vs_shots(cfg):
         readout_alpha(control)
     except ValueError as err:
         raise ValueError(f"field 'alpha': {err}") from None
-    inst = Dqc1Instance(n=cfg.n, unitary=_fixed_unitary(cfg), control=control)
+    inst = _trusted_instance(cfg.n, _fixed_unitary(cfg), control)
     return {"inst": inst, "t": normalized_trace(inst.unitary)}
 
 
@@ -271,8 +261,8 @@ def _point_trace_vs_shots(cfg, payload, idx):
     shots = cfg.shots[idx]
     est = estimate_trace(inst, shots, SeededRng(cfg.seed, idx + 1))
     return [
-        ("shots_re", shots, est.trace_estimate.real, t_ref.real),
-        ("shots_im", shots, est.trace_estimate.imag, t_ref.imag),
+        ("shots_re", float(shots), est.trace_estimate.real, t_ref.real),
+        ("shots_im", float(shots), est.trace_estimate.imag, t_ref.imag),
     ]
 
 
@@ -285,7 +275,7 @@ def _point_entpower_vs_alpha(cfg, payload, idx):
 
 def _setup_entpower_vs_alpha(cfg):
     # the search reads U and the register, not the instance's control
-    inst = Dqc1Instance(n=cfg.n, unitary=_fixed_unitary(cfg), control=ControlQubit.from_alpha(1.0))
+    inst = _trusted_instance(cfg.n, _fixed_unitary(cfg), ControlQubit.from_alpha(1.0))
     return {"search": _EntpowerSearch(inst), "standard": _standard(inst.unitary)}
 
 
@@ -319,11 +309,11 @@ def _point_complexity_curve(cfg, payload, idx):
     budget = payload["budgets"][idx]
     rounds = rounds_for_budget(budget, cfg.alpha, payload["t"])
     measured = entpower_from_rounds(cfg.alpha, budget.m, rounds)
-    return [("rounds", cfg.shots[idx], measured, payload["reference"])]
+    return [("rounds", float(cfg.shots[idx]), measured, payload["reference"])]
 
 
 def _setup_verify_theorem1(cfg):
-    inst = Dqc1Instance(n=cfg.n, unitary=_fixed_unitary(cfg), control=ControlQubit.from_alpha(1.0))
+    inst = _trusted_instance(cfg.n, _fixed_unitary(cfg), ControlQubit.from_alpha(1.0))
     return {"inst": inst, "reference": _standard(inst.unitary), "score": _DrawScorer(inst)}
 
 
@@ -335,7 +325,7 @@ def _range_verify_theorem1(cfg, payload, lo, hi):
             measured = ensemble_average(inst, _fourier_ensemble(inst.unitary))
         except Exception as err:
             raise _failure(cfg, 0, 1, err) from err
-        rows.append(("fourier", 0, measured, reference))
+        rows.append(("fourier", 0.0, measured, reference))
     first = max(lo, 1)
     if first == hi:
         return rows
@@ -346,7 +336,7 @@ def _range_verify_theorem1(cfg, payload, lo, hi):
         measured = payload["score"](draws, lambda_factor(inst.control)).tolist()
     except Exception as err:
         raise _failure(cfg, first, hi, err) from err
-    return rows + [("sample", idx, m, reference) for idx, m in zip(range(first, hi), measured)]
+    return rows + [("sample", float(i), m, reference) for i, m in zip(range(first, hi), measured)]
 
 
 def _point_verify_theorem2(cfg, payload, idx):
@@ -391,7 +381,7 @@ def _point_verify_theorem3(cfg, payload, idx):
     u = payload["u"] if "u" in payload else unitary_from_spec(cfg.unitary, cfg.n, rng)
     rho = payload["rho"] if "rho" in payload else random_density(2**cfg.n, payload["rank"], rng)
     lower, upper = _bounds(u, rho)
-    return [("sample", idx, lower, upper)]
+    return [("sample", float(idx), lower, upper)]
 
 
 def _pointwise(point):
@@ -529,8 +519,8 @@ def _eval_range(task: tuple) -> list[tuple]:
 
 
 def _eval_point(args: tuple) -> list[tuple]:
-    """Rows of the points in the index range [lo, hi), in point order, from
-    the set-up's payload: the unit of work of a sweep."""
+    """Rows (name, value, measured, reference), in Python floats, of the
+    points in the index range [lo, hi), in point order: a sweep's work unit."""
     cfg, payload, lo, hi = args
     return _EXPERIMENTS[cfg.experiment].evaluate(cfg, payload, lo, hi)
 
@@ -560,7 +550,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
             outputs = list(map(_eval_range, tasks))
     finally:
         _payload.cache_clear()
-    return [ResultRow.build(cfg.experiment, *row, cfg.seed) for out in outputs for row in out]
+    seed, rows = int(cfg.seed), (row for out in outputs for row in out)
+    return [ResultRow(cfg.experiment, k, v, m, r, abs(m - r), seed) for k, v, m, r in rows]
 
 
 def check_rows(cfg: ExperimentConfig, rows: list[ResultRow]) -> list[tuple[str, list[str]]]:

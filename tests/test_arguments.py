@@ -108,6 +108,9 @@ FOUR_STATES = PureEnsemble(np.full(4, 0.25), np.eye(4))  # an ensemble of I/4
         pytest.param("dim", lambda: haar_unitary(10**10, SeededRng(0)), id="huge-dim-haar"),
         pytest.param("dim", lambda: random_density(10**10, 1, SeededRng(0)), id="huge-dim-rho"),
         pytest.param("cols", lambda: random_right_unitary(1, 10**10, SeededRng(0)), id="huge-cols"),
+        # accepted: a string control, and a bool alpha as alpha 1.0
+        pytest.param("control", lambda: Dqc1Instance(1, I2, control="x"), id="control-not-a-qubit"),
+        pytest.param("alpha", lambda: ControlQubit.from_alpha(True), id="alpha-bool"),
     ],
 )
 def test_a_bad_argument_is_rejected_by_name(name, call):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dqc1.circuit
+import dqc1.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from dqc1.circuit import (
     ControlQubit,
     Dqc1Instance,
     _bloch_norm,
+    _trusted_instance,
     diag_phase_unitary,
     final_control_closed,
     general_final_control,
@@ -25,8 +27,10 @@ from dqc1.linalg import (
     HADAMARD,
     SIGMA_X,
     SIGMA_Z,
+    TOL_SPECTRAL,
     SeededRng,
     haar_unitary,
+    is_unitary,
     kron,
     random_density,
     save_matrix,
@@ -187,6 +191,36 @@ def test_instance_validation():
         Dqc1Instance(n=1, unitary=np.ones((2, 2)), control=ctl)
     with pytest.raises(ValueError, match="density"):
         Dqc1Instance(n=1, unitary=u, control=ctl, system_state=SIGMA_Z)
+
+
+def test_public_instance_rejects_a_non_unitary_with_its_text():
+    # a sweep's instance skips this product; the public constructor keeps it
+    ctl = ControlQubit.from_alpha(1.0)
+    for u in (np.ones((2, 2)), (1 + 1e-6) * haar_unitary(4, SeededRng(2, 0))):
+        with pytest.raises(ValueError, match="^unitary is not unitary within tolerance$"):
+            Dqc1Instance(n=len(u).bit_length() - 1, unitary=u, control=ctl)
+
+
+def test_trusted_instance_is_the_public_one_less_the_unitarity_product(monkeypatch):
+    u, ctl = haar_unitary(8, SeededRng(3, 0)), ControlQubit.from_alpha(0.4)
+    public = Dqc1Instance(n=3, unitary=u, control=ctl)
+    calls = []
+    monkeypatch.setattr(dqc1.linalg, "is_unitary", lambda *a, **k: calls.append(1))
+    trusted = _trusted_instance(3, u, ctl)
+    assert calls == [] and type(trusted) is Dqc1Instance
+    assert (trusted.n, trusted.control, trusted.dim) == (public.n, public.control, public.dim)
+    np.testing.assert_array_equal(trusted.unitary, public.unitary)
+    np.testing.assert_array_equal(trusted.system_state, public.system_state)
+    assert trusted.overlap == public.overlap
+    # the count, shape, finiteness and control checks stay
+    for n, v, c, text in (
+        (0, u, ctl, "^n must be an integer in"),
+        (2, u, ctl, r"^unitary must be a 4x4 matrix, got shape \(8, 8\)$"),
+        (1, np.full((2, 2), np.nan), ctl, "^unitary has a non-finite entry$"),
+        (3, u, "x", "^control must be a ControlQubit, got 'x'$"),
+    ):
+        with pytest.raises(ValueError, match=text):
+            _trusted_instance(n, v, c)
 
 
 def test_instance_default_register_is_maximally_mixed():
@@ -418,6 +452,21 @@ def test_unitary_from_spec_rejects_register_size_first(spec, n):
     # checked before anything of size 2**n is built
     with pytest.raises(ValueError, match=f"^{N_RANGE}, got {n}$"):
         unitary_from_spec(spec, n, SeededRng(0, 0))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        lambda n: "identity",
+        lambda n: "pauli:" + ("XYZI" * 3)[:n],
+        lambda n: "diag-phase:" + ",".join(str(0.37 * k) for k in range(2**n)),
+    ],
+    ids=["identity", "pauli", "diag-phase"],
+)
+def test_exact_spec_unitaries_pass_the_instance_check_at_every_size(spec):
+    # a sweep's instance trusts these as it trusts a Haar QR (test_linalg)
+    for n in range(1, MAX_QUBITS + 1):
+        assert is_unitary(unitary_from_spec(spec(n), n), TOL_SPECTRAL)
 
 
 @pytest.mark.parametrize("n", [True, 1.0])

@@ -52,6 +52,7 @@ from dqc1.experiments import (
 from dqc1.linalg import (
     SIGMA_X,
     SeededRng,
+    haar_unitary,
     matrix_to_json,
     random_density,
     random_right_unitary,
@@ -274,19 +275,38 @@ def test_run_identity_unitary_estimates_one():
     assert re_row.deviation < 0.25  # 5 sigma at 400 shots
 
 
-def test_run_trace_vs_shots_validates_the_unitary_once(monkeypatch):
-    # every unitarity check runs through linalg._check_unitary's one call
-    calls = []
-    real = dqc1.linalg.is_unitary
+def counted(monkeypatch, *targets):
+    """Count the calls of each ``(module, name)`` while the test runs, by name."""
+    calls = dict.fromkeys((name for _, name in targets), 0)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(dqc1.linalg, "is_unitary", counting)
-    rows = run_experiment(trace_config(shots=[10, 100, 1000, 10000], workers=1))
-    assert len(rows) == 8
-    assert len(calls) == 1
+        return wrapper
+
+    for module, name in targets:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
+def file_unitary(tmp_path, n=2):
+    """A ``file:`` spec of a Haar unitary on n qubits, saved under tmp_path."""
+    save_matrix(tmp_path / "u.json", haar_unitary(2**n, SeededRng(5)))
+    return f"file:{tmp_path / 'u.json'}"
+
+
+def test_run_trace_vs_shots_validates_the_unitary_once(monkeypatch, tmp_path):
+    # every unitarity check runs through linalg._check_unitary's one call: a
+    # file unitary gets it once, in unitary_from_spec, and a built one none,
+    # since the sweep's instance trusts what unitary_from_spec returns
+    calls = counted(monkeypatch, (dqc1.linalg, "is_unitary"))
+    for unitary, checks in (("haar", 0), (file_unitary(tmp_path), 1)):
+        calls["is_unitary"] = 0
+        cfg = trace_config(unitary=unitary, shots=[10, 100, 1000, 10000], workers=1)
+        assert len(run_experiment(cfg)) == 8
+        assert calls == {"is_unitary": checks}
 
 
 def test_run_workers_do_not_change_results():
@@ -296,21 +316,26 @@ def test_run_workers_do_not_change_results():
     assert serial == pooled
 
 
-def test_run_verify_theorem1_validates_the_unitary_once(monkeypatch):
-    # the instance checks U; the reference and the Fourier row trust it
-    calls = []
-    real = dqc1.linalg.is_unitary
+def test_run_verify_theorem1_validates_the_unitary_once(monkeypatch, tmp_path):
+    # unitary_from_spec checks a file U; the instance, the reference and the
+    # Fourier row trust it, and a built U is checked by none of them
+    calls = counted(monkeypatch, (dqc1.linalg, "is_unitary"))
+    for unitary, checks in (("haar", 0), (file_unitary(tmp_path), 1)):
+        calls["is_unitary"] = 0
+        cfg = theorem1_config(samples=10, seed=7, workers=1, unitary=unitary)
+        assert len(run_experiment(cfg)) == 11
+        assert calls == {"is_unitary": checks}
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(dqc1.linalg, "is_unitary", counting)
-    cfg = config_from_dict(
-        {"experiment": "verify-theorem1", "n": 2, "samples": 10, "seed": 7, "workers": 1}
-    )
-    assert len(run_experiment(cfg)) == 11
-    assert len(calls) == 1
+def test_run_verify_theorem2_never_rechecks_its_draws(monkeypatch):
+    # brute_force_min_mixing trusts its QR draws and analytic_min_T, which
+    # the public branch_coefficients would each check
+    calls = counted(monkeypatch, (dqc1.entpower, "is_right_unitary"))
+    cfg = config_from_dict({"experiment": "verify-theorem2", "samples": 50, "n": 1, "workers": 1})
+    assert len(run_experiment(cfg)) == len(DEFAULT_ALPHAS)
+    assert calls == {"is_right_unitary": 0}
+    dqc1.entpower.branch_coefficients(ControlQubit.from_alpha(0.5), np.eye(2))
+    assert calls == {"is_right_unitary": 1}  # the public entry point still checks
 
 
 def test_run_chunked_pool_does_not_change_results():
@@ -325,6 +350,12 @@ def theorem1_config(**overrides):
     return config_from_dict(payload)
 
 
+def result_row(experiment, param_name, param_value, measured, reference, seed):
+    """A results row from any real numbers, converted as a sweep's are."""
+    m, r = float(measured), float(reference)
+    return ResultRow(experiment, param_name, float(param_value), m, r, abs(m - r), int(seed))
+
+
 def per_point_theorem1_rows(cfg):
     """verify-theorem1 one point at a time, each with its own draw scored
     as a one-member stack: the oracle for the stacked ranges."""
@@ -332,12 +363,12 @@ def per_point_theorem1_rows(cfg):
     inst = Dqc1Instance(n=cfg.n, unitary=u, control=ControlQubit.from_alpha(1.0))
     reference = entpower_standard(u)
     fourier = ensemble_average(inst, fourier_ensemble(u))
-    rows = [ResultRow.build(cfg.experiment, "fourier", 0, fourier, reference, cfg.seed)]
+    rows = [result_row(cfg.experiment, "fourier", 0, fourier, reference, cfg.seed)]
     score = _DrawScorer(inst)
     for idx in range(1, cfg.samples + 1):
         t_mat = random_right_unitary(inst.dim, 2 * inst.dim, SeededRng(cfg.seed, idx))
         measured = score(t_mat[None], 1.0)[0]  # a fully polarized control's lambda gap
-        rows.append(ResultRow.build(cfg.experiment, "sample", idx, measured, reference, cfg.seed))
+        rows.append(result_row(cfg.experiment, "sample", idx, measured, reference, cfg.seed))
     return rows
 
 
@@ -505,25 +536,19 @@ def test_pool_never_outgrows_the_cpu_count(pools):
     assert rows == run_experiment(replace(cfg, workers=1))
 
 
-def test_serial_entpower_sweep_prepares_its_search_once(monkeypatch):
+def test_serial_entpower_sweep_prepares_its_search_once(monkeypatch, tmp_path):
     # the alpha-free half of the search (the Fourier eigensolve, the scorer's
-    # register root, the instance's validation of U) runs once per sweep, not
-    # once per alpha, and the Fourier eigensolve trusts the instance's U
-    calls = {"_fourier_ensemble": 0, "is_unitary": 0}
-
-    def counting(key, real):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return real(*args, **kwargs)
-
-        return wrapper
-
-    for module, attr in ((dqc1.entpower, "_fourier_ensemble"), (dqc1.linalg, "is_unitary")):
-        monkeypatch.setattr(module, attr, counting(attr, getattr(module, attr)))
-    cfg = config_from_dict({"experiment": "entpower-vs-alpha", "n": 3, "samples": 20})
-    assert len(cfg.alphas) == 10 and cfg.workers is None
-    assert len(run_experiment(cfg)) == 10
-    assert calls == {"_fourier_ensemble": 1, "is_unitary": 1}
+    # register root) runs once per sweep, not once per alpha; the instance and
+    # the Fourier eigensolve trust U, which only a file U's load checks
+    calls = counted(monkeypatch, (dqc1.entpower, "_fourier_ensemble"), (dqc1.linalg, "is_unitary"))
+    for unitary, checks in (("haar", 0), (file_unitary(tmp_path, 3), 1)):
+        calls.update(_fourier_ensemble=0, is_unitary=0)
+        cfg = config_from_dict(
+            {"experiment": "entpower-vs-alpha", "n": 3, "samples": 20, "unitary": unitary}
+        )
+        assert len(cfg.alphas) == 10 and cfg.workers is None
+        assert len(run_experiment(cfg)) == 10
+        assert calls == {"_fourier_ensemble": 1, "is_unitary": checks}
 
 
 def recording_setup(monkeypatch, experiment, path, error=None):
@@ -785,8 +810,8 @@ def test_run_failure_names_the_point(monkeypatch):
 
 def sample_rows():
     return [
-        ResultRow.build("verify-theorem2", "alpha", 0.1, 0.1 - 3e-17, 0.1, 4),
-        ResultRow.build("verify-theorem2", "alpha", 1.0 / 3.0, 0.3333333333333333, 1.0 / 3.0, 4),
+        result_row("verify-theorem2", "alpha", 0.1, 0.1 - 3e-17, 0.1, 4),
+        result_row("verify-theorem2", "alpha", 1.0 / 3.0, 0.3333333333333333, 1.0 / 3.0, 4),
     ]
 
 
@@ -799,6 +824,21 @@ def test_write_read_csv_is_float_exact(tmp_path):
         "experiment,param_name,param_value,measured,reference,deviation,seed"
     )
     assert read_results(path) == rows
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_sweep_rows_hold_python_floats_and_an_int_seed(experiment, tmp_path):
+    # run_experiment converts nothing, so each range evaluator hands back
+    # Python floats: an int shots count or sample index would write 10, not
+    # 10.0, to JSON, and a numpy seed would not write at all
+    cfg = ExperimentConfig(experiment, 1, shots=(10, 100), samples=3, seed=np.int64(3))
+    rows = run_experiment(cfg)
+    for r in rows:
+        reals = (r.param_value, r.measured, r.reference, r.deviation)
+        assert all(type(x) is float for x in reals) and type(r.seed) is int
+    write_results(rows, tmp_path / "out.json", "json")
+    written = json.loads((tmp_path / "out.json").read_text())
+    assert all(type(entry["param_value"]) is float for entry in written)
 
 
 def test_write_read_json_is_float_exact(tmp_path):
@@ -818,7 +858,7 @@ def test_csv_rows_keep_their_per_field_format(tmp_path, x):
     # it replaced, on the special values too
     rows = [
         ResultRow("verify-theorem1", "sample", x, -x, x / 3, abs(x), 2**128),
-        ResultRow.build("trace-vs-shots", "shots_y", 10**6, x, 0.5, 7),
+        result_row("trace-vs-shots", "shots_y", 10**6, x, 0.5, 7),
     ]
     write_results(rows, tmp_path / "out.csv", "csv")
     lines = [",".join(dqc1.experiments._HEADER)]
@@ -1383,7 +1423,7 @@ def moved_above(rows, broken):
     reference, which fails every verify rule."""
     for idx in broken:
         r = rows[idx]
-        rows[idx] = ResultRow.build(
+        rows[idx] = result_row(
             r.experiment, r.param_name, r.param_value, r.reference + 1.0, r.reference, r.seed
         )
     return rows

@@ -13,6 +13,7 @@ from dqc1.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    TOL_SPECTRAL,
     SeededRng,
     eig_hermitian,
     eig_unitary,
@@ -30,6 +31,7 @@ from dqc1.linalg import (
     save_matrix,
     trace_overlap,
 )
+from dqc1.circuit import MAX_QUBITS
 from dqc1.experiments import MAX_SAMPLES
 from support import partial_trace
 
@@ -317,6 +319,11 @@ def test_haar_unitary_is_unitary():
         u = haar_unitary(dim, rng)
         assert is_unitary(u, 1e-12)
     assert abs(abs(haar_unitary(1, rng)[0, 0]) - 1.0) < 1e-12
+    # a sweep's instance trusts its Haar unitary: at every register size it
+    # builds, it passes the check Dqc1Instance would run (TOL_SPECTRAL * d)
+    for n in range(1, MAX_QUBITS + 1):
+        for seed in (0, 42):
+            assert is_unitary(haar_unitary(2**n, SeededRng(seed, 0)), TOL_SPECTRAL)
 
 
 def test_haar_unitary_deterministic():
