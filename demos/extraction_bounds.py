@@ -16,8 +16,8 @@ from dqc1 import (
     ControlQubit,
     SeededRng,
     entpower_bounds,
-    entpower_general_scaled,
     haar_unitary,
+    lambda_factor,
     random_density,
 )
 from dqc1.linalg import SIGMA_X
@@ -29,8 +29,9 @@ print(f"  bounds: [{lower:.6f}, {upper:.6f}]")
 print()
 
 print("same pair, control polarization alpha = 0.5:")
-lower, upper = entpower_general_scaled(ControlQubit.from_alpha(0.5), SIGMA_X, rho)
-print(f"  bounds: [{lower:.6f}, {upper:.6f}]   (both halved)")
+gap = lambda_factor(ControlQubit.from_alpha(0.5))  # the control's spectral-gap factor
+lower, upper = entpower_bounds(SIGMA_X, rho)
+print(f"  bounds: [{gap * lower:.6f}, {gap * upper:.6f}]   (both halved)")
 print()
 
 print("commuting pair (U diagonal in the eigenbasis of rho):")

@@ -42,7 +42,6 @@ from .measurement import (
     expect_pauli,
     rounds_for_budget,
     sample_shots,
-    total_complexity,
 )
 from .entpower import (
     BranchCoefficients,
@@ -55,7 +54,6 @@ from .entpower import (
     ensemble_average,
     entpower_alpha,
     entpower_bounds,
-    entpower_general_scaled,
     entpower_standard,
     fourier_ensemble,
     lambda_factor,

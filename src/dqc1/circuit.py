@@ -10,7 +10,6 @@ produce bit-identical results everywhere downstream.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,9 +23,12 @@ from .linalg import (
     SeededRng,
     TOL_CONSTRUCT,
     _as_array,
+    _check_complex,
     _check_count,
     _check_density,
     _check_matrix,
+    _check_real,
+    _check_type,
     _check_unitary,
     haar_unitary,
     kron,
@@ -37,6 +39,9 @@ from .linalg import (
 
 #: Largest register size an instance will accept (joint dimension 2**11).
 MAX_QUBITS = 10
+
+#: A control's z polarization lies in (0, 1]: ``_check_real``'s (lo, hi, ends).
+_ALPHA = (0, 1, "(]")
 
 _PAULI_1Q = {
     "I": np.eye(2, dtype=np.complex128),
@@ -51,7 +56,7 @@ class ControlQubit:
     """Control-qubit state, stored as a Bloch vector.
 
     Every construction path validates: the vector must have three finite
-    components and norm <= 1; a norm past 1 by at most ``TOL_CONSTRUCT`` is
+    real components and norm <= 1; a norm past 1 by at most ``TOL_CONSTRUCT`` is
     scaled back onto the sphere.  :meth:`from_alpha` (z polarization in
     (0, 1]) and :meth:`from_bloch` build equal objects for equal vectors.
     """
@@ -59,11 +64,7 @@ class ControlQubit:
     bloch: tuple[float, float, float]
 
     def __post_init__(self):
-        p = tuple(float(x) for x in self.bloch)
-        if len(p) != 3:
-            raise ValueError("bloch vector must have three components")
-        if not all(math.isfinite(x) for x in p):
-            raise ValueError(f"bloch vector components must be finite, got {p}")
+        p = _three_reals("bloch vector", self.bloch)
         norm = _bloch_norm(p)
         if norm > 1.0 + TOL_CONSTRUCT:
             raise ValueError(f"bloch vector norm {norm} exceeds 1")
@@ -73,8 +74,7 @@ class ControlQubit:
 
     @classmethod
     def from_alpha(cls, alpha: float) -> "ControlQubit":
-        if isinstance(alpha, bool) or not (isinstance(alpha, numbers.Real) and 0.0 < alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {brief(alpha)}")
+        _check_real("alpha", alpha, *_ALPHA)
         return cls(bloch=(0.0, 0.0, alpha))
 
     @classmethod
@@ -115,6 +115,15 @@ class ControlQubit:
         return vecs, vals
 
 
+def _three_reals(name: str, p) -> tuple[float, float, float]:
+    """A Bloch vector ``p``, a sequence of three finite real numbers, as floats."""
+    if not (isinstance(p, (list, tuple)) or np.ndim(p) == 1) or len(p) != 3:
+        raise ValueError(f"{name} must have three components, got {brief(p)}")
+    for x in p:
+        _check_real(name, x, want="have finite real components")
+    return tuple(float(x) for x in p)
+
+
 def _bloch_norm(p) -> float:
     p1, p2, p3 = p
     if p1 == 0.0 and p2 == 0.0:
@@ -152,8 +161,7 @@ class Dqc1Instance:
 def _settle(inst: Dqc1Instance, check_unitary) -> None:
     """Check an instance's fields, U by ``check_unitary``, and store its arrays."""
     _check_count("n", inst.n, 1, MAX_QUBITS)
-    if not isinstance(inst.control, ControlQubit):
-        raise ValueError(f"control must be a ControlQubit, got {brief(inst.control)}")
+    _check_type("control", inst.control, ControlQubit)
     dim = 2**inst.n
     u = check_unitary("unitary", inst.unitary, dim)
     if inst.system_state is None:
@@ -182,6 +190,7 @@ def general_final_control(
     :func:`final_control_closed`: it multiplies out V = CU (H (x) I) on the
     joint state rho_c (x) rho_n, at O(d^3) time and O(d^2) memory in the
     joint dimension 2d."""
+    _check_type("control", control, ControlQubit)
     rho_n = _check_density("rho_n", rho_n)
     dim = rho_n.shape[0]
     u = _check_unitary("u", u, dim)
@@ -203,6 +212,7 @@ def final_control_closed(
     t = Tr(U rho_n).  Valid for any control Bloch vector and register
     state; O(d^2) in the register dimension d after O(d^3) argument checks.
     """
+    _check_type("control", control, ControlQubit)
     rho_n = _check_density("rho_n", rho_n)
     return _closed_marginal(control, trace_overlap(_check_unitary("u", u, len(rho_n)), rho_n))
 
@@ -218,7 +228,8 @@ def _closed_marginal(control: ControlQubit, t: complex) -> np.ndarray:
 def linear_entropy_closed(p, t: complex) -> float:
     """Closed form of 1 - Tr(rho_f^2) for control Bloch vector ``p`` and
     register trace overlap ``t`` = Tr(U rho_n)."""
-    p1, p2, p3 = (float(x) for x in p)
+    p1, p2, p3 = _three_reals("p", p)
+    t = _check_complex("t", t)
     if not (_bloch_norm((p1, p2, p3)) <= 1.0 + TOL_CONSTRUCT and abs(t) <= 1.0 + TOL_CONSTRUCT):
         raise ValueError(f"p and t must have norm at most 1, got p={brief(p)}, t={brief(t)}")
     return 0.5 * (1.0 - p1 * p1 - (p2 * p2 + p3 * p3) * abs(t) ** 2)
@@ -258,8 +269,7 @@ def unitary_from_spec(spec: str, n: int, rng: SeededRng | None = None) -> np.nda
     and checks unitarity.
     """
     _check_count("n", n, 1, MAX_QUBITS)
-    if not isinstance(spec, str):
-        raise ValueError(f"spec must be a unitary spec string, got {brief(spec)}")
+    _check_type("spec", spec, str)
     dim = 2**n
     if spec == "haar":
         if rng is None:

@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .circuit import ControlQubit, _trusted_instance, unitary_from_spec
-from .entpower import entpower_alpha
+from .entpower import _entpower_alpha
 from .experiments import (
     _EXPERIMENTS,
     _FIELDS,
     ConfigError,
+    ExperimentConfig,
     check_rows,
     config_from_dict,
     config_payload,
@@ -50,18 +52,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--alpha", type=float, help="override the polarization")
     p_run.add_argument("--shots", help="override the shots grid (comma-separated)")
 
+    default = {f.name: f.default for f in fields(ExperimentConfig)}  # a config's defaults
     p_est = sub.add_parser("estimate-trace", help="finite-shot trace estimation")
     p_est.add_argument("--n", type=int, required=True)
-    p_est.add_argument("--alpha", type=float, default=1.0)
-    p_est.add_argument("--unitary", default="haar")
+    p_est.add_argument("--alpha", type=float, default=default["alpha"])
+    p_est.add_argument("--unitary", default=default["unitary"])
     p_est.add_argument("--shots", type=int, required=True)
-    p_est.add_argument("--seed", type=int, default=0)
+    p_est.add_argument("--seed", type=int, default=default["seed"])
 
     p_ep = sub.add_parser("entpower", help="closed-form entangling power")
     p_ep.add_argument("--n", type=int, required=True)
-    p_ep.add_argument("--alpha", type=float, default=1.0)
-    p_ep.add_argument("--unitary", default="haar")
-    p_ep.add_argument("--seed", type=int, default=0)
+    p_ep.add_argument("--alpha", type=float, default=default["alpha"])
+    p_ep.add_argument("--unitary", default=default["unitary"])
+    p_ep.add_argument("--seed", type=int, default=default["seed"])
 
     p_ver = sub.add_parser("verify", help="check a closed form against sampling", **given)
     p_ver.add_argument("target", choices=("theorem1", "theorem2", "theorem3"))
@@ -116,7 +119,7 @@ def _cmd_estimate_trace(args) -> int:
 def _cmd_entpower(args) -> int:
     u = unitary_from_spec(args.unitary, args.n, SeededRng(args.seed, 0))
     t = normalized_trace(u)
-    value = entpower_alpha(u, args.alpha)
+    value = _entpower_alpha(u, args.alpha)  # u is built, or checked by unitary_from_spec
     print(f"n={args.n} alpha={_F(args.alpha)} unitary={args.unitary}")
     print(f"normalized_trace re={_F(t.real)} im={_F(t.imag)} abs={_F(abs(t))}")
     print(f"entangling_power {_F(value)}")

@@ -25,7 +25,6 @@ which _EntpowerSearch prepares once for a brute-force search at every alpha.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +37,10 @@ from .linalg import (
     _as_array,
     _check_count,
     _check_density,
+    _check_real,
+    _check_type,
     _check_unitary,
     _eig_unitary,
-    brief,
     eig_hermitian,
     is_right_unitary,
     random_right_unitary,
@@ -89,14 +89,10 @@ class PureEnsemble:
 class BranchCoefficients:
     """Per-member amplitudes of a control-state decomposition pushed through
     the circuit: member j of the branch is x_j |0>|phi> + y_j |1>U|phi>
-    with weight r_j = |x_j|^2 + |y_j|^2."""
+    with weight |x_j|^2 + |y_j|^2."""
 
     xs: np.ndarray
     ys: np.ndarray
-
-    @property
-    def rs(self) -> np.ndarray:
-        return np.abs(self.xs) ** 2 + np.abs(self.ys) ** 2
 
 
 def entpower_standard(u: np.ndarray) -> float:
@@ -114,9 +110,13 @@ def _standard(u: np.ndarray) -> float:
 
 def entpower_alpha(u: np.ndarray, alpha: float) -> float:
     """Linear scaling of the closed form with z polarization alpha."""
-    if not (isinstance(alpha, numbers.Real) and 0.0 <= alpha <= 1.0):
-        raise ValueError(f"alpha must lie in [0, 1], got {brief(alpha)}")
-    return abs(alpha) * entpower_standard(u)  # alpha -0.0 passes, and gives +0.0
+    return _entpower_alpha(_check_unitary("u", u), alpha)
+
+
+def _entpower_alpha(u: np.ndarray, alpha: float) -> float:
+    """:func:`entpower_alpha` of a unitary the package built or checked; alpha is checked."""
+    _check_real("alpha", alpha, 0, 1)
+    return abs(alpha) * _standard(u)  # alpha -0.0 passes, and gives +0.0
 
 
 def fourier_ensemble(u: np.ndarray) -> PureEnsemble:
@@ -184,6 +184,7 @@ def branch_coefficients(control: ControlQubit, t_mat: np.ndarray) -> BranchCoeff
     be a stack of shape (..., 2, cols); the coefficients then carry the same
     leading axes.
     """
+    _check_type("control", control, ControlQubit)
     t_mat = _as_array("T", t_mat)
     if t_mat.ndim < 2 or t_mat.shape[-2] != 2:
         raise ValueError(f"T must have exactly 2 rows, got shape {t_mat.shape}")
@@ -211,6 +212,7 @@ def mixing_factor(coeffs: BranchCoefficients) -> float | np.ndarray:
     """sum_j 2 |x_j| |y_j|: the entanglement cost of a decomposition, per
     unit of branch entanglement.  Lies in [lambda gap, 1].  Sums over the
     last axis: a float for one decomposition, an array for a stack."""
+    _check_type("coeffs", coeffs, BranchCoefficients)
     total = np.sum(2.0 * np.abs(coeffs.xs) * np.abs(coeffs.ys), axis=-1)
     return float(total) if total.ndim == 0 else total
 
@@ -225,6 +227,7 @@ def lambda_factor(control: ControlQubit) -> float:
     eigenvalues ((sqrt(1 - p1^2) +- sqrt(p2^2 + p3^2)) / 2)^2.  The gap of
     their square roots is hypot(p2, p3).
     """
+    _check_type("control", control, ControlQubit)
     _, p2, p3 = control.bloch
     return math.hypot(p2, p3)
 
@@ -241,6 +244,7 @@ def analytic_min_T(control: ControlQubit) -> np.ndarray:
     equals M^(-1/2) Phi^+ V where M is invertible, and stays exactly unitary
     on a pure control, so nothing divides by sqrt(M).
     """
+    _check_type("control", control, ControlQubit)
     p1, p2, p3 = control.bloch
     perp = math.hypot(p2, p3)
     c = math.sqrt(max(p1 * p1, (1.0 - perp) * (1.0 + perp)))  # keeps |p1| <= c
@@ -280,10 +284,18 @@ def ensemble_average(inst: Dqc1Instance, ens: PureEnsemble) -> float:
     control's minimal mixing factor, the lambda gap (1 for a fully polarized
     control, whose branches are pure), for all members in one pass.
     """
+    _check_type("inst", inst, Dqc1Instance)
+    _check_type("ens", ens, PureEnsemble)
     gap = ens.density() - inst.system_state if len(ens.states) == inst.dim else np.inf
     if not np.max(np.abs(gap)) <= TOL_SPECTRAL:
         raise ValueError("ens does not realize the instance's register state")
-    return float(np.dot(ens.weights, lambda_factor(inst.control) * _member_branches(inst, ens)))
+    return _average(ens.weights, _member_branches(inst, ens), lambda_factor(inst.control))
+
+
+def _average(weights: np.ndarray, branch: np.ndarray, mix: float) -> float:
+    """Ensemble average of members' pure-branch values at lambda gap ``mix``:
+    :func:`ensemble_average` of an ensemble the package built of the register."""
+    return float(np.dot(weights, mix * branch))
 
 
 def _member_branches(inst: Dqc1Instance, ens: PureEnsemble) -> np.ndarray:
@@ -317,16 +329,6 @@ def _bounds(u: np.ndarray, rho_n: np.ndarray) -> tuple[float, float]:
     return lower, float(upper[0])
 
 
-def entpower_general_scaled(
-    control: ControlQubit, u: np.ndarray, rho_n: np.ndarray
-) -> tuple[float, float]:
-    """The bounds of :func:`entpower_bounds` scaled by the control's
-    lambda gap, valid for any control Bloch vector."""
-    factor = lambda_factor(control)
-    lower, upper = entpower_bounds(u, rho_n)
-    return factor * lower, factor * upper
-
-
 def _right_unitary_stacks(rows: int, cols: int, samples: int, rng: SeededRng, per_sample: int):
     """``samples`` calls of :func:`random_right_unitary` on ``rng``, bit for
     bit and in order, yielded in stacks of at most
@@ -351,6 +353,7 @@ def brute_force_min_mixing(
     result equals the lambda gap up to roundoff; set
     ``include_analytic=False`` to probe how close sampling alone gets.
     """
+    _check_type("control", control, ControlQubit)
     _check_count("samples", samples, 1)
     _check_count("cols", cols, 2)
     best = min(
@@ -407,8 +410,7 @@ class _EntpowerSearch:
     def __call__(self, mix: float, samples: int, rng: SeededRng) -> float:
         best = -np.inf
         if self.fourier is not None:
-            weights, branch = self.fourier
-            best = float(np.dot(weights, mix * branch))
+            best = _average(*self.fourier, mix)
         rank, dim = self.score.rank, self.dim
         for t_stack in _right_unitary_stacks(rank, 2 * dim, samples, rng, _draw_entries(dim)):
             best = max(best, float(self.score(t_stack, mix).max()))
@@ -426,5 +428,6 @@ def brute_force_entpower(inst: Dqc1Instance, samples: int, rng: SeededRng) -> fl
     bounded stacks by one :class:`_DrawScorer`, and the result equals a
     one-sample-at-a-time loop bit for bit.
     """
+    _check_type("inst", inst, Dqc1Instance)
     _check_count("samples", samples, 1)
     return _EntpowerSearch(inst)(lambda_factor(inst.control), samples, rng)

@@ -36,16 +36,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import MAX_QUBITS, ControlQubit, _trusted_instance, unitary_from_spec
+from .circuit import _ALPHA, MAX_QUBITS, ControlQubit, _trusted_instance, unitary_from_spec
 from .entpower import (
+    _average,
     _bounds,
     _DrawScorer,
     _EntpowerSearch,
     _draw_entries,
     _fourier_ensemble,
+    _member_branches,
     _standard,
     brute_force_min_mixing,
-    ensemble_average,
     lambda_factor,
 )
 from .linalg import (
@@ -54,6 +55,7 @@ from .linalg import (
     TOL_VERIFY,
     SeededRng,
     _check_density,
+    _is_real,
     is_integer,
     load_matrix,
     normalized_trace,
@@ -136,16 +138,11 @@ def _experiment(x) -> _Experiment:
     return _EXPERIMENTS[x]
 
 
-def _is_alpha(x) -> bool:
-    # compared before any float() conversion, which overflows on huge ints
-    return (is_integer(x) or isinstance(x, float)) and 0.0 < x <= 1.0
-
-
 #: Every config field after ``experiment``, in the order they are checked:
 #: a test of its value and the text the error expects.
 _FIELDS = {
     "n": (is_integer, "an integer"),
-    "alpha": (_is_alpha, "a number in (0, 1]"),
+    "alpha": (lambda x: _is_real(x, *_ALPHA), "a number in (0, 1]"),
     "unitary": (lambda x: isinstance(x, str) and x != "", "a spec string"),
     "rho": (
         lambda x: isinstance(x, str) and _rho(x) is not None,
@@ -157,7 +154,7 @@ _FIELDS = {
         f"a list of integers in [1, {MAX_SHOTS}]",
     ),
     "alphas": (
-        lambda x: isinstance(x, (list, tuple)) and len(x) > 0 and all(map(_is_alpha, x)),
+        lambda x: isinstance(x, (list, tuple)) and x and all(_is_real(a, *_ALPHA) for a in x),
         "a nonempty list of numbers in (0, 1]",
     ),
     "samples": (
@@ -319,10 +316,11 @@ def _setup_verify_theorem1(cfg):
 
 def _range_verify_theorem1(cfg, payload, lo, hi):
     inst, reference = payload["inst"], payload["reference"]
-    rows = []
+    mix, rows = lambda_factor(inst.control), []
     if lo == 0:
         try:
-            measured = ensemble_average(inst, _fourier_ensemble(inst.unitary))
+            ens = _fourier_ensemble(inst.unitary)
+            measured = _average(ens.weights, _member_branches(inst, ens), mix)
         except Exception as err:
             raise _failure(cfg, 0, 1, err) from err
         rows.append(("fourier", 0.0, measured, reference))
@@ -333,7 +331,7 @@ def _range_verify_theorem1(cfg, payload, lo, hi):
     # derived in one pass); the range is then scored as one stack, same bits.
     try:
         draws = random_right_unitary(inst.dim, 2 * inst.dim, SeededRng.streams(cfg.seed, first, hi))
-        measured = payload["score"](draws, lambda_factor(inst.control)).tolist()
+        measured = payload["score"](draws, mix).tolist()
     except Exception as err:
         raise _failure(cfg, first, hi, err) from err
     return rows + [("sample", float(i), m, reference) for i, m in zip(range(first, hi), measured)]

@@ -12,6 +12,7 @@ constructions, ``TOL_SPECTRAL`` for results of an eigensolve, and
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import reprlib
 from collections.abc import Sequence
@@ -145,6 +146,44 @@ def _check_count(name: str, x, lo: int, hi: int | None = None) -> None:
     if not (is_integer(x) and lo <= x and (hi is None or x <= hi)):
         want = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ValueError(f"{name} must be an integer {want}, got {brief(x)}")
+
+
+def _is_real(x, lo: float = -math.inf, hi: float = math.inf, ends: str = "[]") -> bool:
+    """``x`` is a real number, numpy's included, not a bool, finite, and in the
+    interval from lo to hi, its ends open or closed as ``ends`` marks: "(]" etc."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        return False
+    try:
+        x = float(x)  # compared as a float, not in a numpy type's own precision
+    except OverflowError:  # an int past the float range
+        return False
+    above = lo < x if ends[0] == "(" else lo <= x
+    return math.isfinite(x) and above and (x < hi if ends[1] == ")" else x <= hi)
+
+
+def _check_real(name: str, x, lo=-math.inf, hi=math.inf, ends="[]", want=None) -> None:
+    """:func:`_is_real`, or a ValueError that names ``x`` and says what it
+    must do: lie in the interval, or ``want`` if given."""
+    if not _is_real(x, lo, hi, ends):
+        want = want or f"lie in {ends[0]}{lo}, {hi}{ends[1]}"
+        raise ValueError(f"{name} must {want}, got {brief(x)}")
+
+
+def _check_complex(name: str, z) -> complex:
+    """``z`` as a complex: a number, numpy's included, not a bool, of finite modulus."""
+    try:
+        if isinstance(z, numbers.Complex) and not isinstance(z, bool) and math.isfinite(abs(complex(z))):
+            return complex(z)
+    except OverflowError:  # a part or the modulus past the float range
+        pass
+    raise ValueError(f"{name} must be a finite complex number, got {brief(z)}")
+
+
+def _check_type(name: str, x, cls: type) -> None:
+    """``x`` is an instance of ``cls``: the check of a public entry's object argument."""
+    if not isinstance(x, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{name} must be {article} {cls.__name__}, got {brief(x)}")
 
 
 def _as_array(name: str, x, dtype=np.complex128) -> np.ndarray:
@@ -314,6 +353,7 @@ def _phase_fixed_qr(rows: int, cols: int, rng, count=None) -> np.ndarray:
 def haar_unitary(dim: int, rng: SeededRng) -> np.ndarray:
     """Haar-distributed unitary: the phase-fixed QR of a complex Ginibre matrix."""
     _check_count("dim", dim, 1, MAX_KRON_DIM)
+    _check_type("rng", rng, SeededRng)
     return _phase_fixed_qr(dim, dim, rng)
 
 
@@ -321,6 +361,7 @@ def random_density(dim: int, rank: int, rng: SeededRng) -> np.ndarray:
     """Random density matrix of the given rank (Ginibre G: rho = GG^+/Tr)."""
     _check_count("dim", dim, 1, MAX_KRON_DIM)
     _check_count("rank", rank, 1, dim)
+    _check_type("rng", rng, SeededRng)
     g = _ginibre(dim, rank, rng)
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
@@ -345,6 +386,8 @@ def random_right_unitary(
     _check_count("rows", rows, 1, cols)
     if count is not None:
         _check_count("count", count, 1)
+    if not all(isinstance(r, SeededRng) for r in (rng if isinstance(rng, Sequence) else [rng])):
+        raise ValueError(f"rng must be a SeededRng or a sequence of them, got {brief(rng)}")
     return np.swapaxes(_phase_fixed_qr(cols, rows, rng, count), -1, -2)
 
 

@@ -20,13 +20,15 @@ tests compare this readout against.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import ControlQubit, Dqc1Instance, _closed_marginal
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, SeededRng, TOL_CONSTRUCT, _check_count, _check_matrix
+from .circuit import _ALPHA, ControlQubit, Dqc1Instance, _closed_marginal
+from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, SeededRng, TOL_CONSTRUCT, brief
+from .linalg import _check_complex, _check_count, _check_matrix, _check_real, _check_type
 
 _PAULI_AXIS = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
@@ -34,6 +36,9 @@ _PAULI_AXIS = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 #: estimator's ``2 * hits - shots`` are exact in float64, and far inside the
 #: C long range numpy's binomial sampler reads the count in.
 MAX_SHOTS = 10**15
+
+#: Largest error target whose square is finite.
+_MAX_EPS = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -72,8 +77,8 @@ class ErrorBudget:
 def expect_pauli(rho_f: np.ndarray, axis: str) -> float:
     """Real Pauli expectation Tr(rho_f sigma_axis) of a one-qubit state."""
     rho_f = _check_matrix("rho_f", rho_f, 2)
-    if axis not in _PAULI_AXIS:
-        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
+    if axis not in tuple(_PAULI_AXIS):  # a tuple: an unhashable axis is named too
+        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {brief(axis)}")
     val = np.trace(rho_f @ _PAULI_AXIS[axis])
     return float(val.real)
 
@@ -82,8 +87,8 @@ def sample_shots(p: float, shots: int, rng: SeededRng) -> int:
     """Number of +1 outcomes in ``shots`` Bernoulli trials with P(+1) = p,
     for an integer 1 <= shots <= :data:`MAX_SHOTS`."""
     _check_count("shots", shots, 1, MAX_SHOTS)
-    if not -TOL_CONSTRUCT <= p <= 1.0 + TOL_CONSTRUCT:  # NaN fails too
-        raise ValueError(f"probability p={p} outside [0, 1]")
+    _check_real("p", p, -TOL_CONSTRUCT, 1.0 + TOL_CONSTRUCT)
+    _check_type("rng", rng, SeededRng)
     p = min(1.0, max(0.0, p))
     return int(rng.gen.binomial(shots, p))
 
@@ -93,6 +98,7 @@ def readout_alpha(control: ControlQubit) -> float:
     would mix the quadratures, so it is rejected rather than approximated,
     and so is a polarization that leaves no signal or one too small to
     divide by (its reciprocal overflows)."""
+    _check_type("control", control, ControlQubit)
     p1, p2, p3 = control.bloch
     if p1 != 0.0 or p2 != 0.0:
         raise ValueError("trace estimation requires a z-polarized control")
@@ -110,6 +116,7 @@ def estimate_trace(inst: Dqc1Instance, shots: int, rng: SeededRng) -> TraceEstim
     maximally mixed register this estimates the normalized trace of U, read
     from the instance's kept t (:attr:`~dqc1.circuit.Dqc1Instance.overlap`).
     """
+    _check_type("inst", inst, Dqc1Instance)
     alpha = readout_alpha(inst.control)
     rho_f = _closed_marginal(inst.control, inst.overlap)
 
@@ -138,12 +145,10 @@ def estimate_trace(inst: Dqc1Instance, shots: int, rng: SeededRng) -> TraceEstim
 
 
 def error_budget(eps_x: float, eps_y: float, pe_x: float, pe_y: float) -> ErrorBudget:
-    for name, eps in (("eps_x", eps_x), ("eps_y", eps_y)):
-        if not (eps > 0.0 and eps * eps < math.inf):  # m divides by eps^2
-            raise ValueError(f"{name} must be positive with a finite square, got {eps}")
+    for name, eps in (("eps_x", eps_x), ("eps_y", eps_y)):  # m divides by eps^2
+        _check_real(name, eps, 0, _MAX_EPS, "(]", "be positive with a finite square")
     for name, pe in (("pe_x", pe_x), ("pe_y", pe_y)):
-        if not 0.0 < pe < 1.0:
-            raise ValueError(f"{name} must lie in (0, 1), got {pe}")
+        _check_real(name, pe, 0, 1, "()")
     return ErrorBudget(eps_x=eps_x, eps_y=eps_y, pe_x=pe_x, pe_y=pe_y)
 
 
@@ -155,11 +160,9 @@ def rounds_for_budget(budget: ErrorBudget, alpha: float, t: complex) -> float:
     two axes disagree beyond 1e-9 relative the larger count wins, also with
     a warning, since a consistent budget should tune them equal.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    t = complex(t)
-    if not np.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
+    _check_type("budget", budget, ErrorBudget)
+    _check_real("alpha", alpha, *_ALPHA)
+    t = _check_complex("t", t)
     candidates = []
     for label, eps, pe, quad in (
         ("x", budget.eps_x, budget.pe_x, t.real),
@@ -173,9 +176,14 @@ def rounds_for_budget(budget: ErrorBudget, alpha: float, t: complex) -> float:
                 stacklevel=2,
             )
             continue
-        candidates.append(math.log(1.0 / pe) / (alpha * eps * quad) ** 2)
+        try:
+            candidates.append(math.log(1.0 / pe) / (alpha * eps * quad) ** 2)
+        except ArithmeticError:  # the signal under- or overflows
+            candidates.append(math.inf)
+        if not candidates[-1] < math.inf:
+            raise ValueError(f"alpha * eps * quadrature leaves the float range on the {label} axis")
     if not candidates:
-        raise ValueError("both quadratures are zero; no rounds can be assigned")
+        raise ValueError("t has both quadratures zero; no rounds can be assigned")
     if len(candidates) == 2:
         lo, hi = sorted(candidates)
         if hi - lo > 1e-9 * hi:
@@ -191,12 +199,9 @@ def rounds_for_budget(budget: ErrorBudget, alpha: float, t: complex) -> float:
 def entpower_from_rounds(alpha: float, m: float, rounds: float) -> float:
     """Entangling power reachable at round count ``rounds`` under shot
     budget weight ``m``: sqrt(alpha^2 - m/rounds)."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if not 0.0 < rounds < math.inf:
-        raise ValueError(f"rounds must be positive and finite, got {rounds}")
-    if not 0.0 <= m < math.inf:
-        raise ValueError(f"m must be non-negative and finite, got {m}")
+    _check_real("alpha", alpha, *_ALPHA)
+    _check_real("rounds", rounds, 0, math.inf, "()")
+    _check_real("m", m, 0, math.inf, "[)")
     val = alpha**2 - m / rounds
     if val < -TOL_CONSTRUCT:
         raise ValueError(
@@ -204,10 +209,3 @@ def entpower_from_rounds(alpha: float, m: float, rounds: float) -> float:
         )
     return math.sqrt(max(0.0, val))
 
-
-def total_complexity(n: int, rounds: float) -> float:
-    """Gate-count proxy: register size times rounds."""
-    _check_count("n", n, 1)
-    if not 0.0 < rounds < math.inf:
-        raise ValueError(f"rounds must be positive and finite, got {rounds}")
-    return n * rounds

@@ -5,6 +5,8 @@ density matrix where one is expected."""
 
 import math
 import warnings
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from dqc1.circuit import (
 from dqc1.cli import main
 from dqc1.entpower import (
     PureEnsemble,
+    analytic_min_T,
     branch_coefficients,
     brute_force_entpower,
     brute_force_min_mixing,
@@ -33,6 +36,8 @@ from dqc1.entpower import (
     entpower_bounds,
     entpower_standard,
     fourier_ensemble,
+    lambda_factor,
+    mixing_factor,
 )
 from dqc1.experiments import ConfigError, ExperimentConfig
 from dqc1.linalg import (
@@ -54,18 +59,21 @@ from dqc1.linalg import (
     trace_overlap,
 )
 from dqc1.measurement import (
+    entpower_from_rounds,
     error_budget,
     estimate_trace,
     expect_pauli,
+    readout_alpha,
     rounds_for_budget,
     sample_shots,
-    total_complexity,
 )
 
 I2 = np.eye(2, dtype=np.complex128)
 NAN2 = np.full((2, 2), np.nan)
 PURE = ControlQubit.from_alpha(1.0)
 FOUR_STATES = PureEnsemble(np.full(4, 0.25), np.eye(4))  # an ensemble of I/4
+TWO_STATES = PureEnsemble(np.full(2, 0.5), np.eye(2))  # an ensemble of I/2
+BUDGET = error_budget(1, 1, 0.5, 0.5)
 
 
 # --- regressions: each returned a wrong number or failed inside numpy -------
@@ -83,8 +91,6 @@ FOUR_STATES = PureEnsemble(np.full(4, 0.25), np.eye(4))  # an ensemble of I/4
         ("t", lambda: rounds_for_budget(error_budget(1, 1, 0.5, 0.5), 1.0, complex(math.nan, 1))),
         ("p", lambda: linear_entropy_closed((2, 0, 0), 1)),  # returned -1.5
         ("p and t", lambda: linear_entropy_closed((0, 0, 1), 2)),
-        ("n", lambda: total_complexity(1.5, 2)),  # returned 3.0
-        ("n", lambda: total_complexity(True, 2)),  # returned 2
         ("target", lambda: decompose_from_T(NAN2, I2)),  # "ensemble is empty"
         ("rho_n", lambda: entpower_bounds(I2, math.nan)),  # "shape mismatch"
         ("rho_n", lambda: entpower_bounds(I2, NAN2)),  # "SVD did not converge"
@@ -111,6 +117,67 @@ FOUR_STATES = PureEnsemble(np.full(4, 0.25), np.eye(4))  # an ensemble of I/4
         # accepted: a string control, and a bool alpha as alpha 1.0
         pytest.param("control", lambda: Dqc1Instance(1, I2, control="x"), id="control-not-a-qubit"),
         pytest.param("alpha", lambda: ControlQubit.from_alpha(True), id="alpha-bool"),
+        # accepted: a bool where a real number belongs
+        pytest.param("p", lambda: sample_shots(True, 10, SeededRng(0)), id="p-bool-shots"),
+        pytest.param("eps_x", lambda: error_budget(True, 1, 0.5, 0.5), id="eps_x-bool"),
+        pytest.param("alpha", lambda: entpower_alpha(I2, True), id="alpha-bool-entpower"),
+        pytest.param("alpha", lambda: rounds_for_budget(BUDGET, True, 1 + 1j), id="alpha-bool-rounds"),
+        pytest.param("alpha", lambda: entpower_from_rounds(True, 1, 10), id="alpha-bool-from-rounds"),
+        pytest.param("m", lambda: entpower_from_rounds(1, True, 10), id="m-bool"),
+        pytest.param("rounds", lambda: entpower_from_rounds(1, 0, True), id="rounds-bool"),
+        pytest.param("t", lambda: rounds_for_budget(BUDGET, 1.0, True), id="t-bool-rounds"),
+        pytest.param("bloch", lambda: ControlQubit(bloch=(True, 0, 0)), id="bloch-bool"),
+        pytest.param("p", lambda: linear_entropy_closed((True, 0, 0), 0), id="p-bool-entropy"),
+        pytest.param("t", lambda: linear_entropy_closed((0, 0, 1), True), id="t-bool-entropy"),
+        # TypeErrors from a comparison or a conversion, naming no parameter
+        pytest.param("p", lambda: sample_shots("x", 10, SeededRng(0)), id="p-str-shots"),
+        pytest.param("eps_x", lambda: error_budget("x", 1, 0.5, 0.5), id="eps_x-str"),
+        pytest.param("pe_x", lambda: error_budget(1, 1, "x", 0.5), id="pe_x-str"),
+        pytest.param("alpha", lambda: rounds_for_budget(BUDGET, "x", 1 + 1j), id="alpha-str-rounds"),
+        pytest.param("alpha", lambda: entpower_from_rounds("x", 1, 10), id="alpha-str-from-rounds"),
+        pytest.param("m", lambda: entpower_from_rounds(1, "x", 10), id="m-str"),
+        pytest.param("rounds", lambda: entpower_from_rounds(1, 0, "x"), id="rounds-str"),
+        pytest.param("t", lambda: rounds_for_budget(BUDGET, 1.0, "x"), id="t-str-rounds"),
+        pytest.param("t", lambda: rounds_for_budget(BUDGET, 1.0, None), id="t-none-rounds"),
+        pytest.param("bloch", lambda: ControlQubit.from_bloch(5), id="bloch-not-iterable"),
+        pytest.param("bloch", lambda: ControlQubit.from_bloch(None), id="bloch-none"),
+        pytest.param("bloch", lambda: ControlQubit(bloch="abc"), id="bloch-str"),
+        pytest.param("p", lambda: linear_entropy_closed("ab", 1), id="p-str-entropy"),
+        pytest.param("p", lambda: linear_entropy_closed(5, 1), id="p-not-iterable-entropy"),
+        pytest.param("t", lambda: linear_entropy_closed((0, 0, 1), "x"), id="t-str-entropy"),
+        pytest.param("axis", lambda: expect_pauli(I2 / 2, ["x"]), id="axis-unhashable"),
+        # a tiny alpha: the round count overflowed to inf, or divided by zero
+        pytest.param("alpha", lambda: rounds_for_budget(BUDGET, 1e-160, 1 + 1j), id="alpha-tiny-inf"),
+        pytest.param("alpha", lambda: rounds_for_budget(BUDGET, 1e-320, 1 + 1j), id="alpha-tiny-zero"),
+        # objects: AttributeErrors and TypeErrors from deep inside
+        pytest.param("rng", lambda: sample_shots(0.5, 10, None), id="rng-shots"),
+        pytest.param("rng", lambda: estimate_trace(Dqc1Instance(1, I2, PURE), 10, None), id="rng-estimate"),
+        pytest.param("inst", lambda: estimate_trace("x", 10, SeededRng(0)), id="inst-estimate"),
+        pytest.param("budget", lambda: rounds_for_budget("x", 1.0, 1 + 1j), id="budget"),
+        pytest.param("inst", lambda: ensemble_average("x", TWO_STATES), id="inst-ensemble-average"),
+        pytest.param(
+            "ens", lambda: ensemble_average(Dqc1Instance(1, I2, PURE), "x"), id="ens-not-an-ensemble"
+        ),
+        pytest.param("rng", lambda: brute_force_min_mixing(PURE, 5, 4, None), id="rng-min-mixing"),
+        pytest.param(
+            "control", lambda: brute_force_min_mixing("x", 5, 4, SeededRng(0)), id="control-min-mixing"
+        ),
+        pytest.param("inst", lambda: brute_force_entpower("x", 5, SeededRng(0)), id="inst-search"),
+        pytest.param(
+            "rng", lambda: brute_force_entpower(Dqc1Instance(1, I2, PURE), 5, None), id="rng-search"
+        ),
+        pytest.param("control", lambda: branch_coefficients("x", np.eye(2)), id="control-branch"),
+        pytest.param("coeffs", lambda: mixing_factor("x"), id="coeffs"),
+        pytest.param("control", lambda: lambda_factor("x"), id="control-lambda"),
+        pytest.param("control", lambda: analytic_min_T("x"), id="control-analytic"),
+        pytest.param("control", lambda: general_final_control("x", I2 / 2, I2), id="control-dense"),
+        pytest.param("control", lambda: final_control_closed("x", I2 / 2, I2), id="control-closed"),
+        pytest.param("control", lambda: readout_alpha("x"), id="control-readout"),
+        pytest.param("rng", lambda: haar_unitary(2, None), id="rng-haar"),
+        pytest.param("rng", lambda: random_density(2, 1, None), id="rng-density"),
+        pytest.param("rng", lambda: random_right_unitary(1, 2, None), id="rng-right-unitary"),
+        pytest.param("rng", lambda: random_right_unitary(1, 2, [None]), id="rng-stream-list"),
+        pytest.param("rng", lambda: unitary_from_spec("haar", 1, "x"), id="rng-spec"),
     ],
 )
 def test_a_bad_argument_is_rejected_by_name(name, call):
@@ -164,6 +231,13 @@ def _close(a, b):
 
 def _entpower(u):
     return math.sqrt(max(0.0, 1.0 - abs(np.trace(u) / len(u)) ** 2))
+
+
+def _estimate(shots):
+    """estimate_trace at t = 1, with the stderr of a single shot, NaN by
+    design, set to 0 so that the rest of the result must be finite."""
+    est = estimate_trace(Dqc1Instance(1, I2, PURE), shots, SeededRng(1))
+    return est if est.shots_x > 1 else replace(est, stderr_x=0.0, stderr_y=0.0)
 
 
 #: Count parameters: (call with the value, check of a returned result, the
@@ -222,11 +296,10 @@ _COUNTS = {
         ("shots",),
     ),
     "estimate_trace shots": (  # t = 1: every x shot reads +1
-        lambda x: estimate_trace(Dqc1Instance(1, I2, PURE), x, SeededRng(1)),
+        lambda x: _estimate(x),
         lambda r, x: r.shots_x == r.shots_y == x and r.mean_x == 1.0,
         ("shots",),
     ),
-    "total_complexity n": (lambda x: total_complexity(x, 2.5), lambda r, x: r == 2.5 * x, ("n",)),
     "unitary_from_spec n": (
         lambda x: unitary_from_spec("identity", x),
         lambda r, x: np.array_equal(r, np.eye(2**x)),
@@ -249,7 +322,116 @@ _HOSTILE_COUNTS = st.one_of(
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(case=st.sampled_from(sorted(_COUNTS)), x=_HOSTILE_COUNTS)
 def test_a_count_is_taken_whole_or_rejected_by_name(case, x):
-    call, check, names = _COUNTS[case]
+    _taken_or_named(*_COUNTS[case], case, x)
+
+
+def _quietly(call, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return call(*args)
+
+
+def _near(a, b):
+    return abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+#: Real parameters, as :data:`_COUNTS`; a check also says when the value is
+#: valid, so that an invalid one returned fails.  Every other argument is valid.
+_REALS = {
+    "ControlQubit.from_alpha alpha": (
+        ControlQubit.from_alpha, lambda r, x: 0 < x <= 1 and r.bloch == (0, 0, float(x)), ("alpha",)
+    ),
+    "ControlQubit bloch": (
+        lambda x: ControlQubit((0.0, x, 0.0)),
+        lambda r, x: abs(x) <= 1 + 1e-12 and _near(r.bloch[1], x),
+        ("bloch",),
+    ),
+    "entpower_alpha alpha": (
+        lambda x: entpower_alpha(SIGMA_X, x), lambda r, x: 0 <= x <= 1 and r == abs(x), ("alpha",)
+    ),
+    "linear_entropy_closed p": (
+        lambda x: linear_entropy_closed((x, 0, 0), 0),
+        lambda r, x: abs(x) <= 1 + 1e-12 and _near(r, 0.5 * (1 - x * x)),
+        ("p",),
+    ),
+    "linear_entropy_closed t": (
+        lambda x: linear_entropy_closed((0, 0, 1), x),
+        lambda r, x: abs(x) <= 1 + 1e-12 and _near(r, 0.5 * (1 - abs(x) ** 2)),
+        ("t", "p and t"),
+    ),
+    "sample_shots p": (
+        lambda x: sample_shots(x, 10, SeededRng(1)),
+        lambda r, x: -1e-12 <= x <= 1 + 1e-12 and 0 <= r <= 10,
+        ("p",),
+    ),
+    "error_budget eps_x": (
+        lambda x: error_budget(x, 1, 0.5, 0.5), lambda r, x: x > 0 and r.eps_x == x, ("eps_x",)
+    ),
+    "error_budget eps_y": (
+        lambda x: error_budget(1, x, 0.5, 0.5), lambda r, x: x > 0 and r.eps_y == x, ("eps_y",)
+    ),
+    "error_budget pe_x": (
+        lambda x: error_budget(1, 1, x, 0.5), lambda r, x: 0 < x < 1 and r.pe_x == x, ("pe_x",)
+    ),
+    "error_budget pe_y": (
+        lambda x: error_budget(1, 1, 0.5, x), lambda r, x: 0 < x < 1 and r.pe_y == x, ("pe_y",)
+    ),
+    "rounds_for_budget alpha": (  # ln 2 / (alpha / 2)^2 on each axis
+        lambda x: rounds_for_budget(BUDGET, x, 0.5 + 0.5j),
+        lambda r, x: 0 < x <= 1 and _near(r, math.log(2) / (x * 0.5) ** 2),
+        ("alpha",),
+    ),
+    "rounds_for_budget t": (  # a quadrature of t that is zero drops its axis, with a warning
+        lambda x: _quietly(rounds_for_budget, BUDGET, 1.0, x),
+        lambda r, x: _near(r, max(math.log(2) / (q * q) for q in (x.real, x.imag) if q)),
+        ("t", "alpha"),
+    ),
+    "entpower_from_rounds alpha": (
+        lambda x: entpower_from_rounds(x, 0.0, 10.0), lambda r, x: 0 < x <= 1 and _near(r, x), ("alpha",)
+    ),
+    "entpower_from_rounds m": (
+        lambda x: entpower_from_rounds(1.0, x, 1e3),
+        lambda r, x: 0 <= x <= 1e3 and _near(r, math.sqrt(1 - x / 1e3)),
+        ("m", "budget"),
+    ),
+    "entpower_from_rounds rounds": (
+        lambda x: entpower_from_rounds(1.0, 1.0, x),
+        lambda r, x: x >= 1 and _near(r, math.sqrt(1 - 1 / x)),
+        ("rounds", "budget"),
+    ),
+    "ExperimentConfig alpha": (
+        lambda x: ExperimentConfig("verify-theorem2", 1, alpha=x),
+        lambda r, x: 0 < x <= 1 and r.alpha == float(x),
+        ("field 'alpha':",),
+    ),
+    "ExperimentConfig alphas": (
+        lambda x: ExperimentConfig("verify-theorem2", 1, alphas=[0.5, x]),
+        lambda r, x: 0 < x <= 1 and r.alphas == (0.5, float(x)),
+        ("field 'alphas':",),
+    ),
+}
+
+_HOSTILE_REALS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1.5, 1.5),
+    st.integers(-3, 3),
+    st.sampled_from(
+        [True, False, None, "0.5", "x", [0.5], 0.5j, complex(1.7e308, 1.7e308)]
+        + [-0.0, 1e-320, 1 + 1e-13, 1e200]
+        + [np.float64(0.5), np.float32(0.25), np.int64(1), Fraction(1, 3), 10**5000, -(10**5000)]
+    ),
+)
+
+
+@settings(max_examples=800, deadline=None, derandomize=True)
+@given(case=st.sampled_from(sorted(_REALS)), x=_HOSTILE_REALS)
+def test_a_real_is_taken_or_rejected_by_name(case, x):
+    _taken_or_named(*_REALS[case], case, x)
+
+
+def _taken_or_named(call, check, names, case, x):
+    """``call(x)`` either raises an error that starts with one of ``names``
+    or returns a finite result that passes ``check``."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")

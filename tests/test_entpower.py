@@ -32,7 +32,6 @@ from dqc1.entpower import (
     ensemble_average,
     entpower_alpha,
     entpower_bounds,
-    entpower_general_scaled,
     entpower_standard,
     fourier_ensemble,
     lambda_factor,
@@ -395,7 +394,8 @@ def test_branch_coefficients_weights_sum_to_one():
     for _ in range(10):
         ctl = ControlQubit.from_bloch(random_bloch(rng))
         t_mat = random_right_unitary(2, 4, rng)
-        assert abs(branch_coefficients(ctl, t_mat).rs.sum() - 1.0) < 1e-12
+        coeffs = branch_coefficients(ctl, t_mat)
+        assert abs(np.sum(np.abs(coeffs.xs) ** 2 + np.abs(coeffs.ys) ** 2) - 1.0) < 1e-12
 
 
 def test_branch_coefficients_and_mixing_factor_accept_a_stack():
@@ -827,20 +827,6 @@ def test_entpower_bounds_root_fidelity_on_pure_states_is_the_overlap_modulus():
             assert abs(root_fidelity(u, np.outer(psi, psi.conj())) - want) <= 1e-12
 
 
-def test_entpower_general_scaled():
-    rho = np.diag([0.9, 0.1]).astype(np.complex128)
-    base = entpower_bounds(SIGMA_X, rho)
-    lower, upper = entpower_general_scaled(
-        ControlQubit.from_alpha(0.5), SIGMA_X, rho
-    )
-    assert abs(lower - 0.5 * base[0]) < 1e-12
-    assert abs(upper - 0.5 * base[1]) < 1e-12
-    zero = entpower_general_scaled(
-        ControlQubit.from_bloch((0.0, 0.0, 0.0)), SIGMA_X, rho
-    )
-    assert zero == (0.0, 0.0)
-
-
 def test_brute_force_entpower_saturates_on_mixed_register():
     rng = SeededRng(181, 0)
     for n in (1, 2):
@@ -918,7 +904,7 @@ def test_brute_force_entpower_stacks_match_a_per_sample_loop(monkeypatch, n, ran
         got = brute_force_entpower(inst, samples=41, rng=SeededRng(271, n))
         want = _brute_force_entpower_one_sample_at_a_time(inst, 41, SeededRng(271, n))
         assert got == want
-        assert got <= entpower_general_scaled(control, u, rho)[1] + 1e-9
+        assert got <= lambda_factor(control) * entpower_bounds(u, rho)[1] + 1e-9
 
 
 @pytest.mark.parametrize("n", [2, 5])
@@ -1013,7 +999,7 @@ def test_branch_coefficients_container():
     coeffs = BranchCoefficients(
         xs=np.array([0.5, 0.5]), ys=np.array([0.5, -0.5])
     )
-    np.testing.assert_allclose(coeffs.rs, [0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(np.abs(coeffs.xs) ** 2 + np.abs(coeffs.ys) ** 2, [0.5, 0.5])
     assert abs(mixing_factor(coeffs) - 1.0) < 1e-15
 
 

@@ -327,6 +327,37 @@ def test_run_verify_theorem1_validates_the_unitary_once(monkeypatch, tmp_path):
         assert calls == {"is_unitary": checks}
 
 
+def test_run_verify_theorem1_scores_the_fourier_row_without_its_density(monkeypatch):
+    # the package built the Fourier ensemble of the register, so the sweep
+    # skips the O(d^3) check that it realizes it; the public average keeps it
+    calls = counted(monkeypatch, (dqc1.entpower.PureEnsemble, "density"))
+    rows = run_experiment(theorem1_config(samples=10, seed=7, workers=1))
+    assert calls == {"density": 0}
+    inst = Dqc1Instance(2, haar_unitary(4, SeededRng(7, 0)), ControlQubit.from_alpha(1.0))
+    assert ensemble_average(inst, fourier_ensemble(inst.unitary)) == rows[0].measured
+    assert calls == {"density": 1}
+
+
+@pytest.mark.parametrize(
+    "argv", [["entpower"], ["estimate-trace", "--shots", "10"]], ids=["entpower", "estimate-trace"]
+)
+def test_cli_validates_the_unitary_once(monkeypatch, tmp_path, argv):
+    # unitary_from_spec checks a file U once and builds the others unitary,
+    # so the command checks no unitarity after it
+    calls = counted(monkeypatch, (dqc1.linalg, "is_unitary"))
+    for unitary, checks in (("haar", 0), (file_unitary(tmp_path), 1)):
+        calls["is_unitary"] = 0
+        assert main([*argv, "--n", "2", "--unitary", unitary]) == 0
+        assert calls == {"is_unitary": checks}
+
+
+@pytest.mark.parametrize("argv", [["estimate-trace", "--shots", "1"], ["entpower"]])
+def test_cli_flag_defaults_are_the_config_defaults(argv):
+    args = dqc1.cli._build_parser().parse_args([*argv, "--n", "1"])
+    for key in ("alpha", "unitary", "seed"):
+        assert getattr(args, key) == ExperimentConfig.__dataclass_fields__[key].default
+
+
 def test_run_verify_theorem2_never_rechecks_its_draws(monkeypatch):
     # brute_force_min_mixing trusts its QR draws and analytic_min_T, which
     # the public branch_coefficients would each check
