@@ -61,20 +61,18 @@ class PureEnsemble:
         # C order: a column sum over an F-ordered array (as decompose_from_T
         # can return) takes other bits, so an average would hang on layout
         self.states = np.ascontiguousarray(_as_array("states", self.states))
-        if self.weights.ndim != 1 or self.states.ndim != 2:
-            raise ValueError("weights must be 1-D and states 2-D (columns)")
-        if self.states.shape[1] != self.weights.size:
-            raise ValueError(f"{self.states.shape[1]} states but {self.weights.size} weights")
-        if self.weights.size == 0:
-            raise ValueError("ensemble is empty: it needs at least one member")
+        if self.weights.ndim != 1 or self.weights.size == 0:
+            raise ValueError(f"weights must be 1-D and nonempty, got shape {self.weights.shape}")
+        if self.states.ndim != 2 or self.states.shape[1] != self.weights.size:
+            raise ValueError(f"states must be 2-D, a column per weight, got shape {self.states.shape}")
         if not self.weights.min() > 0.0:
-            raise ValueError("ensemble weights must be positive")
+            raise ValueError("weights must be positive")
         total = self.weights.sum()
         if not abs(total - 1.0) <= TOL_SPECTRAL:
             raise ValueError(f"weights sum to {total}, expected 1")
-        norms = np.linalg.norm(self.states, axis=0)
-        if not np.max(np.abs(norms - 1.0)) <= TOL_SPECTRAL:
-            raise ValueError("ensemble states must be normalized")
+        finite = np.isfinite(self.states).all()  # a norm of inf or nan would warn
+        if not (finite and np.max(np.abs(np.linalg.norm(self.states, axis=0) - 1.0)) <= TOL_SPECTRAL):
+            raise ValueError("states must be finite, normalized columns")
 
     @property
     def size(self) -> int:
@@ -329,14 +327,14 @@ def _bounds(u: np.ndarray, rho_n: np.ndarray) -> tuple[float, float]:
     return lower, float(upper[0])
 
 
-def _right_unitary_stacks(rows: int, cols: int, samples: int, rng: SeededRng, per_sample: int):
-    """``samples`` calls of :func:`random_right_unitary` on ``rng``, bit for
-    bit and in order, yielded in stacks of at most
-    ``MAX_STACK_ENTRIES // per_sample`` (at least one), where ``per_sample``
-    is the largest array entry count one sample adds."""
+def _right_unitary_stacks(rows: int, cols: int, lo: int, hi: int, streams, per_sample: int):
+    """Draws lo..hi-1 of :func:`random_right_unitary`, in order, in stacks of
+    at most ``MAX_STACK_ENTRIES // per_sample`` (at least one), ``per_sample``
+    the most array entries one draw adds: the one splitter of sampled stacks.
+    ``streams(a, b)`` lists the streams of draws a..b-1, called per stack."""
     step = max(1, MAX_STACK_ENTRIES // per_sample)
-    for lo in range(0, samples, step):
-        yield random_right_unitary(rows, cols, rng, min(step, samples - lo))
+    for a in range(lo, hi, step):
+        yield random_right_unitary(rows, cols, streams(a, min(a + step, hi)))
 
 
 def brute_force_min_mixing(
@@ -356,18 +354,11 @@ def brute_force_min_mixing(
     _check_type("control", control, ControlQubit)
     _check_count("samples", samples, 1)
     _check_count("cols", cols, 2)
-    best = min(
-        float(mixing_factor(_branch_coefficients(control, t_stack)).min())
-        for t_stack in _right_unitary_stacks(2, cols, samples, rng, 2 * cols)
-    )
+    stacks = _right_unitary_stacks(2, cols, 0, samples, lambda a, b: [rng] * (b - a), 2 * cols)
+    best = min(float(mixing_factor(_branch_coefficients(control, t)).min()) for t in stacks)
     if include_analytic:
         best = min(best, mixing_factor(_branch_coefficients(control, analytic_min_T(control))))
     return best
-
-
-def _draw_entries(dim: int) -> int:
-    """Entries a sampled decomposition adds per stacked array: d x 2d members, or U times them."""
-    return 2 * dim * dim
 
 
 class _DrawScorer:
@@ -394,6 +385,13 @@ class _DrawScorer:
         branch = _branch_entanglement(members, self.u_root @ t_stack, weights)
         return (weights[:, None, :] @ (mix * branch)[:, :, None])[:, 0, 0]
 
+    def scores(self, lo: int, hi: int, streams, mix: float):
+        """The averages of draws lo..hi-1 (:func:`_right_unitary_stacks`), an
+        array per stack; a draw adds d x 2d members, and U times them."""
+        dim = len(self.root)
+        for t_stack in _right_unitary_stacks(self.rank, 2 * dim, lo, hi, streams, 2 * dim * dim):
+            yield self(t_stack, mix)
+
 
 class _EntpowerSearch:
     """:func:`brute_force_entpower`'s alpha-free half, prepared once: the
@@ -402,19 +400,15 @@ class _EntpowerSearch:
     the instance's control, which is not read."""
 
     def __init__(self, inst: Dqc1Instance):
-        self.dim, self.score, self.fourier = inst.dim, _DrawScorer(inst), None
-        if np.max(np.abs(inst.system_state - np.eye(self.dim) / self.dim)) <= TOL_SPECTRAL:
+        self.score, self.fourier = _DrawScorer(inst), None
+        if np.max(np.abs(inst.system_state - np.eye(inst.dim) / inst.dim)) <= TOL_SPECTRAL:
             ens = _fourier_ensemble(inst.unitary)
             self.fourier = ens.weights, _member_branches(inst, ens)
 
     def __call__(self, mix: float, samples: int, rng: SeededRng) -> float:
-        best = -np.inf
-        if self.fourier is not None:
-            best = _average(*self.fourier, mix)
-        rank, dim = self.score.rank, self.dim
-        for t_stack in _right_unitary_stacks(rank, 2 * dim, samples, rng, _draw_entries(dim)):
-            best = max(best, float(self.score(t_stack, mix).max()))
-        return best
+        best = -np.inf if self.fourier is None else _average(*self.fourier, mix)
+        scores = self.score.scores(0, samples, lambda a, b: [rng] * (b - a), mix)
+        return max([best] + [float(s.max()) for s in scores])
 
 
 def brute_force_entpower(inst: Dqc1Instance, samples: int, rng: SeededRng) -> float:

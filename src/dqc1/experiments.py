@@ -15,7 +15,7 @@ config and seed no matter how many workers execute the sweep or in which
 order points finish.  A sweep evaluates its points in contiguous index
 ranges, one pool task each if ``workers`` asks for a pool, else serially;
 the output never depends on the ranges.  A ``verify-theorem1`` range draws
-each point from its own stream, then scores the range in one stacked pass.
+each point from its own stream, and scores its draws a bounded stack at a time.
 Each experiment is defined in one place, its record in ``_EXPERIMENTS``,
 which also holds the checks ``dqc1 verify`` applies to its rows.
 
@@ -30,7 +30,6 @@ import json
 import math
 import os
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -42,7 +41,6 @@ from .entpower import (
     _bounds,
     _DrawScorer,
     _EntpowerSearch,
-    _draw_entries,
     _fourier_ensemble,
     _member_branches,
     _standard,
@@ -50,7 +48,6 @@ from .entpower import (
     lambda_factor,
 )
 from .linalg import (
-    MAX_STACK_ENTRIES,
     TOL_CONSTRUCT,
     TOL_VERIFY,
     SeededRng,
@@ -60,7 +57,6 @@ from .linalg import (
     load_matrix,
     normalized_trace,
     random_density,
-    random_right_unitary,
     brief,
 )
 from .measurement import (
@@ -324,14 +320,11 @@ def _range_verify_theorem1(cfg, payload, lo, hi):
         except Exception as err:
             raise _failure(cfg, 0, 1, err) from err
         rows.append(("fourier", 0.0, measured, reference))
-    first = max(lo, 1)
-    if first == hi:
-        return rows
-    # Each point draws from its own stream exactly as it would alone (all
-    # derived in one pass); the range is then scored as one stack, same bits.
+    # Each point draws from its own stream exactly as it would alone, a
+    # stack's streams derived in one pass; each stack is scored at once, same bits.
+    first, streams = max(lo, 1), functools.partial(SeededRng.streams, cfg.seed)
     try:
-        draws = random_right_unitary(inst.dim, 2 * inst.dim, SeededRng.streams(cfg.seed, first, hi))
-        measured = payload["score"](draws, mix).tolist()
+        measured = [m for s in payload["score"].scores(first, hi, streams, mix) for m in s.tolist()]
     except Exception as err:
         raise _failure(cfg, first, hi, err) from err
     return rows + [("sample", float(i), m, reference) for i, m in zip(range(first, hi), measured)]
@@ -523,14 +516,11 @@ def _eval_point(args: tuple) -> list[tuple]:
     return _EXPERIMENTS[cfg.experiment].evaluate(cfg, payload, lo, hi)
 
 
-def _ranges(count: int, pool_size: int, n: int) -> list[tuple[int, int]]:
-    """Contiguous index ranges covering ``count`` points of an n-qubit
-    sweep: about four per worker, so each costs one round trip, and at most
-    :data:`~dqc1.linalg.MAX_STACK_ENTRIES` stacked entries each.  A
-    ``verify-theorem1`` point stacks one sampled decomposition, 2 d^2
-    entries per array (d = 2**n), so a range holds at most 2048 points at
-    n=1, 512 at n=2, 32 at n=4, 2 at n=6 and one from n=7 on."""
-    step = max(1, min(count // (4 * pool_size), MAX_STACK_ENTRIES // _draw_entries(2**n)))
+def _ranges(count: int, pool_size: int) -> list[tuple[int, int]]:
+    """Contiguous index ranges covering ``count`` points: about four per
+    worker, so each costs one round trip.  They only schedule work; how
+    many draws one stack holds is the sampling code's business."""
+    step = max(1, count // (4 * pool_size))
     return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
@@ -539,9 +529,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     count = _EXPERIMENTS[cfg.experiment].count(cfg)
     # a pool only on request, and never larger than the host: rows never depend on it
     pool_size = min(cfg.workers or 1, count, os.cpu_count() or 1)
-    tasks = [(cfg, lo, hi) for lo, hi in _ranges(count, pool_size, cfg.n)]
+    tasks = [(cfg, lo, hi) for lo, hi in _ranges(count, pool_size)]
     try:  # a pool's parent sets nothing up: each worker does, on its first task
         if pool_size > 1:
+            from concurrent.futures import ProcessPoolExecutor  # only a pooled sweep pays its import
             with ProcessPoolExecutor(pool_size) as pool:
                 outputs = list(pool.map(_eval_range, tasks))
         else:

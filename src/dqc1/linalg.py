@@ -11,6 +11,7 @@ constructions, ``TOL_SPECTRAL`` for results of an eigensolve, and
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -29,9 +30,9 @@ TOL_VERIFY = 1e-9
 #: draw (2**12, i.e. 12 qubits).
 MAX_KRON_DIM = 4096
 
-#: Most matrix entries one stacked pass holds in any of its arrays: every
-#: stack a sweep or a sampled search builds is split to stay under this, so
-#: a stack costs at most 256 KiB per complex array however large n gets.
+#: Most matrix entries one stack of sampled draws holds in any of its arrays:
+#: ``entpower._right_unitary_stacks`` splits every such stack to stay under
+#: this, so a stack costs at most 256 KiB per complex array however large n gets.
 MAX_STACK_ENTRIES = 2**14
 
 
@@ -187,11 +188,15 @@ def _check_type(name: str, x, cls: type) -> None:
 
 
 def _as_array(name: str, x, dtype=np.complex128) -> np.ndarray:
-    """``x`` as an array of ``dtype``, or a ValueError that names it."""
+    """``x`` as an array of ``dtype``, or a ValueError that names it; a real
+    ``dtype`` takes no complex ``x``, whose imaginary part it would drop."""
+    real = np.dtype(dtype).kind == "f"
     try:
+        if real and np.iscomplexobj(x):
+            raise TypeError
         return np.asarray(x, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{name} must be numeric, got {brief(x)}") from None
+        raise ValueError(f"{name} must be {'real' if real else 'numeric'}, got {brief(x)}") from None
 
 
 def _check_matrix(name: str, a, dim: int | None = None) -> np.ndarray:
@@ -278,7 +283,7 @@ def is_right_unitary(t: np.ndarray, tol: float = TOL_CONSTRUCT) -> bool:
         t = _as_array("t", t)
     except ValueError:
         return False
-    if t.ndim < 2 or t.shape[-2] > t.shape[-1]:
+    if t.ndim < 2 or t.shape[-2] > t.shape[-1] or not np.isfinite(t).all():
         return False
     gram = t @ np.swapaxes(t.conj(), -1, -2)
     err = np.max(np.abs(gram - np.eye(t.shape[-2])), initial=0.0)
@@ -324,28 +329,25 @@ def _eig_unitary(u: np.ndarray) -> Spectrum:
     return Spectrum(evals[order], evecs[:, order])
 
 
-def _ginibre(rows: int, cols: int, rng: SeededRng | Sequence[SeededRng], count=None):
-    """Complex Ginibre ``rows x cols`` block from one ``standard_normal``
-    draw of shape ``(2, rows, cols)``, real part first.  A ``count`` stacks
-    that many blocks from one stream in that one call, and a sequence of
-    streams a block per stream; each has the bits of a draw of its own."""
-    shape = (2, rows, cols) if count is None else (count, 2, rows, cols)
-    if isinstance(rng, SeededRng):
-        h = rng.gen.standard_normal(shape)
-    else:
-        h = np.empty((len(rng), *shape))
-        for r, block in zip(rng, h):
-            r.gen.standard_normal(out=block)
-    g = np.empty(h.shape[:-3] + (rows, cols), dtype=np.complex128)
-    g.real, g.imag = h[..., 0, :, :], h[..., 1, :, :]
+def _ginibre(rows: int, cols: int, streams: Sequence[SeededRng]) -> np.ndarray:
+    """A stack of complex Ginibre ``rows x cols`` blocks, one per stream in
+    list order, each one ``standard_normal`` draw of shape ``(2, rows, cols)``,
+    real part first: a stream listed k times gives one ``(k, 2, rows, cols)`` draw."""
+    h, lo = np.empty((len(streams), 2, rows, cols)), 0
+    for rng, run in itertools.groupby(streams):  # a run of one stream in one call, same bits
+        k = len(list(run))
+        rng.gen.standard_normal(out=h[lo : lo + k])
+        lo += k
+    g = np.empty((len(streams), rows, cols), dtype=np.complex128)
+    g.real, g.imag = h[:, 0], h[:, 1]
     return g
 
 
-def _phase_fixed_qr(rows: int, cols: int, rng, count=None) -> np.ndarray:
-    """Q factor of the QR of a complex Ginibre matrix (:func:`_ginibre`),
-    with the phases of R's diagonal moved into Q so that Q's distribution is
-    Haar rather than QR-convention biased; one stacked QR serves a stack."""
-    q, r = np.linalg.qr(_ginibre(rows, cols, rng, count))
+def _phase_fixed_qr(rows: int, cols: int, streams: Sequence[SeededRng]) -> np.ndarray:
+    """Q factors of one stacked QR of :func:`_ginibre` blocks, the phases of
+    each R's diagonal moved into its Q so that Q is Haar rather than
+    QR-convention biased; each Q has the bits of a stack of one."""
+    q, r = np.linalg.qr(_ginibre(rows, cols, streams))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
 
@@ -354,7 +356,7 @@ def haar_unitary(dim: int, rng: SeededRng) -> np.ndarray:
     """Haar-distributed unitary: the phase-fixed QR of a complex Ginibre matrix."""
     _check_count("dim", dim, 1, MAX_KRON_DIM)
     _check_type("rng", rng, SeededRng)
-    return _phase_fixed_qr(dim, dim, rng)
+    return _phase_fixed_qr(dim, dim, [rng])[0]
 
 
 def random_density(dim: int, rank: int, rng: SeededRng) -> np.ndarray:
@@ -362,14 +364,12 @@ def random_density(dim: int, rank: int, rng: SeededRng) -> np.ndarray:
     _check_count("dim", dim, 1, MAX_KRON_DIM)
     _check_count("rank", rank, 1, dim)
     _check_type("rng", rng, SeededRng)
-    g = _ginibre(dim, rank, rng)
+    g = _ginibre(dim, rank, [rng])[0]
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
 
-def random_right_unitary(
-    rows: int, cols: int, rng: SeededRng | Sequence[SeededRng], count: int | None = None
-) -> np.ndarray:
+def random_right_unitary(rows: int, cols: int, rng: SeededRng | Sequence[SeededRng]) -> np.ndarray:
     """Haar-random ``rows x cols`` matrix with orthonormal rows (a point of
     the complex Stiefel manifold): the transpose of the phase-fixed thin QR
     of a ``cols x rows`` Ginibre block.
@@ -379,16 +379,17 @@ def random_right_unitary(
     columns of a Haar unitary of size ``cols`` (Mezzadri, "How to generate
     random matrices from the classical compact groups", math-ph/0609050),
     at O(cols rows^2) cost and with ``rows * cols`` complex normals per draw.
-    A ``count`` stacks that many draws from ``rng`` in turn, and a sequence
-    of streams one draw per stream; each has the bits of a call of its own.
+    A nonempty sequence of streams stacks one draw per entry, in order, each
+    with the bits of a call of its own; ``[rng] * k`` gives k draws in turn.
     """
     _check_count("cols", cols, 1, MAX_KRON_DIM)
     _check_count("rows", rows, 1, cols)
-    if count is not None:
-        _check_count("count", count, 1)
-    if not all(isinstance(r, SeededRng) for r in (rng if isinstance(rng, Sequence) else [rng])):
-        raise ValueError(f"rng must be a SeededRng or a sequence of them, got {brief(rng)}")
-    return np.swapaxes(_phase_fixed_qr(cols, rows, rng, count), -1, -2)
+    streams = [rng] if isinstance(rng, SeededRng) else rng
+    listed = isinstance(streams, Sequence) and len(streams) > 0
+    if not (listed and all(map(isinstance, streams, itertools.repeat(SeededRng)))):  # at C speed
+        raise ValueError(f"rng must be a SeededRng or a nonempty list of them, got {brief(rng)}")
+    t_stack = np.swapaxes(_phase_fixed_qr(cols, rows, streams), -1, -2)
+    return t_stack if streams is rng else t_stack[0]
 
 
 def matrix_to_json(a: np.ndarray) -> dict:

@@ -68,10 +68,13 @@ class ErrorBudget:
     @property
     def m(self) -> float:
         """Shot-count weight ln(1/pe_x)/eps_x^2 + ln(1/pe_y)/eps_y^2."""
-        return (
-            math.log(1.0 / self.pe_x) / self.eps_x**2
-            + math.log(1.0 / self.pe_y) / self.eps_y**2
-        )
+        return _weight(self.eps_x, self.pe_x) + _weight(self.eps_y, self.pe_y)
+
+
+def _weight(eps, pe) -> float:
+    """One axis's term ln(1/pe)/eps^2 of the weight m, in floats; inf where eps^2 underflows."""
+    square = float(eps) ** 2
+    return math.log(1.0 / float(pe)) / square if square else math.inf
 
 
 def expect_pauli(rho_f: np.ndarray, axis: str) -> float:
@@ -145,11 +148,18 @@ def estimate_trace(inst: Dqc1Instance, shots: int, rng: SeededRng) -> TraceEstim
 
 
 def error_budget(eps_x: float, eps_y: float, pe_x: float, pe_y: float) -> ErrorBudget:
+    """A checked :class:`ErrorBudget`, its weight ``m`` finite; an error names the field at fault."""
     for name, eps in (("eps_x", eps_x), ("eps_y", eps_y)):  # m divides by eps^2
         _check_real(name, eps, 0, _MAX_EPS, "(]", "be positive with a finite square")
     for name, pe in (("pe_x", pe_x), ("pe_y", pe_y)):
         _check_real(name, pe, 0, 1, "()")
-    return ErrorBudget(eps_x=eps_x, eps_y=eps_y, pe_x=pe_x, pe_y=pe_y)
+        if math.isinf(math.log(1.0 / float(pe))):
+            raise ValueError(f"{name} must leave ln(1/{name}) finite, got {brief(pe)}")
+    budget = ErrorBudget(eps_x=eps_x, eps_y=eps_y, pe_x=pe_x, pe_y=pe_y)
+    if math.isinf(budget.m):  # the eps of the larger term is at fault
+        name = "eps_x" if _weight(eps_x, pe_x) >= _weight(eps_y, pe_y) else "eps_y"
+        raise ValueError(f"{name} must leave the weight m finite, got {brief(getattr(budget, name))}")
+    return budget
 
 
 def rounds_for_budget(budget: ErrorBudget, alpha: float, t: complex) -> float:

@@ -39,7 +39,7 @@ from dqc1.entpower import (
     lambda_factor,
     mixing_factor,
 )
-from dqc1.experiments import ConfigError, ExperimentConfig
+from dqc1.experiments import ConfigError, ExperimentConfig, run_experiment
 from dqc1.linalg import (
     HADAMARD,
     SIGMA_X,
@@ -146,6 +146,14 @@ BUDGET = error_budget(1, 1, 0.5, 0.5)
         pytest.param("p", lambda: linear_entropy_closed(5, 1), id="p-not-iterable-entropy"),
         pytest.param("t", lambda: linear_entropy_closed((0, 0, 1), "x"), id="t-str-entropy"),
         pytest.param("axis", lambda: expect_pauli(I2 / 2, ["x"]), id="axis-unhashable"),
+        # m divided by an eps^2 that underflows, or took ln of an overflowed 1/pe
+        pytest.param("eps_x", lambda: error_budget(1e-200, 1, 0.5, 0.5), id="eps_x-square-zero"),
+        pytest.param("eps_y", lambda: error_budget(1, 1e-200, 0.5, 0.5), id="eps_y-square-zero"),
+        pytest.param("pe_x", lambda: error_budget(1, 1, 1e-320, 0.5), id="pe_x-inverse-inf"),
+        pytest.param("pe_y", lambda: error_budget(1, 1, 0.5, 1e-320), id="pe_y-inverse-inf"),
+        # each term of m finite, their sum not: the larger term's eps is named
+        pytest.param("eps_x", lambda: error_budget(1.2e-154, 1.3e-154, 0.1, 0.1), id="eps_x-sum"),
+        pytest.param("eps_y", lambda: error_budget(1, 1e-160, 0.5, 0.5), id="eps_y-term"),
         # a tiny alpha: the round count overflowed to inf, or divided by zero
         pytest.param("alpha", lambda: rounds_for_budget(BUDGET, 1e-160, 1 + 1j), id="alpha-tiny-inf"),
         pytest.param("alpha", lambda: rounds_for_budget(BUDGET, 1e-320, 1 + 1j), id="alpha-tiny-zero"),
@@ -177,12 +185,33 @@ BUDGET = error_budget(1, 1, 0.5, 0.5)
         pytest.param("rng", lambda: random_density(2, 1, None), id="rng-density"),
         pytest.param("rng", lambda: random_right_unitary(1, 2, None), id="rng-right-unitary"),
         pytest.param("rng", lambda: random_right_unitary(1, 2, [None]), id="rng-stream-list"),
+        # returned a (0, 1, 2) stack
+        pytest.param("rng", lambda: random_right_unitary(1, 2, []), id="rng-empty-stream-list"),
         pytest.param("rng", lambda: unitary_from_spec("haar", 1, "x"), id="rng-spec"),
+        # a real array dropped the imaginary part of a complex one, with a ComplexWarning
+        pytest.param("weights", lambda: PureEnsemble(np.array([0.5, 0.5 + 0.1j]), I2), id="weights-complex"),
+        pytest.param("phases", lambda: diag_phase_unitary(np.array([0.0, 1j])), id="phases-complex"),
     ],
 )
 def test_a_bad_argument_is_rejected_by_name(name, call):
     with pytest.raises(ValueError, match=f"^{name} "):
         call()
+
+
+@pytest.mark.parametrize(
+    "name,call",
+    [
+        ("states", lambda: PureEnsemble(np.full(2, 0.5), np.full((2, 2), np.inf))),
+        ("T", lambda: branch_coefficients(PURE, np.full((2, 2), np.inf))),
+        ("T", lambda: decompose_from_T(I2 / 2, np.full((2, 2), np.inf))),
+    ],
+)
+def test_a_non_finite_array_is_rejected_before_numpy_warns(name, call):
+    # a norm or a Gram product of inf entries warned "invalid value" first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} "):
+            call()
 
 
 def test_is_unitary_of_an_empty_matrix_is_false():
@@ -269,11 +298,6 @@ _COUNTS = {
         lambda x: random_right_unitary(2, x, SeededRng(1)),
         lambda r, x: r.shape == (2, x) and is_right_unitary(r),
         ("cols", "rows"),
-    ),
-    "random_right_unitary count": (
-        lambda x: random_right_unitary(1, 3, SeededRng(1), x),
-        lambda r, x: r.shape == ((1, 3) if x is None else (x, 1, 3)) and is_right_unitary(r),
-        ("count",),
     ),
     "brute_force_min_mixing samples": (
         lambda x: brute_force_min_mixing(ControlQubit.from_alpha(0.5), x, 4, SeededRng(1)),
@@ -365,16 +389,24 @@ _REALS = {
         ("p",),
     ),
     "error_budget eps_x": (
-        lambda x: error_budget(x, 1, 0.5, 0.5), lambda r, x: x > 0 and r.eps_x == x, ("eps_x",)
+        lambda x: error_budget(x, 1, 0.5, 0.5),
+        lambda r, x: x > 0 and r.eps_x == x and math.isfinite(r.m),
+        ("eps_x",),
     ),
     "error_budget eps_y": (
-        lambda x: error_budget(1, x, 0.5, 0.5), lambda r, x: x > 0 and r.eps_y == x, ("eps_y",)
+        lambda x: error_budget(1, x, 0.5, 0.5),
+        lambda r, x: x > 0 and r.eps_y == x and math.isfinite(r.m),
+        ("eps_y",),
     ),
     "error_budget pe_x": (
-        lambda x: error_budget(1, 1, x, 0.5), lambda r, x: 0 < x < 1 and r.pe_x == x, ("pe_x",)
+        lambda x: error_budget(1, 1, x, 0.5),
+        lambda r, x: 0 < x < 1 and r.pe_x == x and math.isfinite(r.m),
+        ("pe_x",),
     ),
     "error_budget pe_y": (
-        lambda x: error_budget(1, 1, 0.5, x), lambda r, x: 0 < x < 1 and r.pe_y == x, ("pe_y",)
+        lambda x: error_budget(1, 1, 0.5, x),
+        lambda r, x: 0 < x < 1 and r.pe_y == x and math.isfinite(r.m),
+        ("pe_y",),
     ),
     "rounds_for_budget alpha": (  # ln 2 / (alpha / 2)^2 on each axis
         lambda x: rounds_for_budget(BUDGET, x, 0.5 + 0.5j),
@@ -607,3 +639,128 @@ def test_a_matrix_is_checked_or_rejected_by_name(case, a):
     a = np.asarray(a, dtype=np.complex128)
     assert a.ndim == 2 and a.shape[0] == a.shape[1] > 0 and valid(a), (case, a, result)
     assert _finite(result) and check(result, a), (case, a, result)
+
+
+# --- the property: hostile arrays, stream lists and spec strings ----------------
+
+
+def _spec_rows(experiment, field, x):
+    """A two-sample sweep with ``field`` set to ``x``, run in process."""
+    return run_experiment(ExperimentConfig(experiment, 1, samples=2, seed=1, **{field: x}))
+
+
+def _within_closed_forms(rows):
+    """Every row of a verify sweep passes its ``dqc1 verify`` check."""
+    return all(
+        r.measured <= r.reference + 1e-9 if r.param_name == "sample" else r.deviation <= 1e-9
+        for r in rows
+    )
+
+
+_STREAMS = [SeededRng(1), SeededRng(2, 3)]
+_HOSTILE_ARRAYS = st.one_of(
+    _HOSTILE_MATRICES,
+    arrays(
+        np.complex128,
+        st.sampled_from([(2,), (3,), (0,), (2, 4), (1, 2, 4), (0, 2, 4), (3, 2, 3)]),
+        elements=_ENTRIES,
+    ),
+    arrays(np.float64, st.sampled_from([(1,), (2,), (3,)]), elements=st.floats(-1.0, 2.0)),
+    st.sampled_from(
+        [
+            [0.5, 0.5],
+            [0.25, 0.75],
+            np.array([0.5, 0.5 + 1e-3j]),  # a real parameter would drop the imaginary part
+            [0.5, 0.5 + 0j],
+            [0.5, -0.5],
+            [1.0, 0.0],
+            [0.5, math.inf],
+            [[0.5, 0.5]],
+            np.eye(2, 4),
+            np.eye(2, 4)[::-1],
+            random_right_unitary(2, 4, SeededRng(3)),
+            random_right_unitary(2, 3, [SeededRng(3)] * 3),
+            np.zeros((0, 2, 4)),
+            np.ones((2, 0)),
+        ]
+    ),
+)
+_HOSTILE_STREAM_LISTS = st.one_of(
+    st.lists(st.sampled_from(_STREAMS), max_size=4),
+    st.lists(st.sampled_from(_STREAMS + [None, 1, "x", 1.5]), min_size=1, max_size=3),
+    st.sampled_from(
+        [_STREAMS[0], tuple(_STREAMS), (), "ab", b"ab", range(2), None, 0, set(_STREAMS[:1])]
+        + [np.array(_STREAMS[:1]), iter(_STREAMS), {0: _STREAMS[0]}]
+    ),
+)
+_HOSTILE_SPECS = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(
+        ["haar", "identity", "pauli:X", "pauli:", "pauli:XY", "pauli:Q", "HAAR", " haar"]
+        + ["diag-phase:0,1", "diag-phase:0", "diag-phase:nan,0", "diag-phase:1e400,0"]
+        + ["diag-phase:0,,1", "diag-phase:a,b", "diag-phase:1e300,0", "file:", "file:/nonexistent"]
+        + ["file:" + "x" * 5000, "maximally-mixed", "random", "random:1", "random:2", "random:3"]
+        + ["random:0", "random:-1", "random:1.5", "random:", "random:١", "random:" + "9" * 5000]
+        + [None, 5, ["haar"], b"haar", True]
+    ),
+)
+
+#: Parameters that take an array, a stream list or a spec string, as
+#: :data:`_COUNTS` with the strategy of their hostile values last.  The other
+#: arguments are valid.
+_SHAPED = {
+    "PureEnsemble weights": (
+        lambda x: PureEnsemble(x, I2),
+        lambda r, x: np.array_equal(r.weights, np.asarray(x, np.float64))
+        and r.weights.min() > 0
+        and _close(r.density(), np.diag(r.weights)),
+        ("weights", "states"),
+        _HOSTILE_ARRAYS,
+    ),
+    "PureEnsemble states": (
+        lambda x: PureEnsemble(np.full(2, 0.5), x),
+        lambda r, x: r.states.shape[1] == 2 and _close(np.linalg.norm(r.states, axis=0), 1.0),
+        ("states",),
+        _HOSTILE_ARRAYS,
+    ),
+    "branch_coefficients T": (
+        lambda x: branch_coefficients(PURE, x),
+        lambda r, x: is_right_unitary(x, 1e-10)
+        and _close(np.sum(np.abs(r.xs) ** 2 + np.abs(r.ys) ** 2, axis=-1), 1.0),
+        ("T",),
+        _HOSTILE_ARRAYS,
+    ),
+    "decompose_from_T T": (
+        lambda x: decompose_from_T(I2 / 2, x),
+        lambda r, x: _close(r.density(), I2 / 2),
+        ("T",),
+        _HOSTILE_ARRAYS,
+    ),
+    "random_right_unitary rng": (
+        lambda x: random_right_unitary(1, 2, x),
+        lambda r, x: r.shape == ((1, 2) if isinstance(x, SeededRng) else (len(x), 1, 2))
+        and is_right_unitary(r),
+        ("rng",),
+        _HOSTILE_STREAM_LISTS,
+    ),
+    "ExperimentConfig unitary": (
+        lambda x: _spec_rows("verify-theorem1", "unitary", x),
+        lambda r, x: [row.param_name for row in r] == ["fourier", "sample", "sample"]
+        and _within_closed_forms(r),
+        ("field 'unitary':",),
+        _HOSTILE_SPECS,
+    ),
+    "ExperimentConfig rho": (
+        lambda x: _spec_rows("verify-theorem3", "rho", x),
+        lambda r, x: len(r) == 5 and _within_closed_forms(r),
+        ("field 'rho':",),
+        _HOSTILE_SPECS,
+    ),
+}
+
+
+@settings(max_examples=700, deadline=None, derandomize=True)
+@given(case_x=st.sampled_from(sorted(_SHAPED)).flatmap(lambda c: st.tuples(st.just(c), _SHAPED[c][3])))
+def test_an_array_stream_list_or_spec_is_taken_or_rejected_by_name(case_x):
+    case, x = case_x
+    _taken_or_named(*_SHAPED[case][:3], case, x)

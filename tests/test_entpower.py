@@ -215,7 +215,7 @@ def test_closed_forms_on_clustered_spectra_match_a_float_only_oracle(n, gap, see
     assert abs(entpower_bounds(u, rho)[1] - oracle(p)) <= 1e-14
     inst = Dqc1Instance(n=n, unitary=u, control=ControlQubit.from_alpha(1.0))
     assert abs(ensemble_average(inst, fourier_ensemble(u)) - standard) <= 1e-14
-    sampled = _DrawScorer(inst)(random_right_unitary(dim, 2 * dim, rng, 3), 1.0)
+    sampled = _DrawScorer(inst)(random_right_unitary(dim, 2 * dim, [rng] * 3), 1.0)
     assert np.all(sampled <= standard + TOL_VERIFY)
 
 
@@ -245,7 +245,7 @@ def test_pure_ensemble_validation():
         PureEnsemble(weights=[1.0, 0.0], states=states)
     with pytest.raises(ValueError, match="normalized"):
         PureEnsemble(weights=[0.5, 0.5], states=2.0 * states)
-    with pytest.raises(ValueError, match="states but"):
+    with pytest.raises(ValueError, match="a column per weight"):
         PureEnsemble(weights=[1.0], states=states)
     with pytest.raises(ValueError, match="1-D"):  # one ensemble, not a stack of them
         PureEnsemble(weights=np.full((3, 2), 0.5), states=np.stack([states] * 3))
@@ -401,7 +401,7 @@ def test_branch_coefficients_weights_sum_to_one():
 def test_branch_coefficients_and_mixing_factor_accept_a_stack():
     rng = SeededRng(223, 0)
     ctl = ControlQubit.from_bloch((0.2, -0.5, 0.6))
-    stack = random_right_unitary(2, 4, rng, 6)
+    stack = random_right_unitary(2, 4, [rng] * 6)
     coeffs = branch_coefficients(ctl, stack)
     mixes = mixing_factor(coeffs)
     assert coeffs.xs.shape == (6, 4) and mixes.shape == (6,)
@@ -984,7 +984,7 @@ def test_scored_draws_match_ensemble_average(n, full_rank, control, k, seed):
     u = haar_unitary(dim, rng)
     inst = Dqc1Instance(n=n, unitary=u, control=control, system_state=rho)
     score, mix = _DrawScorer(inst), lambda_factor(control)
-    t_stack = random_right_unitary(score.rank, 2 * dim, rng, k)
+    t_stack = random_right_unitary(score.rank, 2 * dim, [rng] * k)
     members = score.root @ t_stack
     realized = members @ np.swapaxes(members.conj(), -1, -2)
     assert np.max(np.abs(realized - rho)) <= TOL_SPECTRAL

@@ -1,6 +1,7 @@
 """Tests for the experiment runner: config validation, sweep determinism,
 result I/O, and the command-line front end."""
 
+import concurrent.futures
 import contextlib
 import importlib
 import importlib.util
@@ -10,6 +11,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import tempfile
 from dataclasses import asdict, replace
@@ -29,7 +31,6 @@ from dqc1.circuit import MAX_QUBITS, ControlQubit, Dqc1Instance, unitary_from_sp
 from dqc1.cli import main
 from dqc1.entpower import (
     _DrawScorer,
-    _draw_entries,
     ensemble_average,
     entpower_bounds,
     entpower_standard,
@@ -39,7 +40,6 @@ from dqc1.experiments import (
     DEFAULT_ALPHAS,
     EXPERIMENTS,
     MAX_SAMPLES,
-    MAX_STACK_ENTRIES,
     ConfigError,
     ExperimentConfig,
     ResultRow,
@@ -50,6 +50,7 @@ from dqc1.experiments import (
     write_results,
 )
 from dqc1.linalg import (
+    MAX_STACK_ENTRIES,
     SIGMA_X,
     SeededRng,
     haar_unitary,
@@ -407,7 +408,7 @@ def per_point_theorem1_rows(cfg):
 @pytest.mark.parametrize("unitary", ["haar", "identity"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_run_verify_theorem1_stacked_ranges_match_per_point_oracle(n, unitary, seed):
-    # 71 or 41 points go out in ranges of 17 or 10, and of 8 at n=5
+    # 71 or 41 points go out in ranges of 17 or 10, scored in stacks of 8 at n=5
     cfg = theorem1_config(n=n, unitary=unitary, seed=seed, samples=70 if n <= 3 else 40, workers=1)
     assert run_experiment(cfg) == per_point_theorem1_rows(cfg)
 
@@ -428,30 +429,48 @@ def test_run_verify_theorem1_uneven_ranges_do_not_change_results(samples):
 @pytest.mark.parametrize(
     "n,step", [(1, 500), (2, 500), (3, 128), (4, 32), (5, 8), (6, 2), (7, 1), (MAX_QUBITS, 1)]
 )
-def test_ranges_bound_the_entries_a_range_stacks(n, step):
-    # a point stacks d x 2d arrays, d = 2**n; from n=3 on the entry bound,
-    # not the quarter share of the points, sets the range length
-    ranges = dqc1.experiments._ranges(2001, 1, n)
-    assert {hi - lo for lo, hi in ranges[:-1]} == {step}
-    assert [lo for lo, _ in ranges] == list(range(0, 2001, step)) and ranges[-1][1] == 2001
-    assert _draw_entries(2**n) == 2 * 4**n
-    assert step == 1 or step * _draw_entries(2**n) <= MAX_STACK_ENTRIES
+def test_ranges_bound_the_entries_a_range_stacks(monkeypatch, n, step):
+    # 2001 serial points make ranges of 500 at every n: ranges only schedule.
+    # The scorer splits a range's draws into stacks of d x 2d members each
+    # (d = 2**n), at most MAX_STACK_ENTRIES at once, so from n=3 on that
+    # bound, not the range, sets the stack length; it builds a stack's
+    # streams only when it draws that stack
+    ranges = dqc1.experiments._ranges(2001, 1)
+    assert [lo for lo, _ in ranges] == list(range(0, 2001, 500)) and ranges[-1][1] == 2001
+    assert step == 1 or step * 2 * 4**n <= MAX_STACK_ENTRIES
+    drawn, asked = [], []
+    monkeypatch.setattr(
+        dqc1.entpower,
+        "random_right_unitary",
+        lambda rows, cols, streams: drawn.append((rows, cols, streams)) or np.empty(len(streams)),
+    )
+    monkeypatch.setattr(_DrawScorer, "__call__", lambda self, t_stack, mix: t_stack)
+    inst = Dqc1Instance(n=n, unitary=np.eye(2**n), control=ControlQubit.from_alpha(1.0))
+
+    def streams(lo, hi):
+        asked.append((lo, hi))
+        return list(range(lo, hi))
+
+    for k, _ in enumerate(_DrawScorer(inst).scores(0, 500, streams, 1.0), start=1):
+        assert len(asked) == len(drawn) == k  # this stack's streams, built now
+        assert drawn[-1] == (2**n, 2 ** (n + 1), list(range(*asked[-1])))
+    assert asked == [(lo, min(lo + step, 500)) for lo in range(0, 500, step)]
 
 
-def test_run_verify_theorem1_stacks_two_points_per_range_at_n6(monkeypatch):
-    # 14 serial points would make ranges of 3; two n=6 draws fill the bound,
-    # and the Fourier row takes the first range's other slot
+def test_run_verify_theorem1_stacks_two_draws_at_a_time_at_n6(monkeypatch):
+    # 14 serial points make ranges of 3; two n=6 draws fill the stack bound,
+    # so a range of three sampled points draws a stack of two, then of one
     stacked = []
-    real = dqc1.experiments.random_right_unitary
+    real = dqc1.entpower.random_right_unitary
 
     def recording(rows, cols, streams):
         stacked.append(len(streams))
         return real(rows, cols, streams)
 
-    monkeypatch.setattr(dqc1.experiments, "random_right_unitary", recording)
+    monkeypatch.setattr(dqc1.entpower, "random_right_unitary", recording)
     cfg = theorem1_config(n=6, samples=13, workers=1)
     assert run_experiment(cfg) == per_point_theorem1_rows(cfg)
-    assert stacked == [1] + [2] * 6
+    assert stacked == [2] + [2, 1] * 3 + [2]
 
 
 @pytest.mark.parametrize("samples,ranges", [(60, 5), (2000, -(-2001 // 500))])
@@ -491,7 +510,7 @@ def test_serial_theorem1_sweep_builds_one_seed_sequence_per_range(monkeypatch):
 
     monkeypatch.setattr(np.random, "SeedSequence", counting)
     assert len(run_experiment(theorem1_config(samples=2000, workers=1))) == 2001
-    assert len(built) <= len(dqc1.experiments._ranges(2001, 1, 2)) + 1 == 6
+    assert len(built) <= len(dqc1.experiments._ranges(2001, 1)) + 1 == 6
 
 
 def test_theorem1_range_hands_back_python_floats():
@@ -533,7 +552,7 @@ def pools(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(dqc1.experiments, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(dqc1.experiments.os, "cpu_count", lambda: 2)
     return sizes
 
@@ -555,6 +574,16 @@ def test_sweeps_run_serially_unless_workers_is_set(pools, experiment):
     assert pools == []
     assert run_experiment(replace(cfg, workers=2)) == rows  # an explicit count is honored
     assert pools == [2]
+
+
+def test_importing_the_package_leaves_the_process_pool_unimported():
+    # the pool's module pulls in multiprocessing, socket and subprocess: only
+    # a sweep that runs a pool imports it, not every ``import dqc1``
+    pool = ("concurrent.futures.process", "multiprocessing")
+    code = f"import sys, dqc1.cli; print([m for m in {pool} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(Path(dqc1.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout == "[]\n", out.stderr
 
 
 def test_pool_never_outgrows_the_cpu_count(pools):
@@ -688,8 +717,9 @@ def test_rows_do_not_depend_on_workers_or_ranges(monkeypatch, experiment, n):
     )
     serial = run_experiment(cfg)
     assert run_experiment(replace(cfg, workers=2)) == serial
-    monkeypatch.setattr(dqc1.experiments, "MAX_STACK_ENTRIES", 1)  # one point per range
-    assert dqc1.experiments._ranges(8, 1, n) == [(i, i + 1) for i in range(8)]
+    # one point per range, and one draw per stack
+    monkeypatch.setattr(dqc1.experiments, "_ranges", lambda count, _: [(i, i + 1) for i in range(count)])
+    monkeypatch.setattr(dqc1.entpower, "MAX_STACK_ENTRIES", 1)
     assert run_experiment(cfg) == serial
 
 

@@ -15,6 +15,7 @@ from dqc1.linalg import (
     SIGMA_Z,
     TOL_SPECTRAL,
     SeededRng,
+    _ginibre,
     eig_hermitian,
     eig_unitary,
     haar_unitary,
@@ -212,7 +213,7 @@ def test_predicates_reject_non_finite_entries(bad):
 
 
 def test_is_right_unitary_on_a_stack():
-    stack = random_right_unitary(2, 4, SeededRng(17, 0), 5)
+    stack = random_right_unitary(2, 4, [SeededRng(17, 0)] * 5)
     assert is_right_unitary(stack) and all(is_right_unitary(t) for t in stack)
     stack[2, 1, 3] += 1e-3  # one bad member fails the whole stack
     assert not is_right_unitary(stack[2])
@@ -337,7 +338,7 @@ def test_haar_unitary_deterministic():
 def test_haar_unitary_batch_of_one_matches_single_draw(dim, seed):
     # a square right-unitary draw is the transpose of a Haar one, bit for bit
     single = haar_unitary(dim, SeededRng(seed, 0))
-    batched = random_right_unitary(dim, dim, SeededRng(seed, 0), 1)
+    batched = random_right_unitary(dim, dim, [SeededRng(seed, 0)])
     assert batched.shape == (1, dim, dim)
     np.testing.assert_array_equal(single, batched[0].T)
 
@@ -371,7 +372,7 @@ def test_haar_unitary_bits_are_the_phase_fixed_qr_of_one_ginibre_draw(dim, seed)
 
 
 def test_haar_unitary_batch_members_are_unitary():
-    stack = random_right_unitary(4, 4, SeededRng(21, 0), 6)
+    stack = random_right_unitary(4, 4, [SeededRng(21, 0)] * 6)
     assert stack.shape == (6, 4, 4)
     for u in stack:
         assert is_unitary(u, 1e-12)
@@ -415,14 +416,14 @@ def test_random_right_unitary():
 
 @pytest.mark.parametrize("rows,cols,k", [(1, 1, 3), (2, 4, 50), (4, 8, 256), (32, 64, 8)])
 def test_random_right_unitary_stacks_match_per_call_draws(rows, cols, k):
-    # one stream per member, and k draws from one stream, both give the
+    # one stream per member, and one stream listed k times, both give the
     # bits of k separate calls in order
     streams = [SeededRng(31, idx) for idx in range(k)]
     stack = random_right_unitary(rows, cols, streams)
     assert stack.shape == (k, rows, cols)
     for idx, t_mat in enumerate(stack):
         np.testing.assert_array_equal(t_mat, random_right_unitary(rows, cols, SeededRng(31, idx)))
-    repeated = random_right_unitary(rows, cols, SeededRng(37, 0), k)
+    repeated = random_right_unitary(rows, cols, [SeededRng(37, 0)] * k)
     assert repeated.shape == (k, rows, cols)
     rng = SeededRng(37, 0)
     for t_mat in repeated:
@@ -440,11 +441,21 @@ def test_random_right_unitary_draws_rows_times_cols_normals():
     assert rng.gen.standard_normal() == gen.standard_normal()
 
 
+@pytest.mark.parametrize("rows,cols,k", [(1, 1, 3), (2, 4, 50), (4, 8, 256), (32, 64, 8)])
+def test_a_stream_listed_k_times_gives_the_bits_of_one_k_block_draw(rows, cols, k):
+    # a draw is a list of streams, one block per entry in order: the same
+    # stream k times reads k blocks in turn, as one (k, 2, rows, cols) draw
+    h = SeededRng(53, 0).gen.standard_normal((k, 2, rows, cols))
+    np.testing.assert_array_equal(_ginibre(rows, cols, [SeededRng(53, 0)] * k), h[:, 0] + 1j * h[:, 1])
+    one = SeededRng(53, 1).gen.standard_normal((2, rows, cols))
+    np.testing.assert_array_equal(_ginibre(rows, cols, [SeededRng(53, 1)]), [one[0] + 1j * one[1]])
+
+
 def test_random_right_unitary_haar_moments():
     # Haar on the Stiefel manifold: every entry of a rows x cols draw has
     # E|T_ij|^2 = 1/cols and E|T_ij|^4 = 2/(cols (cols + 1))
     rows, cols, draws = 4, 16, 20000
-    stack = random_right_unitary(rows, cols, SeededRng(43, 0), draws)
+    stack = random_right_unitary(rows, cols, [SeededRng(43, 0)] * draws)
     assert is_right_unitary(stack)
     power = np.abs(stack) ** 2
     assert abs(power.mean() - 1.0 / cols) < 1e-12  # exact: rows are unit vectors
