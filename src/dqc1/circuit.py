@@ -273,24 +273,31 @@ def unitary_from_spec(spec: str, n: int, rng: SeededRng | None = None) -> np.nda
     dim = 2**n
     if spec == "haar":
         if rng is None:
-            raise ValueError("unitary spec 'haar' requires a random stream")
+            raise ValueError("spec 'haar' requires a random stream")
         return haar_unitary(dim, rng)
     if spec == "identity":
         return np.eye(dim, dtype=np.complex128)
     if spec.startswith("pauli:"):
         label = spec[len("pauli:") :]
         if len(label) != n:
-            raise ValueError(f"pauli spec {brief(label)} has {len(label)} letters, expected n={n}")
+            raise ValueError(f"spec {brief(spec)} has {len(label)} letters, expected n={n}")
         return pauli_string(label)
     if spec.startswith("diag-phase:"):
         body = spec[len("diag-phase:") :]
         try:
             phases = [float(x) for x in body.split(",")]
         except ValueError as err:
-            raise ValueError(f"diag-phase spec has a non-numeric entry: {brief(body)}") from err
+            raise ValueError(f"spec {brief(spec)} has a non-numeric angle") from err
         if len(phases) != dim:
-            raise ValueError(f"diag-phase spec has {len(phases)} angles, expected 2**n = {dim}")
+            raise ValueError(f"spec {brief(spec)} has {len(phases)} angles, expected 2**n = {dim}")
         return diag_phase_unitary(phases)
     if spec.startswith("file:"):
-        return _check_unitary("matrix file", load_matrix(spec[len("file:") :]), dim)
-    raise ValueError(f"unknown unitary spec {brief(spec)}")
+        try:
+            matrix = load_matrix(spec[len("file:") :])
+        except OSError as err:
+            raise ValueError(f"spec file cannot be read: {err}") from err
+        return _check_unitary("spec file", matrix, dim)
+    raise ValueError(
+        f"spec {brief(spec)} is not 'haar', 'identity', 'pauli:<letters>', "
+        "'diag-phase:<angles>' or 'file:<path>'"
+    )

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 invalid input (bad flags, bad config, bad files),
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -161,5 +162,13 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def _entry() -> int:
+    """The ``dqc1`` process: :func:`main` after freezing what import built
+    (numpy's and dqc1's modules, classes and functions), so that no
+    collection scans those again, the one at exit least of all."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_entry())

@@ -67,11 +67,12 @@ class PureEnsemble:
             raise ValueError(f"states must be 2-D, a column per weight, got shape {self.states.shape}")
         if not self.weights.min() > 0.0:
             raise ValueError("weights must be positive")
-        total = self.weights.sum()
+        with np.errstate(all="ignore"):  # an inf, nan or huge entry sums or norms to inf or nan
+            total = self.weights.sum()
+            norms = np.linalg.norm(self.states, axis=0)
         if not abs(total - 1.0) <= TOL_SPECTRAL:
             raise ValueError(f"weights sum to {total}, expected 1")
-        finite = np.isfinite(self.states).all()  # a norm of inf or nan would warn
-        if not (finite and np.max(np.abs(np.linalg.norm(self.states, axis=0) - 1.0)) <= TOL_SPECTRAL):
+        if not np.max(np.abs(norms - 1.0)) <= TOL_SPECTRAL:
             raise ValueError("states must be finite, normalized columns")
 
     @property

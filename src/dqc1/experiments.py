@@ -235,7 +235,7 @@ def _fixed_unitary(cfg: ExperimentConfig) -> np.ndarray:
     """The sweep's one unitary; a Haar one draws from stream 0."""
     try:
         return unitary_from_spec(cfg.unitary, cfg.n, SeededRng(cfg.seed, 0))
-    except (ValueError, OSError) as err:
+    except ValueError as err:
         raise ValueError(f"field 'unitary': {err}") from None
 
 

@@ -256,7 +256,8 @@ def is_unitary(a: np.ndarray, tol: float = TOL_SPECTRAL) -> bool:
     except ValueError:
         return False
     dim = a.shape[0]
-    return bool(np.max(np.abs(a.conj().T @ a - np.eye(dim))) <= tol * dim)
+    with np.errstate(all="ignore"):  # a huge entry's Gram entry is inf or nan: False
+        return bool(np.max(np.abs(a.conj().T @ a - np.eye(dim))) <= tol * dim)
 
 
 def is_density(a: np.ndarray, tol: float = TOL_SPECTRAL) -> bool:
@@ -265,10 +266,11 @@ def is_density(a: np.ndarray, tol: float = TOL_SPECTRAL) -> bool:
         a = _check_matrix("a", a)
     except ValueError:
         return False
-    if np.max(np.abs(a - a.conj().T)) > tol:
-        return False
-    if abs(np.trace(a).real - 1.0) > tol or abs(np.trace(a).imag) > tol:
-        return False
+    with np.errstate(all="ignore"):  # a huge entry's difference or trace is inf: False
+        hermitian = np.max(np.abs(a - a.conj().T)) <= tol
+        trace = np.trace(a)
+        if not (hermitian and abs(trace.real - 1.0) <= tol and abs(trace.imag) <= tol):
+            return False
     evals = np.linalg.eigvalsh(a)
     return bool(evals.min() >= -tol)
 
@@ -285,8 +287,9 @@ def is_right_unitary(t: np.ndarray, tol: float = TOL_CONSTRUCT) -> bool:
         return False
     if t.ndim < 2 or t.shape[-2] > t.shape[-1] or not np.isfinite(t).all():
         return False
-    gram = t @ np.swapaxes(t.conj(), -1, -2)
-    err = np.max(np.abs(gram - np.eye(t.shape[-2])), initial=0.0)
+    with np.errstate(all="ignore"):  # a huge entry's Gram entry is inf or nan: False
+        gram = t @ np.swapaxes(t.conj(), -1, -2)
+        err = np.max(np.abs(gram - np.eye(t.shape[-2])), initial=0.0)
     return bool(err <= tol * t.shape[-1])
 
 
@@ -297,7 +300,9 @@ def eig_hermitian(a: np.ndarray) -> Spectrum:
     is not Hermitian within ``TOL_SPECTRAL``.
     """
     a = _check_matrix("a", a)
-    if np.max(np.abs(a - a.conj().T)) > TOL_SPECTRAL:
+    with np.errstate(all="ignore"):  # a huge entry's difference is inf, and rejected
+        hermitian = np.max(np.abs(a - a.conj().T)) <= TOL_SPECTRAL
+    if not hermitian:
         raise ValueError("a is not Hermitian within tolerance")
     evals, evecs = np.linalg.eigh(a)
     order = np.arange(len(evals))[::-1]  # eigh is ascending; stable reversal

@@ -70,6 +70,7 @@ from dqc1.measurement import (
 
 I2 = np.eye(2, dtype=np.complex128)
 NAN2 = np.full((2, 2), np.nan)
+HUGE2 = np.full((2, 2), 1e200)  # finite, but its square overflows
 PURE = ControlQubit.from_alpha(1.0)
 FOUR_STATES = PureEnsemble(np.full(4, 0.25), np.eye(4))  # an ensemble of I/4
 TWO_STATES = PureEnsemble(np.full(2, 0.5), np.eye(2))  # an ensemble of I/2
@@ -212,6 +213,37 @@ def test_a_non_finite_array_is_rejected_before_numpy_warns(name, call):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{name} "):
             call()
+
+
+@pytest.mark.parametrize(
+    "call,text",
+    [
+        (lambda: PureEnsemble(np.full(2, 0.5), HUGE2), "states must be finite, normalized columns"),
+        (lambda: PureEnsemble(np.full(2, 1e308), I2), "weights sum to inf, expected 1"),
+        (lambda: branch_coefficients(PURE, HUGE2), "T rows are not orthonormal (T T^+ != I)"),
+        (lambda: decompose_from_T(I2 / 2, HUGE2), "T must be a 2-D matrix with orthonormal rows (T T^+ = I)"),
+        (lambda: fourier_ensemble(HUGE2), "u is not unitary within tolerance"),
+        (lambda: eig_hermitian(np.array([[0, 1e308], [-1e308, 0]])), "a is not Hermitian within tolerance"),
+    ],
+    ids=["states", "weights", "branch-T", "decompose-T", "unitary", "hermitian"],
+)
+def test_a_huge_finite_array_is_rejected_before_numpy_warns(call, text):
+    # a norm, a sum or a Gram product of entries past 1e154 overflows: numpy
+    # warned "overflow encountered" before the check raised its own error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            call()
+    assert str(info.value) == text
+
+
+def test_a_huge_finite_array_fails_the_predicates_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_right_unitary(np.full((2, 4), 1e200)) is False
+        assert is_unitary(HUGE2) is False
+        assert is_density(np.diag([1e308, 1e308])) is False
+        assert is_density(np.full((2, 2), 1e308 * (1 + 1j))) is False
 
 
 def test_is_unitary_of_an_empty_matrix_is_false():
@@ -658,14 +690,17 @@ def _within_closed_forms(rows):
 
 
 _STREAMS = [SeededRng(1), SeededRng(2, 3)]
+#: Finite entries from 1e150 up to the largest float: a norm, a sum or a
+#: Gram product of those past 1e154 overflows.
+_HUGE = st.floats(1e150, allow_infinity=False) | st.floats(max_value=-1e150, allow_infinity=False)
 _HOSTILE_ARRAYS = st.one_of(
     _HOSTILE_MATRICES,
     arrays(
         np.complex128,
         st.sampled_from([(2,), (3,), (0,), (2, 4), (1, 2, 4), (0, 2, 4), (3, 2, 3)]),
-        elements=_ENTRIES,
+        elements=_ENTRIES | st.builds(complex, _HUGE, _HUGE | st.just(0.0)),
     ),
-    arrays(np.float64, st.sampled_from([(1,), (2,), (3,)]), elements=st.floats(-1.0, 2.0)),
+    arrays(np.float64, st.sampled_from([(1,), (2,), (3,)]), elements=st.floats(-1.0, 2.0) | _HUGE),
     st.sampled_from(
         [
             [0.5, 0.5],

@@ -412,7 +412,7 @@ def test_unitary_from_spec_file_round_trip(tmp_path):
 
     bad = tmp_path / "bad.json"
     save_matrix(bad, np.ones((4, 4)))
-    with pytest.raises(ValueError, match="not unitary"):
+    with pytest.raises(ValueError, match="^spec file is not unitary within tolerance$"):
         unitary_from_spec(f"file:{bad}", 2)
 
 
@@ -429,8 +429,43 @@ def test_unitary_from_spec_file_round_trip(tmp_path):
     ],
 )
 def test_unitary_from_spec_rejects(spec, n):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         unitary_from_spec(spec, n)
+    # its own errors name the spec first; diag_phase_unitary's keep their text
+    own = not spec.endswith(("nan", "inf,0"))
+    assert str(info.value).startswith("spec " if own else "diag-phase angles must be finite: ")
+
+
+_NOT_A_FORM = "is not 'haar', 'identity', 'pauli:<letters>', 'diag-phase:<angles>' or 'file:<path>'"
+
+
+@pytest.mark.parametrize(
+    "spec,n,text",
+    [
+        ("haar", 1, "spec 'haar' requires a random stream"),
+        ("pauli:XY", 1, "spec 'pauli:XY' has 2 letters, expected n=1"),
+        ("diag-phase:0,0,0", 2, "spec 'diag-phase:0,0,0' has 3 angles, expected 2**n = 4"),
+        ("diag-phase:0,abc", 1, "spec 'diag-phase:0,abc' has a non-numeric angle"),
+        ("rotation", 1, f"spec 'rotation' {_NOT_A_FORM}"),
+        ("HAAR", 1, f"spec 'HAAR' {_NOT_A_FORM}"),
+    ],
+)
+def test_unitary_from_spec_error_text(spec, n, text):
+    with pytest.raises(ValueError) as info:
+        unitary_from_spec(spec, n)
+    assert str(info.value) == text
+
+
+def test_unitary_from_spec_names_an_unreadable_file_and_keeps_the_os_text(tmp_path):
+    # a missing path raised a bare FileNotFoundError, a directory an IsADirectoryError
+    for path, os_text in [(tmp_path / "absent.json", "No such file"), (tmp_path, "Is a directory")]:
+        with pytest.raises(ValueError) as info:
+            unitary_from_spec(f"file:{path}", 1)
+        assert str(info.value).startswith("spec file cannot be read: ")
+        assert os_text in str(info.value) and str(path) in str(info.value)
+    save_matrix(tmp_path / "u.json", haar_unitary(4, SeededRng(6, 0)))
+    with pytest.raises(ValueError, match=r"^spec file must be a 2x2 matrix, got shape \(4, 4\)$"):
+        unitary_from_spec(f"file:{tmp_path / 'u.json'}", 1)
 
 
 def test_diag_phase_lists_at_most_three_non_finite_angles():

@@ -3,6 +3,7 @@ result I/O, and the command-line front end."""
 
 import concurrent.futures
 import contextlib
+import gc
 import importlib
 import importlib.util
 import inspect
@@ -1014,6 +1015,38 @@ def test_cli_run_flag_overrides(tmp_path):
     rows = read_results(out)
     assert len(rows) == 4
     assert all(r.seed == 9 for r in rows)
+
+
+def test_the_process_entry_freezes_the_collector_once_before_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(dqc1.cli, "main", lambda: calls.append("main") or 0)
+    assert dqc1.cli._entry() == 0
+    assert calls == ["freeze", "main"]
+
+
+def test_main_leaves_the_collector_unfrozen(monkeypatch, tmp_path):
+    # in-process callers (tests, the benchmark's traced sweeps) keep a normal collector
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    cfg = write_config(tmp_path, {"experiment": "verify-theorem1", "n": 1, "samples": 3})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "rows.csv")]) == 0
+    assert main(["verify", "theorem1", "--unitary", "identity", "--samples", "3"]) == 0
+    assert main(["entpower", "--n", "1"]) == 0
+    assert calls == []
+
+
+def test_the_dqc1_process_writes_the_bytes_main_writes(tmp_path):
+    # the process entry freezes what import built and changes no row, pooled or not
+    bundled = Path(__file__).resolve().parents[1] / "configs" / "verify-theorem1.json"
+    cfg = write_config(tmp_path, {**json.loads(bundled.read_text()), "workers": 2})
+    argv = ["run", str(cfg), "--seed", "42", "--out"]
+    env = {**os.environ, "PYTHONPATH": str(Path(dqc1.__file__).resolve().parents[1])}
+    command = [sys.executable, "-m", "dqc1.cli", *argv, str(tmp_path / "process.csv")]
+    proc = subprocess.run(command, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert main([*argv, str(tmp_path / "main.csv")]) == 0
+    assert (tmp_path / "process.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
 
 
 def test_cli_run_rejects_bad_config(tmp_path, capsys):
