@@ -19,7 +19,7 @@ can be checked against each other.  The sampled entangling-power routes
 score every branch with one kernel, sqrt(1 - |<phi|U|phi>|^2) as the norm
 of U phi's component orthogonal to phi, times the control's lambda gap, and
 every stack of sampled register decompositions with one scorer, _DrawScorer,
-which _EntpowerSearch prepares once for a brute-force search at every alpha.
+which holds a brute-force search's whole alpha-free half, Fourier candidate too.
 """
 
 from __future__ import annotations
@@ -288,7 +288,7 @@ def ensemble_average(inst: Dqc1Instance, ens: PureEnsemble) -> float:
     gap = ens.density() - inst.system_state if len(ens.states) == inst.dim else np.inf
     if not np.max(np.abs(gap)) <= TOL_SPECTRAL:
         raise ValueError("ens does not realize the instance's register state")
-    return _average(ens.weights, _member_branches(inst, ens), lambda_factor(inst.control))
+    return _average(ens.weights, _member_branches(inst.unitary, ens), lambda_factor(inst.control))
 
 
 def _average(weights: np.ndarray, branch: np.ndarray, mix: float) -> float:
@@ -297,11 +297,11 @@ def _average(weights: np.ndarray, branch: np.ndarray, mix: float) -> float:
     return float(np.dot(weights, mix * branch))
 
 
-def _member_branches(inst: Dqc1Instance, ens: PureEnsemble) -> np.ndarray:
-    """Pure-branch value of each member of an ensemble of the register state."""
+def _member_branches(u: np.ndarray, ens: PureEnsemble) -> np.ndarray:
+    """Pure-branch value under ``u`` of each member of an ensemble of the register state."""
     states = ens.states
     sq = np.sum(states.conj() * states, axis=0).real
-    return _branch_entanglement(states, inst.unitary @ states, sq)
+    return _branch_entanglement(states, u @ states, sq)
 
 
 def entpower_bounds(u: np.ndarray, rho_n: np.ndarray) -> tuple[float, float]:
@@ -363,7 +363,8 @@ def brute_force_min_mixing(
 
 
 class _DrawScorer:
-    """Ensemble averages of sampled decompositions of one instance's register.
+    """Ensemble averages of sampled decompositions of a register state ``rho``
+    under ``u``: a brute-force search's alpha-free half, prepared once.
 
     A right-unitary ``rank x 2d`` draw T selects the members Phi sqrt(M) T of
     the register state Phi M Phi^+ on its support, as in :func:`decompose_from_T`.
@@ -371,14 +372,19 @@ class _DrawScorer:
     ``mix`` to the k averages, each member scored as in :func:`ensemble_average`
     with its squared norm as its weight, and each with the bits of its draw
     alone.  The draws come from :func:`~dqc1.linalg.random_right_unitary`,
-    orthonormal by its QR, and go unchecked.
+    orthonormal by its QR, and go unchecked, as do ``u`` and ``rho``.  On a
+    maximally mixed ``rho``, ``fourier`` holds the Fourier members' weights
+    and branch values, the search's one fixed candidate; else it is None.
     """
 
-    def __init__(self, inst: Dqc1Instance):
-        spec = eig_hermitian(inst.system_state)
+    def __init__(self, u: np.ndarray, rho: np.ndarray):
+        spec = eig_hermitian(rho)
         self.rank = int(np.sum(spec.eigenvalues > TOL_SPECTRAL))
         self.root = spec.eigenvectors[:, : self.rank] * np.sqrt(spec.eigenvalues[: self.rank])
-        self.u_root = inst.unitary @ self.root
+        self.u_root, self.fourier = u @ self.root, None
+        if np.max(np.abs(rho - np.eye(len(rho)) / len(rho))) <= TOL_SPECTRAL:
+            ens = _fourier_ensemble(u)
+            self.fourier = ens.weights, _member_branches(u, ens)
 
     def __call__(self, t_stack: np.ndarray, mix: float) -> np.ndarray:
         members = self.root @ t_stack
@@ -393,22 +399,11 @@ class _DrawScorer:
         for t_stack in _right_unitary_stacks(self.rank, 2 * dim, lo, hi, streams, 2 * dim * dim):
             yield self(t_stack, mix)
 
-
-class _EntpowerSearch:
-    """:func:`brute_force_entpower`'s alpha-free half, prepared once: the
-    scorer and, on a maximally mixed register, the Fourier members' weights
-    and branch values.  A call takes the control's lambda gap in place of
-    the instance's control, which is not read."""
-
-    def __init__(self, inst: Dqc1Instance):
-        self.score, self.fourier = _DrawScorer(inst), None
-        if np.max(np.abs(inst.system_state - np.eye(inst.dim) / inst.dim)) <= TOL_SPECTRAL:
-            ens = _fourier_ensemble(inst.unitary)
-            self.fourier = ens.weights, _member_branches(inst, ens)
-
-    def __call__(self, mix: float, samples: int, rng: SeededRng) -> float:
+    def best(self, mix: float, samples: int, rng: SeededRng) -> float:
+        """:func:`brute_force_entpower` at lambda gap ``mix``: the largest
+        average over ``samples`` draws of ``rng`` and the Fourier candidate."""
         best = -np.inf if self.fourier is None else _average(*self.fourier, mix)
-        scores = self.score.scores(0, samples, lambda a, b: [rng] * (b - a), mix)
+        scores = self.scores(0, samples, lambda a, b: [rng] * (b - a), mix)
         return max([best] + [float(s.max()) for s in scores])
 
 
@@ -425,4 +420,4 @@ def brute_force_entpower(inst: Dqc1Instance, samples: int, rng: SeededRng) -> fl
     """
     _check_type("inst", inst, Dqc1Instance)
     _check_count("samples", samples, 1)
-    return _EntpowerSearch(inst)(lambda_factor(inst.control), samples, rng)
+    return _DrawScorer(inst.unitary, inst.system_state).best(lambda_factor(inst.control), samples, rng)

@@ -30,8 +30,9 @@ import json
 import math
 import os
 from collections.abc import Callable
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,9 +41,6 @@ from .entpower import (
     _average,
     _bounds,
     _DrawScorer,
-    _EntpowerSearch,
-    _fourier_ensemble,
-    _member_branches,
     _standard,
     brute_force_min_mixing,
     lambda_factor,
@@ -74,8 +72,6 @@ DEFAULT_ALPHAS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 #: Most sampled decompositions one point draws (``samples``): 2000 at most in
 #: every bundled config, and a bound on a sweep's time and memory.
 MAX_SAMPLES = 10**6
-
-_HEADER = ("experiment", "param_name", "param_value", "measured", "reference", "deviation", "seed")
 
 
 class ConfigError(ValueError):
@@ -177,9 +173,8 @@ def _rho(spec: str) -> tuple[str, int | str | None] | None:
     return None
 
 
-@dataclass(frozen=True)
-class ResultRow:
-    """One point's row; ``deviation`` is ``abs(measured - reference)``."""
+class ResultRow(NamedTuple):
+    """One point's row, fields in column order; ``deviation`` is ``abs(measured - reference)``."""
 
     experiment: str
     param_name: str
@@ -262,14 +257,13 @@ def _point_trace_vs_shots(cfg, payload, idx):
 def _point_entpower_vs_alpha(cfg, payload, idx):
     a = cfg.alphas[idx]
     mix = lambda_factor(ControlQubit.from_alpha(a))
-    measured = payload["search"](mix, cfg.samples, SeededRng(cfg.seed, idx + 1))
+    measured = payload["score"].best(mix, cfg.samples, SeededRng(cfg.seed, idx + 1))
     return [("alpha", a, measured, a * payload["standard"])]
 
 
-def _setup_entpower_vs_alpha(cfg):
-    # the search reads U and the register, not the instance's control
-    inst = _trusted_instance(cfg.n, _fixed_unitary(cfg), ControlQubit.from_alpha(1.0))
-    return {"search": _EntpowerSearch(inst), "standard": _standard(inst.unitary)}
+def _setup_search(cfg):
+    u, dim = _fixed_unitary(cfg), 2**cfg.n
+    return {"score": _DrawScorer(u, np.eye(dim, dtype=np.complex128) / dim), "standard": _standard(u)}
 
 
 def _complexity_budget(alpha: float, t: complex, rounds_target: int) -> ErrorBudget:
@@ -305,26 +299,15 @@ def _point_complexity_curve(cfg, payload, idx):
     return [("rounds", float(cfg.shots[idx]), measured, payload["reference"])]
 
 
-def _setup_verify_theorem1(cfg):
-    inst = _trusted_instance(cfg.n, _fixed_unitary(cfg), ControlQubit.from_alpha(1.0))
-    return {"inst": inst, "reference": _standard(inst.unitary), "score": _DrawScorer(inst)}
-
-
 def _range_verify_theorem1(cfg, payload, lo, hi):
-    inst, reference = payload["inst"], payload["reference"]
-    mix, rows = lambda_factor(inst.control), []
-    if lo == 0:
-        try:
-            ens = _fourier_ensemble(inst.unitary)
-            measured = _average(ens.weights, _member_branches(inst, ens), mix)
-        except Exception as err:
-            raise _failure(cfg, 0, 1, err) from err
-        rows.append(("fourier", 0.0, measured, reference))
+    score, reference = payload["score"], payload["standard"]
+    # a fully polarized control: its lambda gap is 1
+    rows = [("fourier", 0.0, _average(*score.fourier, 1.0), reference)] if lo == 0 else []
     # Each point draws from its own stream exactly as it would alone, a
     # stack's streams derived in one pass; each stack is scored at once, same bits.
     first, streams = max(lo, 1), functools.partial(SeededRng.streams, cfg.seed)
     try:
-        measured = [m for s in payload["score"].scores(first, hi, streams, mix) for m in s.tolist()]
+        measured = [m for s in score.scores(first, hi, streams, 1.0) for m in s.tolist()]
     except Exception as err:
         raise _failure(cfg, first, hi, err) from err
     return rows + [("sample", float(i), m, reference) for i, m in zip(range(first, hi), measured)]
@@ -423,7 +406,7 @@ _EXPERIMENTS = {
     ),
     "entpower-vs-alpha": _Experiment(
         **_ALPHAS,
-        setup=_setup_entpower_vs_alpha,
+        setup=_setup_search,
         evaluate=_pointwise(_point_entpower_vs_alpha),
     ),
     "complexity-curve": _Experiment(
@@ -432,7 +415,7 @@ _EXPERIMENTS = {
     "verify-theorem1": _Experiment(
         count=lambda cfg: cfg.samples + 1,  # the Fourier row, then sampled ensembles
         label=lambda cfg, i: f"sample={i}" if i else "fourier",
-        setup=_setup_verify_theorem1,
+        setup=_setup_search,
         evaluate=_range_verify_theorem1,
         checks=(
             (
@@ -574,10 +557,9 @@ def write_results(rows: list[ResultRow], path: str | Path, fmt: str = "csv") -> 
     float-exactly; an empty run still writes the CSV header."""
     path = Path(path)
     if fmt == "csv":
-        # a row's fields are in _HEADER order; %.17g formats as format(x, ".17g")
-        line = "%s,%s,%.17g,%.17g,%.17g,%.17g,%d\n"
-        path.write_text(",".join(_HEADER) + "\n" + "".join(line % tuple(vars(r).values()) for r in rows))
+        line = "%s,%s,%.17g,%.17g,%.17g,%.17g,%d\n"  # %.17g formats as format(x, ".17g")
+        path.write_text(",".join(ResultRow._fields) + "\n" + "".join(line % r for r in rows))
     elif fmt == "json":
-        path.write_text(json.dumps([asdict(row) for row in rows], indent=2) + "\n")
+        path.write_text(json.dumps([r._asdict() for r in rows], indent=2) + "\n")
     else:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")

@@ -237,17 +237,24 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def trace_overlap(u: np.ndarray, rho: np.ndarray) -> complex:
     """Tr(U rho) as the elementwise sum of U_ij rho_ji: O(d^2), never forms
-    the product U rho."""
+    the product U rho.  A sum past the largest float is rejected."""
     u = _check_matrix("u", u)
     rho = _check_matrix("rho", rho, len(u))
-    return complex(np.sum(u * rho.T))
+    with np.errstate(all="ignore"):  # huge entries' products or sum are inf or nan
+        t = complex(np.sum(u * rho.T))
+    if not np.isfinite(t):
+        raise ValueError("rho and u have a trace overlap past the largest float")
+    return t
 
 
 def normalized_trace(u: np.ndarray) -> complex:
     """Tr U / d, the quantity the one-clean-qubit readout estimates.  The
-    register dimension d is a power of two, so the division is exact."""
+    register dimension d is a power of two, so the division is exact; a
+    diagonal whose sum passes the largest float is divided first."""
     u = _check_matrix("u", u)
-    return complex(np.trace(u)) / u.shape[0]
+    with np.errstate(all="ignore"):  # a huge diagonal sums to inf or nan
+        t = complex(np.trace(u)) / u.shape[0]
+    return t if np.isfinite(t) else complex(np.trace(u / u.shape[0]))
 
 
 def is_unitary(a: np.ndarray, tol: float = TOL_SPECTRAL) -> bool:
@@ -305,6 +312,8 @@ def eig_hermitian(a: np.ndarray) -> Spectrum:
     if not hermitian:
         raise ValueError("a is not Hermitian within tolerance")
     evals, evecs = np.linalg.eigh(a)
+    if not np.isfinite(evals).all():  # LAPACK scales a huge matrix, and overflows scaling back
+        raise ValueError("a has an eigenvalue past the largest float")
     order = np.arange(len(evals))[::-1]  # eigh is ascending; stable reversal
     return Spectrum(evals[order].copy(), evecs[:, order].copy())
 

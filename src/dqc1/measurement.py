@@ -82,8 +82,11 @@ def expect_pauli(rho_f: np.ndarray, axis: str) -> float:
     rho_f = _check_matrix("rho_f", rho_f, 2)
     if axis not in tuple(_PAULI_AXIS):  # a tuple: an unhashable axis is named too
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {brief(axis)}")
-    val = np.trace(rho_f @ _PAULI_AXIS[axis])
-    return float(val.real)
+    with np.errstate(all="ignore"):  # huge entries sum to inf or nan
+        val = float(np.trace(rho_f @ _PAULI_AXIS[axis]).real)
+    if not math.isfinite(val):
+        raise ValueError(f"rho_f has a sigma_{axis} expectation past the largest float")
+    return val
 
 
 def sample_shots(p: float, shots: int, rng: SeededRng) -> int:

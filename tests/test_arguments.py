@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -522,7 +522,7 @@ _MATRICES = {
     "trace_overlap u": (
         lambda a: True,
         lambda a: trace_overlap(a, I2 / 2),
-        lambda r, a: _close(r, np.trace(a) / 2),
+        lambda r, a: _close(r, np.trace(a / 2)),
         ("u", "rho"),
     ),
     "trace_overlap rho": (
@@ -532,7 +532,7 @@ _MATRICES = {
         ("rho",),
     ),
     "normalized_trace u": (
-        lambda a: True, normalized_trace, lambda r, a: _close(r, np.trace(a) / len(a)), ("u",)
+        lambda a: True, normalized_trace, lambda r, a: _close(r, np.trace(a / len(a))), ("u",)
     ),
     "kron a": (lambda a: True, lambda a: kron(a, I2), lambda r, a: _close(r, np.kron(a, I2)), ("a",)),
     "matrix_to_json a": (
@@ -627,7 +627,14 @@ _MATRICES = {
     ),
 }
 
-_ENTRIES = st.complex_numbers(max_magnitude=1e3) | st.sampled_from([math.nan, math.inf, -math.inf])
+#: Finite entries from 1e150 up to the largest float: a norm, a sum or a
+#: Gram product of those past 1e154 overflows.
+_HUGE = st.floats(1e150, allow_infinity=False) | st.floats(max_value=-1e150, allow_infinity=False)
+_ENTRIES = st.one_of(
+    st.complex_numbers(max_magnitude=1e3),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.builds(complex, _HUGE, _HUGE | st.just(0.0)),
+)
 _HOSTILE_MATRICES = st.one_of(
     st.sampled_from(
         [
@@ -658,6 +665,11 @@ _HOSTILE_MATRICES = st.one_of(
 
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(case=st.sampled_from(sorted(_MATRICES)), a=_HOSTILE_MATRICES)
+# a finite matrix whose sums or eigenvalues pass the largest float
+@example("normalized_trace u", np.full((2, 2), 1.7e308))
+@example("trace_overlap rho", np.full((2, 2), 1.7e308))
+@example("expect_pauli rho_f", np.full((2, 2), 1.7e308))
+@example("eig_hermitian a", np.full((2, 2), 1.7e308))
 def test_a_matrix_is_checked_or_rejected_by_name(case, a):
     valid, call, check, names = _MATRICES[case]
     try:
@@ -690,15 +702,12 @@ def _within_closed_forms(rows):
 
 
 _STREAMS = [SeededRng(1), SeededRng(2, 3)]
-#: Finite entries from 1e150 up to the largest float: a norm, a sum or a
-#: Gram product of those past 1e154 overflows.
-_HUGE = st.floats(1e150, allow_infinity=False) | st.floats(max_value=-1e150, allow_infinity=False)
 _HOSTILE_ARRAYS = st.one_of(
     _HOSTILE_MATRICES,
     arrays(
         np.complex128,
         st.sampled_from([(2,), (3,), (0,), (2, 4), (1, 2, 4), (0, 2, 4), (3, 2, 3)]),
-        elements=_ENTRIES | st.builds(complex, _HUGE, _HUGE | st.just(0.0)),
+        elements=_ENTRIES,
     ),
     arrays(np.float64, st.sampled_from([(1,), (2,), (3,)]), elements=st.floats(-1.0, 2.0) | _HUGE),
     st.sampled_from(

@@ -23,7 +23,6 @@ from dqc1.entpower import (
     PureEnsemble,
     _branch_entanglement,
     _DrawScorer,
-    _EntpowerSearch,
     analytic_min_T,
     branch_coefficients,
     brute_force_entpower,
@@ -215,7 +214,8 @@ def test_closed_forms_on_clustered_spectra_match_a_float_only_oracle(n, gap, see
     assert abs(entpower_bounds(u, rho)[1] - oracle(p)) <= 1e-14
     inst = Dqc1Instance(n=n, unitary=u, control=ControlQubit.from_alpha(1.0))
     assert abs(ensemble_average(inst, fourier_ensemble(u)) - standard) <= 1e-14
-    sampled = _DrawScorer(inst)(random_right_unitary(dim, 2 * dim, [rng] * 3), 1.0)
+    score = _DrawScorer(inst.unitary, inst.system_state)
+    sampled = score(random_right_unitary(dim, 2 * dim, [rng] * 3), 1.0)
     assert np.all(sampled <= standard + TOL_VERIFY)
 
 
@@ -730,7 +730,7 @@ def test_ensemble_average_stack_matches_single_calls_bit_for_bit(n, bloch):
     u = haar_unitary(dim, SeededRng(239, n))
     inst = Dqc1Instance(n=n, unitary=u, control=ControlQubit.from_bloch(bloch))
     t_stack = random_right_unitary(dim, 2 * dim, [SeededRng(241, idx) for idx in range(6)])
-    score, mix = _DrawScorer(inst), lambda_factor(inst.control)
+    score, mix = _DrawScorer(inst.unitary, inst.system_state), lambda_factor(inst.control)
     stacked = score(t_stack, mix)
     assert stacked.shape == (6,)
     for value, t_mat in zip(stacked, t_stack):
@@ -983,7 +983,7 @@ def test_scored_draws_match_ensemble_average(n, full_rank, control, k, seed):
     rho = random_density(dim, dim if full_rank else int(rng.gen.integers(1, dim)), rng)
     u = haar_unitary(dim, rng)
     inst = Dqc1Instance(n=n, unitary=u, control=control, system_state=rho)
-    score, mix = _DrawScorer(inst), lambda_factor(control)
+    score, mix = _DrawScorer(inst.unitary, inst.system_state), lambda_factor(control)
     t_stack = random_right_unitary(score.rank, 2 * dim, [rng] * k)
     members = score.root @ t_stack
     realized = members @ np.swapaxes(members.conj(), -1, -2)
@@ -1023,8 +1023,9 @@ def test_prepared_search_matches_brute_force_entpower_bit_for_bit(spec, rank):
     n = 3
     u = unitary_from_spec(spec, n, SeededRng(283, 0))
     rho = None if rank is None else random_density(2**n, rank, SeededRng(293, 0))
-    search = _EntpowerSearch(Dqc1Instance(n, u, ControlQubit.from_alpha(1.0), system_state=rho))
+    inst = Dqc1Instance(n, u, ControlQubit.from_alpha(1.0), system_state=rho)
+    score = _DrawScorer(inst.unitary, inst.system_state)
     for a in (0.1, 0.5, 1.0):
         control = ControlQubit.from_alpha(a)
         want = brute_force_entpower(Dqc1Instance(n, u, control, rho), 30, SeededRng(307, 1))
-        assert search(lambda_factor(control), 30, SeededRng(307, 1)) == want
+        assert score.best(lambda_factor(control), 30, SeededRng(307, 1)) == want

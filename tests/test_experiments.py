@@ -15,7 +15,7 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -397,7 +397,7 @@ def per_point_theorem1_rows(cfg):
     reference = entpower_standard(u)
     fourier = ensemble_average(inst, fourier_ensemble(u))
     rows = [result_row(cfg.experiment, "fourier", 0, fourier, reference, cfg.seed)]
-    score = _DrawScorer(inst)
+    score = _DrawScorer(inst.unitary, inst.system_state)
     for idx in range(1, cfg.samples + 1):
         t_mat = random_right_unitary(inst.dim, 2 * inst.dim, SeededRng(cfg.seed, idx))
         measured = score(t_mat[None], 1.0)[0]  # a fully polarized control's lambda gap
@@ -447,12 +447,13 @@ def test_ranges_bound_the_entries_a_range_stacks(monkeypatch, n, step):
     )
     monkeypatch.setattr(_DrawScorer, "__call__", lambda self, t_stack, mix: t_stack)
     inst = Dqc1Instance(n=n, unitary=np.eye(2**n), control=ControlQubit.from_alpha(1.0))
+    score = _DrawScorer(inst.unitary, inst.system_state)
 
     def streams(lo, hi):
         asked.append((lo, hi))
         return list(range(lo, hi))
 
-    for k, _ in enumerate(_DrawScorer(inst).scores(0, 500, streams, 1.0), start=1):
+    for k, _ in enumerate(score.scores(0, 500, streams, 1.0), start=1):
         assert len(asked) == len(drawn) == k  # this stack's streams, built now
         assert drawn[-1] == (2**n, 2 ** (n + 1), list(range(*asked[-1])))
     assert asked == [(lo, min(lo + step, 500)) for lo in range(0, 500, step)]
@@ -534,6 +535,19 @@ def test_run_verify_theorem1_names_the_range_of_an_unattributed_failure(monkeypa
         run_experiment(theorem1_config(workers=1))
 
 
+def test_a_failed_fourier_eigensolve_reaches_the_caller_as_itself(monkeypatch):
+    # the Fourier candidate is built in the set-up, as entpower-vs-alpha's is,
+    # not in the range that holds point 0
+    def broken(u):
+        raise ValueError("no eigenbasis")
+
+    monkeypatch.setattr(dqc1.entpower, "_eig_unitary", broken)
+    for experiment in ("verify-theorem1", "entpower-vs-alpha"):
+        cfg = config_from_dict({"experiment": experiment, "n": 2, "samples": 3, "workers": 1})
+        with pytest.raises(ValueError, match="^no eigenbasis$"):
+            run_experiment(cfg)
+
+
 @pytest.fixture
 def pools(monkeypatch):
     """The sizes of the pools ``run_experiment`` builds, on a 2-CPU host,
@@ -599,17 +613,17 @@ def test_pool_never_outgrows_the_cpu_count(pools):
 
 def test_serial_entpower_sweep_prepares_its_search_once(monkeypatch, tmp_path):
     # the alpha-free half of the search (the Fourier eigensolve, the scorer's
-    # register root) runs once per sweep, not once per alpha; the instance and
-    # the Fourier eigensolve trust U, which only a file U's load checks
+    # register root) runs once per sweep, not once per alpha or per range; the
+    # set-up and the Fourier eigensolve trust U, which only a file U's load checks
     calls = counted(monkeypatch, (dqc1.entpower, "_fourier_ensemble"), (dqc1.linalg, "is_unitary"))
-    for unitary, checks in (("haar", 0), (file_unitary(tmp_path, 3), 1)):
-        calls.update(_fourier_ensemble=0, is_unitary=0)
-        cfg = config_from_dict(
-            {"experiment": "entpower-vs-alpha", "n": 3, "samples": 20, "unitary": unitary}
-        )
-        assert len(cfg.alphas) == 10 and cfg.workers is None
-        assert len(run_experiment(cfg)) == 10
-        assert calls == {"_fourier_ensemble": 1, "is_unitary": checks}
+    for experiment, points in (("entpower-vs-alpha", 10), ("verify-theorem1", 21)):
+        for unitary, checks in (("haar", 0), (file_unitary(tmp_path, 3), 1)):
+            calls.update(_fourier_ensemble=0, is_unitary=0)
+            payload = {"experiment": experiment, "n": 3, "samples": 20, "unitary": unitary}
+            cfg = config_from_dict(payload)
+            assert cfg.workers is None and len(dqc1.experiments._ranges(points, 1)) > 1
+            assert len(run_experiment(cfg)) == points
+            assert calls == {"_fourier_ensemble": 1, "is_unitary": checks}
 
 
 def recording_setup(monkeypatch, experiment, path, error=None):
@@ -909,7 +923,7 @@ def test_write_read_json_is_float_exact(tmp_path):
     write_results(rows, path, "json")
     assert read_results(path) == rows
     payload = json.loads(path.read_text())
-    assert payload[0] == asdict(rows[0])
+    assert payload[0] == rows[0]._asdict()
 
 
 @pytest.mark.parametrize(
@@ -923,7 +937,7 @@ def test_csv_rows_keep_their_per_field_format(tmp_path, x):
         result_row("trace-vs-shots", "shots_y", 10**6, x, 0.5, 7),
     ]
     write_results(rows, tmp_path / "out.csv", "csv")
-    lines = [",".join(dqc1.experiments._HEADER)]
+    lines = [",".join(ResultRow._fields)]
     for r in rows:
         reals = [format(float(v), ".17g") for v in (r.param_value, r.measured, r.reference, r.deviation)]
         lines.append(",".join((r.experiment, r.param_name, *reals, str(r.seed))))
