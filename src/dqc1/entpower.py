@@ -24,6 +24,7 @@ which holds a brute-force search's whole alpha-free half, Fourier candidate too.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -372,19 +373,23 @@ class _DrawScorer:
     ``mix`` to the k averages, each member scored as in :func:`ensemble_average`
     with its squared norm as its weight, and each with the bits of its draw
     alone.  The draws come from :func:`~dqc1.linalg.random_right_unitary`,
-    orthonormal by its QR, and go unchecked, as do ``u`` and ``rho``.  On a
-    maximally mixed ``rho``, ``fourier`` holds the Fourier members' weights
-    and branch values, the search's one fixed candidate; else it is None.
+    orthonormal by its QR, and go unchecked, as do ``u`` and ``rho``.
     """
 
     def __init__(self, u: np.ndarray, rho: np.ndarray):
         spec = eig_hermitian(rho)
         self.rank = int(np.sum(spec.eigenvalues > TOL_SPECTRAL))
         self.root = spec.eigenvectors[:, : self.rank] * np.sqrt(spec.eigenvalues[: self.rank])
-        self.u_root, self.fourier = u @ self.root, None
-        if np.max(np.abs(rho - np.eye(len(rho)) / len(rho))) <= TOL_SPECTRAL:
-            ens = _fourier_ensemble(u)
-            self.fourier = ens.weights, _member_branches(u, ens)
+        self.u, self.rho, self.u_root = u, rho, u @ self.root
+
+    @functools.cached_property
+    def fourier(self):
+        """The search's fixed candidate: on a maximally mixed ``rho``, the Fourier
+        members' weights and branch values (one eigensolve, on first use), else None."""
+        if np.max(np.abs(self.rho - np.eye(len(self.rho)) / len(self.rho))) > TOL_SPECTRAL:
+            return None
+        ens = _fourier_ensemble(self.u)
+        return ens.weights, _member_branches(self.u, ens)
 
     def __call__(self, t_stack: np.ndarray, mix: float) -> np.ndarray:
         members = self.root @ t_stack

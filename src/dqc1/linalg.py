@@ -237,24 +237,24 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def trace_overlap(u: np.ndarray, rho: np.ndarray) -> complex:
     """Tr(U rho) as the elementwise sum of U_ij rho_ji: O(d^2), never forms
-    the product U rho.  A sum past the largest float is rejected."""
+    the product U rho.  A sum that overflows is rejected, even where its
+    terms would cancel, by the operand with the larger entries."""
     u = _check_matrix("u", u)
     rho = _check_matrix("rho", rho, len(u))
     with np.errstate(all="ignore"):  # huge entries' products or sum are inf or nan
         t = complex(np.sum(u * rho.T))
-    if not np.isfinite(t):
-        raise ValueError("rho and u have a trace overlap past the largest float")
+        if not np.isfinite(t):  # named by the operand with the larger entries
+            big, other = ("u", "rho") if np.abs(u).max() >= np.abs(rho).max() else ("rho", "u")
+            raise ValueError(f"{big} is too large: its trace overlap with {other} overflows while summed")
     return t
 
 
 def normalized_trace(u: np.ndarray) -> complex:
-    """Tr U / d, the quantity the one-clean-qubit readout estimates.  The
-    register dimension d is a power of two, so the division is exact; a
-    diagonal whose sum passes the largest float is divided first."""
+    """Tr U / d, the quantity the one-clean-qubit readout estimates, as the
+    sum of the diagonal divided by d first: d is a power of two, so each
+    division is exact, and the sum never passes the largest diagonal entry."""
     u = _check_matrix("u", u)
-    with np.errstate(all="ignore"):  # a huge diagonal sums to inf or nan
-        t = complex(np.trace(u)) / u.shape[0]
-    return t if np.isfinite(t) else complex(np.trace(u / u.shape[0]))
+    return complex(np.sum(np.diagonal(u) / len(u)))
 
 
 def is_unitary(a: np.ndarray, tol: float = TOL_SPECTRAL) -> bool:

@@ -535,17 +535,21 @@ def test_run_verify_theorem1_names_the_range_of_an_unattributed_failure(monkeypa
         run_experiment(theorem1_config(workers=1))
 
 
-def test_a_failed_fourier_eigensolve_reaches_the_caller_as_itself(monkeypatch):
-    # the Fourier candidate is built in the set-up, as entpower-vs-alpha's is,
-    # not in the range that holds point 0
+def test_a_failed_fourier_eigensolve_is_reported_where_the_candidate_is_first_read(monkeypatch):
+    # the Fourier candidate is built on first use: verify-theorem1 reads it
+    # outside the range's sampling, so its failure reaches the caller as
+    # itself; entpower-vs-alpha reads it in point 0's search, which names it
     def broken(u):
         raise ValueError("no eigenbasis")
 
     monkeypatch.setattr(dqc1.entpower, "_eig_unitary", broken)
-    for experiment in ("verify-theorem1", "entpower-vs-alpha"):
-        cfg = config_from_dict({"experiment": experiment, "n": 2, "samples": 3, "workers": 1})
-        with pytest.raises(ValueError, match="^no eigenbasis$"):
-            run_experiment(cfg)
+    cfg = config_from_dict({"experiment": "verify-theorem1", "n": 2, "samples": 3, "workers": 1})
+    with pytest.raises(ValueError, match="^no eigenbasis$"):
+        run_experiment(cfg)
+    cfg = config_from_dict({"experiment": "entpower-vs-alpha", "n": 2, "samples": 3, "workers": 1})
+    point0 = r"^entpower-vs-alpha failed at point 0 \(.*\): no eigenbasis$"
+    with pytest.raises(RuntimeError, match=point0):
+        run_experiment(cfg)
 
 
 @pytest.fixture
@@ -624,6 +628,17 @@ def test_serial_entpower_sweep_prepares_its_search_once(monkeypatch, tmp_path):
             assert cfg.workers is None and len(dqc1.experiments._ranges(points, 1)) > 1
             assert len(run_experiment(cfg)) == points
             assert calls == {"_fourier_ensemble": 1, "is_unitary": checks}
+
+
+def test_only_the_verify_theorem1_range_with_point_0_runs_the_fourier_eigensolve(monkeypatch):
+    # each pool worker builds its own set-up: one whose ranges skip point 0
+    # never needs the Fourier row, so it never pays the O(d^3) eigensolve
+    calls = counted(monkeypatch, (dqc1.entpower, "_fourier_ensemble"))
+    cfg = config_from_dict({"experiment": "verify-theorem1", "n": 3, "samples": 20})
+    kind = dqc1.experiments._EXPERIMENTS["verify-theorem1"]
+    payload = kind.setup(cfg)
+    assert len(kind.evaluate(cfg, payload, 5, 21)) == 16 and calls["_fourier_ensemble"] == 0
+    assert kind.evaluate(cfg, payload, 0, 5)[0][0] == "fourier" and calls["_fourier_ensemble"] == 1
 
 
 def recording_setup(monkeypatch, experiment, path, error=None):
