@@ -373,26 +373,34 @@ class _DrawScorer:
     ``mix`` to the k averages, each member scored as in :func:`ensemble_average`
     with its squared norm as its weight, and each with the bits of its draw
     alone.  The draws come from :func:`~dqc1.linalg.random_right_unitary`,
-    orthonormal by its QR, and go unchecked, as do ``u`` and ``rho``.
+    orthonormal by its QR, and go unchecked, as do ``u`` and ``rho``.  No ``rho``
+    is I/d, whose root needs no eigensolve: :func:`~dqc1.linalg.eig_hermitian`
+    gives J sqrt(1/d), J the reversal, so the members are T's rows reversed and scaled.
     """
 
-    def __init__(self, u: np.ndarray, rho: np.ndarray):
-        spec = eig_hermitian(rho)
-        self.rank = int(np.sum(spec.eigenvalues > TOL_SPECTRAL))
-        self.root = spec.eigenvectors[:, : self.rank] * np.sqrt(spec.eigenvalues[: self.rank])
-        self.u, self.rho, self.u_root = u, rho, u @ self.root
+    def __init__(self, u: np.ndarray, rho: np.ndarray | None = None):
+        self.u, self.rho, self.scale, self.rank = u, rho, math.sqrt(1 / len(u)), len(u)
+        if rho is not None:
+            spec = eig_hermitian(rho)
+            self.rank = int(np.sum(spec.eigenvalues > TOL_SPECTRAL))
+            self.root = spec.eigenvectors[:, : self.rank] * np.sqrt(spec.eigenvalues[: self.rank])
+        self.u_root = u[:, ::-1] * self.scale if rho is None else u @ self.root
 
     @functools.cached_property
     def fourier(self):
         """The search's fixed candidate: on a maximally mixed ``rho``, the Fourier
         members' weights and branch values (one eigensolve, on first use), else None."""
-        if np.max(np.abs(self.rho - np.eye(len(self.rho)) / len(self.rho))) > TOL_SPECTRAL:
+        rho, d = self.rho, len(self.u)
+        if rho is not None and np.max(np.abs(rho - np.eye(d) / d)) > TOL_SPECTRAL:
             return None
         ens = _fourier_ensemble(self.u)
         return ens.weights, _member_branches(self.u, ens)
 
     def __call__(self, t_stack: np.ndarray, mix: float) -> np.ndarray:
-        members = self.root @ t_stack
+        if self.rho is None:  # C order, as the product gives: the sums below keep their order
+            members = np.multiply(t_stack[..., ::-1, :], self.scale, order="C")
+        else:
+            members = self.root @ t_stack
         weights = np.sum(np.abs(members) ** 2, axis=-2)
         branch = _branch_entanglement(members, self.u_root @ t_stack, weights)
         return (weights[:, None, :] @ (mix * branch)[:, :, None])[:, 0, 0]
@@ -400,7 +408,7 @@ class _DrawScorer:
     def scores(self, lo: int, hi: int, streams, mix: float):
         """The averages of draws lo..hi-1 (:func:`_right_unitary_stacks`), an
         array per stack; a draw adds d x 2d members, and U times them."""
-        dim = len(self.root)
+        dim = len(self.u)
         for t_stack in _right_unitary_stacks(self.rank, 2 * dim, lo, hi, streams, 2 * dim * dim):
             yield self(t_stack, mix)
 

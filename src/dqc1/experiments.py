@@ -4,18 +4,16 @@ A run is described by an :class:`ExperimentConfig`, which checks its fields
 when built, from JSON or by hand; every error names its field.  Unknown keys
 are rejected, and so is a ``rho`` other than ``maximally-mixed`` outside
 ``verify-theorem3``; other fields an experiment does not read are ignored.
-A sweep's fixed inputs, and what all its points share (an eigensolve, a
-scorer), are built and validated by the experiment's set-up once per
-process that runs points, before its first point: in process when serial,
-in each worker and never in the parent when pooled, so a set-up error
-reaches the caller as itself either way.  The set-up lives no longer than
-the sweep.  Every parameter point then draws from its own random stream
-keyed by (seed, point index), so results are byte-identical for a given
-config and seed no matter how many workers execute the sweep or in which
-order points finish.  A sweep evaluates its points in contiguous index
-ranges, one pool task each if ``workers`` asks for a pool, else serially;
-the output never depends on the ranges.  A ``verify-theorem1`` range draws
-each point from its own stream, and scores its draws a bounded stack at a time.
+A sweep's fixed inputs, and what all its points share (a unitary, a
+scorer), are built and validated by its set-up once, in the calling process,
+before any point, so a set-up error reaches the caller as itself.  Every
+point then draws from its own random stream keyed by (seed, point index),
+so results are byte-identical for a given config and seed however many
+workers run the sweep.  A sweep evaluates its points in contiguous index
+ranges, serially, or, if ``workers`` asks for a pool (on Linux only), in
+workers forked after the set-up, one contiguous block of ranges each.  A
+``verify-theorem1`` range draws each point from its own stream, and scores
+its draws a bounded stack at a time.
 Each experiment is defined in one place, its record in ``_EXPERIMENTS``,
 which also holds the checks ``dqc1 verify`` applies to its rows.
 
@@ -29,6 +27,9 @@ import functools
 import json
 import math
 import os
+import pickle
+import signal
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -261,9 +262,9 @@ def _point_entpower_vs_alpha(cfg, payload, idx):
     return [("alpha", a, measured, a * payload["standard"])]
 
 
-def _setup_search(cfg):
-    u, dim = _fixed_unitary(cfg), 2**cfg.n
-    return {"score": _DrawScorer(u, np.eye(dim, dtype=np.complex128) / dim), "standard": _standard(u)}
+def _setup_search(cfg):  # the scorer of the maximally mixed register
+    u = _fixed_unitary(cfg)
+    return {"score": _DrawScorer(u), "standard": _standard(u)}
 
 
 def _complexity_budget(alpha: float, t: complex, rounds_target: int) -> ErrorBudget:
@@ -376,8 +377,8 @@ def _pointwise(point):
 @dataclass(frozen=True)
 class _Experiment:
     """One experiment: its point count and point labels, its set-up (the
-    payload every point reads, built and validated once per process that
-    runs points, before any point), the evaluator of an index range of
+    payload every point reads, built and validated once per sweep, in the
+    calling process, before any point), the evaluator of an index range of
     points, and its ``dqc1 verify`` checks.  A check is (rule, row names,
     tol, report line): each named row passes if its deviation is at most
     tol (rule ``within``) or if measured is at most reference + tol (rule
@@ -472,56 +473,80 @@ _EXPERIMENTS = {
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
-def _failure(cfg: ExperimentConfig, lo: int, hi: int, err: Exception) -> RuntimeError:
+def _failure(cfg: ExperimentConfig, lo: int, hi: int, err: Exception | str) -> RuntimeError:
     """The error of a sweep whose points [lo, hi) failed with ``err``."""
     label = _EXPERIMENTS[cfg.experiment].label(cfg, lo)
     where = f"point {lo} ({label})" if hi - lo == 1 else f"points {lo}..{hi - 1}"
     return RuntimeError(f"{cfg.experiment} failed at {where}: {err}")
 
 
-@functools.lru_cache(maxsize=1)
-def _payload(cfg: ExperimentConfig) -> dict:
-    """The experiment's set-up of ``cfg``, built once per process that runs
-    its points; an error is raised, not kept, so every try raises it anew."""
-    return _EXPERIMENTS[cfg.experiment].setup(cfg)
-
-
-def _eval_range(task: tuple) -> list[tuple]:
-    """One range task ``(cfg, lo, hi)``, serial or in a pool worker."""
-    cfg, lo, hi = task
-    return _eval_point((cfg, _payload(cfg), lo, hi))
-
-
-def _eval_point(args: tuple) -> list[tuple]:
+def _eval_point(cfg: ExperimentConfig, payload: dict, lo: int, hi: int) -> list[tuple]:
     """Rows (name, value, measured, reference), in Python floats, of the
     points in the index range [lo, hi), in point order: a sweep's work unit."""
-    cfg, payload, lo, hi = args
     return _EXPERIMENTS[cfg.experiment].evaluate(cfg, payload, lo, hi)
 
 
 def _ranges(count: int, pool_size: int) -> list[tuple[int, int]]:
     """Contiguous index ranges covering ``count`` points: about four per
-    worker, so each costs one round trip.  They only schedule work; how
-    many draws one stack holds is the sampling code's business."""
+    worker.  They only schedule work; how many draws one stack holds is the
+    sampling code's business."""
     step = max(1, count // (4 * pool_size))
     return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
+_FORKS = sys.platform == "linux"  # elsewhere os.fork is missing or unsafe with numpy
+
+
+def _forked(cfg: ExperimentConfig, payload: dict, blocks: list[list]) -> list[list[tuple]]:
+    """The rows of each block of ranges, from one worker per block forked with
+    the set-up, which pickles its rows, or its error, to a pipe.  Every worker
+    is reaped, and those not yet read from are killed first."""
+    workers, outputs = [], []  # (pid, read end, block) of each worker; what each sent
+    try:
+        for block in blocks:
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:  # a worker leaves by _exit, flushing nothing it inherited
+                try:
+                    try:
+                        out = [row for lo, hi in block for row in _eval_point(cfg, payload, lo, hi)]
+                    except BaseException as err:
+                        out = err
+                    with open(write, "wb") as sink:
+                        pickle.dump(out, sink)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            workers.append((pid, open(read, "rb"), block))
+        for pid, pipe, block in workers:  # in worker order
+            try:
+                outputs.append(pickle.load(pipe))
+            except (EOFError, pickle.UnpicklingError):  # it died first: peek at why, unreaped
+                info = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+                code = info.si_status if info.si_code == os.CLD_EXITED else -info.si_status
+                raise _failure(cfg, block[0][0], block[-1][1], f"worker exit status {code}") from None
+            if isinstance(outputs[-1], BaseException):
+                raise outputs[-1]
+        return outputs
+    finally:
+        for pid, _, _ in workers[len(outputs) :]:  # a failure stops the reading: end the rest
+            os.kill(pid, signal.SIGKILL)
+        for pid, pipe, _ in workers:
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Evaluate every parameter point and return rows in point order."""
-    count = _EXPERIMENTS[cfg.experiment].count(cfg)
+    kind = _EXPERIMENTS[cfg.experiment]
+    count = kind.count(cfg)
     # a pool only on request, and never larger than the host: rows never depend on it
-    pool_size = min(cfg.workers or 1, count, os.cpu_count() or 1)
-    tasks = [(cfg, lo, hi) for lo, hi in _ranges(count, pool_size)]
-    try:  # a pool's parent sets nothing up: each worker does, on its first task
-        if pool_size > 1:
-            from concurrent.futures import ProcessPoolExecutor  # only a pooled sweep pays its import
-            with ProcessPoolExecutor(pool_size) as pool:
-                outputs = list(pool.map(_eval_range, tasks))
-        else:
-            outputs = list(map(_eval_range, tasks))
-    finally:
-        _payload.cache_clear()
+    size = min(cfg.workers or 1, count, os.cpu_count() or 1) if _FORKS else 1
+    payload, ranges = kind.setup(cfg), _ranges(count, size)
+    if size > 1:
+        cut = [len(ranges) * i // size for i in range(size + 1)]
+        outputs = _forked(cfg, payload, [ranges[a:b] for a, b in zip(cut, cut[1:])])
+    else:
+        outputs = [_eval_point(cfg, payload, lo, hi) for lo, hi in ranges]
     seed, rows = int(cfg.seed), (row for out in outputs for row in out)
     return [ResultRow(cfg.experiment, k, v, m, r, abs(m - r), seed) for k, v, m, r in rows]
 

@@ -1,7 +1,6 @@
 """Tests for the experiment runner: config validation, sweep determinism,
 result I/O, and the command-line front end."""
 
-import concurrent.futures
 import contextlib
 import gc
 import importlib
@@ -12,9 +11,11 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -479,7 +480,7 @@ def test_run_verify_theorem1_stacks_two_draws_at_a_time_at_n6(monkeypatch):
 def test_run_verify_theorem1_decomposes_once_per_range(monkeypatch, samples, ranges):
     # 61 points serially make ranges of 15 (five of them), 2001 points at
     # n=2 ranges of 500; the draws are scored once per range, and the
-    # register is eigensolved once per sweep, in the sweep's set-up
+    # maximally mixed register is never eigensolved: its root is J / sqrt(d)
     import dqc1.entpower
 
     calls = {"eig_hermitian": 0, "score": 0}
@@ -497,7 +498,20 @@ def test_run_verify_theorem1_decomposes_once_per_range(monkeypatch, samples, ran
     monkeypatch.setattr(dqc1.entpower, "eig_hermitian", counting_eig)
     monkeypatch.setattr(dqc1.experiments, "_DrawScorer", CountingScorer)
     assert len(run_experiment(theorem1_config(samples=samples, workers=1))) == samples + 1
-    assert calls == {"eig_hermitian": 1, "score": ranges}
+    assert calls == {"eig_hermitian": 0, "score": ranges}
+
+
+@pytest.mark.parametrize("experiment", ["entpower-vs-alpha", "verify-theorem1"])
+def test_a_serial_search_sweep_runs_no_register_eigensolve(monkeypatch, experiment):
+    # the sweeps search the maximally mixed register, whose root the scorer
+    # knows; the public brute_force_entpower still eigensolves its register
+    calls = counted(monkeypatch, (dqc1.entpower, "eig_hermitian"))
+    cfg = config_from_dict({"experiment": experiment, "n": 3, "samples": 20})
+    assert cfg.workers is None and len(run_experiment(cfg)) in (10, 21)
+    assert calls == {"eig_hermitian": 0}
+    inst = Dqc1Instance(3, haar_unitary(8, SeededRng(1)), ControlQubit.from_alpha(1.0))
+    dqc1.entpower.brute_force_entpower(inst, 2, SeededRng(2))
+    assert calls == {"eig_hermitian": 1}
 
 
 def test_serial_theorem1_sweep_builds_one_seed_sequence_per_range(monkeypatch):
@@ -519,7 +533,7 @@ def test_theorem1_range_hands_back_python_floats():
     # float rows pickle about ten times faster than numpy scalars out of a worker
     cfg = theorem1_config(samples=40, workers=1)
     kind = dqc1.experiments._EXPERIMENTS[cfg.experiment]
-    rows = dqc1.experiments._eval_point((cfg, kind.setup(cfg), 0, 41))
+    rows = dqc1.experiments._eval_point(cfg, kind.setup(cfg), 0, 41)
     assert [row[0] for row in rows] == ["fourier"] + ["sample"] * 40
     assert {type(row[2]) for row in rows[1:]} == {float}
 
@@ -554,24 +568,17 @@ def test_a_failed_fourier_eigensolve_is_reported_where_the_candidate_is_first_re
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The sizes of the pools ``run_experiment`` builds, on a 2-CPU host,
-    each one running its tasks in process."""
-    sizes = []
+    """The number of workers each pooled sweep forks, on a 2-CPU host."""
+    sizes, fork, forked = [], os.fork, dqc1.experiments._forked
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def counting_fork():
+        pid = fork()
+        if pid:  # in the sweep's process; a worker never forks
+            sizes[-1] += 1
+        return pid
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(dqc1.experiments, "_forked", lambda *args: sizes.append(0) or forked(*args))
+    monkeypatch.setattr(dqc1.experiments.os, "fork", counting_fork)
     monkeypatch.setattr(dqc1.experiments.os, "cpu_count", lambda: 2)
     return sizes
 
@@ -596,13 +603,21 @@ def test_sweeps_run_serially_unless_workers_is_set(pools, experiment):
 
 
 def test_importing_the_package_leaves_the_process_pool_unimported():
-    # the pool's module pulls in multiprocessing, socket and subprocess: only
-    # a sweep that runs a pool imports it, not every ``import dqc1``
-    pool = ("concurrent.futures.process", "multiprocessing")
-    code = f"import sys, dqc1.cli; print([m for m in {pool} if m in sys.modules])"
+    # the executor's modules pull in logging, multiprocessing, socket and
+    # subprocess: neither ``import dqc1`` nor a pooled sweep, which forks
+    # its workers itself, imports them
+    pool = ("concurrent.futures", "concurrent.futures.process", "multiprocessing")
+    code = (
+        "import os, sys, dqc1.cli\n"
+        "from dqc1.experiments import config_from_dict, run_experiment\n"
+        "os.cpu_count = lambda: 2\n"
+        "cfg = {'experiment': 'verify-theorem1', 'n': 1, 'samples': 20, 'workers': 2}\n"
+        "rows = run_experiment(config_from_dict(cfg))\n"
+        f"print(len(rows), [m for m in {pool} if m in sys.modules])"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(dqc1.__file__).resolve().parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert out.stdout == "[]\n", out.stderr
+    assert out.stdout == "21 []\n", out.stderr
 
 
 def test_pool_never_outgrows_the_cpu_count(pools):
@@ -613,6 +628,138 @@ def test_pool_never_outgrows_the_cpu_count(pools):
     rows = run_experiment(cfg)
     assert pools == [2]
     assert rows == run_experiment(replace(cfg, workers=1))
+
+
+def test_without_fork_a_pooled_sweep_runs_serially_with_the_same_rows(pools, monkeypatch):
+    # off Linux a sweep never forks, whatever ``workers`` asks for
+    cfg = config_from_dict({"experiment": "verify-theorem1", "n": 2, "samples": 30, "workers": 2})
+    pooled = run_experiment(cfg)
+    assert pools == [2]
+    monkeypatch.setattr(dqc1.experiments, "_FORKS", False)
+    assert run_experiment(cfg) == pooled
+    assert pools == [2]
+
+
+def assert_no_children():
+    """Every child this process forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def failing_at(monkeypatch, experiment, bad, error):
+    """Make ``experiment``'s point ``bad`` raise ``error``, on a 2-CPU host."""
+    kind = dqc1.experiments._EXPERIMENTS[experiment]
+
+    def evaluate(cfg, payload, lo, hi):
+        rows = []
+        for idx in range(lo, hi):
+            if idx == bad:
+                raise dqc1.experiments._failure(cfg, idx, idx + 1, error)
+            rows += kind.evaluate(cfg, payload, idx, idx + 1)
+        return rows
+
+    monkeypatch.setitem(dqc1.experiments._EXPERIMENTS, experiment, replace(kind, evaluate=evaluate))
+    monkeypatch.setattr(dqc1.experiments.os, "cpu_count", lambda: 2)
+
+
+def test_a_pooled_sweep_reaps_its_workers_after_success():
+    cfg = config_from_dict({"experiment": "verify-theorem1", "n": 1, "samples": 30, "workers": 2})
+    assert run_experiment(cfg) == run_experiment(replace(cfg, workers=1))
+    assert_no_children()
+
+
+@pytest.mark.parametrize("bad", [2, 6])
+def test_a_point_that_fails_in_a_worker_reaches_the_caller_as_it_would_serially(monkeypatch, bad):
+    # 8 points on 2 workers: ranges of 1, points 0..3 in the first worker
+    # and 4..7 in the second; either worker's error is raised as itself
+    failing_at(monkeypatch, "trace-vs-shots", bad, ValueError("no readout"))
+    cfg = trace_config(shots=[10 * (i + 1) for i in range(8)], workers=1)
+    text = f"^trace-vs-shots failed at point {bad} \\(shots={10 * (bad + 1)}\\): no readout$"
+    for workers in (1, 2):
+        with pytest.raises(RuntimeError, match=text):
+            run_experiment(replace(cfg, workers=workers))
+        assert_no_children()
+
+
+def test_a_pooled_verify_theorem1_failure_names_its_range(monkeypatch):
+    class BrokenScorer(_DrawScorer):
+        def __call__(self, t_stack, mix):
+            raise ValueError("no score")
+
+    monkeypatch.setattr(dqc1.experiments, "_DrawScorer", BrokenScorer)
+    monkeypatch.setattr(dqc1.experiments.os, "cpu_count", lambda: 2)
+    # 31 points on 2 workers make ranges of 3: the first stack is points 1..2
+    with pytest.raises(RuntimeError, match=r"^verify-theorem1 failed at points 1\.\.2: no score$"):
+        run_experiment(theorem1_config(workers=2))
+    assert_no_children()
+
+
+def test_a_worker_killed_by_a_signal_is_named_by_its_points_and_status(monkeypatch):
+    # the second worker of 8 points holds points 4..7, and dies in point 5
+    caller, evaluate = os.getpid(), dqc1.experiments._eval_point
+
+    def dying(cfg, payload, lo, hi):
+        if lo == 5 and os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return evaluate(cfg, payload, lo, hi)
+
+    monkeypatch.setattr(dqc1.experiments, "_eval_point", dying)
+    monkeypatch.setattr(dqc1.experiments.os, "cpu_count", lambda: 2)
+    cfg = trace_config(shots=[10 * (i + 1) for i in range(8)], workers=2)
+    with pytest.raises(RuntimeError, match=r"^trace-vs-shots failed at points 4\.\.7: .*status -9$"):
+        run_experiment(cfg)
+    assert_no_children()
+
+
+def test_an_interrupted_pooled_sweep_kills_and_reaps_its_workers(monkeypatch):
+    # the workers would take a minute; the caller is interrupted while it
+    # waits for the first, and ends them both at once
+    caller, evaluate = os.getpid(), dqc1.experiments._eval_point
+
+    def slow(cfg, payload, lo, hi):
+        if os.getpid() != caller:
+            time.sleep(60)
+        return evaluate(cfg, payload, lo, hi)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(dqc1.experiments, "_eval_point", slow)
+    monkeypatch.setattr(dqc1.experiments.os, "cpu_count", lambda: 2)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.perf_counter()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(trace_config(workers=2))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 30
+    assert_no_children()
+
+
+def test_a_pooled_sweep_prints_unflushed_text_once_and_leaks_no_file():
+    # a worker leaves by os._exit, so the caller's stdout buffer, inherited
+    # unflushed, is written once, by the caller; every pipe is closed
+    code = (
+        "import os, dqc1.entpower\n"
+        "from dqc1.experiments import config_from_dict, run_experiment\n"
+        "os.cpu_count = lambda: 2\n"
+        "print('before the sweep')\n"
+        "cfg = config_from_dict({'experiment': 'verify-theorem1', 'n': 1, 'samples': 20, 'workers': 2})\n"
+        "print(len(run_experiment(cfg)))\n"
+        "dqc1.entpower._DrawScorer.__call__ = lambda self, t_stack, mix: 1 / 0\n"
+        "try:\n"
+        "    run_experiment(cfg)\n"
+        "except RuntimeError as err:\n"
+        "    print(err)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dqc1.__file__).resolve().parents[1])}
+    command = [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", code]
+    out = subprocess.run(command, env=env, capture_output=True, text=True)
+    failed = "verify-theorem1 failed at point 1 (sample=1): division by zero"
+    assert (out.returncode, out.stdout, out.stderr) == (0, f"before the sweep\n21\n{failed}\n", "")
 
 
 def test_serial_entpower_sweep_prepares_its_search_once(monkeypatch, tmp_path):
@@ -631,8 +778,9 @@ def test_serial_entpower_sweep_prepares_its_search_once(monkeypatch, tmp_path):
 
 
 def test_only_the_verify_theorem1_range_with_point_0_runs_the_fourier_eigensolve(monkeypatch):
-    # each pool worker builds its own set-up: one whose ranges skip point 0
-    # never needs the Fourier row, so it never pays the O(d^3) eigensolve
+    # the caller builds the set-up before it forks, and the Fourier row is
+    # computed on first use: a worker whose ranges skip point 0 never needs
+    # it, and the caller never pays the O(d^3) eigensolve
     calls = counted(monkeypatch, (dqc1.entpower, "_fourier_ensemble"))
     cfg = config_from_dict({"experiment": "verify-theorem1", "n": 3, "samples": 20})
     kind = dqc1.experiments._EXPERIMENTS["verify-theorem1"]
@@ -658,12 +806,8 @@ def recording_setup(monkeypatch, experiment, path, error=None):
     return lambda: [int(line) for line in path.read_text().split()]
 
 
-def memo_is_empty():
-    return dqc1.experiments._payload.cache_info().currsize == 0
-
-
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
-def test_setup_runs_once_per_process_and_never_in_a_pool_parent(monkeypatch, tmp_path, experiment):
+def test_setup_runs_once_per_sweep_in_the_callers_process(monkeypatch, tmp_path, experiment):
     cfg = config_from_dict(
         {
             "experiment": experiment,
@@ -677,18 +821,15 @@ def test_setup_runs_once_per_process_and_never_in_a_pool_parent(monkeypatch, tmp
     pids = recording_setup(monkeypatch, experiment, tmp_path / "pids")
     serial = run_experiment(cfg)
     assert pids() == [os.getpid()]  # a serial sweep sets up once, in process
-    assert memo_is_empty()
     (tmp_path / "pids").unlink()
     assert run_experiment(replace(cfg, workers=2)) == serial
-    pooled = pids()
-    assert 1 <= len(pooled) <= 2 and len(set(pooled)) == len(pooled)  # once per worker
-    assert os.getpid() not in pooled
-    assert memo_is_empty()
+    assert pids() == [os.getpid()]  # so does a pooled one: its workers inherit the set-up
 
 
 @pytest.mark.parametrize("workers", [None, 2])
 def test_a_failed_setup_raises_its_own_error_serially_and_in_a_pool(monkeypatch, tmp_path, workers):
-    # a failure in what the points share used to be wrapped as "failed at points 0..9"
+    # a failure in what the points share used to be wrapped as "failed at
+    # points 0..9"; the caller sets up before it forks, so no worker starts
     pids = recording_setup(
         monkeypatch, "entpower-vs-alpha", tmp_path / "pids", LookupError("no eigenbasis")
     )
@@ -697,11 +838,7 @@ def test_a_failed_setup_raises_its_own_error_serially_and_in_a_pool(monkeypatch,
     with pytest.raises(LookupError) as caught:
         run_experiment(replace(cfg, workers=workers))
     assert type(caught.value) is LookupError and str(caught.value) == "no eigenbasis"
-    if workers:
-        assert pids() and os.getpid() not in pids()
-    else:  # the first range's set-up fails, and no later range runs
-        assert pids() == [os.getpid()]
-    assert memo_is_empty()
+    assert pids() == [os.getpid()]
 
 
 @pytest.mark.parametrize("workers", [None, 2])
@@ -1241,11 +1378,11 @@ def test_cli_run_rejects_a_missing_matrix_file(tmp_path, capsys, experiment, fie
 def test_cli_run_rejects_a_pooled_sweep_in_its_workers_set_up(
     tmp_path, capsys, monkeypatch, payload, field
 ):
-    # a pool's workers set the sweep up, so its error comes from them: still
-    # before any point, with exit 2 and the serial run's line
+    # a pooled sweep sets up in the caller before it forks, so its error is
+    # the serial run's: before any point, with exit 2 and the same line
     monkeypatch.setattr(dqc1.experiments, "_eval_point", no_points)
     monkeypatch.setattr(dqc1.experiments.os, "cpu_count", lambda: 2)
-    monkeypatch.chdir(tmp_path)  # where the workers look for the register file
+    monkeypatch.chdir(tmp_path)  # where the set-up looks for the register file
     out = tmp_path / "rows.csv"
     errs = []
     for workers in (1, 2):
