@@ -11,7 +11,7 @@ point then draws from its own random stream keyed by (seed, point index),
 so results are byte-identical for a given config and seed however many
 workers run the sweep.  A sweep evaluates its points in contiguous index
 ranges, serially, or, if ``workers`` asks for a pool (on Linux only), in
-workers forked after the set-up, one contiguous block of ranges each.  A
+workers forked after the set-up, which claim them one at a time.  A
 ``verify-theorem1`` range draws each point from its own stream, and scores
 its draws a bounded stack at a time.
 Each experiment is defined in one place, its record in ``_EXPERIMENTS``,
@@ -242,6 +242,7 @@ def _setup_trace_vs_shots(cfg):
     except ValueError as err:
         raise ValueError(f"field 'alpha': {err}") from None
     inst = _trusted_instance(cfg.n, _fixed_unitary(cfg), control)
+    inst.overlap  # every readout reads t: taken once, here, so forked workers inherit it
     return {"inst": inst, "t": normalized_trace(inst.unitary)}
 
 
@@ -487,50 +488,65 @@ def _eval_point(cfg: ExperimentConfig, payload: dict, lo: int, hi: int) -> list[
 
 
 def _ranges(count: int, pool_size: int) -> list[tuple[int, int]]:
-    """Contiguous index ranges covering ``count`` points: about four per
-    worker.  They only schedule work; how many draws one stack holds is the
-    sampling code's business."""
+    """Contiguous index ranges covering ``count`` points, fewer than eight
+    per worker, which bounds a pool's claims.  They only schedule work; how
+    many draws one stack holds is the sampling code's business."""
     step = max(1, count // (4 * pool_size))
     return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 _FORKS = sys.platform == "linux"  # elsewhere os.fork is missing or unsafe with numpy
+_MAX_POOL = 128  # under 8 claims of 4 bytes a worker: they fit PIPE_BUF, which any pipe holds
 
 
-def _forked(cfg: ExperimentConfig, payload: dict, blocks: list[list]) -> list[list[tuple]]:
-    """The rows of each block of ranges, from one worker per block forked with
-    the set-up, which pickles its rows, or its error, to a pipe.  Every worker
-    is reaped, and those not yet read from are killed first."""
-    workers, outputs = [], []  # (pid, read end, block) of each worker; what each sent
+def _forked(cfg: ExperimentConfig, payload: dict, ranges: list, size: int) -> list[list[tuple]]:
+    """The rows of each range, from ``size`` workers forked with the set-up.
+    A worker claims one range at a time, reading its 4-byte index from a
+    pipe the caller filled before the first fork, and pickles its (index,
+    rows) pairs, and the error that stopped it, to a pipe of its own.  The
+    caller raises the error of the lowest range not delivered, as a serial
+    sweep would, and kills and reaps every worker."""
+    claims, fill = os.pipe()
+    workers, outputs = [], [None] * len(ranges)  # (pid, read end) of each worker; rows by range
     try:
-        for block in blocks:
+        with open(fill, "wb") as sink:  # closed before the first fork, so the claims end
+            sink.write(b"".join(i.to_bytes(4, "little") for i in range(len(ranges))))
+        for _ in range(size):
             read, write = os.pipe()
             if (pid := os.fork()) == 0:  # a worker leaves by _exit, flushing nothing it inherited
                 try:
-                    try:
-                        out = [row for lo, hi in block for row in _eval_point(cfg, payload, lo, hi)]
-                    except BaseException as err:
-                        out = err
+                    pairs = []
+                    while record := os.read(claims, 4):
+                        i = int.from_bytes(record, "little")  # whole: a read holds the pipe's lock
+                        try:
+                            pairs.append((i, _eval_point(cfg, payload, *ranges[i])))
+                        except BaseException as err:  # no later range fails first: take them all
+                            pairs.append((i, err))
+                            os.read(claims, 1 << 16)
                     with open(write, "wb") as sink:
-                        pickle.dump(out, sink)
+                        pickle.dump(pairs, sink)
                 finally:
                     os._exit(0)
             os.close(write)
-            workers.append((pid, open(read, "rb"), block))
-        for pid, pipe, block in workers:  # in worker order
+            workers.append((pid, open(read, "rb")))
+        for pid, pipe in workers:
             try:
-                outputs.append(pickle.load(pipe))
+                pairs = pickle.load(pipe)
             except (EOFError, pickle.UnpicklingError):  # it died first: peek at why, unreaped
-                info = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+                info, pairs = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT), []
                 code = info.si_status if info.si_code == os.CLD_EXITED else -info.si_status
-                raise _failure(cfg, block[0][0], block[-1][1], f"worker exit status {code}") from None
-            if isinstance(outputs[-1], BaseException):
-                raise outputs[-1]
+            for i, out in pairs:
+                outputs[i] = out
+        for (lo, hi), out in zip(ranges, outputs):  # the lowest failing range, as serially
+            if out is None:  # claimed by a worker that died
+                raise _failure(cfg, lo, hi, f"worker exit status {code}")
+            if isinstance(out, BaseException):
+                raise out
         return outputs
     finally:
-        for pid, _, _ in workers[len(outputs) :]:  # a failure stops the reading: end the rest
+        os.close(claims)
+        for pid, pipe in workers:  # a finished worker ignores the kill
             os.kill(pid, signal.SIGKILL)
-        for pid, pipe, _ in workers:
             pipe.close()
             os.waitpid(pid, 0)
 
@@ -540,11 +556,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     kind = _EXPERIMENTS[cfg.experiment]
     count = kind.count(cfg)
     # a pool only on request, and never larger than the host: rows never depend on it
-    size = min(cfg.workers or 1, count, os.cpu_count() or 1) if _FORKS else 1
+    size = min(cfg.workers or 1, count, os.cpu_count() or 1, _MAX_POOL) if _FORKS else 1
     payload, ranges = kind.setup(cfg), _ranges(count, size)
     if size > 1:
-        cut = [len(ranges) * i // size for i in range(size + 1)]
-        outputs = _forked(cfg, payload, [ranges[a:b] for a, b in zip(cut, cut[1:])])
+        outputs = _forked(cfg, payload, ranges, size)
     else:
         outputs = [_eval_point(cfg, payload, lo, hi) for lo, hi in ranges]
     seed, rows = int(cfg.seed), (row for out in outputs for row in out)

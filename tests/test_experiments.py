@@ -11,6 +11,7 @@ import json
 import math
 import os
 import re
+import select
 import signal
 import subprocess
 import sys
@@ -670,8 +671,8 @@ def test_a_pooled_sweep_reaps_its_workers_after_success():
 
 @pytest.mark.parametrize("bad", [2, 6])
 def test_a_point_that_fails_in_a_worker_reaches_the_caller_as_it_would_serially(monkeypatch, bad):
-    # 8 points on 2 workers: ranges of 1, points 0..3 in the first worker
-    # and 4..7 in the second; either worker's error is raised as itself
+    # 8 points on 2 workers: ranges of 1, each claimed by whichever worker
+    # is free; the failing range's error is raised as itself
     failing_at(monkeypatch, "trace-vs-shots", bad, ValueError("no readout"))
     cfg = trace_config(shots=[10 * (i + 1) for i in range(8)], workers=1)
     text = f"^trace-vs-shots failed at point {bad} \\(shots={10 * (bad + 1)}\\): no readout$"
@@ -694,20 +695,129 @@ def test_a_pooled_verify_theorem1_failure_names_its_range(monkeypatch):
     assert_no_children()
 
 
-def test_a_worker_killed_by_a_signal_is_named_by_its_points_and_status(monkeypatch):
-    # the second worker of 8 points holds points 4..7, and dies in point 5
+def claims_log(monkeypatch, path, stall=None):
+    """Make every pooled range append ``<pid> <lo>`` to ``path`` before it
+    runs, ``stall(lo)`` first if given, on a 2-CPU host; returns a reader of
+    the log as {lo: pid}."""
     caller, evaluate = os.getpid(), dqc1.experiments._eval_point
 
-    def dying(cfg, payload, lo, hi):
-        if lo == 5 and os.getpid() != caller:
-            os.kill(os.getpid(), signal.SIGKILL)
+    def logged(cfg, payload, lo, hi):
+        if os.getpid() != caller:
+            with open(path, "a") as log:
+                log.write(f"{os.getpid()} {lo}\n")
+            if stall is not None:
+                stall(lo)
         return evaluate(cfg, payload, lo, hi)
 
-    monkeypatch.setattr(dqc1.experiments, "_eval_point", dying)
+    monkeypatch.setattr(dqc1.experiments, "_eval_point", logged)
     monkeypatch.setattr(dqc1.experiments.os, "cpu_count", lambda: 2)
+    return lambda: {int(lo): int(pid) for pid, lo in map(str.split, path.read_text().splitlines())}
+
+
+def test_a_worker_killed_by_a_signal_is_named_by_its_points_and_status(monkeypatch, tmp_path):
+    # one of 8 one-point ranges kills its worker: every range that worker
+    # claimed is lost, and the lowest of them is named with the exit status
+    def die_in_5(lo):
+        if lo == 5:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    claims = claims_log(monkeypatch, tmp_path / "claims", die_in_5)
     cfg = trace_config(shots=[10 * (i + 1) for i in range(8)], workers=2)
-    with pytest.raises(RuntimeError, match=r"^trace-vs-shots failed at points 4\.\.7: .*status -9$"):
+    with pytest.raises(RuntimeError) as caught:
         run_experiment(cfg)
+    assert_no_children()
+    by = claims()
+    lost = min(lo for lo, pid in by.items() if pid == by[5])  # no worker delivered these
+    want = f"trace-vs-shots failed at point {lost} (shots={10 * (lost + 1)}): worker exit status -9"
+    assert str(caught.value) == want and sorted(by) == list(range(8))
+
+
+def test_a_slow_range_holds_back_no_other(monkeypatch, tmp_path):
+    # the worker that claims range 0 waits until the other has run all the
+    # rest; with a fixed half each, it would hold ranges 1..3 and time out
+    def wait_for_the_rest(lo):
+        deadline = time.monotonic() + 10
+        while lo == 0 and len(claims()) < 8 and time.monotonic() < deadline:
+            time.sleep(0.01)
+
+    claims = claims_log(monkeypatch, tmp_path / "claims", wait_for_the_rest)
+    cfg = trace_config(shots=[10 * (i + 1) for i in range(8)], workers=2)
+    assert run_experiment(cfg) == run_experiment(replace(cfg, workers=1))
+    by = claims()
+    assert sorted(by) == list(range(8)) and {by[lo] for lo in range(1, 8)} == {by[1]} != {by[0]}
+    assert_no_children()
+
+
+def test_a_failed_range_stops_the_pool_claiming_the_ranges_after_it(monkeypatch, tmp_path):
+    # range 0 fails at once and every other range takes 0.2 s: the worker
+    # that failed takes the claims left, so the other does not run them all
+    failing_at(monkeypatch, "trace-vs-shots", 0, ValueError("no readout"))
+    claims = claims_log(monkeypatch, tmp_path / "claims", lambda lo: time.sleep(0.2 if lo else 0))
+    cfg = trace_config(shots=[10 * (i + 1) for i in range(8)], workers=2)
+    with pytest.raises(RuntimeError, match=r"^trace-vs-shots failed at point 0 \(shots=10\): no readout$"):
+        run_experiment(cfg)
+    assert_no_children()
+    assert 0 in claims() and len(claims()) < 8
+
+
+def test_of_two_failing_ranges_the_lower_is_raised_though_it_is_read_later(monkeypatch, tmp_path):
+    # the caller reads the first worker forked first: it waits in its first
+    # range until the other has claimed range 3, then claims range 4 and
+    # fails in it; the other fails in range 3 after that, and as serially
+    # its error is the one raised
+    fork, forked = os.fork, []
+
+    def numbered_fork():
+        forked.append(fork())  # in a worker the list ends in its 0: its length is its number
+        return forked[-1]
+
+    def stall(lo):
+        deadline, awaited = time.monotonic() + 10, 4 if lo == 3 else 3 if len(forked) == 1 else None
+        while awaited is not None and awaited not in claims() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.2 if lo == 3 else 0)
+
+    failing_at(monkeypatch, "trace-vs-shots", 3, ValueError("no readout"))
+    failing_at(monkeypatch, "trace-vs-shots", 4, ValueError("no estimate"))
+    claims = claims_log(monkeypatch, tmp_path / "claims", stall)
+    monkeypatch.setattr(dqc1.experiments.os, "fork", numbered_fork)
+    cfg = trace_config(shots=[10 * (i + 1) for i in range(8)], workers=2)
+    with pytest.raises(RuntimeError, match=r"^trace-vs-shots failed at point 3 \(shots=40\): no readout$"):
+        run_experiment(cfg)
+    assert_no_children()
+    assert claims()[4] == forked[0] != claims()[3]
+
+
+def test_a_pools_claims_fit_one_pipe_write_at_any_pool_size(monkeypatch):
+    # a pool holds at most _MAX_POOL workers, and _ranges makes fewer than
+    # eight ranges a worker (8 s - 1 points make the most): the claims never
+    # pass PIPE_BUF, which every pipe holds, so their one write never blocks
+    experiments = dqc1.experiments
+    for size in range(2, experiments._MAX_POOL + 1):
+        for count in (size, 4 * size, 8 * size - 1, 8 * size, 10**6):
+            assert 4 * len(experiments._ranges(count, size)) <= select.PIPE_BUF
+    sizes = []
+
+    def unforked(cfg, payload, ranges, size):  # forks none of the pool it is asked for
+        sizes.append(size)
+        return [experiments._eval_point(cfg, payload, lo, hi) for lo, hi in ranges]
+
+    monkeypatch.setattr(experiments, "_forked", unforked)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 10**4)
+    cfg = config_from_dict({"experiment": "verify-theorem1", "n": 1, "samples": 2000, "workers": 10**4})
+    assert run_experiment(cfg) == run_experiment(replace(cfg, workers=1))
+    assert sizes == [experiments._MAX_POOL]
+
+
+def test_claims_past_pipe_buf_each_reach_one_worker_whole(monkeypatch):
+    # 1501 one-point ranges make 6004 bytes of claims, past the 4096 bytes
+    # a pipe moves atomically: a torn or repeated claim would change the rows
+    cfg = config_from_dict({"experiment": "verify-theorem1", "n": 1, "samples": 1500, "workers": 1})
+    serial = run_experiment(cfg)
+    monkeypatch.setattr(dqc1.experiments, "_ranges", lambda count, _: [(i, i + 1) for i in range(count)])
+    monkeypatch.setattr(dqc1.experiments.os, "cpu_count", lambda: 2)
+    assert len(dqc1.experiments._ranges(1501, 2)) * 4 > select.PIPE_BUF
+    assert run_experiment(replace(cfg, workers=2)) == serial
     assert_no_children()
 
 
@@ -787,6 +897,15 @@ def test_only_the_verify_theorem1_range_with_point_0_runs_the_fourier_eigensolve
     payload = kind.setup(cfg)
     assert len(kind.evaluate(cfg, payload, 5, 21)) == 16 and calls["_fourier_ensemble"] == 0
     assert kind.evaluate(cfg, payload, 0, 5)[0][0] == "fourier" and calls["_fourier_ensemble"] == 1
+
+
+def test_the_readout_set_up_takes_t_before_any_worker_forks(monkeypatch):
+    # every readout reads the instance's kept t: the set-up takes it, so the
+    # workers of a pooled sweep inherit it instead of each taking it again
+    calls = counted(monkeypatch, (dqc1.circuit, "trace_overlap"))
+    cfg = trace_config(n=3, shots=[10, 100, 1000])
+    payload = dqc1.experiments._EXPERIMENTS["trace-vs-shots"].setup(cfg)
+    assert "overlap" in vars(payload["inst"]) and calls == {"trace_overlap": 1}
 
 
 def recording_setup(monkeypatch, experiment, path, error=None):
