@@ -261,7 +261,7 @@ def analytic_min_T(control: ControlQubit) -> np.ndarray:
     return w @ vh
 
 
-def _branch_entanglement(vecs: np.ndarray, u_vecs: np.ndarray, sq) -> np.ndarray:
+def _branch_entanglement(vecs: np.ndarray, u_vecs: np.ndarray, sq, work=None) -> np.ndarray:
     """Pure-branch entanglement sqrt(1 - |<phi|U|phi>|^2) of every column
     phi = vec / sqrt(sq) of ``vecs`` (axis -2), given U vec in ``u_vecs`` and
     each column's squared norm sq > 0.
@@ -270,10 +270,14 @@ def _branch_entanglement(vecs: np.ndarray, u_vecs: np.ndarray, sq) -> np.ndarray
     component orthogonal to phi, one Gram-Schmidt step: the same quantity,
     but it does not cancel near |<phi|U|phi>| = 1 and vanishes to roundoff on
     the trivial circuit.  On phi = vec(R) with U acting on R's rows it is
-    sqrt(1 - |Tr U R R^+|^2).
+    sqrt(1 - |Tr U R R^+|^2).  The temporaries go into ``work``, two private
+    complex arrays of ``u_vecs``' shape, made here if not given.
     """
-    overlap = (np.sum(vecs.conj() * u_vecs, axis=-2) / sq)[..., None, :]
-    return np.linalg.norm(u_vecs - overlap * vecs, axis=-2) / np.sqrt(sq)
+    x, square = np.empty((2, *u_vecs.shape), complex) if work is None else work
+    overlap = np.add.reduce(np.multiply(np.conjugate(vecs, out=x), u_vecs, out=x), axis=-2) / sq
+    np.subtract(u_vecs, np.multiply(overlap[..., None, :], vecs, out=x), out=x)
+    np.multiply(np.conjugate(x, out=square), x, out=square)  # np.linalg.norm's own sum
+    return np.sqrt(np.add.reduce(square.real, axis=-2)) / np.sqrt(sq)
 
 
 def ensemble_average(inst: Dqc1Instance, ens: PureEnsemble) -> float:
@@ -329,12 +333,16 @@ def _bounds(u: np.ndarray, rho_n: np.ndarray) -> tuple[float, float]:
     return lower, float(upper[0])
 
 
+def _stack_draws(per_sample: int) -> int:
+    """Draws per stack: ``per_sample`` entries each, at most ``MAX_STACK_ENTRIES`` in all, or one."""
+    return max(1, MAX_STACK_ENTRIES // per_sample)
+
+
 def _right_unitary_stacks(rows: int, cols: int, lo: int, hi: int, streams, per_sample: int):
     """Draws lo..hi-1 of :func:`random_right_unitary`, in order, in stacks of
-    at most ``MAX_STACK_ENTRIES // per_sample`` (at least one), ``per_sample``
-    the most array entries one draw adds: the one splitter of sampled stacks.
+    at most :func:`_stack_draws` draws: the one splitter of sampled stacks.
     ``streams(a, b)`` lists the streams of draws a..b-1, called per stack."""
-    step = max(1, MAX_STACK_ENTRIES // per_sample)
+    step = _stack_draws(per_sample)
     for a in range(lo, hi, step):
         yield random_right_unitary(rows, cols, streams(a, min(a + step, hi)))
 
@@ -376,15 +384,20 @@ class _DrawScorer:
     orthonormal by its QR, and go unchecked, as do ``u`` and ``rho``.  No ``rho``
     is I/d, whose root needs no eigensolve: :func:`~dqc1.linalg.eig_hermitian`
     gives J sqrt(1/d), J the reversal, so the members are T's rows reversed and scaled.
+    Every stack is written into four complex work arrays of the largest stack
+    :meth:`scores` cuts, held from the start (members, U times them and the
+    kernel's two temporaries); a call returns a fresh array.
     """
 
     def __init__(self, u: np.ndarray, rho: np.ndarray | None = None):
-        self.u, self.rho, self.scale, self.rank = u, rho, math.sqrt(1 / len(u)), len(u)
+        d = len(u)
+        self.u, self.rho, self.scale, self.rank = u, rho, math.sqrt(1 / d), d
         if rho is not None:
             spec = eig_hermitian(rho)
             self.rank = int(np.sum(spec.eigenvalues > TOL_SPECTRAL))
             self.root = spec.eigenvectors[:, : self.rank] * np.sqrt(spec.eigenvalues[: self.rank])
         self.u_root = u[:, ::-1] * self.scale if rho is None else u @ self.root
+        self.work = np.empty((4, _stack_draws(2 * d * d), d, 2 * d), complex)
 
     @functools.cached_property
     def fourier(self):
@@ -397,12 +410,16 @@ class _DrawScorer:
         return ens.weights, _member_branches(self.u, ens)
 
     def __call__(self, t_stack: np.ndarray, mix: float) -> np.ndarray:
-        if self.rho is None:  # C order, as the product gives: the sums below keep their order
-            members = np.multiply(t_stack[..., ::-1, :], self.scale, order="C")
+        if len(t_stack) > self.work.shape[1]:  # a stack scores did not cut
+            self.work = np.empty((4, len(t_stack), *self.work.shape[2:]), complex)
+        members, u_members, *work = self.work[:, : len(t_stack)]  # C order: the sums keep their order
+        if self.rho is None:
+            np.multiply(t_stack[..., ::-1, :], self.scale, out=members)
         else:
-            members = self.root @ t_stack
-        weights = np.sum(np.abs(members) ** 2, axis=-2)
-        branch = _branch_entanglement(members, self.u_root @ t_stack, weights)
+            np.matmul(self.root, t_stack, out=members)
+        square = np.abs(members, out=work[0].real)
+        weights = np.add.reduce(np.square(square, out=square), axis=-2)
+        branch = _branch_entanglement(members, np.matmul(self.u_root, t_stack, out=u_members), weights, work)
         return (weights[:, None, :] @ (mix * branch)[:, :, None])[:, 0, 0]
 
     def scores(self, lo: int, hi: int, streams, mix: float):

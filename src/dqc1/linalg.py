@@ -32,7 +32,8 @@ MAX_KRON_DIM = 4096
 
 #: Most matrix entries one stack of sampled draws holds in any of its arrays:
 #: ``entpower._right_unitary_stacks`` splits every such stack to stay under
-#: this, so a stack costs at most 256 KiB per complex array however large n gets.
+#: this, so below n=7 a stack costs at most 256 KiB per complex array, and a
+#: ``entpower._DrawScorer`` holds four such (from n=7 on a stack is one draw).
 MAX_STACK_ENTRIES = 2**14
 
 
@@ -363,7 +364,8 @@ def _phase_fixed_qr(rows: int, cols: int, streams: Sequence[SeededRng]) -> np.nd
     QR-convention biased; each Q has the bits of a stack of one."""
     q, r = np.linalg.qr(_ginibre(rows, cols, streams))
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
+    q *= (d / np.abs(d))[..., None, :]
+    return q
 
 
 def haar_unitary(dim: int, rng: SeededRng) -> np.ndarray:

@@ -2,7 +2,9 @@
 decomposition machinery they are checked against."""
 
 import functools
+import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -1029,3 +1031,45 @@ def test_prepared_search_matches_brute_force_entpower_bit_for_bit(spec, rank):
         control = ControlQubit.from_alpha(a)
         want = brute_force_entpower(Dqc1Instance(n, u, control, rho), 30, SeededRng(307, 1))
         assert score.best(lambda_factor(control), 30, SeededRng(307, 1)) == want
+
+
+@pytest.mark.parametrize("rank", [None, 3])  # None: the maximally mixed register
+def test_scoring_a_stack_allocates_no_stack_sized_array(rank):
+    # numpy reports its data buffers to tracemalloc: after a warm-up call, a
+    # scorer writes members, U times them and the kernel's temporaries into
+    # arrays it holds, so a full n=5 stack of 8 draws adds less than one
+    # (8, d, 2d) complex array to the traced peak
+    dim = 2**5
+    u = haar_unitary(dim, SeededRng(311, 0))
+    rho = None if rank is None else random_density(dim, rank, SeededRng(313, 0))
+    score = _DrawScorer(u, rho)
+    t_stack = random_right_unitary(score.rank, 2 * dim, [SeededRng(317, 0)] * 8)
+    assert len(t_stack) * dim * 2 * dim == dqc1.entpower.MAX_STACK_ENTRIES  # a full stack
+    score(t_stack, 0.5)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        score(t_stack, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < dqc1.entpower.MAX_STACK_ENTRIES * np.dtype(complex).itemsize
+
+
+@pytest.mark.parametrize("rank", [None, 3])
+def test_held_work_arrays_carry_nothing_between_stacks(rank):
+    # a full stack, a shorter last one, then the full one at another mix:
+    # each scores as on a fresh scorer, and no returned array is a view of
+    # the held ones
+    dim = 2**5
+    u = haar_unitary(dim, SeededRng(331, 0))
+    rho = None if rank is None else random_density(dim, rank, SeededRng(337, 0))
+    score = _DrawScorer(u, rho)
+    full = random_right_unitary(score.rank, 2 * dim, [SeededRng(347, 0)] * 8)
+    short = random_right_unitary(score.rank, 2 * dim, [SeededRng(347, 1)] * 3)
+    for t_stack, mix in ((full, 1.0), (short, 1.0), (full, 0.3)):
+        assert np.array_equal(score(t_stack, mix), _DrawScorer(u, rho)(t_stack, mix))
+    scores = list(score.scores(0, 20, lambda a, b: [SeededRng(349, 0)] * (b - a), 0.5))
+    assert [len(s) for s in scores] == [8, 8, 4]
+    for a, b in itertools.combinations(scores, 2):
+        assert not np.shares_memory(a, b)
