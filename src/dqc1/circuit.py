@@ -34,7 +34,7 @@ from .linalg import (
     kron,
     load_matrix,
     brief,
-    trace_overlap,
+    _trace_overlap,
 )
 
 #: Largest register size an instance will accept (joint dimension 2**11).
@@ -131,7 +131,7 @@ def _bloch_norm(p) -> float:
     return math.sqrt(p1 * p1 + p2 * p2 + p3 * p3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dqc1Instance:
     """A register size, the unitary under test, the control state, and the
     register state (by default the maximally mixed one, built unchecked).
@@ -153,9 +153,11 @@ class Dqc1Instance:
 
     @cached_property
     def overlap(self) -> complex:
-        """t = Tr(U rho_n), the one number the readout depends on: taken by
-        :func:`~dqc1.linalg.trace_overlap` on first use, then kept."""
-        return trace_overlap(self.unitary, self.system_state)
+        """t = Tr(U rho_n), the one number the readout depends on: taken on first
+        use, then kept, by :func:`~dqc1.linalg.trace_overlap`'s sum, unchecked
+        (construction checked both).  The default I/d is F-ordered, so rho.T is
+        C-contiguous like U; I/d is diagonal, so t has a C-ordered I/d's bits."""
+        return _trace_overlap(self.unitary, self.system_state)
 
 
 def _settle(inst: Dqc1Instance, check_unitary) -> None:
@@ -164,8 +166,8 @@ def _settle(inst: Dqc1Instance, check_unitary) -> None:
     _check_type("control", inst.control, ControlQubit)
     dim = 2**inst.n
     u = check_unitary("unitary", inst.unitary, dim)
-    if inst.system_state is None:
-        rho = np.eye(dim, dtype=np.complex128) / dim
+    if inst.system_state is None:  # F order: see Dqc1Instance.overlap
+        rho = np.eye(dim, dtype=np.complex128, order="F") / dim
     else:
         rho = _check_density("system_state", inst.system_state, dim)
     inst.__dict__.update(unitary=u, system_state=rho)  # past the frozen __setattr__
@@ -173,7 +175,8 @@ def _settle(inst: Dqc1Instance, check_unitary) -> None:
 
 def _trusted_instance(n: int, unitary: np.ndarray, control: ControlQubit) -> Dqc1Instance:
     """A :class:`Dqc1Instance` on the maximally mixed register, less U's O(d^3)
-    unitarity check: :func:`unitary_from_spec` built U unitary, or checked its file."""
+    unitarity check: :func:`unitary_from_spec` built U unitary, or checked its file.
+    Its finiteness check is a readout's one scan of U (``overlap`` trusts it)."""
     inst = object.__new__(Dqc1Instance)
     inst.__dict__.update(n=n, unitary=unitary, control=control, system_state=None)
     _settle(inst, _check_matrix)
@@ -214,7 +217,7 @@ def final_control_closed(
     """
     _check_type("control", control, ControlQubit)
     rho_n = _check_density("rho_n", rho_n)
-    return _closed_marginal(control, trace_overlap(_check_unitary("u", u, len(rho_n)), rho_n))
+    return _closed_marginal(control, _trace_overlap(_check_unitary("u", u, len(rho_n)), rho_n))
 
 
 def _closed_marginal(control: ControlQubit, t: complex) -> np.ndarray:

@@ -30,7 +30,7 @@ from .experiments import (
     run_experiment,
     write_results,
 )
-from .linalg import SeededRng, normalized_trace, brief
+from .linalg import SeededRng, _normalized_trace, brief
 from .measurement import estimate_trace
 
 _F = "{:.17g}".format
@@ -108,7 +108,7 @@ def _cmd_estimate_trace(args) -> int:
     u = unitary_from_spec(args.unitary, args.n, SeededRng(args.seed, 0))
     inst = _trusted_instance(args.n, u, ControlQubit.from_alpha(args.alpha))
     est = estimate_trace(inst, args.shots, SeededRng(args.seed, 1))
-    exact = normalized_trace(u)
+    exact = _normalized_trace(inst.unitary)  # the instance scanned U
     err = abs(est.trace_estimate - exact)
     print(f"n={args.n} alpha={_F(args.alpha)} shots={args.shots} seed={args.seed}")
     print(f"estimate  re={_F(est.trace_estimate.real)} im={_F(est.trace_estimate.imag)}")
@@ -119,8 +119,8 @@ def _cmd_estimate_trace(args) -> int:
 
 def _cmd_entpower(args) -> int:
     u = unitary_from_spec(args.unitary, args.n, SeededRng(args.seed, 0))
-    t = normalized_trace(u)
-    value = _entpower_alpha(u, args.alpha)  # u is built, or checked by unitary_from_spec
+    t = _normalized_trace(u)  # u is built, or checked by unitary_from_spec
+    value = _entpower_alpha(u, args.alpha)
     print(f"n={args.n} alpha={_F(args.alpha)} unitary={args.unitary}")
     print(f"normalized_trace re={_F(t.real)} im={_F(t.imag)} abs={_F(abs(t))}")
     print(f"entangling_power {_F(value)}")

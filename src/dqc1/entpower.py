@@ -50,7 +50,7 @@ from .linalg import (
 _SQRT2 = np.sqrt(2.0)
 
 
-@dataclass
+@dataclass(eq=False)
 class PureEnsemble:
     """Weighted pure states; columns of ``states`` are the state vectors."""
 
@@ -85,7 +85,7 @@ class PureEnsemble:
         return (self.states * self.weights) @ self.states.conj().T
 
 
-@dataclass
+@dataclass(eq=False)
 class BranchCoefficients:
     """Per-member amplitudes of a control-state decomposition pushed through
     the circuit: member j of the branch is x_j |0>|phi> + y_j |1>U|phi>

@@ -52,9 +52,9 @@ from .linalg import (
     SeededRng,
     _check_density,
     _is_real,
+    _normalized_trace,
     is_integer,
     load_matrix,
-    normalized_trace,
     random_density,
     brief,
 )
@@ -243,7 +243,7 @@ def _setup_trace_vs_shots(cfg):
         raise ValueError(f"field 'alpha': {err}") from None
     inst = _trusted_instance(cfg.n, _fixed_unitary(cfg), control)
     inst.overlap  # every readout reads t: taken once, here, so forked workers inherit it
-    return {"inst": inst, "t": normalized_trace(inst.unitary)}
+    return {"inst": inst, "t": _normalized_trace(inst.unitary)}  # U was scanned just now
 
 
 def _point_trace_vs_shots(cfg, payload, idx):
@@ -279,7 +279,7 @@ def _complexity_budget(alpha: float, t: complex, rounds_target: int) -> ErrorBud
 
 def _setup_complexity_curve(cfg):
     u = _fixed_unitary(cfg)
-    t = normalized_trace(u)
+    t = _normalized_trace(u)
     if t.real == 0.0 or t.imag == 0.0:
         raise ValueError(
             f"field 'unitary': complexity-curve needs both trace quadratures "

@@ -135,7 +135,7 @@ class SeededRng:
         return f"SeededRng(seed={self.seed}, stream={self.stream})"
 
 
-@dataclass
+@dataclass(eq=False)
 class Spectrum:
     """Eigenvalues with matching eigenvector columns."""
 
@@ -240,8 +240,11 @@ def trace_overlap(u: np.ndarray, rho: np.ndarray) -> complex:
     """Tr(U rho) as the elementwise sum of U_ij rho_ji: O(d^2), never forms
     the product U rho.  A sum that overflows is rejected, even where its
     terms would cancel, by the operand with the larger entries."""
-    u = _check_matrix("u", u)
-    rho = _check_matrix("rho", rho, len(u))
+    return _trace_overlap(u := _check_matrix("u", u), _check_matrix("rho", rho, len(u)))
+
+
+def _trace_overlap(u: np.ndarray, rho: np.ndarray) -> complex:
+    """:func:`trace_overlap` of operands already checked."""
     with np.errstate(all="ignore"):  # huge entries' products or sum are inf or nan
         t = complex(np.sum(u * rho.T))
         if not np.isfinite(t):  # named by the operand with the larger entries
@@ -254,7 +257,11 @@ def normalized_trace(u: np.ndarray) -> complex:
     """Tr U / d, the quantity the one-clean-qubit readout estimates, as the
     sum of the diagonal divided by d first: d is a power of two, so each
     division is exact, and the sum never passes the largest diagonal entry."""
-    u = _check_matrix("u", u)
+    return _normalized_trace(_check_matrix("u", u))
+
+
+def _normalized_trace(u: np.ndarray) -> complex:
+    """:func:`normalized_trace` of a ``u`` already checked."""
     return complex(np.sum(np.diagonal(u) / len(u)))
 
 

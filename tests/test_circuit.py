@@ -516,18 +516,64 @@ def test_register_size_must_be_an_integer(n):
 
 @pytest.mark.parametrize("rank", [None, 2])  # None: the maximally mixed register
 def test_instance_keeps_its_overlap_from_first_use(monkeypatch, rank):
+    # the instance takes t by trace_overlap's unchecked core: construction
+    # checked U and the register
     calls = []
-    real = dqc1.circuit.trace_overlap
+    real = dqc1.circuit._trace_overlap
 
     def counting(u, rho):
         calls.append(1)
         return real(u, rho)
 
-    monkeypatch.setattr(dqc1.circuit, "trace_overlap", counting)
+    monkeypatch.setattr(dqc1.circuit, "_trace_overlap", counting)
     rho = None if rank is None else random_density(8, rank, SeededRng(43, 0))
     u = haar_unitary(8, SeededRng(47, 0))
     inst = Dqc1Instance(3, u, ControlQubit.from_alpha(0.5), system_state=rho)
     assert calls == []  # construction does not take t
     t = inst.overlap
-    assert t == trace_overlap(inst.unitary, inst.system_state)  # bit for bit
+    assert repr(t) == repr(trace_overlap(inst.unitary, inst.system_state))  # bit for bit
     assert inst.overlap == t and calls == [1]  # taken once, then kept
+
+
+def overlap_unitaries(n):
+    """The readout's unitaries at n qubits, labelled, each with its negation:
+    Haar, I, Z...Z, XYXY..., and a diag-phase of angles 0 and pi, whose trace
+    quadratures are zero, signed zero or exact."""
+    specs = ["haar", "identity", "pauli:" + "Z" * n, "pauli:" + ("XY" * n)[:n]]
+    specs.append("diag-phase:" + ",".join(("0", repr(math.pi))[k % 2] for k in range(2**n)))
+    for spec in specs:
+        u = unitary_from_spec(spec, n, SeededRng(11, 0))
+        yield spec, u
+        yield "-" + spec, -u
+
+
+@pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
+def test_default_register_overlap_has_the_bits_of_the_public_sum(n):
+    # the default register is I/d in F order, so rho.T is C-contiguous like U;
+    # the product's entries and t's repr, signed zeros included, are those of
+    # the public sum on a C-ordered np.eye(d) / d
+    ctl, d = ControlQubit.from_alpha(0.5), 2**n
+    for label, u in overlap_unitaries(n):
+        trusted = _trusted_instance(n, u, ctl)
+        assert trusted.system_state.flags.f_contiguous, label
+        expected = repr(trace_overlap(u, np.eye(d) / d))
+        assert repr(trusted.overlap) == repr(Dqc1Instance(n, u, ctl).overlap) == expected, label
+
+
+def test_a_given_register_keeps_the_transposed_product():
+    # a non-symmetric register: t sums U_ij rho_ji, the entries of U * rho.T
+    u, ctl = haar_unitary(8, SeededRng(3, 1)), ControlQubit.from_alpha(0.5)
+    for rho in (random_density(8, 3, SeededRng(4, 0)), np.asfortranarray(random_density(8, 8, SeededRng(4, 1)))):
+        assert np.max(np.abs(rho - rho.T)) > 0.01
+        inst = Dqc1Instance(3, u, ctl, system_state=rho)
+        assert repr(inst.overlap) == repr(complex(np.sum(u * rho.T)))
+        assert abs(inst.overlap - np.trace(u @ rho)) < 1e-14
+
+
+def test_an_instance_compares_and_hashes_by_identity():
+    # its fields hold arrays: == raised numpy's "truth value of an array is
+    # ambiguous" and hash() a TypeError
+    u, ctl = haar_unitary(4, SeededRng(3, 0)), ControlQubit.from_alpha(0.5)
+    a, b = Dqc1Instance(2, u, ctl), Dqc1Instance(2, u, ctl)
+    assert a == a and a != b and not (a == b)
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)

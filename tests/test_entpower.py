@@ -1005,6 +1005,22 @@ def test_branch_coefficients_container():
     assert abs(mixing_factor(coeffs) - 1.0) < 1e-15
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PureEnsemble(weights=[0.5, 0.5], states=np.eye(2)),
+        lambda: BranchCoefficients(xs=np.array([0.5, 0.5]), ys=np.array([0.5, -0.5])),
+    ],
+    ids=["PureEnsemble", "BranchCoefficients"],
+)
+def test_an_array_container_compares_and_hashes_by_identity(make):
+    # its fields are arrays: == raised numpy's "truth value of an array is
+    # ambiguous", and hash() a TypeError
+    a, b = make(), make()
+    assert a == a and a != b and not (a == b)
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
+
 def test_pure_ensemble_rejects_an_empty_ensemble():
     with pytest.raises(ValueError, match="empty"):
         PureEnsemble(weights=[], states=np.zeros((2, 0)))

@@ -901,11 +901,25 @@ def test_only_the_verify_theorem1_range_with_point_0_runs_the_fourier_eigensolve
 
 def test_the_readout_set_up_takes_t_before_any_worker_forks(monkeypatch):
     # every readout reads the instance's kept t: the set-up takes it, so the
-    # workers of a pooled sweep inherit it instead of each taking it again
-    calls = counted(monkeypatch, (dqc1.circuit, "trace_overlap"))
-    cfg = trace_config(n=3, shots=[10, 100, 1000])
-    payload = dqc1.experiments._EXPERIMENTS["trace-vs-shots"].setup(cfg)
-    assert "overlap" in vars(payload["inst"]) and calls == {"trace_overlap": 1}
+    # workers of a pooled sweep inherit it instead of each taking it again.
+    # The set-up scans U once, in _trusted_instance: t and Tr U / d are the
+    # public sums less their checks, and no public one is called
+    modules = [getattr(dqc1, m) for m in ("linalg", "circuit", "measurement", "experiments", "cli")]
+    public = counted(
+        monkeypatch,
+        *((m, name) for name in ("trace_overlap", "normalized_trace") for m in modules if hasattr(m, name)),
+    )
+    scanned, real = [], dqc1.linalg._check_matrix
+    for m in modules:
+        if hasattr(m, "_check_matrix"):
+            monkeypatch.setattr(m, "_check_matrix", lambda name, a, *dim: scanned.append(a) or real(name, a, *dim))
+    kind = dqc1.experiments._EXPERIMENTS["trace-vs-shots"]
+    for unitary in ("haar", "identity", "pauli:XYZ"):
+        scanned.clear()
+        inst = kind.setup(trace_config(n=3, unitary=unitary, shots=[10, 100, 1000]))["inst"]
+        assert "overlap" in vars(inst), unitary  # taken before the fork
+        assert [a is inst.unitary for a in scanned].count(True) == 1, unitary
+    assert public == {"trace_overlap": 0, "normalized_trace": 0}
 
 
 def recording_setup(monkeypatch, experiment, path, error=None):

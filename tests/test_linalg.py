@@ -243,6 +243,14 @@ def test_eig_hermitian_reconstructs():
         assert np.all(np.diff(spec.eigenvalues) <= 1e-12)  # descending
 
 
+def test_a_spectrum_compares_and_hashes_by_identity():
+    # its fields are arrays: == raised numpy's "truth value of an array is
+    # ambiguous", and hash() a TypeError
+    a, b = eig_hermitian(SIGMA_Z), eig_hermitian(SIGMA_Z)
+    assert a == a and a != b and not (a == b)
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
+
 def test_eig_hermitian_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
