@@ -381,31 +381,28 @@ class _DrawScorer:
     ``mix`` to the k averages, each member scored as in :func:`ensemble_average`
     with its squared norm as its weight, and each with the bits of its draw
     alone.  The draws come from :func:`~dqc1.linalg.random_right_unitary`,
-    orthonormal by its QR, and go unchecked, as do ``u`` and ``rho``.  No ``rho``
-    is I/d, whose root needs no eigensolve: :func:`~dqc1.linalg.eig_hermitian`
-    gives J sqrt(1/d), J the reversal, so the members are T's rows reversed and scaled.
-    Every stack is written into four complex work arrays of the largest stack
-    :meth:`scores` cuts, held from the start (members, U times them and the
-    kernel's two temporaries); a call returns a fresh array.
+    orthonormal by its QR, and go unchecked, as do ``u`` and ``rho``.  A ``rho``
+    that is None or within ``TOL_SPECTRAL`` of I/d is I/d, decided here once:
+    ``root`` stays None, the members are T's rows reversed and scaled (I/d's
+    root is J sqrt(1/d), J the reversal), and :attr:`fourier` is a candidate.
+    Stacks are written into four complex work arrays held from the start, sized
+    for the largest stack :meth:`scores` cuts; a call returns a fresh array.
     """
 
     def __init__(self, u: np.ndarray, rho: np.ndarray | None = None):
         d = len(u)
-        self.u, self.rho, self.scale, self.rank = u, rho, math.sqrt(1 / d), d
-        if rho is not None:
+        self.u, self.scale, self.rank, self.root = u, math.sqrt(1 / d), d, None
+        if rho is not None and np.max(np.abs(rho - np.eye(d) / d)) > TOL_SPECTRAL:
             spec = eig_hermitian(rho)
             self.rank = int(np.sum(spec.eigenvalues > TOL_SPECTRAL))
             self.root = spec.eigenvectors[:, : self.rank] * np.sqrt(spec.eigenvalues[: self.rank])
-        self.u_root = u[:, ::-1] * self.scale if rho is None else u @ self.root
+        self.u_root = u[:, ::-1] * self.scale if self.root is None else u @ self.root
         self.work = np.empty((4, _stack_draws(2 * d * d), d, 2 * d), complex)
 
     @functools.cached_property
     def fourier(self):
-        """The search's fixed candidate: on a maximally mixed ``rho``, the Fourier
-        members' weights and branch values (one eigensolve, on first use), else None."""
-        rho, d = self.rho, len(self.u)
-        if rho is not None and np.max(np.abs(rho - np.eye(d) / d)) > TOL_SPECTRAL:
-            return None
+        """The maximally mixed register's candidate: the Fourier members'
+        weights and branch values (one eigensolve, on first use)."""
         ens = _fourier_ensemble(self.u)
         return ens.weights, _member_branches(self.u, ens)
 
@@ -413,7 +410,7 @@ class _DrawScorer:
         if len(t_stack) > self.work.shape[1]:  # a stack scores did not cut
             self.work = np.empty((4, len(t_stack), *self.work.shape[2:]), complex)
         members, u_members, *work = self.work[:, : len(t_stack)]  # C order: the sums keep their order
-        if self.rho is None:
+        if self.root is None:
             np.multiply(t_stack[..., ::-1, :], self.scale, out=members)
         else:
             np.matmul(self.root, t_stack, out=members)
@@ -432,7 +429,7 @@ class _DrawScorer:
     def best(self, mix: float, samples: int, rng: SeededRng) -> float:
         """:func:`brute_force_entpower` at lambda gap ``mix``: the largest
         average over ``samples`` draws of ``rng`` and the Fourier candidate."""
-        best = -np.inf if self.fourier is None else _average(*self.fourier, mix)
+        best = _average(*self.fourier, mix) if self.root is None else -np.inf
         scores = self.scores(0, samples, lambda a, b: [rng] * (b - a), mix)
         return max([best] + [float(s.max()) for s in scores])
 

@@ -513,7 +513,13 @@ def _forked(cfg: ExperimentConfig, payload: dict, ranges: list, size: int) -> li
             sink.write(b"".join(i.to_bytes(4, "little") for i in range(len(ranges))))
         for _ in range(size):
             read, write = os.pipe()
-            if (pid := os.fork()) == 0:  # a worker leaves by _exit, flushing nothing it inherited
+            try:
+                pid = os.fork()
+            except OSError as err:  # EAGAIN or ENOMEM: the host is short, the input is fine
+                os.close(read)
+                os.close(write)
+                raise RuntimeError(f"{cfg.experiment} could not fork worker {len(workers) + 1}: {err}")
+            if pid == 0:  # a worker leaves by _exit, flushing nothing it inherited
                 try:
                     pairs = []
                     while record := os.read(claims, 4):
@@ -555,8 +561,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Evaluate every parameter point and return rows in point order."""
     kind = _EXPERIMENTS[cfg.experiment]
     count = kind.count(cfg)
-    # a pool only on request, and never larger than the host: rows never depend on it
-    size = min(cfg.workers or 1, count, os.cpu_count() or 1, _MAX_POOL) if _FORKS else 1
+    # a pool only on request, and never past the CPUs this process may run on: rows never depend on it
+    size = min(cfg.workers or 1, count, len(os.sched_getaffinity(0)), _MAX_POOL) if _FORKS else 1
     payload, ranges = kind.setup(cfg), _ranges(count, size)
     if size > 1:
         outputs = _forked(cfg, payload, ranges, size)

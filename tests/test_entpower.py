@@ -1049,6 +1049,25 @@ def test_prepared_search_matches_brute_force_entpower_bit_for_bit(spec, rank):
         assert score.best(lambda_factor(control), 30, SeededRng(307, 1)) == want
 
 
+def test_brute_force_entpower_eigensolves_only_a_register_other_than_i_over_d(monkeypatch):
+    # the scorer decides the register's form once: the default register and
+    # a given I/d are searched as the sweeps search them, with no eigensolve
+    # of the register, and keep the Fourier candidate; a rank-2 register
+    # gets its one eigensolve
+    solved, real = [], dqc1.entpower.eig_hermitian
+    monkeypatch.setattr(dqc1.entpower, "eig_hermitian", lambda rho: solved.append(rho) or real(rho))
+    n, dim = 3, 8
+    u = haar_unitary(dim, SeededRng(353, 0))
+    rank2 = random_density(dim, 2, SeededRng(359, 0))
+    for rho, eigensolves in ((None, 0), (np.eye(dim) / dim, 0), (rank2, 1)):
+        solved.clear()
+        inst = Dqc1Instance(n, u, ControlQubit.from_alpha(1.0), system_state=rho)
+        found = brute_force_entpower(inst, 2, SeededRng(367, 0))
+        assert len(solved) == eigensolves
+        if rho is not rank2:  # two draws alone fall short of the candidate
+            assert abs(found - entpower_standard(u)) <= 1e-14
+
+
 @pytest.mark.parametrize("rank", [None, 3])  # None: the maximally mixed register
 def test_scoring_a_stack_allocates_no_stack_sized_array(rank):
     # numpy reports its data buffers to tracemalloc: after a warm-up call, a

@@ -2,6 +2,7 @@
 result I/O, and the command-line front end."""
 
 import contextlib
+import errno
 import gc
 import importlib
 import importlib.util
@@ -34,10 +35,14 @@ from dqc1.circuit import MAX_QUBITS, ControlQubit, Dqc1Instance, unitary_from_sp
 from dqc1.cli import main
 from dqc1.entpower import (
     _DrawScorer,
+    brute_force_entpower,
+    brute_force_min_mixing,
     ensemble_average,
+    entpower_alpha,
     entpower_bounds,
     entpower_standard,
     fourier_ensemble,
+    lambda_factor,
 )
 from dqc1.experiments import (
     DEFAULT_ALPHAS,
@@ -58,11 +63,12 @@ from dqc1.linalg import (
     SeededRng,
     haar_unitary,
     matrix_to_json,
+    normalized_trace,
     random_density,
     random_right_unitary,
     save_matrix,
 )
-from dqc1.measurement import MAX_SHOTS
+from dqc1.measurement import MAX_SHOTS, estimate_trace
 from support import read_results
 
 MINIMAL = {"experiment": "verify-theorem2", "n": 1}
@@ -407,6 +413,71 @@ def per_point_theorem1_rows(cfg):
     return rows
 
 
+def public_rows(cfg):
+    """A sweep's rows from the public routines, each point on its own stream
+    (seed, index + 1) and the fixed unitary on stream 0: the oracle for the
+    sweeps' set-ups and the private cores they call."""
+    u = unitary_from_spec(cfg.unitary, cfg.n, SeededRng(cfg.seed, 0))
+    streams = [SeededRng(cfg.seed, idx + 1) for idx in range(cfg.samples + 3)]
+    rows = []
+    if cfg.experiment == "entpower-vs-alpha":
+        for a, rng in zip(cfg.alphas, streams):
+            inst = Dqc1Instance(cfg.n, u, ControlQubit.from_alpha(a))
+            measured = brute_force_entpower(inst, cfg.samples, rng)
+            rows.append(("alpha", a, measured, entpower_alpha(u, a)))
+    elif cfg.experiment == "verify-theorem2":
+        for a, rng in zip(cfg.alphas, streams):
+            measured = brute_force_min_mixing(ControlQubit.from_alpha(a), cfg.samples, 4, rng)
+            rows.append(("alpha", a, measured, a))
+    elif cfg.experiment == "verify-theorem3":
+        dim, rank = 2**cfg.n, int(cfg.rho.partition(":")[2] or 2**cfg.n)
+        mixed = cfg.rho == "maximally-mixed"
+        for idx, rng in enumerate(streams[: cfg.samples]):
+            u = unitary_from_spec(cfg.unitary, cfg.n, rng)  # a fixed one draws nothing
+            rho = np.eye(dim) / dim if mixed else random_density(dim, rank, rng)
+            rows.append(("sample", float(idx), *entpower_bounds(u, rho)))
+        for name, z in zip(dqc1.experiments._ANCHORS, (1.0, cfg.alpha, 0.0)):
+            rows.append((name, z, lambda_factor(ControlQubit.from_bloch((0.0, 0.0, z))), z))
+    else:  # trace-vs-shots
+        inst, t = Dqc1Instance(cfg.n, u, ControlQubit.from_alpha(cfg.alpha)), normalized_trace(u)
+        for shots, rng in zip(cfg.shots, streams):
+            est = estimate_trace(inst, shots, rng).trace_estimate
+            rows.append(("shots_re", float(shots), est.real, t.real))
+            rows.append(("shots_im", float(shots), est.imag, t.imag))
+    return [result_row(cfg.experiment, *row, cfg.seed) for row in rows]
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"experiment": "entpower-vs-alpha", "n": 1, "samples": 40},
+        {"experiment": "entpower-vs-alpha", "n": 3, "unitary": "pauli:XYZ", "alphas": [0.3, 1.0]},
+        {"experiment": "verify-theorem2", "n": 1, "samples": 20},
+        {"experiment": "verify-theorem3", "n": 2, "rho": "random", "samples": 6},
+        {"experiment": "verify-theorem3", "n": 2, "rho": "random:1", "unitary": "identity", "samples": 6},
+        {"experiment": "verify-theorem3", "n": 1, "rho": "maximally-mixed", "alpha": 0.4, "samples": 6},
+        {"experiment": "trace-vs-shots", "n": 3, "alpha": 0.8, "shots": [10, 1000, 100000]},
+        {"experiment": "trace-vs-shots", "n": 2, "unitary": "pauli:ZZ", "shots": [10, 100]},
+    ],
+    ids=[
+        "entpower-haar",
+        "entpower-pauli",
+        "theorem2",
+        "theorem3-random",
+        "theorem3-rank1",
+        "theorem3-mixed",
+        "trace-haar",
+        "trace-pauli",
+    ],
+)
+def test_sweep_rows_are_the_public_routines_on_the_same_streams(payload, seed):
+    # a sweep sets up once and calls private cores; every row keeps the bits
+    # (signed zeros included) of the public routine on the point's stream
+    cfg = config_from_dict({**payload, "seed": seed})
+    assert list(map(repr, run_experiment(cfg))) == list(map(repr, public_rows(cfg)))
+
+
 @pytest.mark.parametrize("seed", [1, 5, 13])
 @pytest.mark.parametrize("unitary", ["haar", "identity"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -505,14 +576,14 @@ def test_run_verify_theorem1_decomposes_once_per_range(monkeypatch, samples, ran
 @pytest.mark.parametrize("experiment", ["entpower-vs-alpha", "verify-theorem1"])
 def test_a_serial_search_sweep_runs_no_register_eigensolve(monkeypatch, experiment):
     # the sweeps search the maximally mixed register, whose root the scorer
-    # knows; the public brute_force_entpower still eigensolves its register
+    # knows; so does the public brute_force_entpower on a default instance
     calls = counted(monkeypatch, (dqc1.entpower, "eig_hermitian"))
     cfg = config_from_dict({"experiment": experiment, "n": 3, "samples": 20})
     assert cfg.workers is None and len(run_experiment(cfg)) in (10, 21)
     assert calls == {"eig_hermitian": 0}
     inst = Dqc1Instance(3, haar_unitary(8, SeededRng(1)), ControlQubit.from_alpha(1.0))
     dqc1.entpower.brute_force_entpower(inst, 2, SeededRng(2))
-    assert calls == {"eig_hermitian": 1}
+    assert calls == {"eig_hermitian": 0}
 
 
 def test_serial_theorem1_sweep_builds_one_seed_sequence_per_range(monkeypatch):
@@ -569,7 +640,7 @@ def test_a_failed_fourier_eigensolve_is_reported_where_the_candidate_is_first_re
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The number of workers each pooled sweep forks, on a 2-CPU host."""
+    """The number of workers each pooled sweep forks, with two CPUs to run on."""
     sizes, fork, forked = [], os.fork, dqc1.experiments._forked
 
     def counting_fork():
@@ -580,7 +651,7 @@ def pools(monkeypatch):
 
     monkeypatch.setattr(dqc1.experiments, "_forked", lambda *args: sizes.append(0) or forked(*args))
     monkeypatch.setattr(dqc1.experiments.os, "fork", counting_fork)
-    monkeypatch.setattr(dqc1.experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(dqc1.experiments.os, "sched_getaffinity", lambda pid: {0, 1})
     return sizes
 
 
@@ -611,7 +682,7 @@ def test_importing_the_package_leaves_the_process_pool_unimported():
     code = (
         "import os, sys, dqc1.cli\n"
         "from dqc1.experiments import config_from_dict, run_experiment\n"
-        "os.cpu_count = lambda: 2\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "cfg = {'experiment': 'verify-theorem1', 'n': 1, 'samples': 20, 'workers': 2}\n"
         "rows = run_experiment(config_from_dict(cfg))\n"
         f"print(len(rows), [m for m in {pool} if m in sys.modules])"
@@ -631,6 +702,40 @@ def test_pool_never_outgrows_the_cpu_count(pools):
     assert rows == run_experiment(replace(cfg, workers=1))
 
 
+def test_a_one_cpu_affinity_forks_no_worker_and_gives_the_serial_rows(pools, monkeypatch):
+    # a host of two CPUs that lets the process run on one (as under
+    # taskset -c 0): two workers would share that CPU, slower than one
+    monkeypatch.setattr(dqc1.experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(dqc1.experiments.os, "sched_getaffinity", lambda pid: {0})
+    cfg = config_from_dict({"experiment": "entpower-vs-alpha", "n": 2, "samples": 10, "workers": 2})
+    assert run_experiment(cfg) == run_experiment(replace(cfg, workers=1))
+    assert pools == []
+
+
+def test_a_failed_fork_closes_its_pipes_and_exits_as_a_runtime_error(monkeypatch, tmp_path, capsys):
+    # the second of two forks fails, as a host short of processes or memory
+    # makes it fail: the input is fine, so the CLI exits 1, not 2; the first
+    # worker is killed and reaped, and no pipe stays open
+    fork, forks = os.fork, []
+
+    def short_fork():
+        forks.append(os.getpid())
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(dqc1.experiments.os, "fork", short_fork)
+    monkeypatch.setattr(dqc1.experiments.os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = write_config(tmp_path, {"experiment": "verify-theorem1", "n": 1, "samples": 20, "workers": 2})
+    out, fds = tmp_path / "rows.csv", len(os.listdir("/proc/self/fd"))
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    assert len(os.listdir("/proc/self/fd")) == fds
+    failed = f"could not fork worker 2: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}"
+    assert capsys.readouterr().err == f"runtime error: verify-theorem1 {failed}\n"
+    assert not out.exists()
+    assert_no_children()
+
+
 def test_without_fork_a_pooled_sweep_runs_serially_with_the_same_rows(pools, monkeypatch):
     # off Linux a sweep never forks, whatever ``workers`` asks for
     cfg = config_from_dict({"experiment": "verify-theorem1", "n": 2, "samples": 30, "workers": 2})
@@ -648,7 +753,7 @@ def assert_no_children():
 
 
 def failing_at(monkeypatch, experiment, bad, error):
-    """Make ``experiment``'s point ``bad`` raise ``error``, on a 2-CPU host."""
+    """Make ``experiment``'s point ``bad`` raise ``error``, with two CPUs to run on."""
     kind = dqc1.experiments._EXPERIMENTS[experiment]
 
     def evaluate(cfg, payload, lo, hi):
@@ -660,7 +765,7 @@ def failing_at(monkeypatch, experiment, bad, error):
         return rows
 
     monkeypatch.setitem(dqc1.experiments._EXPERIMENTS, experiment, replace(kind, evaluate=evaluate))
-    monkeypatch.setattr(dqc1.experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(dqc1.experiments.os, "sched_getaffinity", lambda pid: {0, 1})
 
 
 def test_a_pooled_sweep_reaps_its_workers_after_success():
@@ -688,7 +793,7 @@ def test_a_pooled_verify_theorem1_failure_names_its_range(monkeypatch):
             raise ValueError("no score")
 
     monkeypatch.setattr(dqc1.experiments, "_DrawScorer", BrokenScorer)
-    monkeypatch.setattr(dqc1.experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(dqc1.experiments.os, "sched_getaffinity", lambda pid: {0, 1})
     # 31 points on 2 workers make ranges of 3: the first stack is points 1..2
     with pytest.raises(RuntimeError, match=r"^verify-theorem1 failed at points 1\.\.2: no score$"):
         run_experiment(theorem1_config(workers=2))
@@ -697,7 +802,7 @@ def test_a_pooled_verify_theorem1_failure_names_its_range(monkeypatch):
 
 def claims_log(monkeypatch, path, stall=None):
     """Make every pooled range append ``<pid> <lo>`` to ``path`` before it
-    runs, ``stall(lo)`` first if given, on a 2-CPU host; returns a reader of
+    runs, ``stall(lo)`` first if given, with two CPUs to run on; returns a reader of
     the log as {lo: pid}."""
     caller, evaluate = os.getpid(), dqc1.experiments._eval_point
 
@@ -710,7 +815,7 @@ def claims_log(monkeypatch, path, stall=None):
         return evaluate(cfg, payload, lo, hi)
 
     monkeypatch.setattr(dqc1.experiments, "_eval_point", logged)
-    monkeypatch.setattr(dqc1.experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(dqc1.experiments.os, "sched_getaffinity", lambda pid: {0, 1})
     return lambda: {int(lo): int(pid) for pid, lo in map(str.split, path.read_text().splitlines())}
 
 
@@ -803,7 +908,7 @@ def test_a_pools_claims_fit_one_pipe_write_at_any_pool_size(monkeypatch):
         return [experiments._eval_point(cfg, payload, lo, hi) for lo, hi in ranges]
 
     monkeypatch.setattr(experiments, "_forked", unforked)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 10**4)
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: range(10**4))
     cfg = config_from_dict({"experiment": "verify-theorem1", "n": 1, "samples": 2000, "workers": 10**4})
     assert run_experiment(cfg) == run_experiment(replace(cfg, workers=1))
     assert sizes == [experiments._MAX_POOL]
@@ -815,7 +920,7 @@ def test_claims_past_pipe_buf_each_reach_one_worker_whole(monkeypatch):
     cfg = config_from_dict({"experiment": "verify-theorem1", "n": 1, "samples": 1500, "workers": 1})
     serial = run_experiment(cfg)
     monkeypatch.setattr(dqc1.experiments, "_ranges", lambda count, _: [(i, i + 1) for i in range(count)])
-    monkeypatch.setattr(dqc1.experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(dqc1.experiments.os, "sched_getaffinity", lambda pid: {0, 1})
     assert len(dqc1.experiments._ranges(1501, 2)) * 4 > select.PIPE_BUF
     assert run_experiment(replace(cfg, workers=2)) == serial
     assert_no_children()
@@ -835,7 +940,7 @@ def test_an_interrupted_pooled_sweep_kills_and_reaps_its_workers(monkeypatch):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(dqc1.experiments, "_eval_point", slow)
-    monkeypatch.setattr(dqc1.experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(dqc1.experiments.os, "sched_getaffinity", lambda pid: {0, 1})
     previous = signal.signal(signal.SIGALRM, interrupt)
     start = time.perf_counter()
     try:
@@ -855,7 +960,7 @@ def test_a_pooled_sweep_prints_unflushed_text_once_and_leaks_no_file():
     code = (
         "import os, dqc1.entpower\n"
         "from dqc1.experiments import config_from_dict, run_experiment\n"
-        "os.cpu_count = lambda: 2\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "print('before the sweep')\n"
         "cfg = config_from_dict({'experiment': 'verify-theorem1', 'n': 1, 'samples': 20, 'workers': 2})\n"
         "print(len(run_experiment(cfg)))\n"
@@ -924,7 +1029,7 @@ def test_the_readout_set_up_takes_t_before_any_worker_forks(monkeypatch):
 
 def recording_setup(monkeypatch, experiment, path, error=None):
     """Make ``experiment``'s set-up append its process id to ``path``, then
-    raise ``error`` if one is given, on a 2-CPU host."""
+    raise ``error`` if one is given, with two CPUs to run on."""
     kind = dqc1.experiments._EXPERIMENTS[experiment]
 
     def setup(cfg):
@@ -935,7 +1040,7 @@ def recording_setup(monkeypatch, experiment, path, error=None):
         return kind.setup(cfg)
 
     monkeypatch.setitem(dqc1.experiments._EXPERIMENTS, experiment, replace(kind, setup=setup))
-    monkeypatch.setattr(dqc1.experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(dqc1.experiments.os, "sched_getaffinity", lambda pid: {0, 1})
     return lambda: [int(line) for line in path.read_text().split()]
 
 
@@ -1441,6 +1546,20 @@ def test_cli_run_rejects_a_directory_as_out_before_the_sweep(tmp_path, capsys, m
     assert calls == []
 
 
+def test_cli_run_rejects_a_shots_flag_that_is_not_integers(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"experiment": "trace-vs-shots", "n": 1, "shots": [10]})
+    assert main(["run", str(cfg), "--shots", "10,x", "--out", str(tmp_path / "rows.csv")]) == 2
+    assert capsys.readouterr().err == "error: --shots must be comma-separated integers, got '10,x'\n"
+    assert not (tmp_path / "rows.csv").exists()
+
+
+def test_cli_run_names_out_when_writing_fails_after_the_sweep(tmp_path, capsys):
+    # /dev/full passes the checks made before the sweep; its write fails
+    cfg = write_config(tmp_path, {"experiment": "verify-theorem2", "n": 1, "samples": 2})
+    assert main(["run", str(cfg), "--out", "/dev/full"]) == 2
+    assert capsys.readouterr().err == "error: field 'out': [Errno 28] No space left on device\n"
+
+
 @pytest.mark.parametrize(
     "payload,field",
     [
@@ -1514,7 +1633,7 @@ def test_cli_run_rejects_a_pooled_sweep_in_its_workers_set_up(
     # a pooled sweep sets up in the caller before it forks, so its error is
     # the serial run's: before any point, with exit 2 and the same line
     monkeypatch.setattr(dqc1.experiments, "_eval_point", no_points)
-    monkeypatch.setattr(dqc1.experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(dqc1.experiments.os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.chdir(tmp_path)  # where the set-up looks for the register file
     out = tmp_path / "rows.csv"
     errs = []

@@ -1,6 +1,7 @@
 """Tests for the dense linear-algebra layer."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -548,3 +549,28 @@ def test_load_matrix_rejects_non_finite_entries(tmp_path, part, bad):
     path.write_text(json.dumps(payload))  # NaN and Infinity are JSON tokens to Python
     with pytest.raises(ValueError, match="non-finite"):
         load_matrix(path)
+
+
+def test_matrix_from_json_names_a_missing_im():
+    with pytest.raises(ValueError, match=r"^matrix payload missing key 'im'$"):
+        matrix_from_json({"dim": 2, "re": _EYE2})
+
+
+@pytest.mark.parametrize(
+    "text,problem",
+    [("{", r"not valid JSON \(Expecting property name"), ("[1, 2]", "expected a JSON object$")],
+    ids=["invalid-json", "json-array"],
+)
+def test_load_matrix_names_its_file_when_it_holds_no_json_object(tmp_path, text, problem):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {problem}"):
+        load_matrix(path)
+
+
+def test_eig_unitary_rejects_a_basis_that_does_not_diagonalize(monkeypatch):
+    # a LAPACK that returned a wrong eigenbasis would be caught, not trusted
+    evals = np.array([1.0, -1.0], dtype=complex)
+    monkeypatch.setattr(np.linalg, "eig", lambda u: (evals, np.eye(2, dtype=complex)))
+    with pytest.raises(ValueError, match="^orthonormalized eigenbasis does not diagonalize the unitary$"):
+        eig_unitary(SIGMA_X)
