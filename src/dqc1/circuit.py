@@ -26,7 +26,6 @@ from .linalg import (
     _check_complex,
     _check_count,
     _check_density,
-    _check_matrix,
     _check_real,
     _check_type,
     _check_unitary,
@@ -135,9 +134,8 @@ def _bloch_norm(p) -> float:
 class Dqc1Instance:
     """A register size, the unitary under test, the control state, and the
     register state (by default the maximally mixed one, built unchecked).
-    Every argument is checked, U's unitarity too; a sweep's instance
-    (:func:`_trusted_instance`) trusts the U of :func:`unitary_from_spec`,
-    which checks a file's once.  The arrays must not be mutated."""
+    Every argument is checked, U's unitarity too.  The arrays must not be
+    mutated.  No sweep builds one: a sweep's readout reads t as Tr U / d."""
 
     n: int
     unitary: np.ndarray
@@ -145,7 +143,14 @@ class Dqc1Instance:
     system_state: np.ndarray | None = None
 
     def __post_init__(self):
-        _settle(self, _check_unitary)
+        _check_count("n", self.n, 1, MAX_QUBITS)
+        _check_type("control", self.control, ControlQubit)
+        u = _check_unitary("unitary", self.unitary, self.dim)
+        if self.system_state is None:  # F order: see overlap
+            rho = np.eye(self.dim, dtype=np.complex128, order="F") / self.dim
+        else:
+            rho = _check_density("system_state", self.system_state, self.dim)
+        self.__dict__.update(unitary=u, system_state=rho)  # past the frozen __setattr__
 
     @property
     def dim(self) -> int:
@@ -158,29 +163,6 @@ class Dqc1Instance:
         (construction checked both).  The default I/d is F-ordered, so rho.T is
         C-contiguous like U; I/d is diagonal, so t has a C-ordered I/d's bits."""
         return _trace_overlap(self.unitary, self.system_state)
-
-
-def _settle(inst: Dqc1Instance, check_unitary) -> None:
-    """Check an instance's fields, U by ``check_unitary``, and store its arrays."""
-    _check_count("n", inst.n, 1, MAX_QUBITS)
-    _check_type("control", inst.control, ControlQubit)
-    dim = 2**inst.n
-    u = check_unitary("unitary", inst.unitary, dim)
-    if inst.system_state is None:  # F order: see Dqc1Instance.overlap
-        rho = np.eye(dim, dtype=np.complex128, order="F") / dim
-    else:
-        rho = _check_density("system_state", inst.system_state, dim)
-    inst.__dict__.update(unitary=u, system_state=rho)  # past the frozen __setattr__
-
-
-def _trusted_instance(n: int, unitary: np.ndarray, control: ControlQubit) -> Dqc1Instance:
-    """A :class:`Dqc1Instance` on the maximally mixed register, less U's O(d^3)
-    unitarity check: :func:`unitary_from_spec` built U unitary, or checked its file.
-    Its finiteness check is a readout's one scan of U (``overlap`` trusts it)."""
-    inst = object.__new__(Dqc1Instance)
-    inst.__dict__.update(n=n, unitary=unitary, control=control, system_state=None)
-    _settle(inst, _check_matrix)
-    return inst
 
 
 def general_final_control(

@@ -17,7 +17,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .circuit import ControlQubit, _trusted_instance, unitary_from_spec
+from .circuit import ControlQubit, unitary_from_spec
 from .entpower import _entpower_alpha
 from .experiments import (
     _EXPERIMENTS,
@@ -31,7 +31,7 @@ from .experiments import (
     write_results,
 )
 from .linalg import SeededRng, _normalized_trace, brief
-from .measurement import estimate_trace
+from .measurement import _estimate_trace
 
 _F = "{:.17g}".format
 
@@ -106,9 +106,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_estimate_trace(args) -> int:
     u = unitary_from_spec(args.unitary, args.n, SeededRng(args.seed, 0))
-    inst = _trusted_instance(args.n, u, ControlQubit.from_alpha(args.alpha))
-    est = estimate_trace(inst, args.shots, SeededRng(args.seed, 1))
-    exact = _normalized_trace(inst.unitary)  # the instance scanned U
+    control, exact = ControlQubit.from_alpha(args.alpha), _normalized_trace(u)  # u: built, or checked
+    est = _estimate_trace(args.n, control, exact, args.shots, SeededRng(args.seed, 1))
     err = abs(est.trace_estimate - exact)
     print(f"n={args.n} alpha={_F(args.alpha)} shots={args.shots} seed={args.seed}")
     print(f"estimate  re={_F(est.trace_estimate.real)} im={_F(est.trace_estimate.imag)}")

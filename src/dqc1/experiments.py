@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import _ALPHA, MAX_QUBITS, ControlQubit, _trusted_instance, unitary_from_spec
+from .circuit import _ALPHA, MAX_QUBITS, ControlQubit, unitary_from_spec
 from .entpower import (
     _average,
     _bounds,
@@ -61,9 +61,9 @@ from .linalg import (
 from .measurement import (
     MAX_SHOTS,
     ErrorBudget,
+    _estimate_trace,
     entpower_from_rounds,
     error_budget,
-    estimate_trace,
     readout_alpha,
     rounds_for_budget,
 )
@@ -241,18 +241,15 @@ def _setup_trace_vs_shots(cfg):
         readout_alpha(control)
     except ValueError as err:
         raise ValueError(f"field 'alpha': {err}") from None
-    inst = _trusted_instance(cfg.n, _fixed_unitary(cfg), control)
-    inst.overlap  # every readout reads t: taken once, here, so forked workers inherit it
-    return {"inst": inst, "t": _normalized_trace(inst.unitary)}  # U was scanned just now
+    return {"control": control, "t": _normalized_trace(_fixed_unitary(cfg))}  # built, or its file checked
 
 
 def _point_trace_vs_shots(cfg, payload, idx):
-    inst, t_ref = payload["inst"], payload["t"]
-    shots = cfg.shots[idx]
-    est = estimate_trace(inst, shots, SeededRng(cfg.seed, idx + 1))
+    t, shots = payload["t"], cfg.shots[idx]
+    est = _estimate_trace(cfg.n, payload["control"], t, shots, SeededRng(cfg.seed, idx + 1))
     return [
-        ("shots_re", float(shots), est.trace_estimate.real, t_ref.real),
-        ("shots_im", float(shots), est.trace_estimate.imag, t_ref.imag),
+        ("shots_re", float(shots), est.trace_estimate.real, t.real),
+        ("shots_im", float(shots), est.trace_estimate.imag, t.imag),
     ]
 
 
@@ -506,18 +503,22 @@ def _forked(cfg: ExperimentConfig, payload: dict, ranges: list, size: int) -> li
     rows) pairs, and the error that stopped it, to a pipe of its own.  The
     caller raises the error of the lowest range not delivered, as a serial
     sweep would, and kills and reaps every worker."""
-    claims, fill = os.pipe()
+    try:
+        claims, fill = os.pipe()
+    except OSError as err:  # EMFILE or ENFILE: the host is short, the input is fine
+        raise RuntimeError(f"{cfg.experiment} could not open a pipe: {err}") from None
     workers, outputs = [], [None] * len(ranges)  # (pid, read end) of each worker; rows by range
     try:
         with open(fill, "wb") as sink:  # closed before the first fork, so the claims end
             sink.write(b"".join(i.to_bytes(4, "little") for i in range(len(ranges))))
         for _ in range(size):
-            read, write = os.pipe()
+            pipe = ()
             try:
+                read, write = pipe = os.pipe()
                 pid = os.fork()
-            except OSError as err:  # EAGAIN or ENOMEM: the host is short, the input is fine
-                os.close(read)
-                os.close(write)
+            except OSError as err:  # EMFILE, EAGAIN or ENOMEM: the host is short, the input is fine
+                for fd in pipe:
+                    os.close(fd)
                 raise RuntimeError(f"{cfg.experiment} could not fork worker {len(workers) + 1}: {err}")
             if pid == 0:  # a worker leaves by _exit, flushing nothing it inherited
                 try:

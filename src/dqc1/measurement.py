@@ -10,11 +10,11 @@ by t = Tr(U rho_n) and its conjugate, so for a control with z polarization
 
     <sigma_x> = alpha * Re Tr(U rho_n),    <sigma_y> = alpha * Im Tr(U rho_n),
 
-and the estimator inverts as (mean_x + i * mean_y) / alpha.  Reading t costs
-O(d^2), once per instance, which keeps it (:attr:`~dqc1.circuit.Dqc1Instance.overlap`);
-the dense joint state is never built.  The dense evolution
-(:func:`dqc1.circuit.general_final_control`) is kept only as the oracle the
-tests compare this readout against.
+and the estimator inverts as (mean_x + i * mean_y) / alpha.  An instance takes
+t once, an O(d^2) sum it keeps (:attr:`~dqc1.circuit.Dqc1Instance.overlap`); a
+sweep or ``dqc1 estimate-trace`` builds none, and samples from the Tr U / d it
+reports.  The dense joint state is never built: its evolution
+(:func:`dqc1.circuit.general_final_control`) is only the tests' oracle.
 """
 
 from __future__ import annotations
@@ -118,13 +118,18 @@ def readout_alpha(control: ControlQubit) -> float:
 def estimate_trace(inst: Dqc1Instance, shots: int, rng: SeededRng) -> TraceEstimate:
     """Estimate Tr(U rho_n) from finite-shot x and y control readout.
 
-    Each axis gets its own ``shots`` independent rounds.  For the default
-    maximally mixed register this estimates the normalized trace of U, read
-    from the instance's kept t (:attr:`~dqc1.circuit.Dqc1Instance.overlap`).
+    Each axis gets its own ``shots`` independent rounds, sampled from the
+    instance's kept t (:attr:`~dqc1.circuit.Dqc1Instance.overlap`); for the
+    default maximally mixed register this estimates the normalized trace of U.
     """
     _check_type("inst", inst, Dqc1Instance)
-    alpha = readout_alpha(inst.control)
-    rho_f = _closed_marginal(inst.control, inst.overlap)
+    return _estimate_trace(inst.n, inst.control, inst.overlap, shots, rng)
+
+
+def _estimate_trace(n: int, control: ControlQubit, t: complex, shots: int, rng: SeededRng) -> TraceEstimate:
+    """:func:`estimate_trace` on ``n`` register qubits whose overlap is ``t``."""
+    alpha = readout_alpha(control)
+    rho_f = _closed_marginal(control, t)
 
     means, errs = [], []
     for axis in ("x", "y"):
@@ -138,7 +143,7 @@ def estimate_trace(inst: Dqc1Instance, shots: int, rng: SeededRng) -> TraceEstim
             errs.append(float("nan"))
 
     return TraceEstimate(
-        n=inst.n,
+        n=n,
         alpha=alpha,
         shots_x=shots,
         shots_y=shots,

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import dqc1.circuit
-import dqc1.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +14,6 @@ from dqc1.circuit import (
     ControlQubit,
     Dqc1Instance,
     _bloch_norm,
-    _trusted_instance,
     diag_phase_unitary,
     final_control_closed,
     general_final_control,
@@ -187,6 +185,8 @@ def test_instance_validation():
         Dqc1Instance(n=11, unitary=np.eye(2**11), control=ctl)
     with pytest.raises(ValueError, match="shape"):
         Dqc1Instance(n=2, unitary=u, control=ctl)
+    with pytest.raises(ValueError, match="^unitary has a non-finite entry$"):
+        Dqc1Instance(n=1, unitary=np.full((2, 2), np.nan), control=ctl)
     with pytest.raises(ValueError, match="not unitary"):
         Dqc1Instance(n=1, unitary=np.ones((2, 2)), control=ctl)
     with pytest.raises(ValueError, match="density"):
@@ -194,33 +194,10 @@ def test_instance_validation():
 
 
 def test_public_instance_rejects_a_non_unitary_with_its_text():
-    # a sweep's instance skips this product; the public constructor keeps it
     ctl = ControlQubit.from_alpha(1.0)
     for u in (np.ones((2, 2)), (1 + 1e-6) * haar_unitary(4, SeededRng(2, 0))):
         with pytest.raises(ValueError, match="^unitary is not unitary within tolerance$"):
             Dqc1Instance(n=len(u).bit_length() - 1, unitary=u, control=ctl)
-
-
-def test_trusted_instance_is_the_public_one_less_the_unitarity_product(monkeypatch):
-    u, ctl = haar_unitary(8, SeededRng(3, 0)), ControlQubit.from_alpha(0.4)
-    public = Dqc1Instance(n=3, unitary=u, control=ctl)
-    calls = []
-    monkeypatch.setattr(dqc1.linalg, "is_unitary", lambda *a, **k: calls.append(1))
-    trusted = _trusted_instance(3, u, ctl)
-    assert calls == [] and type(trusted) is Dqc1Instance
-    assert (trusted.n, trusted.control, trusted.dim) == (public.n, public.control, public.dim)
-    np.testing.assert_array_equal(trusted.unitary, public.unitary)
-    np.testing.assert_array_equal(trusted.system_state, public.system_state)
-    assert trusted.overlap == public.overlap
-    # the count, shape, finiteness and control checks stay
-    for n, v, c, text in (
-        (0, u, ctl, "^n must be an integer in"),
-        (2, u, ctl, r"^unitary must be a 4x4 matrix, got shape \(8, 8\)$"),
-        (1, np.full((2, 2), np.nan), ctl, "^unitary has a non-finite entry$"),
-        (3, u, "x", "^control must be a ControlQubit, got 'x'$"),
-    ):
-        with pytest.raises(ValueError, match=text):
-            _trusted_instance(n, v, c)
 
 
 def test_instance_default_register_is_maximally_mixed():
@@ -554,10 +531,9 @@ def test_default_register_overlap_has_the_bits_of_the_public_sum(n):
     # the public sum on a C-ordered np.eye(d) / d
     ctl, d = ControlQubit.from_alpha(0.5), 2**n
     for label, u in overlap_unitaries(n):
-        trusted = _trusted_instance(n, u, ctl)
-        assert trusted.system_state.flags.f_contiguous, label
-        expected = repr(trace_overlap(u, np.eye(d) / d))
-        assert repr(trusted.overlap) == repr(Dqc1Instance(n, u, ctl).overlap) == expected, label
+        inst = Dqc1Instance(n, u, ctl)
+        assert inst.system_state.flags.f_contiguous, label
+        assert repr(inst.overlap) == repr(trace_overlap(u, np.eye(d) / d)), label
 
 
 def test_a_given_register_keeps_the_transposed_product():

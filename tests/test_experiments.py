@@ -459,6 +459,9 @@ def public_rows(cfg):
         {"experiment": "verify-theorem3", "n": 1, "rho": "maximally-mixed", "alpha": 0.4, "samples": 6},
         {"experiment": "trace-vs-shots", "n": 3, "alpha": 0.8, "shots": [10, 1000, 100000]},
         {"experiment": "trace-vs-shots", "n": 2, "unitary": "pauli:ZZ", "shots": [10, 100]},
+        # the sweep samples from Tr U / d, which differs from the public
+        # instance's t in its last bits here, under both binomial algorithms
+        {"experiment": "trace-vs-shots", "n": 5, "alpha": 0.05, "shots": [1, 10, 10**6, 10**15]},
     ],
     ids=[
         "entpower-haar",
@@ -469,6 +472,7 @@ def public_rows(cfg):
         "theorem3-mixed",
         "trace-haar",
         "trace-pauli",
+        "trace-haar-n5",
     ],
 )
 def test_sweep_rows_are_the_public_routines_on_the_same_streams(payload, seed):
@@ -712,28 +716,40 @@ def test_a_one_cpu_affinity_forks_no_worker_and_gives_the_serial_rows(pools, mon
     assert pools == []
 
 
+def failing_call(real, failing, code):
+    """``real``, but its ``failing``-th call raises the OSError of ``code``."""
+    calls = []
+
+    def call(*args):
+        calls.append(args)
+        if len(calls) == failing:
+            raise OSError(code, os.strerror(code))
+        return real(*args)
+
+    return call
+
+
 def test_a_failed_fork_closes_its_pipes_and_exits_as_a_runtime_error(monkeypatch, tmp_path, capsys):
-    # the second of two forks fails, as a host short of processes or memory
-    # makes it fail: the input is fine, so the CLI exits 1, not 2; the first
-    # worker is killed and reaped, and no pipe stays open
-    fork, forks = os.fork, []
-
-    def short_fork():
-        forks.append(os.getpid())
-        if len(forks) == 2:
-            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-        return fork()
-
-    monkeypatch.setattr(dqc1.experiments.os, "fork", short_fork)
+    # a fork or a pipe fails, as a host short of processes, memory or file
+    # descriptors makes it fail: the input is fine, so the CLI exits 1, not
+    # 2; a worker already forked is killed and reaped, and no pipe stays open
     monkeypatch.setattr(dqc1.experiments.os, "sched_getaffinity", lambda pid: {0, 1})
     cfg = write_config(tmp_path, {"experiment": "verify-theorem1", "n": 1, "samples": 20, "workers": 2})
-    out, fds = tmp_path / "rows.csv", len(os.listdir("/proc/self/fd"))
-    assert main(["run", str(cfg), "--out", str(out)]) == 1
-    assert len(os.listdir("/proc/self/fd")) == fds
-    failed = f"could not fork worker 2: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}"
-    assert capsys.readouterr().err == f"runtime error: verify-theorem1 {failed}\n"
-    assert not out.exists()
-    assert_no_children()
+    out = tmp_path / "rows.csv"
+    for name, failing, code, failed in (
+        ("fork", 2, errno.EAGAIN, "could not fork worker 2"),
+        ("pipe", 1, errno.EMFILE, "could not open a pipe"),  # the claims
+        ("pipe", 3, errno.EMFILE, "could not fork worker 2"),  # the second worker's own
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(dqc1.experiments.os, name, failing_call(getattr(os, name), failing, code))
+            fds = len(os.listdir("/proc/self/fd"))
+            assert main(["run", str(cfg), "--out", str(out)]) == 1, (name, failing)
+            assert len(os.listdir("/proc/self/fd")) == fds, (name, failing)
+        error = f"runtime error: verify-theorem1 {failed}: [Errno {code}] {os.strerror(code)}\n"
+        assert capsys.readouterr().err == error
+        assert not out.exists()
+        assert_no_children()
 
 
 def test_without_fork_a_pooled_sweep_runs_serially_with_the_same_rows(pools, monkeypatch):
@@ -1005,26 +1021,25 @@ def test_only_the_verify_theorem1_range_with_point_0_runs_the_fourier_eigensolve
 
 
 def test_the_readout_set_up_takes_t_before_any_worker_forks(monkeypatch):
-    # every readout reads the instance's kept t: the set-up takes it, so the
-    # workers of a pooled sweep inherit it instead of each taking it again.
-    # The set-up scans U once, in _trusted_instance: t and Tr U / d are the
-    # public sums less their checks, and no public one is called
+    # every readout samples from the t it reports, Tr U / d: the set-up takes
+    # it once, so the workers of a pooled sweep inherit it.  Neither the
+    # set-up nor a point builds an instance or calls a public sum, and the
+    # payload holds no array
+    cfgs = [trace_config(n=3, unitary=u, shots=[10, 100, 1000]) for u in ("haar", "identity", "pauli:XYZ")]
+    want = [normalized_trace(unitary_from_spec(c.unitary, c.n, SeededRng(c.seed, 0))) for c in cfgs]
     modules = [getattr(dqc1, m) for m in ("linalg", "circuit", "measurement", "experiments", "cli")]
-    public = counted(
+    calls = counted(
         monkeypatch,
+        (Dqc1Instance, "__post_init__"),
         *((m, name) for name in ("trace_overlap", "normalized_trace") for m in modules if hasattr(m, name)),
     )
-    scanned, real = [], dqc1.linalg._check_matrix
-    for m in modules:
-        if hasattr(m, "_check_matrix"):
-            monkeypatch.setattr(m, "_check_matrix", lambda name, a, *dim: scanned.append(a) or real(name, a, *dim))
     kind = dqc1.experiments._EXPERIMENTS["trace-vs-shots"]
-    for unitary in ("haar", "identity", "pauli:XYZ"):
-        scanned.clear()
-        inst = kind.setup(trace_config(n=3, unitary=unitary, shots=[10, 100, 1000]))["inst"]
-        assert "overlap" in vars(inst), unitary  # taken before the fork
-        assert [a is inst.unitary for a in scanned].count(True) == 1, unitary
-    assert public == {"trace_overlap": 0, "normalized_trace": 0}
+    for cfg, t in zip(cfgs, want):
+        payload = kind.setup(cfg)
+        assert repr(payload["t"]) == repr(t) and set(payload) == {"control", "t"}, cfg.unitary
+        assert not any(isinstance(v, np.ndarray) for v in payload.values()), cfg.unitary
+        assert len(kind.evaluate(cfg, payload, 0, 3)) == 6
+    assert calls == {"__post_init__": 0, "trace_overlap": 0, "normalized_trace": 0}
 
 
 def recording_setup(monkeypatch, experiment, path, error=None):
