@@ -364,6 +364,7 @@ def brute_force_min_mixing(
     _check_type("control", control, ControlQubit)
     _check_count("samples", samples, 1)
     _check_count("cols", cols, 2)
+    _check_type("include_analytic", include_analytic, bool)
     stacks = _right_unitary_stacks(2, cols, 0, samples, lambda a, b: [rng] * (b - a), 2 * cols)
     best = min(float(mixing_factor(_branch_coefficients(control, t)).min()) for t in stacks)
     if include_analytic:

@@ -51,6 +51,7 @@ from .linalg import (
     TOL_VERIFY,
     SeededRng,
     _check_density,
+    _check_type,
     _is_real,
     _normalized_trace,
     is_integer,
@@ -508,6 +509,7 @@ def _forked(cfg: ExperimentConfig, payload: dict, ranges: list, size: int) -> li
     except OSError as err:  # EMFILE or ENFILE: the host is short, the input is fine
         raise RuntimeError(f"{cfg.experiment} could not open a pipe: {err}") from None
     workers, outputs = [], [None] * len(ranges)  # (pid, read end) of each worker; rows by range
+    codes = []  # the exit status of each worker that died
     try:
         with open(fill, "wb") as sink:  # closed before the first fork, so the claims end
             sink.write(b"".join(i.to_bytes(4, "little") for i in range(len(ranges))))
@@ -541,12 +543,13 @@ def _forked(cfg: ExperimentConfig, payload: dict, ranges: list, size: int) -> li
                 pairs = pickle.load(pipe)
             except (EOFError, pickle.UnpicklingError):  # it died first: peek at why, unreaped
                 info, pairs = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT), []
-                code = info.si_status if info.si_code == os.CLD_EXITED else -info.si_status
+                codes.append(info.si_status if info.si_code == os.CLD_EXITED else -info.si_status)
             for i, out in pairs:
                 outputs[i] = out
         for (lo, hi), out in zip(ranges, outputs):  # the lowest failing range, as serially
-            if out is None:  # claimed by a worker that died
-                raise _failure(cfg, lo, hi, f"worker exit status {code}")
+            if out is None:  # claimed by a worker that died, which one unknown: name each status
+                plural = "es" if len(codes) > 1 else ""
+                raise _failure(cfg, lo, hi, f"worker exit status{plural} {', '.join(map(str, codes))}")
             if isinstance(out, BaseException):
                 raise out
         return outputs
@@ -560,6 +563,7 @@ def _forked(cfg: ExperimentConfig, payload: dict, ranges: list, size: int) -> li
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Evaluate every parameter point and return rows in point order."""
+    _check_type("cfg", cfg, ExperimentConfig)
     kind = _EXPERIMENTS[cfg.experiment]
     count = kind.count(cfg)
     # a pool only on request, and never past the CPUs this process may run on: rows never depend on it
@@ -602,6 +606,8 @@ def check_rows(cfg: ExperimentConfig, rows: list[ResultRow]) -> list[tuple[str, 
 def write_results(rows: list[ResultRow], path: str | Path, fmt: str = "csv") -> None:
     """Write rows as CSV (17 significant digits) or JSON.  Both round-trip
     float-exactly; an empty run still writes the CSV header."""
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, ResultRow) for r in rows):
+        raise ValueError(f"rows must be a list or tuple of ResultRow, got {brief(rows)}")
     path = Path(path)
     if fmt == "csv":
         line = "%s,%s,%.17g,%.17g,%.17g,%.17g,%d\n"  # %.17g formats as format(x, ".17g")

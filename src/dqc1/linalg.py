@@ -265,37 +265,39 @@ def _normalized_trace(u: np.ndarray) -> complex:
     return complex(np.sum(np.diagonal(u) / len(u)))
 
 
-def is_unitary(a: np.ndarray, tol: float = TOL_SPECTRAL) -> bool:
+def is_unitary(a: np.ndarray) -> bool:
+    """Finite, nonempty, square, and a^dagger a within ``TOL_SPECTRAL * d`` of I, entrywise."""
     try:
         a = _check_matrix("a", a)
     except ValueError:
         return False
     dim = a.shape[0]
     with np.errstate(all="ignore"):  # a huge entry's Gram entry is inf or nan: False
-        return bool(np.max(np.abs(a.conj().T @ a - np.eye(dim))) <= tol * dim)
+        return bool(np.max(np.abs(a.conj().T @ a - np.eye(dim))) <= TOL_SPECTRAL * dim)
 
 
-def is_density(a: np.ndarray, tol: float = TOL_SPECTRAL) -> bool:
-    """Finite, nonempty, Hermitian, unit trace, eigenvalues >= -tol."""
+def is_density(a: np.ndarray) -> bool:
+    """Finite, nonempty, and within ``TOL_SPECTRAL`` Hermitian, of unit trace and eigenvalues >= 0."""
     try:
         a = _check_matrix("a", a)
     except ValueError:
         return False
     with np.errstate(all="ignore"):  # a huge entry's difference or trace is inf: False
-        hermitian = np.max(np.abs(a - a.conj().T)) <= tol
+        hermitian = np.max(np.abs(a - a.conj().T)) <= TOL_SPECTRAL
         trace = np.trace(a)
-        if not (hermitian and abs(trace.real - 1.0) <= tol and abs(trace.imag) <= tol):
+        if not (hermitian and abs(trace.real - 1.0) <= TOL_SPECTRAL and abs(trace.imag) <= TOL_SPECTRAL):
             return False
     evals = np.linalg.eigvalsh(a)
-    return bool(evals.min() >= -tol)
+    return bool(evals.min() >= -TOL_SPECTRAL)
 
 
 def is_right_unitary(t: np.ndarray, tol: float = TOL_CONSTRUCT) -> bool:
     """Rows orthonormal: t @ t^dagger equals the identity on the row space.
 
     ``t`` may be a stack of matrices (leading axes); the result is True only
-    if every member passes.
+    if every member passes.  ``tol``, a finite real >= 0, scales with the row length.
     """
+    _check_real("tol", tol, 0, math.inf, "[)")
     try:
         t = _as_array("t", t)
     except ValueError:

@@ -4,6 +4,7 @@ never returns a number for something that is neither a unitary nor a
 density matrix where one is expected."""
 
 import math
+import os
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -39,7 +40,7 @@ from dqc1.entpower import (
     lambda_factor,
     mixing_factor,
 )
-from dqc1.experiments import ConfigError, ExperimentConfig, run_experiment
+from dqc1.experiments import ConfigError, ExperimentConfig, run_experiment, write_results
 from dqc1.linalg import (
     HADAMARD,
     SIGMA_X,
@@ -171,6 +172,16 @@ BUDGET = error_budget(1, 1, 0.5, 0.5)
         pytest.param(
             "control", lambda: brute_force_min_mixing("x", 5, 4, SeededRng(0)), id="control-min-mixing"
         ),
+        pytest.param(  # read as True
+            "include_analytic",
+            lambda: brute_force_min_mixing(PURE, 5, 4, SeededRng(0), include_analytic="no"),
+            id="include-analytic-str",
+        ),
+        # AttributeError: 'str' object has no attribute 'experiment'
+        pytest.param("cfg", lambda: run_experiment("x"), id="cfg-run"),
+        # TypeError: not enough arguments for format string
+        pytest.param("rows", lambda: write_results("x", os.devnull), id="rows-str"),
+        pytest.param("rows", lambda: write_results([1], os.devnull), id="rows-not-result-rows"),
         pytest.param("inst", lambda: brute_force_entpower("x", 5, SeededRng(0)), id="inst-search"),
         pytest.param(
             "rng", lambda: brute_force_entpower(Dqc1Instance(1, I2, PURE), 5, None), id="rng-search"
@@ -462,6 +473,11 @@ _REALS = {
         lambda x: entpower_from_rounds(1.0, 1.0, x),
         lambda r, x: x >= 1 and _near(r, math.sqrt(1 - 1 / x)),
         ("rounds", "budget"),
+    ),
+    "is_right_unitary tol": (  # the one row's Gram residual is 2.001e-3, within 2 tol or not
+        lambda x: is_right_unitary(np.array([[1 + 1e-3, 0]]), x),
+        lambda r, x: x >= 0 and r == ((1 + 1e-3) ** 2 - 1 <= float(x) * 2),
+        ("tol",),
     ),
     "ExperimentConfig alpha": (
         lambda x: ExperimentConfig("verify-theorem2", 1, alpha=x),

@@ -25,7 +25,6 @@ from dqc1.linalg import (
     HADAMARD,
     SIGMA_X,
     SIGMA_Z,
-    TOL_SPECTRAL,
     SeededRng,
     haar_unitary,
     is_unitary,
@@ -478,7 +477,7 @@ def test_unitary_from_spec_rejects_register_size_first(spec, n):
 def test_exact_spec_unitaries_pass_the_instance_check_at_every_size(spec):
     # a sweep's instance trusts these as it trusts a Haar QR (test_linalg)
     for n in range(1, MAX_QUBITS + 1):
-        assert is_unitary(unitary_from_spec(spec(n), n), TOL_SPECTRAL)
+        assert is_unitary(unitary_from_spec(spec(n), n))
 
 
 @pytest.mark.parametrize("n", [True, 1.0])

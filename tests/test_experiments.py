@@ -853,6 +853,26 @@ def test_a_worker_killed_by_a_signal_is_named_by_its_points_and_status(monkeypat
     assert str(caught.value) == want and sorted(by) == list(range(8))
 
 
+def test_two_dead_workers_are_both_named_by_exit_status(monkeypatch, tmp_path):
+    # the worker that claims range 0 dies in it, so range 1 goes to the
+    # other, which dies too; which of them claimed range 0 is unknown to the
+    # caller, so its error names both statuses
+    def die(lo):
+        if lo < 2:
+            os.kill(os.getpid(), (signal.SIGTERM, signal.SIGKILL)[lo])
+
+    claims = claims_log(monkeypatch, tmp_path / "claims", die)
+    cfg = trace_config(shots=[10 * (i + 1) for i in range(8)], workers=2)
+    with pytest.raises(RuntimeError) as caught:
+        run_experiment(cfg)
+    assert_no_children()
+    by = claims()
+    assert by[0] != by[1] and set(by) == {0, 1}
+    head, statuses = str(caught.value).split(": worker exit statuses ")
+    assert head == "trace-vs-shots failed at point 0 (shots=10)"
+    assert sorted(statuses.split(", ")) == ["-15", "-9"]
+
+
 def test_a_slow_range_holds_back_no_other(monkeypatch, tmp_path):
     # the worker that claims range 0 waits until the other has run all the
     # rest; with a fixed half each, it would hold ranges 1..3 and time out
