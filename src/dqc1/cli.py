@@ -54,18 +54,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--shots", help="override the shots grid (comma-separated)")
 
     default = {f.name: f.default for f in fields(ExperimentConfig)}  # a config's defaults
-    p_est = sub.add_parser("estimate-trace", help="finite-shot trace estimation")
-    p_est.add_argument("--n", type=int, required=True)
-    p_est.add_argument("--alpha", type=float, default=default["alpha"])
-    p_est.add_argument("--unitary", default=default["unitary"])
+    one_shot = argparse.ArgumentParser(add_help=False)  # the flags of both one-shot commands
+    one_shot.add_argument("--n", type=int, required=True)
+    one_shot.add_argument("--alpha", type=float, default=default["alpha"])
+    one_shot.add_argument("--unitary", default=default["unitary"])
+    one_shot.add_argument("--seed", type=int, default=default["seed"])
+    p_est = sub.add_parser("estimate-trace", help="finite-shot trace estimation", parents=[one_shot])
     p_est.add_argument("--shots", type=int, required=True)
-    p_est.add_argument("--seed", type=int, default=default["seed"])
-
-    p_ep = sub.add_parser("entpower", help="closed-form entangling power")
-    p_ep.add_argument("--n", type=int, required=True)
-    p_ep.add_argument("--alpha", type=float, default=default["alpha"])
-    p_ep.add_argument("--unitary", default=default["unitary"])
-    p_ep.add_argument("--seed", type=int, default=default["seed"])
+    sub.add_parser("entpower", help="closed-form entangling power", parents=[one_shot])
 
     p_ver = sub.add_parser("verify", help="check a closed form against sampling", **given)
     p_ver.add_argument("target", choices=("theorem1", "theorem2", "theorem3"))

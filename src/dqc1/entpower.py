@@ -244,9 +244,8 @@ def analytic_min_T(control: ControlQubit) -> np.ndarray:
     equals M^(-1/2) Phi^+ V where M is invertible, and stays exactly unitary
     on a pure control, so nothing divides by sqrt(M).
     """
-    _check_type("control", control, ControlQubit)
+    perp = lambda_factor(control)  # which checks control
     p1, p2, p3 = control.bloch
-    perp = math.hypot(p2, p3)
     c = math.sqrt(max(p1 * p1, (1.0 - perp) * (1.0 + perp)))  # keeps |p1| <= c
     tilt = p1 / c if c > 0.0 else 0.0
     n1 = np.array([c, -c])

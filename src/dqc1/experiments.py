@@ -51,6 +51,7 @@ from .linalg import (
     TOL_VERIFY,
     SeededRng,
     _check_density,
+    _check_path,
     _check_type,
     _is_real,
     _normalized_trace,
@@ -222,7 +223,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    return parse_config(Path(path).read_text())
+    return parse_config(_check_path(path).read_text())
 
 
 # --- sweep machinery ---------------------------------------------------------
@@ -245,19 +246,19 @@ def _setup_trace_vs_shots(cfg):
     return {"control": control, "t": _normalized_trace(_fixed_unitary(cfg))}  # built, or its file checked
 
 
-def _point_trace_vs_shots(cfg, payload, idx):
+def _point_trace_vs_shots(cfg, payload, idx, rng):
     t, shots = payload["t"], cfg.shots[idx]
-    est = _estimate_trace(cfg.n, payload["control"], t, shots, SeededRng(cfg.seed, idx + 1))
+    est = _estimate_trace(cfg.n, payload["control"], t, shots, rng)
     return [
         ("shots_re", float(shots), est.trace_estimate.real, t.real),
         ("shots_im", float(shots), est.trace_estimate.imag, t.imag),
     ]
 
 
-def _point_entpower_vs_alpha(cfg, payload, idx):
+def _point_entpower_vs_alpha(cfg, payload, idx, rng):
     a = cfg.alphas[idx]
     mix = lambda_factor(ControlQubit.from_alpha(a))
-    measured = payload["score"].best(mix, cfg.samples, SeededRng(cfg.seed, idx + 1))
+    measured = payload["score"].best(mix, cfg.samples, rng)
     return [("alpha", a, measured, a * payload["standard"])]
 
 
@@ -292,7 +293,7 @@ def _setup_complexity_curve(cfg):
     return {"t": t, "budgets": budgets, "reference": cfg.alpha * _standard(u)}
 
 
-def _point_complexity_curve(cfg, payload, idx):
+def _point_complexity_curve(cfg, payload, idx, rng):
     budget = payload["budgets"][idx]
     rounds = rounds_for_budget(budget, cfg.alpha, payload["t"])
     measured = entpower_from_rounds(cfg.alpha, budget.m, rounds)
@@ -313,11 +314,9 @@ def _range_verify_theorem1(cfg, payload, lo, hi):
     return rows + [("sample", float(i), m, reference) for i, m in zip(range(first, hi), measured)]
 
 
-def _point_verify_theorem2(cfg, payload, idx):
+def _point_verify_theorem2(cfg, payload, idx, rng):
     a = cfg.alphas[idx]
-    measured = brute_force_min_mixing(
-        ControlQubit.from_alpha(a), cfg.samples, cols=4, rng=SeededRng(cfg.seed, idx + 1)
-    )
+    measured = brute_force_min_mixing(ControlQubit.from_alpha(a), cfg.samples, cols=4, rng=rng)
     return [("alpha", a, measured, a)]
 
 
@@ -344,12 +343,11 @@ def _setup_verify_theorem3(cfg):
 _ANCHORS = ("lambda_pure", "lambda_alpha", "lambda_mixed")
 
 
-def _point_verify_theorem3(cfg, payload, idx):
+def _point_verify_theorem3(cfg, payload, idx, rng):
     if idx >= cfg.samples:
         z = (1.0, cfg.alpha, 0.0)[idx - cfg.samples]
         control = ControlQubit.from_bloch((0.0, 0.0, z))
         return [(_ANCHORS[idx - cfg.samples], z, lambda_factor(control), z)]
-    rng = SeededRng(cfg.seed, idx + 1)
     # a fixed unitary or register draws nothing, so building it once in
     # the set-up leaves the stream as is
     u = payload["u"] if "u" in payload else unitary_from_spec(cfg.unitary, cfg.n, rng)
@@ -359,13 +357,13 @@ def _point_verify_theorem3(cfg, payload, idx):
 
 
 def _pointwise(point):
-    """Range evaluator that evaluates its points one at a time."""
+    """Range evaluator of one point at a time, point idx on stream (seed, idx + 1)."""
 
     def evaluate(cfg, payload, lo, hi):
         rows = []
         for idx in range(lo, hi):
             try:
-                rows += point(cfg, payload, idx)
+                rows += point(cfg, payload, idx, SeededRng(cfg.seed, idx + 1))
             except Exception as err:
                 raise _failure(cfg, idx, idx + 1, err) from err
         return rows
@@ -608,7 +606,7 @@ def write_results(rows: list[ResultRow], path: str | Path, fmt: str = "csv") -> 
     float-exactly; an empty run still writes the CSV header."""
     if not isinstance(rows, (list, tuple)) or not all(isinstance(r, ResultRow) for r in rows):
         raise ValueError(f"rows must be a list or tuple of ResultRow, got {brief(rows)}")
-    path = Path(path)
+    path = _check_path(path)
     if fmt == "csv":
         line = "%s,%s,%.17g,%.17g,%.17g,%.17g,%d\n"  # %.17g formats as format(x, ".17g")
         path.write_text(",".join(ResultRow._fields) + "\n" + "".join(line % r for r in rows))

@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import numbers
+import os
 import reprlib
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -186,6 +187,13 @@ def _check_type(name: str, x, cls: type) -> None:
     if not isinstance(x, cls):
         article = "an" if cls.__name__[0] in "AEIOU" else "a"
         raise ValueError(f"{name} must be {article} {cls.__name__}, got {brief(x)}")
+
+
+def _check_path(path) -> Path:
+    """``path``, a str or an os.PathLike, as a Path: the check of a file argument."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValueError(f"path must be a str or an os.PathLike, got {brief(path)}")
+    return Path(path)
 
 
 def _as_array(name: str, x, dtype=np.complex128) -> np.ndarray:
@@ -447,12 +455,13 @@ def matrix_from_json(payload: dict) -> np.ndarray:
 
 
 def save_matrix(path: str | Path, a: np.ndarray) -> None:
-    Path(path).write_text(json.dumps(matrix_to_json(a)) + "\n")
+    _check_path(path).write_text(json.dumps(matrix_to_json(a)) + "\n")
 
 
 def load_matrix(path: str | Path) -> np.ndarray:
+    file = _check_path(path)  # before the try, whose handler would rewrap its error
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(file.read_text())
     except ValueError as err:  # a JSONDecodeError, or an int past Python's digit limit
         raise ValueError(f"{path}: not valid JSON ({err})") from err
     if not isinstance(payload, dict):

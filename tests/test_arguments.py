@@ -40,7 +40,7 @@ from dqc1.entpower import (
     lambda_factor,
     mixing_factor,
 )
-from dqc1.experiments import ConfigError, ExperimentConfig, run_experiment, write_results
+from dqc1.experiments import ConfigError, ExperimentConfig, load_config, run_experiment, write_results
 from dqc1.linalg import (
     HADAMARD,
     SIGMA_X,
@@ -52,11 +52,13 @@ from dqc1.linalg import (
     is_right_unitary,
     is_unitary,
     kron,
+    load_matrix,
     matrix_from_json,
     matrix_to_json,
     normalized_trace,
     random_density,
     random_right_unitary,
+    save_matrix,
     trace_overlap,
 )
 from dqc1.measurement import (
@@ -182,6 +184,11 @@ BUDGET = error_budget(1, 1, 0.5, 0.5)
         # TypeError: not enough arguments for format string
         pytest.param("rows", lambda: write_results("x", os.devnull), id="rows-str"),
         pytest.param("rows", lambda: write_results([1], os.devnull), id="rows-not-result-rows"),
+        # TypeError: expected str, bytes or os.PathLike object, not int
+        pytest.param("path", lambda: write_results([], 5), id="path-results"),
+        pytest.param("path", lambda: save_matrix(5, I2), id="path-save-matrix"),
+        pytest.param("path", lambda: load_matrix(None), id="path-load-matrix"),
+        pytest.param("path", lambda: load_config(5), id="path-load-config"),
         pytest.param("inst", lambda: brute_force_entpower("x", 5, SeededRng(0)), id="inst-search"),
         pytest.param(
             "rng", lambda: brute_force_entpower(Dqc1Instance(1, I2, PURE), 5, None), id="rng-search"

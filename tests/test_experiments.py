@@ -447,7 +447,7 @@ def public_rows(cfg):
     return [result_row(cfg.experiment, *row, cfg.seed) for row in rows]
 
 
-@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("seed", [1, 7, 2**128])  # 2**128: a seed of five 32-bit words
 @pytest.mark.parametrize(
     "payload",
     [
