@@ -212,6 +212,8 @@ def config_payload(text: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {err}") from None
     except ValueError:  # an int literal past Python's int-to-str digit limit
         raise ConfigError("config holds an integer too long to read") from None
+    except RecursionError:  # arrays or objects nested past the decoder's depth limit
+        raise ConfigError("config nests too deeply to read") from None
     if not isinstance(payload, dict):
         raise ConfigError("config root must be a JSON object")
     return payload

@@ -462,7 +462,7 @@ def load_matrix(path: str | Path) -> np.ndarray:
     file = _check_path(path)  # before the try, whose handler would rewrap its error
     try:
         payload = json.loads(file.read_text())
-    except ValueError as err:  # a JSONDecodeError, or an int past Python's digit limit
+    except (ValueError, RecursionError) as err:  # bad JSON, a too-long int, too deep a nesting
         raise ValueError(f"{path}: not valid JSON ({err})") from err
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object")

@@ -43,6 +43,7 @@ from dqc1.linalg import (
     SIGMA_X,
     SIGMA_Z,
     SeededRng,
+    TOL_CONSTRUCT,
     TOL_SPECTRAL,
     TOL_VERIFY,
     eig_hermitian,
@@ -52,6 +53,7 @@ from dqc1.linalg import (
     random_density,
     random_right_unitary,
 )
+from support import BLOCH_EDGES, clustered_unitaries, hard_registers
 
 I2 = np.eye(2, dtype=np.complex128)
 
@@ -528,6 +530,28 @@ def test_analytic_min_T_attains_lambda_gap():
             mix = mixing_factor(branch_coefficients(ctl, t_opt))
         assert is_right_unitary(t_opt, TOL_SPECTRAL), p
         assert abs(mix - lambda_factor(ctl)) <= 1e-14, p
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(BLOCH_EDGES)
+def test_analytic_min_T_is_right_unitary_and_attains_the_gap_at_the_chart_edges(p):
+    # Theorem 2 on the sphere and where the chart of analytic_min_T changes
+    ctl = ControlQubit.from_bloch(p)
+    t_opt = analytic_min_T(ctl)
+    assert np.abs(t_opt @ t_opt.conj().T - np.eye(len(t_opt))).max() <= TOL_CONSTRUCT * t_opt.shape[1]
+    assert abs(mixing_factor(branch_coefficients(ctl, t_opt)) - lambda_factor(ctl)) <= TOL_CONSTRUCT
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from((1, 2)).flatmap(lambda n: st.tuples(st.just(n), clustered_unitaries(2**n), hard_registers(2**n))))
+def test_bounds_order_and_bound_the_search_on_clustered_spectra_and_hard_registers(case):
+    # Theorem 3: lower <= upper, and no sampled ensemble beats upper; both only
+    # bound E_p from below, so a search may fall below the lower bound
+    n, u, rho = case
+    lower, upper = entpower_bounds(u, rho)
+    assert lower <= upper + TOL_VERIFY
+    inst = Dqc1Instance(n, u, ControlQubit.from_alpha(1.0), system_state=rho)
+    assert brute_force_entpower(inst, 20, SeededRng(3, 0)) <= upper + TOL_VERIFY
 
 
 @pytest.mark.parametrize("p", _PAST_SPHERE)

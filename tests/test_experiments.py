@@ -69,7 +69,7 @@ from dqc1.linalg import (
     save_matrix,
 )
 from dqc1.measurement import MAX_SHOTS, estimate_trace
-from support import read_results
+from support import DEEP_JSON, read_results
 
 MINIMAL = {"experiment": "verify-theorem2", "n": 1}
 
@@ -242,6 +242,8 @@ def test_parse_config_bad_json():
         parse_config("{not json")
     with pytest.raises(ConfigError, match="object"):
         parse_config("[1, 2]")
+    with pytest.raises(ConfigError, match="^config nests too deeply to read$"):
+        parse_config(DEEP_JSON)  # was a RecursionError
 
 
 def test_load_config_round_trip(tmp_path):
@@ -1699,6 +1701,23 @@ def test_cli_rejects_a_malformed_matrix_file_by_key(tmp_path, capsys, payload, k
     assert not out.exists()
     assert main(["entpower", "--n", "1", "--unitary", f"file:{matrix}"]) == 2
     assert f"key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["unitary", "rho"])
+def test_cli_names_the_field_of_a_file_nested_too_deeply(tmp_path, capsys, field):
+    # the config and a matrix file it names each used to exit 1 with
+    # "runtime error: maximum recursion depth exceeded"
+    matrix = tmp_path / "m.json"
+    matrix.write_text(DEEP_JSON)
+    config = tmp_path / "deep.json"
+    config.write_text(DEEP_JSON)
+    assert main(["run", str(config)]) == 2
+    assert capsys.readouterr().err == "error: config nests too deeply to read\n"
+    payload = {"experiment": "verify-theorem3", "n": 1, field: f"file:{matrix}", "samples": 2}
+    out = tmp_path / "rows.csv"
+    assert main(["run", str(write_config(tmp_path, payload)), "--out", str(out)]) == 2
+    assert f"error: field '{field}': {matrix}: not valid JSON (maximum recursion" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("unitary", ["pauli:XY", "identity"])

@@ -34,7 +34,7 @@ from dqc1.linalg import (
 )
 from dqc1.circuit import MAX_QUBITS
 from dqc1.experiments import MAX_SAMPLES
-from support import partial_trace
+from support import DEEP_JSON, partial_trace
 
 I2 = np.eye(2, dtype=np.complex128)
 
@@ -563,8 +563,12 @@ def test_matrix_from_json_names_a_missing_im():
 
 @pytest.mark.parametrize(
     "text,problem",
-    [("{", r"not valid JSON \(Expecting property name"), ("[1, 2]", "expected a JSON object$")],
-    ids=["invalid-json", "json-array"],
+    [
+        ("{", r"not valid JSON \(Expecting property name"),
+        ("[1, 2]", "expected a JSON object$"),
+        (DEEP_JSON, r"not valid JSON \(maximum recursion depth exceeded"),  # was a RecursionError
+    ],
+    ids=["invalid-json", "json-array", "deep-json"],
 )
 def test_load_matrix_names_its_file_when_it_holds_no_json_object(tmp_path, text, problem):
     path = tmp_path / "m.json"
