@@ -32,7 +32,6 @@ import numpy as np
 
 from .circuit import ControlQubit, Dqc1Instance
 from .linalg import (
-    MAX_STACK_ENTRIES,
     SeededRng,
     TOL_SPECTRAL,
     _as_array,
@@ -332,16 +331,21 @@ def _bounds(u: np.ndarray, rho_n: np.ndarray) -> tuple[float, float]:
     return lower, float(upper[0])
 
 
+#: Most matrix entries one stack of sampled draws holds in any of its arrays,
+#: so below n=7 a stack costs at most 256 KiB per complex array, and a
+#: :class:`_DrawScorer` holds four such (from n=7 on a stack is one draw).
+MAX_STACK_ENTRIES = 2**14
+
+
 def _stack_draws(per_sample: int) -> int:
     """Draws per stack: ``per_sample`` entries each, at most ``MAX_STACK_ENTRIES`` in all, or one."""
     return max(1, MAX_STACK_ENTRIES // per_sample)
 
 
-def _right_unitary_stacks(rows: int, cols: int, lo: int, hi: int, streams, per_sample: int):
+def _right_unitary_stacks(rows: int, cols: int, lo: int, hi: int, streams, step: int):
     """Draws lo..hi-1 of :func:`random_right_unitary`, in order, in stacks of
-    at most :func:`_stack_draws` draws: the one splitter of sampled stacks.
+    ``step`` draws, the last one shorter: the one splitter of sampled stacks.
     ``streams(a, b)`` lists the streams of draws a..b-1, called per stack."""
-    step = _stack_draws(per_sample)
     for a in range(lo, hi, step):
         yield random_right_unitary(rows, cols, streams(a, min(a + step, hi)))
 
@@ -364,7 +368,7 @@ def brute_force_min_mixing(
     _check_count("samples", samples, 1)
     _check_count("cols", cols, 2)
     _check_type("include_analytic", include_analytic, bool)
-    stacks = _right_unitary_stacks(2, cols, 0, samples, lambda a, b: [rng] * (b - a), 2 * cols)
+    stacks = _right_unitary_stacks(2, cols, 0, samples, lambda a, b: [rng] * (b - a), _stack_draws(2 * cols))
     best = min(float(mixing_factor(_branch_coefficients(control, t)).min()) for t in stacks)
     if include_analytic:
         best = min(best, mixing_factor(_branch_coefficients(control, analytic_min_T(control))))
@@ -385,8 +389,8 @@ class _DrawScorer:
     that is None or within ``TOL_SPECTRAL`` of I/d is I/d, decided here once:
     ``root`` stays None, the members are T's rows reversed and scaled (I/d's
     root is J sqrt(1/d), J the reversal), and :attr:`fourier` is a candidate.
-    Stacks are written into four complex work arrays held from the start, sized
-    for the largest stack :meth:`scores` cuts; a call returns a fresh array.
+    Stacks are written into four complex work arrays held from the start, whose
+    length is the one :meth:`scores` cuts stacks to; a call returns a fresh array.
     """
 
     def __init__(self, u: np.ndarray, rho: np.ndarray | None = None):
@@ -407,8 +411,6 @@ class _DrawScorer:
         return ens.weights, _member_branches(self.u, ens)
 
     def __call__(self, t_stack: np.ndarray, mix: float) -> np.ndarray:
-        if len(t_stack) > self.work.shape[1]:  # a stack scores did not cut
-            self.work = np.empty((4, len(t_stack), *self.work.shape[2:]), complex)
         members, u_members, *work = self.work[:, : len(t_stack)]  # C order: the sums keep their order
         if self.root is None:
             np.multiply(t_stack[..., ::-1, :], self.scale, out=members)
@@ -422,8 +424,7 @@ class _DrawScorer:
     def scores(self, lo: int, hi: int, streams, mix: float):
         """The averages of draws lo..hi-1 (:func:`_right_unitary_stacks`), an
         array per stack; a draw adds d x 2d members, and U times them."""
-        dim = len(self.u)
-        for t_stack in _right_unitary_stacks(self.rank, 2 * dim, lo, hi, streams, 2 * dim * dim):
+        for t_stack in _right_unitary_stacks(self.rank, 2 * len(self.u), lo, hi, streams, len(self.work[0])):
             yield self(t_stack, mix)
 
     def best(self, mix: float, samples: int, rng: SeededRng) -> float:

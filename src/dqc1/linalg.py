@@ -31,12 +31,6 @@ TOL_VERIFY = 1e-9
 #: draw (2**12, i.e. 12 qubits).
 MAX_KRON_DIM = 4096
 
-#: Most matrix entries one stack of sampled draws holds in any of its arrays:
-#: ``entpower._right_unitary_stacks`` splits every such stack to stay under
-#: this, so below n=7 a stack costs at most 256 KiB per complex array, and a
-#: ``entpower._DrawScorer`` holds four such (from n=7 on a stack is one draw).
-MAX_STACK_ENTRIES = 2**14
-
 
 class _Brief(reprlib.Repr):
     def repr_int(self, x, level):

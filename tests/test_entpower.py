@@ -25,6 +25,7 @@ from dqc1.entpower import (
     PureEnsemble,
     _branch_entanglement,
     _DrawScorer,
+    _right_unitary_stacks,
     analytic_min_T,
     branch_coefficients,
     brute_force_entpower,
@@ -219,7 +220,7 @@ def test_closed_forms_on_clustered_spectra_match_a_float_only_oracle(n, gap, see
     inst = Dqc1Instance(n=n, unitary=u, control=ControlQubit.from_alpha(1.0))
     assert abs(ensemble_average(inst, fourier_ensemble(u)) - standard) <= 1e-14
     score = _DrawScorer(inst.unitary, inst.system_state)
-    sampled = score(random_right_unitary(dim, 2 * dim, [rng] * 3), 1.0)
+    sampled = np.concatenate(list(score.scores(0, 3, lambda a, b: [rng] * (b - a), 1.0)))
     assert np.all(sampled <= standard + TOL_VERIFY)
 
 
@@ -542,8 +543,30 @@ def test_analytic_min_T_is_right_unitary_and_attains_the_gap_at_the_chart_edges(
     assert abs(mixing_factor(branch_coefficients(ctl, t_opt)) - lambda_factor(ctl)) <= TOL_CONSTRUCT
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(BLOCH_EDGES, st.integers(0, 2**32 - 1))
+def test_sampled_mixing_stays_at_or_above_the_gap_at_the_chart_edges(p, seed):
+    # Theorem 2's sampled half: no right-unitary draw mixes below the gap,
+    # which roundoff alone may undercut
+    ctl = ControlQubit.from_bloch(p)
+    got = brute_force_min_mixing(ctl, 200, 4, SeededRng(seed, 0), include_analytic=False)
+    assert got >= lambda_factor(ctl) - TOL_VERIFY
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from((1, 2, 3)).flatmap(lambda n: st.tuples(st.just(n), clustered_unitaries(2**n))))
+def test_fourier_average_attains_and_the_search_keeps_under_the_closed_form_on_clustered_spectra(case):
+    # Theorem 1 through the public search: the Fourier ensemble attains the
+    # closed form on the maximally mixed register, and no sampled one beats it
+    n, u = case
+    inst = Dqc1Instance(n, u, ControlQubit.from_alpha(1.0))
+    standard = entpower_standard(u)
+    assert abs(ensemble_average(inst, fourier_ensemble(u)) - standard) <= TOL_VERIFY
+    assert brute_force_entpower(inst, 20, SeededRng(5, n)) <= standard + TOL_VERIFY
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.sampled_from((1, 2)).flatmap(lambda n: st.tuples(st.just(n), clustered_unitaries(2**n), hard_registers(2**n))))
+@given(st.sampled_from((1, 2, 3)).flatmap(lambda n: st.tuples(st.just(n), clustered_unitaries(2**n), hard_registers(2**n))))
 def test_bounds_order_and_bound_the_search_on_clustered_spectra_and_hard_registers(case):
     # Theorem 3: lower <= upper, and no sampled ensemble beats upper; both only
     # bound E_p from below, so a search may fall below the lower bound
@@ -1132,3 +1155,27 @@ def test_held_work_arrays_carry_nothing_between_stacks(rank):
     assert [len(s) for s in scores] == [8, 8, 4]
     for a, b in itertools.combinations(scores, 2):
         assert not np.shares_memory(a, b)
+
+
+def test_the_splitter_cuts_stacks_of_the_length_it_is_given():
+    # 20 draws at step 8: two full stacks and a shorter last one, each draw
+    # with the bits of its own call
+    streams = lambda a, b: [SeededRng(353, j) for j in range(a, b)]
+    stacks = list(_right_unitary_stacks(3, 6, 0, 20, streams, 8))
+    assert [len(t) for t in stacks] == [8, 8, 4]
+    for j, t_mat in enumerate(np.concatenate(stacks)):
+        assert np.array_equal(t_mat, random_right_unitary(3, 6, SeededRng(353, j)))
+
+
+@pytest.mark.parametrize("n,samples", [(5, 20), (6, 5)])
+def test_the_scorers_held_block_sets_its_stack_length(n, samples):
+    # scores cuts stacks as long as the held block, which it never regrows;
+    # a longer stack handed to a call fails numpy's shape check
+    dim = 2**n
+    score = _DrawScorer(haar_unitary(dim, SeededRng(359, n)))
+    work, step = score.work, len(score.work[0])
+    lengths = [len(s) for s in score.scores(0, samples, lambda a, b: [SeededRng(367, 0)] * (b - a), 1.0)]
+    assert lengths[:-1] == [step] * (len(lengths) - 1) and 0 < lengths[-1] <= step
+    assert sum(lengths) == samples and len(lengths) > 1 and score.work is work
+    with pytest.raises(ValueError):
+        score(random_right_unitary(dim, 2 * dim, [SeededRng(373, 0)] * (step + 1)), 1.0)

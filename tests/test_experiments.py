@@ -34,6 +34,7 @@ import dqc1.linalg
 from dqc1.circuit import MAX_QUBITS, ControlQubit, Dqc1Instance, unitary_from_spec
 from dqc1.cli import main
 from dqc1.entpower import (
+    MAX_STACK_ENTRIES,
     _DrawScorer,
     brute_force_entpower,
     brute_force_min_mixing,
@@ -58,7 +59,6 @@ from dqc1.experiments import (
     write_results,
 )
 from dqc1.linalg import (
-    MAX_STACK_ENTRIES,
     SIGMA_X,
     SeededRng,
     haar_unitary,

@@ -15,6 +15,8 @@ from dqc1.linalg import (
     SIGMA_Y,
     SIGMA_Z,
     SeededRng,
+    TOL_CONSTRUCT,
+    TOL_SPECTRAL,
     _ginibre,
     eig_hermitian,
     eig_unitary,
@@ -34,7 +36,7 @@ from dqc1.linalg import (
 )
 from dqc1.circuit import MAX_QUBITS
 from dqc1.experiments import MAX_SAMPLES
-from support import DEEP_JSON, partial_trace
+from support import DEEP_JSON, clustered_unitaries, partial_trace
 
 I2 = np.eye(2, dtype=np.complex128)
 
@@ -299,6 +301,18 @@ def test_eig_unitary_degenerate_basis_is_orthonormal():
     assert np.max(np.abs(gram - np.eye(4))) < 1e-10
     resid = u @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues
     assert np.max(np.abs(resid)) < 1e-10
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from((1, 2, 3)).flatmap(lambda n: clustered_unitaries(2**n)))
+def test_eig_unitary_diagonalizes_clustered_spectra_with_an_orthonormal_basis(u):
+    # eigenphases clustered down to 1e-14 apart, or +-I: the polar factor
+    # keeps the basis orthonormal and still an eigenbasis
+    spec = eig_unitary(u)
+    d = len(u)
+    vecs = spec.eigenvectors
+    assert np.abs(u @ vecs - vecs * spec.eigenvalues).max() <= TOL_SPECTRAL * d
+    assert np.abs(vecs.conj().T @ vecs - np.eye(d)).max() <= TOL_CONSTRUCT * d
 
 
 def test_eig_unitary_rejects_non_unitary():
